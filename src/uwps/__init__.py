@@ -32,16 +32,16 @@ from .geo import (
 from .multilateration import (
     CandidatePair,
     DiffSet,
-    KleusbergWork,
+    FrameFix,
     Observation,
     ObservationSet,
     SolverConfig,
     kleusberg_solve,
     numerical_solve,
-    pseudorange,
     pseudorange_diffs,
     residuals,
     select_underwater,
+    solve_frame,
 )
 from .protocol import (
     BuoyMessage,
@@ -60,10 +60,10 @@ __all__ = [
     "CandidatePair",
     "CartesianVector",
     "DiffSet",
+    "FrameFix",
     "FrameRecord",
     "FrameSchedule",
     "GeodeticCoord",
-    "KleusbergWork",
     "LocalFrame",
     "Observation",
     "ObservationSet",
@@ -82,11 +82,11 @@ __all__ = [
     "geodetic_to_ecef",
     "kleusberg_solve",
     "numerical_solve",
-    "pseudorange",
     "pseudorange_diffs",
     "residuals",
     "select_underwater",
     "simulate",
+    "solve_frame",
     "to_enu",
     "transmit_times",
     "working_frame",

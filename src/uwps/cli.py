@@ -19,6 +19,7 @@ from . import verify as verify_mod
 from .channel import (
     BuoyTrack,
     ReceiverTrack,
+    ReceptionEvent,
     Scenario,
     add_timing_noise,
     assemble_observations,
@@ -30,10 +31,10 @@ from .geo import ENU, CartesianVector, GeodeticCoord
 from .multilateration import (
     SolverConfig,
     kleusberg_solve,
-    numerical_solve,
     pseudorange_diffs,
     residuals,
     select_underwater,
+    solve_frame,
 )
 from .protocol import compute_schedule, decode_message, encode_message
 
@@ -108,14 +109,26 @@ def _parse_sections(text: str, path: str):
     return sections
 
 
-def _floats(value: str, count: int, path: str, lineno: int) -> list[float]:
+def _floats(value: str, count: int, path: str, lineno: int,
+            allow_inf: bool = False) -> list[float]:
+    """count finite numbers; infinity only where allow_inf, NaN never."""
     parts = value.split()
     if len(parts) != count:
         raise FileFormatError(f"{path}:{lineno}: expected {count} numbers, got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        numbers = [float(p) for p in parts]
     except ValueError:
         raise FileFormatError(f"{path}:{lineno}: non-numeric value {value!r}") from None
+    if not all(math.isfinite(v) or (allow_inf and math.isinf(v)) for v in numbers):
+        raise FileFormatError(f"{path}:{lineno}: non-finite value {value!r}")
+    return numbers
+
+
+def _integer(value: str, path: str, lineno: int) -> int:
+    number = _floats(value, 1, path, lineno)[0]
+    if number != int(number):
+        raise FileFormatError(f"{path}:{lineno}: expected an integer, got {value!r}")
+    return int(number)
 
 
 def parse_scenario_file(path: Path) -> ScenarioFile:
@@ -169,26 +182,33 @@ def parse_scenario_file(path: Path) -> ScenarioFile:
     if "sound_speed" not in chan:
         raise FileFormatError(f"{path}: [channel] needs sound_speed")
 
-    def scalar(block, key, default):
+    def scalar(block, key, default, allow_inf=False):
         if key not in block:
             return default
-        return _floats(block[key][0], 1, str(path), block[key][1])[0]
+        return _floats(block[key][0], 1, str(path), block[key][1], allow_inf)[0]
+
+    def integer(block, key, default):
+        if key not in block:
+            return default
+        return _integer(block[key][0], str(path), block[key][1])
 
     sound_speed = scalar(chan, "sound_speed", None)
     clock_offset = scalar(chan, "clock_offset", 0.0)
-    range_limit = scalar(chan, "range_limit", math.inf)
+    range_limit = scalar(chan, "range_limit", math.inf, allow_inf=True)
     noise_sigma = scalar(chan, "noise_sigma", 0.0)
-    seed = int(scalar(chan, "seed", 0.0))
+    seed = integer(chan, "seed", 0)
+    if seed < 0:
+        raise FileFormatError(f"{path}:{chan['seed'][1]}: seed must be >= 0")
 
     sched = section("schedule", required=False)
-    message_bytes = int(scalar(sched, "message_bytes", 80.0))
+    message_bytes = integer(sched, "message_bytes", 80)
     bit_rate = scalar(sched, "bit_rate", 640.0)
     guard = scalar(sched, "guard", 1.0)
 
     run = section("run")
     if "frames" not in run:
         raise FileFormatError(f"{path}: [run] needs frames")
-    frames = int(scalar(run, "frames", 0.0))
+    frames = integer(run, "frames", 0)
 
     solver_block = section("solver", required=False)
     solver_kwargs = {}
@@ -196,7 +216,7 @@ def parse_scenario_file(path: Path) -> ScenarioFile:
         if key in solver_block:
             solver_kwargs[key] = scalar(solver_block, key, None)
     if "max_iterations" in solver_block:
-        solver_kwargs["max_iterations"] = int(scalar(solver_block, "max_iterations", 0.0))
+        solver_kwargs["max_iterations"] = integer(solver_block, "max_iterations", 0)
     initial_guess = None
     if "initial_guess" in solver_block:
         initial_guess = tuple(_floats(solver_block["initial_guess"][0], 3, str(path),
@@ -233,6 +253,7 @@ class ObservationFile:
     frame_index: int
     receive_times: list[float]
     sentences: list[bytes]
+    line_numbers: list[int]    # file line of each observation
 
 
 def parse_observation_file(path: Path) -> ObservationFile:
@@ -244,6 +265,7 @@ def parse_observation_file(path: Path) -> ObservationFile:
     frame_index = 0
     receive_times: list[float] = []
     sentences: list[bytes] = []
+    line_numbers: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -253,19 +275,18 @@ def parse_observation_file(path: Path) -> ObservationFile:
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "sound_speed":
             sound_speed = _floats(value, 1, str(path), lineno)[0]
+            if sound_speed <= 0.0:
+                raise FileFormatError(f"{path}:{lineno}: sound_speed must be > 0")
         elif key == "frame":
-            frame_index = int(_floats(value, 1, str(path), lineno)[0])
+            frame_index = _integer(value, str(path), lineno)
         elif key == "observation":
             parts = value.split(None, 1)
             if len(parts) != 2:
                 raise FileFormatError(
                     f"{path}:{lineno}: observation needs '<receive_time> <sentence>'")
-            try:
-                receive_times.append(float(parts[0]))
-            except ValueError:
-                raise FileFormatError(
-                    f"{path}:{lineno}: non-numeric receive time {parts[0]!r}") from None
+            receive_times.append(_floats(parts[0], 1, str(path), lineno)[0])
             sentences.append((parts[1].strip() + "\r\n").encode("ascii"))
+            line_numbers.append(lineno)
         else:
             raise FileFormatError(f"{path}:{lineno}: unknown key {key!r}")
     if sound_speed is None:
@@ -273,28 +294,20 @@ def parse_observation_file(path: Path) -> ObservationFile:
     if len(sentences) != 4:
         raise FileFormatError(f"{path}: expected 4 observation lines, got {len(sentences)}")
     return ObservationFile(sound_speed=sound_speed, frame_index=frame_index,
-                           receive_times=receive_times, sentences=sentences)
+                           receive_times=receive_times, sentences=sentences,
+                           line_numbers=line_numbers)
 
 
 def _decode_observation_events(obs_file: ObservationFile, path: Path):
     """Decode the four sentences into reception events; line-accurate errors."""
-    from .channel import ReceptionEvent
-
     events = []
-    lineno_map = []
-    lineno = 0
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        lineno += 1
-        if raw.split("#", 1)[0].strip().startswith("observation"):
-            lineno_map.append(lineno)
-    for index, (sentence, receive_time) in enumerate(
-            zip(obs_file.sentences, obs_file.receive_times)):
+    for sentence, receive_time, lineno in zip(
+            obs_file.sentences, obs_file.receive_times, obs_file.line_numbers):
         try:
             message = decode_message(sentence)
         except PositioningError as exc:
-            line = lineno_map[index] if index < len(lineno_map) else "?"
             raise FileFormatError(
-                f"{path}:{line}: {type(exc).__name__}: {exc}") from None
+                f"{path}:{lineno}: {type(exc).__name__}: {exc}") from None
         events.append(ReceptionEvent(
             buoy_id=message.buoy_id,
             frame_index=obs_file.frame_index,
@@ -323,46 +336,6 @@ def resolve_input(name: str) -> Path:
 
 # -- commands ------------------------------------------------------------
 
-def _solve_one_frame(record, sound_speed, frame, cfg, initial_guess):
-    """Both solvers on one complete frame; returns a CSV row fragment."""
-    obs = assemble_observations(record.events, sound_speed, frame=frame,
-                                speed_window=(0.0, math.inf))
-    diffs = pseudorange_diffs(obs)
-    reference = obs.by_id(0).position
-
-    analytic = None
-    pair = None
-    status = "ok"
-    try:
-        pair = kleusberg_solve(diffs, reference, cfg)
-        analytic = select_underwater(pair, cfg, diffs=diffs, reference=reference)
-    except PositioningError as exc:
-        status = type(exc).__name__
-
-    if initial_guess is not None:
-        guess = CartesianVector(*initial_guess, ENU)
-    elif analytic is not None:
-        guess = analytic
-    else:
-        buoys = diffs.buoy_positions(reference.as_array())
-        centroid = np.vstack([buoys, reference.as_array()]).mean(axis=0)
-        centroid[2] = -0.5 * float(np.max(diffs.b))
-        guess = CartesianVector.from_array(centroid, ENU)
-
-    numerical = None
-    try:
-        numerical = numerical_solve(diffs, reference, guess, cfg)
-    except PositioningError as exc:
-        if status == "ok":
-            status = type(exc).__name__
-
-    res_analytic = (float(np.linalg.norm(residuals(analytic, diffs, reference)))
-                    if analytic is not None else None)
-    res_numerical = (float(np.linalg.norm(residuals(numerical, diffs, reference)))
-                     if numerical is not None else None)
-    return diffs, analytic, numerical, res_analytic, res_numerical, pair, status
-
-
 def cmd_simulate(args) -> int:
     try:
         parsed = parse_scenario_file(resolve_input(args.scenario))
@@ -374,6 +347,8 @@ def cmd_simulate(args) -> int:
     records = simulate(scenario)
     if parsed.noise_sigma > 0.0:
         records = add_timing_noise(records, parsed.noise_sigma, parsed.seed)
+    guess = (CartesianVector(*parsed.initial_guess, ENU)
+             if parsed.initial_guess is not None else None)
 
     rows = []
     errors_analytic = []
@@ -386,33 +361,34 @@ def cmd_simulate(args) -> int:
             continue
         complete_frames += 1
         truth = record.events[-1].true_position.as_array()
-        diffs, analytic, numerical, res_a, res_n, pair, status = _solve_one_frame(
-            record, scenario.sound_speed, frame, parsed.solver, parsed.initial_guess)
-        err_a = (float(np.linalg.norm(analytic.as_array() - truth))
-                 if analytic is not None else None)
-        err_n = (float(np.linalg.norm(numerical.as_array() - truth))
-                 if numerical is not None else None)
-        if err_a is not None:
-            errors_analytic.append(err_a)
-        if err_n is not None:
-            errors_numerical.append(err_n)
-        if analytic is None and numerical is None:
-            failures.append((record.frame_index, status))
+        obs = assemble_observations(record.events, scenario.sound_speed, frame=frame,
+                                    speed_window=(0.0, math.inf))
+        diffs = pseudorange_diffs(obs)
+        reference = obs.by_id(0).position
+        fix = solve_frame(diffs, reference, parsed.solver, guess)
+        solved = (fix.analytic, fix.numerical)
+        errs = [float(np.linalg.norm(p.as_array() - truth)) if p is not None else None
+                for p in solved]
+        res = [float(np.linalg.norm(residuals(p, diffs, reference))) if p is not None
+               else None for p in solved]
+        for err, errors in zip(errs, (errors_analytic, errors_numerical)):
+            if err is not None:
+                errors.append(err)
+        if errs == [None, None]:
+            failures.append((record.frame_index, fix.status))
         cells = [str(record.frame_index)]
         cells += [_fmt(v) for v in truth]
-        cells += [_fmt(v) for v in (analytic.as_array() if analytic is not None
-                                    else (None,) * 3)]
-        cells += [_fmt(v) for v in (numerical.as_array() if numerical is not None
-                                    else (None,) * 3)]
-        cells += [_fmt(err_a), _fmt(err_n), _fmt(res_a), _fmt(res_n)]
-        cells += [_fmt(pair.work.discriminant) if pair is not None else ""]
+        for p in solved:
+            cells += [_fmt(v) for v in (p.as_array() if p is not None else (None,) * 3)]
+        cells += [_fmt(v) for v in errs + res]
+        cells.append(_fmt(fix.pair.discriminant) if fix.pair is not None else "")
         chosen = ""
-        if pair is not None and analytic is not None:
-            for _, _, pos, idx in pair.branches():
-                if pos == analytic:
+        if fix.analytic is not None:
+            for _, _, pos, idx in fix.pair.branches():
+                if pos == fix.analytic:
                     chosen = str(idx)
         cells.append(chosen)
-        cells.append(status)
+        cells.append(fix.status)
         rows.append(",".join(cells))
 
         if args.export_obs is not None:
@@ -500,9 +476,9 @@ def cmd_solve(args) -> int:
         res = float(np.linalg.norm(residuals(pos, diffs, reference)))
         print(f"candidate {label}: ({pos.x:.9g}, {pos.y:.9g}, {pos.z:.9g}) m, "
               f"range {s:.9g} m, residual {res:.9g} m, range-eq baseline {idx}")
-    print(f"discriminant = {pair.work.discriminant:.9g}")
+    print(f"discriminant = {pair.discriminant:.9g}")
     try:
-        pick = select_underwater(pair, cfg, diffs=diffs, reference=reference)
+        pick = select_underwater(pair, diffs, reference, cfg)
     except PositioningError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -9,6 +9,9 @@ relative to a reference buoy. Those are solved two ways:
 * a safeguarded Gauss-Newton iteration on the residual system, for data a
   closed form cannot digest (noise, receiver motion).
 
+solve_frame runs both on one frame, the way the CLI and the property suite
+do.
+
 Conventions: d_0i = P_i - P_0 is the range to buoy i minus the range to the
 reference, and baselines e_0i * b_0i point from the reference to buoy i.
 """
@@ -26,6 +29,7 @@ from .errors import (
     NonConvergence,
     NoRealSolution,
     NoUnderwaterSolution,
+    PositioningError,
     SingularDenominator,
     SingularJacobian,
     UnrealizableTDOA,
@@ -135,25 +139,13 @@ class DiffSet:
 
 
 @dataclass(frozen=True, eq=False)
-class KleusbergWork:
-    """Intermediate quantities of the closed form, kept for diagnostics."""
-
-    f1: np.ndarray
-    f2: np.ndarray
-    u1: float
-    u2: float
-    g: np.ndarray
-    h: np.ndarray
-    discriminant: float
-
-
-@dataclass(frozen=True, eq=False)
 class CandidatePair:
     """Both closed-form candidates; selection happens downstream.
 
     s values may be negative (unphysical range) before filtering. The
     denominator indices record which baseline's range equation produced
-    each s (0-based into DiffSet.ids).
+    each s (0-based into DiffSet.ids). The discriminant is the closed
+    form's, kept for diagnostics.
     """
 
     e_1: np.ndarray
@@ -164,7 +156,7 @@ class CandidatePair:
     r_2: CartesianVector
     denominator_index_1: int
     denominator_index_2: int
-    work: KleusbergWork
+    discriminant: float
 
     def branches(self):
         yield self.e_1, self.s_1, self.r_1, self.denominator_index_1
@@ -189,13 +181,6 @@ class SolverConfig:
             raise ValueError("tolerances must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-
-
-def pseudorange(c: float, t_rx: float, t_tx: float, offset: float) -> float:
-    """Apparent range c*(t_rx - t_tx + offset); biased by the clock offset."""
-    if c <= 0:
-        raise ValueError("sound speed must be > 0")
-    return c * (t_rx - t_tx + offset)
 
 
 def pseudorange_diffs(obs: ObservationSet, reference_id: int = 0) -> DiffSet:
@@ -257,8 +242,6 @@ def kleusberg_solve(
     h = u2 * f1 - u1 * f2
     gg = float(g @ g)
     disc = gg - float(h @ h)
-    work = KleusbergWork(f1=f1, f2=f2, u1=float(u1), u2=float(u2),
-                         g=g, h=h, discriminant=disc)
 
     f1_norm = float(np.linalg.norm(f1))
     f2_norm = float(np.linalg.norm(f2))
@@ -301,7 +284,7 @@ def kleusberg_solve(
     (e1, s1, p1, i1), (e2, s2, p2, i2) = results
     return CandidatePair(e_1=e1, e_2=e2, s_1=s1, s_2=s2, r_1=p1, r_2=p2,
                          denominator_index_1=i1, denominator_index_2=i2,
-                         work=work)
+                         discriminant=disc)
 
 
 def residuals(
@@ -318,17 +301,15 @@ def residuals(
 
 def select_underwater(
     pair: CandidatePair,
+    diffs: DiffSet,
+    reference: CartesianVector,
     cfg: SolverConfig = SolverConfig(),
-    diffs: DiffSet | None = None,
-    reference: CartesianVector | None = None,
 ) -> CartesianVector:
     """Pick the physical fix: nonnegative range and below the surface plane.
 
     When both candidates qualify, the one that better reproduces the
     measured differences wins (phantom branches of the squared system
-    carry large residuals); pass diffs/reference to enable that check,
-    otherwise the deeper candidate is returned. Exact residual ties also
-    fall back to depth.
+    carry large residuals); exact residual ties go to the deeper one.
     """
     qualified = []
     for evec, s, pos, _ in pair.branches():
@@ -339,10 +320,7 @@ def select_underwater(
             "no candidate with nonnegative range below the surface plane")
     if len(qualified) == 1:
         return qualified[0]
-    if diffs is not None and reference is not None:
-        qualified.sort(key=lambda p: (float(np.linalg.norm(residuals(p, diffs, reference))), p.z))
-    else:
-        qualified.sort(key=lambda p: p.z)
+    qualified.sort(key=lambda p: (float(np.linalg.norm(residuals(p, diffs, reference))), p.z))
     return qualified[0]
 
 
@@ -449,3 +427,53 @@ def numerical_solve(
     raise NonConvergence(
         f"step norm above {cfg.residual_tolerance:.1e} m after "
         f"{cfg.max_iterations} iterations")
+
+
+@dataclass(frozen=True, eq=False)
+class FrameFix:
+    """One frame solved both ways.
+
+    pair is None when the closed form failed, analytic also when the
+    underwater selection failed, numerical when Gauss-Newton failed;
+    status is "ok" or the name of the first error raised.
+    """
+
+    pair: CandidatePair | None
+    analytic: CartesianVector | None
+    numerical: CartesianVector | None
+    status: str
+
+
+def solve_frame(
+    diffs: DiffSet,
+    reference: CartesianVector,
+    cfg: SolverConfig,
+    guess: CartesianVector | None = None,
+) -> FrameFix:
+    """The closed form, its underwater pick, then Gauss-Newton.
+
+    Gauss-Newton starts from guess when given, else from the analytic fix,
+    else from the buoy centroid at half the longest baseline's depth.
+    """
+    pair = analytic = numerical = None
+    status = "ok"
+    try:
+        pair = kleusberg_solve(diffs, reference, cfg)
+        analytic = select_underwater(pair, diffs, reference, cfg)
+    except PositioningError as exc:
+        status = type(exc).__name__
+
+    if guess is None:
+        guess = analytic
+    if guess is None:
+        r0 = reference.as_array()
+        centroid = np.vstack([diffs.buoy_positions(r0), r0]).mean(axis=0)
+        centroid[2] = -0.5 * float(np.max(diffs.b))
+        guess = CartesianVector.from_array(centroid, ENU)
+
+    try:
+        numerical = numerical_solve(diffs, reference, guess, cfg)
+    except PositioningError as exc:
+        if status == "ok":
+            status = type(exc).__name__
+    return FrameFix(pair=pair, analytic=analytic, numerical=numerical, status=status)

@@ -31,6 +31,7 @@ _W_TIME = 9      # "86399.999"
 _W_LAT = 11      # "-90.0000000"
 _W_LON = 12      # "-179.9999999"
 _W_HEIGHT = 9    # e.g. "-11000.00"
+_HEIGHT_RANGE = (-99999.99, 999999.99)   # the heights that fit _W_HEIGHT
 
 
 def _q(value: float, decimals: int) -> float:
@@ -91,7 +92,11 @@ def encode_message(m: BuoyMessage) -> bytes:
 
 
 def decode_message(raw: bytes) -> BuoyMessage:
-    """Parse and checksum-validate a sentence; total over byte inputs."""
+    """Parse and checksum-validate a sentence; total over byte inputs.
+
+    Every failure is a PositioningError, and every message it returns
+    encodes again.
+    """
     if not isinstance(raw, (bytes, bytearray)):
         raise MalformedSentence("expected a byte sequence")
     if not raw.startswith(b"$") or not raw.endswith(b"\r\n"):
@@ -118,8 +123,10 @@ def decode_message(raw: bytes) -> BuoyMessage:
         raise MalformedSentence(f"unknown talker {parts[0]!r}")
     try:
         buoy_id = int(parts[1])
-        gnss_time = float(parts[2])
-        lat, lon, height = (float(p) for p in parts[3:6])
+        # snapped to wire resolution before the range checks, as the message
+        # stores them
+        gnss_time, lat, lon, height = (
+            _q(float(p), decimals) for p, decimals in zip(parts[2:6], (3, 7, 7, 2)))
     except ValueError:
         raise MalformedSentence(f"non-numeric field in {parts[1:]!r}") from None
     if buoy_id not in (1, 2, 3, 4):
@@ -130,6 +137,8 @@ def decode_message(raw: bytes) -> BuoyMessage:
         raise FieldRange(f"latitude {lat} outside [-90, 90]")
     if not (-180.0 < lon <= 180.0):
         raise FieldRange(f"longitude {lon} outside (-180, 180]")
+    if not (_HEIGHT_RANGE[0] <= height <= _HEIGHT_RANGE[1]):
+        raise FieldRange(f"height {height} outside [{_HEIGHT_RANGE[0]}, {_HEIGHT_RANGE[1]}]")
     return BuoyMessage(buoy_id, gnss_time, GeodeticCoord(lat, lon, height))
 
 

@@ -1,37 +1,16 @@
-"""Shared oracles and geometry builders.
+"""Geometry builders for the tests.
 
-The distance oracle builds pseudorange differences straight from Euclidean
-norms at a known truth point, independent of every solver code path.
+The distance oracle, the Malaga anchor, the quadrilateral sampler and the
+scenario builder live in `uwps.verify`, shared with `uwps verify`.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from uwps.channel import BuoyTrack, ReceiverTrack, Scenario
-from uwps.geo import ENU, CartesianVector, GeodeticCoord, LocalFrame, enu_to_geodetic
-from uwps.multilateration import DiffSet
-from uwps.protocol import compute_schedule
-
-MALAGA = GeodeticCoord(36.7201, -4.4203, 0.0)
-
-
-def oracle_diffs(buoys: np.ndarray, truth: np.ndarray) -> DiffSet:
-    """DiffSet from ground truth by brute-force distances.
-
-    buoys is 4x3 with row 0 the reference; d_0i = |X - R_i| - |X - R_0|.
-    """
-    buoys = np.asarray(buoys, float)
-    truth = np.asarray(truth, float)
-    ranges = np.linalg.norm(buoys - truth, axis=1)
-    baselines = buoys[1:] - buoys[0]
-    lengths = np.linalg.norm(baselines, axis=1)
-    return DiffSet(
-        reference_id=0,
-        ids=(1, 2, 3),
-        d=ranges[1:] - ranges[0],
-        e=baselines / lengths[:, None],
-        b=lengths,
-    )
+from uwps import verify
+from uwps.geo import ENU, CartesianVector
 
 
 def enu(x: float, y: float, z: float) -> CartesianVector:
@@ -48,48 +27,5 @@ def unit_square(side: float = 1000.0, ups=(0.0, 0.0, 0.0, 0.0)) -> np.ndarray:
     ])
 
 
-def sample_quadrilateral(rng: np.random.Generator, side=(200.0, 2000.0)):
-    """Perturbed quadrilateral of the acceptance family; returns (buoys, L)."""
-    length = rng.uniform(*side)
-    corners = np.array([[0.0, 0.0], [length, 0.0], [length, length], [0.0, length]])
-    corners += rng.uniform(-0.2 * length, 0.2 * length, (4, 2))
-    ups = rng.uniform(-2.0, 2.0, 4)
-    return np.column_stack([corners, ups]), length
-
-
-def make_scenario(
-    buoy_enu=None,
-    drifts=None,
-    receiver=(300.0, 400.0, -150.0),
-    velocity=(0.0, 0.0, 0.0),
-    sound_speed=1500.0,
-    clock_offset=0.0,
-    frames=3,
-    range_limit=float("inf"),
-    anchor=MALAGA,
-    **schedule_args,
-) -> Scenario:
-    """Scenario with buoys laid out at ENU offsets around a geodetic anchor."""
-    if buoy_enu is None:
-        buoy_enu = unit_square(1000.0)
-    if drifts is None:
-        drifts = [(0.0, 0.0, 0.0)] * 4
-    frame = LocalFrame(anchor)
-    buoys = tuple(
-        BuoyTrack(initial=enu_to_geodetic(enu(*p), frame), drift=tuple(d))
-        for p, d in zip(np.asarray(buoy_enu, float), drifts)
-    )
-    schedule = compute_schedule(
-        schedule_args.pop("message_bytes", 80),
-        schedule_args.pop("bit_rate", 640.0),
-        schedule_args.pop("guard", 1.0),
-    )
-    return Scenario(
-        buoys=buoys,
-        receiver=ReceiverTrack(initial=tuple(receiver), velocity=tuple(velocity)),
-        sound_speed=sound_speed,
-        clock_offset=clock_offset,
-        schedule=schedule,
-        frames=frames,
-        range_limit=range_limit,
-    )
+# verify.make_scenario over the flat 1 km square
+make_scenario = functools.partial(verify.make_scenario, unit_square(1000.0))

@@ -21,12 +21,12 @@ from uwps.multilateration import (
 CFG = SolverConfig()
 
 
-def solve_frame(record, scenario, frame=None):
+def underwater_fix(record, scenario, frame=None):
     obs = assemble_observations(record.events, scenario.sound_speed, frame=frame)
     diffs = pseudorange_diffs(obs)
     reference = obs.by_id(0).position
     pair = kleusberg_solve(diffs, reference, CFG)
-    return select_underwater(pair, CFG, diffs=diffs, reference=reference)
+    return select_underwater(pair, diffs, reference, CFG)
 
 
 def test_one_second_at_1500m_slant_range():
@@ -58,7 +58,7 @@ def test_solution_bit_identical_across_integer_offsets():
         for record in simulate(scenario):
             obs = assemble_observations(record.events, scenario.sound_speed, frame=frame)
             diffs = pseudorange_diffs(obs)
-            pick = solve_frame(record, scenario, frame=frame)
+            pick = underwater_fix(record, scenario, frame=frame)
             run.append((diffs.d.tobytes(), pick.as_array().tobytes()))
         if reference_run is None:
             reference_run = run
@@ -76,7 +76,7 @@ def test_end_to_end_exactness_with_drift_and_offset():
     frame = working_frame(scenario)
     for record in simulate(scenario):
         truth = record.events[-1].true_position.as_array()
-        pick = solve_frame(record, scenario, frame=frame)
+        pick = underwater_fix(record, scenario, frame=frame)
         assert np.linalg.norm(pick.as_array() - truth) < 1e-6
 
 
@@ -122,7 +122,7 @@ def test_range_limit_drops_events():
 def test_assemble_recovers_truth():
     scenario = make_scenario(frames=1)
     record = simulate(scenario)[0]
-    pick = solve_frame(record, scenario)
+    pick = underwater_fix(record, scenario)
     truth = record.events[-1].true_position.as_array()
     assert np.linalg.norm(pick.as_array() - truth) < 1e-6
 

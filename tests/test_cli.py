@@ -1,6 +1,7 @@
 """CLI contracts: commands, exit codes, file grammars, determinism."""
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from uwps.cli import (
 )
 
 SQUARETEST = resolve_input("squaretest")
+FRAME0 = resolve_input("squaretest_frame0").read_text()
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*argv, capsys=None):
@@ -70,6 +73,21 @@ def test_simulate_bundled_squaretest(tmp_path, capsys):
     assert "analytic error" in out
 
 
+@pytest.mark.parametrize("name, scenario, expected_code", [
+    ("squaretest", "squaretest", EXIT_OK),
+    # moving receiver, drifting buoys, timing noise: every status branch,
+    # the centroid fallback guess and a frame without a fix
+    ("moving", str(DATA / "moving.scn"), EXIT_SOLVER),
+], ids=["squaretest", "moving"])
+def test_simulate_matches_golden_output(name, scenario, expected_code, tmp_path, capsys):
+    out_csv = tmp_path / "out.csv"
+    code, out, err = run_cli("simulate", scenario, "-o", str(out_csv), capsys=capsys)
+    assert code == expected_code
+    assert out_csv.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+    assert out == (DATA / f"{name}.stdout").read_text()
+    assert err == (DATA / f"{name}.stderr").read_text()
+
+
 def test_simulate_csv_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli("simulate", "squaretest", "-o", str(a), capsys=capsys)[0] == EXIT_OK
@@ -118,13 +136,9 @@ def test_simulate_noisy_scenario_runs(tmp_path, capsys):
 
 def test_simulate_all_frames_out_of_range(tmp_path, capsys):
     scn = tmp_path / "far.scn"
-    scn.write_text(scenario_text(extra="", sound_speed="1500.0")
-                   .replace("[run]", "[channel2]") if False else
-                   scenario_text() + "\n")
-    # rewrite with a range limit that drops every event
-    text = scenario_text().replace("noise_sigma = 0.0",
-                                   "noise_sigma = 0.0\nrange_limit = 10.0")
-    scn.write_text(text)
+    # a range limit that drops every event
+    scn.write_text(scenario_text().replace("noise_sigma = 0.0",
+                                           "noise_sigma = 0.0\nrange_limit = 10.0"))
     code, _, err = run_cli("simulate", str(scn), "-o", str(tmp_path / "o.csv"),
                            capsys=capsys)
     assert code == EXIT_SOLVER
@@ -141,6 +155,48 @@ def test_simulate_degenerate_symmetric_receiver(tmp_path, capsys):
     if code != EXIT_OK:
         assert code == EXIT_SOLVER
         assert "frame" in err
+
+
+def _add_channel_line(line):
+    return scenario_text().replace("noise_sigma = 0.0", f"noise_sigma = 0.0\n{line}")
+
+
+NUMBER_CASES = [
+    ("simulate", scenario_text(sound_speed="nan"), "sound_speed = nan"),
+    ("simulate", scenario_text(clock_offset="inf"), "clock_offset = inf"),
+    ("simulate", scenario_text(receiver_position="300 nan -150"), "300 nan -150"),
+    ("simulate", scenario_text(frames="2.5"), "frames = 2.5"),
+    ("simulate", _add_channel_line("seed = 2.5"), "seed = 2.5"),
+    ("simulate", _add_channel_line("seed = -1"), "seed = -1"),
+    ("simulate", _add_channel_line("range_limit = nan"), "range_limit = nan"),
+    ("simulate", scenario_text(extra="\n[schedule]\nmessage_bytes = 2.5\n"),
+     "message_bytes = 2.5"),
+    ("simulate", scenario_text(solver="[solver]\nmax_iterations = 2.5\n"),
+     "max_iterations = 2.5"),
+    ("simulate", scenario_text(solver="[solver]\nconsistency_tolerance = inf\n"),
+     "consistency_tolerance = inf"),
+    ("simulate", _add_channel_line("range_limit = inf"), None),   # the default: accepted
+    ("solve", FRAME0.replace("0.3480102169633028", "nan"), "= nan $UWPS,1"),
+    ("solve", FRAME0.replace("sound_speed = 1500", "sound_speed = nan"), "sound_speed = nan"),
+    ("solve", FRAME0.replace("sound_speed = 1500", "sound_speed = 0"), "sound_speed = 0"),
+    ("solve", FRAME0.replace("frame = 0", "frame = 1.5"), "frame = 1.5"),
+]
+
+
+@pytest.mark.parametrize("command, text, bad_line", NUMBER_CASES,
+                         ids=[f"{c}: {b or 'range_limit = inf'}" for c, _, b in NUMBER_CASES])
+def test_input_numbers_rejected_with_line(command, text, bad_line, tmp_path, capsys):
+    """Exit 1 naming path:line for NaN anywhere, infinity outside range_limit
+    and a fraction where an integer belongs; never a traceback."""
+    path = tmp_path / ("in.scn" if command == "simulate" else "in.obs")
+    path.write_text(text)
+    code, _, err = run_cli(command, str(path), capsys=capsys)
+    if bad_line is None:
+        assert code == EXIT_OK
+        return
+    lineno = next(i for i, line in enumerate(text.splitlines(), start=1) if bad_line in line)
+    assert code == EXIT_USAGE
+    assert f"{path}:{lineno}: " in err
 
 
 def test_solve_bundled_frame_matches_simulate(tmp_path, capsys):
@@ -233,7 +289,7 @@ def test_verify_unit_norm_catches_injected_sign_bug():
     import numpy as np
 
     from uwps import verify
-    from uwps.multilateration import CandidatePair, KleusbergWork
+    from uwps.multilateration import CandidatePair
 
     def buggy_solve(diffs, reference, cfg):
         d, e, b = diffs.d, diffs.e, diffs.b
@@ -254,15 +310,13 @@ def test_verify_unit_norm_catches_injected_sign_bug():
             i = int(np.argmax(np.abs(dens)))
             s = float(0.5 * (b[i] ** 2 - d[i] ** 2) / dens[i])
             out.append((evec, s, r0 + evec * s, i))
-        work = KleusbergWork(f1=f1, f2=f2, u1=float(u[1] - u[0]),
-                             u2=float(u[2] - u[1]), g=g, h=h, discriminant=disc)
         from uwps.geo import ENU, CartesianVector
         return CandidatePair(
             e_1=out[0][0], e_2=out[1][0], s_1=out[0][1], s_2=out[1][1],
             r_1=CartesianVector.from_array(out[0][2], ENU),
             r_2=CartesianVector.from_array(out[1][2], ENU),
             denominator_index_1=out[0][3], denominator_index_2=out[1][3],
-            work=work)
+            discriminant=disc)
 
     ok, _ = verify.check_unit_norm(verify.DEFAULT_SEED)
     assert ok

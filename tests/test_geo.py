@@ -22,8 +22,7 @@ from uwps.geo import (
     geodetic_to_ecef,
     to_enu,
 )
-
-MALAGA = GeodeticCoord(36.7201, -4.4203, 0.0)
+from uwps.verify import MALAGA
 
 
 def test_equator_prime_meridian_is_semi_major_axis():

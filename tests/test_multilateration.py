@@ -1,7 +1,7 @@
 """Solver core: differencing, closed form, selection, residuals, iteration."""
 import numpy as np
 import pytest
-from conftest import enu, oracle_diffs, sample_quadrilateral, unit_square
+from conftest import enu, unit_square
 
 from uwps.errors import (
     DegenerateBaseline,
@@ -16,17 +16,16 @@ from uwps.errors import (
 from uwps.multilateration import (
     CandidatePair,
     DiffSet,
-    KleusbergWork,
     Observation,
     ObservationSet,
     SolverConfig,
     kleusberg_solve,
     numerical_solve,
-    pseudorange,
     pseudorange_diffs,
     residuals,
     select_underwater,
 )
+from uwps.verify import oracle_diffs, sample_quadrilateral
 
 R0 = enu(0.0, 0.0, 0.0)
 CFG = SolverConfig()
@@ -45,25 +44,6 @@ def observation_set(buoys, truth, c=1500.0, clock_offset=0.0, t0=10.0):
             position=enu(*b),
         ))
     return ObservationSet(observations=tuple(obs), sound_speed=c)
-
-
-# -- pseudorange -------------------------------------------------------
-
-def test_pseudorange_one_second_is_1500m():
-    assert pseudorange(1500.0, 11.0, 10.0, 0.0) == pytest.approx(1500.0)
-
-
-def test_pseudorange_zero_elapsed():
-    assert pseudorange(1480.0, 5.0, 5.0, 0.0) == 0.0
-
-
-def test_pseudorange_linearity_in_offset():
-    assert pseudorange(1500.0, 0.4, 0.0, 0.1) == pytest.approx(750.0)
-
-
-def test_pseudorange_rejects_nonpositive_speed():
-    with pytest.raises(ValueError):
-        pseudorange(0.0, 1.0, 0.0, 0.0)
 
 
 # -- pseudorange_diffs -------------------------------------------------
@@ -143,8 +123,7 @@ def test_square_reference_case_recovers_truth_exactly():
     positions = sorted((pair.r_1.as_array(), pair.r_2.as_array()), key=lambda p: p[2])
     assert positions[0] == pytest.approx([300.0, 400.0, -150.0], abs=1e-6)
     assert positions[1] == pytest.approx([300.0, 400.0, 150.0], abs=1e-6)
-    assert isinstance(pair.work, KleusbergWork)
-    assert pair.work.discriminant >= 0.0
+    assert pair.discriminant >= 0.0
 
 
 def test_unit_norm_of_direction_vectors():
@@ -211,7 +190,7 @@ def test_discriminant_scan_to_no_real_solution():
     truth = np.array([300.0, 400.0, -150.0])
     clean = oracle_diffs(buoys, truth)
     direction = np.array([1.0, -1.0, 1.0])
-    last_disc = kleusberg_solve(clean, R0, CFG).work.discriminant
+    last_disc = kleusberg_solve(clean, R0, CFG).discriminant
     scale, raised = 0.5, False
     loose = SolverConfig(consistency_tolerance=1e9)
     while scale < 600.0:
@@ -220,9 +199,8 @@ def test_discriminant_scan_to_no_real_solution():
         if not perturbed.is_realizable():
             break
         try:
-            work = kleusberg_solve(perturbed, R0, loose).work
-            assert work.discriminant >= 0.0
-            last_disc = work.discriminant
+            last_disc = kleusberg_solve(perturbed, R0, loose).discriminant
+            assert last_disc >= 0.0
         except NoRealSolution:
             raised = True
             break
@@ -286,28 +264,30 @@ def test_rigid_motion_equivariance():
 # -- select_underwater -------------------------------------------------
 
 def fake_pair(up1, up2, s1=500.0, s2=500.0):
-    work = KleusbergWork(f1=np.zeros(3), f2=np.zeros(3), u1=0.0, u2=0.0,
-                         g=np.zeros(3), h=np.zeros(3), discriminant=1.0)
     return CandidatePair(
         e_1=np.array([0.0, 0.0, 1.0]), e_2=np.array([0.0, 0.0, -1.0]),
         s_1=s1, s_2=s2,
         r_1=enu(0.0, 0.0, up1), r_2=enu(0.0, 0.0, up2),
-        denominator_index_1=0, denominator_index_2=0, work=work)
+        denominator_index_1=0, denominator_index_2=0, discriminant=1.0)
+
+
+# any differences do: a single qualifying candidate needs no residual check
+SQUARE_DIFFS = oracle_diffs(unit_square(1000.0), np.array([300.0, 400.0, -150.0]))
 
 
 def test_select_prefers_candidate_below_surface():
-    pick = select_underwater(fake_pair(-100.0, 100.0), CFG)
+    pick = select_underwater(fake_pair(-100.0, 100.0), SQUARE_DIFFS, R0, CFG)
     assert pick.z == -100.0
 
 
 def test_select_rejects_candidates_above_surface():
     with pytest.raises(NoUnderwaterSolution):
-        select_underwater(fake_pair(5.0, 100.0), CFG)
+        select_underwater(fake_pair(5.0, 100.0), SQUARE_DIFFS, R0, CFG)
 
 
 def test_select_rejects_negative_range():
     with pytest.raises(NoUnderwaterSolution):
-        select_underwater(fake_pair(-100.0, 100.0, s1=-500.0), CFG)
+        select_underwater(fake_pair(-100.0, 100.0, s1=-500.0), SQUARE_DIFFS, R0, CFG)
 
 
 def test_select_resolves_mirror_pair_to_oracle_truth():
@@ -315,7 +295,7 @@ def test_select_resolves_mirror_pair_to_oracle_truth():
     truth = np.array([300.0, 400.0, -150.0])
     diffs = oracle_diffs(buoys, truth)
     pair = kleusberg_solve(diffs, R0, CFG)
-    pick = select_underwater(pair, CFG, diffs=diffs, reference=R0)
+    pick = select_underwater(pair, diffs, R0, CFG)
     assert pick.as_array() == pytest.approx(truth, abs=1e-6)
 
 
@@ -334,15 +314,10 @@ def test_select_residual_tiebreak_when_both_below_plane():
     pair = kleusberg_solve(nudged, R0, raised_plane)
     assert all(s >= 0 and p.z < raised_plane.surface_plane_up
                for _, s, p, _ in pair.branches())
-    pick = select_underwater(pair, raised_plane, diffs=nudged, reference=R0)
+    pick = select_underwater(pair, nudged, R0, raised_plane)
     norms = {float(np.linalg.norm(residuals(p, nudged, R0))): p
              for _, _, p, _ in pair.branches()}
     assert pick == norms[min(norms)]
-
-
-def test_select_depth_fallback_without_diffs():
-    pick = select_underwater(fake_pair(-100.0, -40.0), CFG)
-    assert pick.z == -100.0
 
 
 # -- residuals ---------------------------------------------------------

@@ -91,6 +91,12 @@ def test_out_of_range_fields_rejected():
         b"UWPS,1,90000.000,36.7201000,-4.4203000,0.00",
         b"UWPS,1,43200.000,96.7201000,-4.4203000,0.00",
         b"UWPS,1,43200.000,36.7201000,-184.4203000,0.00",
+        b"UWPS,1,43200.000,36.7201000,-4.4203000,nan",
+        b"UWPS,1,43200.000,36.7201000,-4.4203000,inf",
+        b"UWPS,1,43200.000,36.7201000,-4.4203000,1e400",
+        b"UWPS,1,43200.000,36.7201000,-4.4203000,-1e20",   # wider than the height field
+        b"UWPS,1,43200.000,36.7201000,-179.99999999,0.00",  # -180 at wire resolution
+        b"UWPS,1,86399.9996,36.7201000,-4.4203000,0.00",    # 86400.000 at wire resolution
     ):
         sentence = b"$" + payload + f"*{xor_oracle(payload):02X}".encode() + b"\r\n"
         with pytest.raises(FieldRange):
