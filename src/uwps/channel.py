@@ -14,7 +14,7 @@ and the offset cancels bit-for-bit in the downstream differencing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -110,6 +110,9 @@ class ReceptionEvent:
 
     true_position is ground truth (receiver location at the arrival
     instant, working ENU frame) and is withheld from the solvers.
+    source is the reported position converted into source_frame, as the
+    simulator computed it; both are None for events read from the wire,
+    and neither takes part in comparisons.
     """
 
     buoy_id: int                      # wire id 1..4
@@ -117,6 +120,8 @@ class ReceptionEvent:
     message: BuoyMessage
     receive_time: float               # receiver clock [s]
     true_position: CartesianVector
+    source: CartesianVector | None = field(default=None, compare=False)
+    source_frame: LocalFrame | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.buoy_id not in (1, 2, 3, 4):
@@ -164,7 +169,8 @@ def simulate(scenario: Scenario) -> list[FrameRecord]:
             reported = enu_to_geodetic(CartesianVector.from_array(enu, ENU), frame)
             message = BuoyMessage(i + 1, t_tx, reported)
             # the acoustic source is the reported point
-            source = geodetic_to_enu(message.position, frame).as_array()
+            source_enu = geodetic_to_enu(message.position, frame)
+            source = source_enu.as_array()
 
             if moving:
                 t_arr = t_tx
@@ -186,6 +192,8 @@ def simulate(scenario: Scenario) -> list[FrameRecord]:
                 message=message,
                 receive_time=_quantize_tick(t_arr) - scenario.clock_offset,
                 true_position=CartesianVector.from_array(rx.position_at(t_arr), ENU),
+                source=source_enu,
+                source_frame=frame,
             ))
         records.append(FrameRecord(frame_index=k, events=tuple(events),
                                    complete=len(events) == 4))
@@ -203,7 +211,8 @@ def assemble_observations(
     Wire buoy ids 1..4 map to solver ids 0..3; buoy 1 is the reference.
     When no working frame is given it is derived from the reference
     buoy's reported position in these events (its first report, for a
-    single-frame input).
+    single-frame input). A simulated event already converted to the
+    requested frame is not converted again.
     """
     events = tuple(events)
     if len(events) != 4:
@@ -223,12 +232,19 @@ def assemble_observations(
             buoy_id=wire_id - 1,
             transmit_time=by_id[wire_id].message.gnss_time,
             receive_time=by_id[wire_id].receive_time,
-            position=geodetic_to_enu(by_id[wire_id].message.position, frame),
+            position=_enu_position(by_id[wire_id], frame),
         )
         for wire_id in (1, 2, 3, 4)
     )
     kwargs = {} if speed_window is None else {"speed_window": speed_window}
     return ObservationSet(observations=observations, sound_speed=sound_speed, **kwargs)
+
+
+def _enu_position(event: ReceptionEvent, frame: LocalFrame) -> CartesianVector:
+    # a frame is computed from its origin alone
+    if event.source is not None and event.source_frame.origin == frame.origin:
+        return event.source
+    return geodetic_to_enu(event.message.position, frame)
 
 
 def add_timing_noise(records, sigma: float, seed: int) -> list[FrameRecord]:

@@ -48,6 +48,7 @@ _TRUST_RADIUS_0 = 50.0    # m; sized for baselines of hundreds to thousands of m
 _TRUST_SHRINK = 0.5
 _TRUST_GROW = 2.0
 _RHO_ACCEPT = 1e-4
+_COST_FLOOR = 1e-24     # m^2; half the squared residual norm that counts as solved
 
 
 @dataclass(frozen=True)
@@ -218,6 +219,14 @@ def pseudorange_diffs(obs: ObservationSet, reference_id: int = 0) -> DiffSet:
                    d=np.array(d), e=np.array(e), b=np.array(b))
 
 
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b) -> list[float]:
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
 def kleusberg_solve(
     diffs: DiffSet,
     reference: CartesianVector,
@@ -228,25 +237,30 @@ def kleusberg_solve(
     Works entirely from the three baselines: directions from paired
     baseline combinations, then the receiver range from the
     best-conditioned range equation, cross-checked against the others.
+    The arithmetic is plain IEEE float arithmetic on Python floats: on
+    3-vectors the per-call overhead of numpy costs more than the maths.
     """
-    d, e, b = diffs.d, diffs.e, diffs.b
-    r0 = reference.as_array()
+    d = diffs.d.tolist()
+    b = diffs.b.tolist()
+    e = diffs.e.tolist()
 
-    w = b / (b * b - d * d)
-    u = d / (b * b - d * d)
-    f1 = w[0] * e[0] - w[1] * e[1]
-    f2 = w[1] * e[1] - w[2] * e[2]
+    den = [bi * bi - di * di for bi, di in zip(b, d)]
+    w = [bi / n for bi, n in zip(b, den)]
+    u = [di / n for di, n in zip(d, den)]
+    f1 = [w[0] * p - w[1] * q for p, q in zip(e[0], e[1])]
+    f2 = [w[1] * p - w[2] * q for p, q in zip(e[1], e[2])]
     u1 = u[1] - u[0]
     u2 = u[2] - u[1]
-    g = np.cross(f1, f2)
-    h = u2 * f1 - u1 * f2
-    gg = float(g @ g)
-    disc = gg - float(h @ h)
+    g = _cross(f1, f2)
+    h = [u2 * p - u1 * q for p, q in zip(f1, f2)]
+    gg = _dot(g, g)
+    disc = gg - _dot(h, h)
 
-    f1_norm = float(np.linalg.norm(f1))
-    f2_norm = float(np.linalg.norm(f2))
+    f1_norm = math.sqrt(_dot(f1, f1))
+    f2_norm = math.sqrt(_dot(f2, f2))
+    b_max = max(b)
     if math.sqrt(gg) <= _COLLINEAR_RTOL * f1_norm * f2_norm:
-        if float(np.max(np.abs(d))) <= _DENOMINATOR_RTOL * float(np.max(b)):
+        if max(abs(di) for di in d) <= _DENOMINATOR_RTOL * b_max:
             # all differences ~ 0 over concyclic buoys (receiver on the
             # symmetry axis): the direction is underdetermined and every
             # range denominator vanishes along that axis
@@ -258,19 +272,20 @@ def kleusberg_solve(
             f"discriminant {disc:.3e} < 0: hyperboloid intersections do not meet")
 
     root = math.sqrt(disc)
-    cross_gh = np.cross(g, h)
-    den_tol = _DENOMINATOR_RTOL * float(np.max(b))
+    cross_gh = _cross(g, h)
+    den_tol = _DENOMINATOR_RTOL * b_max
+    x0, y0, z0 = reference.x, reference.y, reference.z
 
     results = []
     for sign in (+1.0, -1.0):
-        evec = (cross_gh + sign * g * root) / gg
-        dens = d + b * (e @ evec)
-        best = int(np.argmax(np.abs(dens)))
+        evec = [(c + sign * gi * root) / gg for c, gi in zip(cross_gh, g)]
+        dens = [di + bi * _dot(ei, evec) for di, bi, ei in zip(d, b, e)]
+        best = max(range(3), key=lambda i: abs(dens[i]))
         if abs(dens[best]) <= den_tol:
             raise SingularDenominator(
                 f"all range denominators below {den_tol:.3e} m")
-        s_all = 0.5 * (b * b - d * d) / dens
-        s_best = float(s_all[best])
+        s_all = [0.5 * n / dn for n, dn in zip(den, dens)]
+        s_best = s_all[best]
         for i in range(3):
             if i != best and abs(dens[i]) > den_tol:
                 if abs(s_all[i] - s_best) > cfg.consistency_tolerance:
@@ -278,8 +293,9 @@ def kleusberg_solve(
                         f"range from baseline {i} differs by "
                         f"{abs(s_all[i] - s_best):.3e} m (tolerance "
                         f"{cfg.consistency_tolerance:.3e} m)")
-        pos = CartesianVector.from_array(r0 + evec * s_best, ENU)
-        results.append((evec, s_best, pos, best))
+        pos = CartesianVector(x0 + evec[0] * s_best, y0 + evec[1] * s_best,
+                              z0 + evec[2] * s_best, ENU)
+        results.append((np.array(evec), s_best, pos, best))
 
     (e1, s1, p1, i1), (e2, s2, p2, i2) = results
     return CandidatePair(e_1=e1, e_2=e2, s_1=s1, s_2=s2, r_1=p1, r_2=p2,
@@ -356,7 +372,7 @@ def numerical_solve(
             raise SingularJacobian("iterate coincides with a buoy position")
         res = (range_i - range_ref) - diffs.d
         cost = 0.5 * float(res @ res)
-        if cost < 1e-24:
+        if cost < _COST_FLOOR:
             return CartesianVector.from_array(x, ENU)
         jac = (x - buoys) / range_i[:, None] - (x - r0) / range_ref
         grad = jac.T @ res
@@ -436,12 +452,14 @@ class FrameFix:
     pair is None when the closed form failed, analytic also when the
     underwater selection failed, numerical when Gauss-Newton failed;
     status is "ok" or the name of the first error raised.
+    analytic_residuals are residuals(analytic), None without an analytic fix.
     """
 
     pair: CandidatePair | None
     analytic: CartesianVector | None
     numerical: CartesianVector | None
     status: str
+    analytic_residuals: np.ndarray | None = None
 
 
 def solve_frame(
@@ -454,16 +472,28 @@ def solve_frame(
 
     Gauss-Newton starts from guess when given, else from the analytic fix,
     else from the buoy centroid at half the longest baseline's depth.
+    Started from an analytic fix that already meets Gauss-Newton's first
+    exit test (half the squared residual norm below 1e-24 m^2), it would
+    return that start unchanged, so it is not run: numerical is then the
+    analytic fix itself, bit for bit.
+
+    The closed form runs on Python floats; residuals and Gauss-Newton run
+    on numpy, whose 3-element dot product may be a fused multiply-add chain
+    (see docs/file-formats.md), so their last bits follow numpy's kernel.
     """
-    pair = analytic = numerical = None
+    pair = analytic = numerical = res = None
     status = "ok"
     try:
         pair = kleusberg_solve(diffs, reference, cfg)
         analytic = select_underwater(pair, diffs, reference, cfg)
+        res = residuals(analytic, diffs, reference)
     except PositioningError as exc:
         status = type(exc).__name__
 
     if guess is None:
+        if res is not None and 0.5 * float(res @ res) < _COST_FLOOR:
+            return FrameFix(pair=pair, analytic=analytic, numerical=analytic,
+                            status=status, analytic_residuals=res)
         guess = analytic
     if guess is None:
         r0 = reference.as_array()
@@ -476,4 +506,5 @@ def solve_frame(
     except PositioningError as exc:
         if status == "ok":
             status = type(exc).__name__
-    return FrameFix(pair=pair, analytic=analytic, numerical=numerical, status=status)
+    return FrameFix(pair=pair, analytic=analytic, numerical=numerical, status=status,
+                    analytic_residuals=res)

@@ -94,8 +94,9 @@ def encode_message(m: BuoyMessage) -> bytes:
 def decode_message(raw: bytes) -> BuoyMessage:
     """Parse and checksum-validate a sentence; total over byte inputs.
 
-    Every failure is a PositioningError, and every message it returns
-    encodes again.
+    Every failure is a PositioningError. Only canonical sentences decode,
+    the ones encode_message writes, so every message it returns encodes
+    again to the same bytes.
     """
     if not isinstance(raw, (bytes, bytearray)):
         raise MalformedSentence("expected a byte sequence")
@@ -106,13 +107,15 @@ def decode_message(raw: bytes) -> BuoyMessage:
     if star < 0 or len(body) - star != 3:
         raise MalformedSentence("missing or misplaced checksum marker")
     payload, given = body[:star], body[star + 1:]
-    try:
-        given_sum = int(given.decode("ascii"), 16)
-    except (UnicodeDecodeError, ValueError):
-        raise MalformedSentence(f"unreadable checksum {given!r}") from None
     actual = checksum(payload)
-    if actual != given_sum:
-        raise ChecksumMismatch(f"checksum {given_sum:02X} != computed {actual:02X}")
+    if given != b"%02X" % actual:
+        try:
+            given_sum = int(given.decode("ascii"), 16)
+        except (UnicodeDecodeError, ValueError):
+            raise MalformedSentence(f"unreadable checksum {given!r}") from None
+        if given_sum != actual:
+            raise ChecksumMismatch(f"checksum {given_sum:02X} != computed {actual:02X}")
+        raise MalformedSentence(f"checksum {given!r} is not written {actual:02X}")
     try:
         parts = payload.decode("ascii").split(",")
     except UnicodeDecodeError:
@@ -123,12 +126,13 @@ def decode_message(raw: bytes) -> BuoyMessage:
         raise MalformedSentence(f"unknown talker {parts[0]!r}")
     try:
         buoy_id = int(parts[1])
-        # snapped to wire resolution before the range checks, as the message
-        # stores them
-        gnss_time, lat, lon, height = (
-            _q(float(p), decimals) for p, decimals in zip(parts[2:6], (3, 7, 7, 2)))
+        # each field rendered at wire resolution, as encode_message writes it
+        texts = [f"{float(p):.{decimals}f}"
+                 for p, decimals in zip(parts[2:6], (3, 7, 7, 2))]
     except ValueError:
         raise MalformedSentence(f"non-numeric field in {parts[1:]!r}") from None
+    # the range checks see the values the message would store
+    gnss_time, lat, lon, height = (float(t) for t in texts)
     if buoy_id not in (1, 2, 3, 4):
         raise FieldRange(f"buoy_id {buoy_id} outside 1..4")
     if not (0.0 <= gnss_time < 86400.0):
@@ -139,6 +143,8 @@ def decode_message(raw: bytes) -> BuoyMessage:
         raise FieldRange(f"longitude {lon} outside (-180, 180]")
     if not (_HEIGHT_RANGE[0] <= height <= _HEIGHT_RANGE[1]):
         raise FieldRange(f"height {height} outside [{_HEIGHT_RANGE[0]}, {_HEIGHT_RANGE[1]}]")
+    if parts[1] != str(buoy_id) or parts[2:6] != texts:
+        raise MalformedSentence(f"non-canonical field in {parts[1:]!r}")
     return BuoyMessage(buoy_id, gnss_time, GeodeticCoord(lat, lon, height))
 
 

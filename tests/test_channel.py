@@ -10,7 +10,7 @@ from uwps.channel import (
     working_frame,
 )
 from uwps.errors import IncompleteFrame
-from uwps.geo import geodetic_to_enu
+from uwps.geo import GeodeticCoord, LocalFrame, geodetic_to_enu
 from uwps.multilateration import (
     SolverConfig,
     kleusberg_solve,
@@ -151,8 +151,15 @@ def test_assemble_positions_in_working_frame():
         got = obs.by_id(event.buoy_id - 1).position
         want = geodetic_to_enu(event.message.position, frame)
         assert got == want
+        assert got is event.source   # the simulator's conversion, not a second one
     # the reference buoy anchors the frame, so it sits at the origin
     assert obs.by_id(0).position.as_array() == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
+    # in any other frame each report is converted afresh
+    other = LocalFrame(GeodeticCoord(36.73, -4.41, 0.0))
+    obs = assemble_observations(record.events, scenario.sound_speed, frame=other)
+    for event in record.events:
+        got = obs.by_id(event.buoy_id - 1).position
+        assert got == geodetic_to_enu(event.message.position, other)
 
 
 def test_timing_noise_zero_sigma_is_identity():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from uwps import cli
 from uwps.cli import (
     EXIT_OK,
     EXIT_PROPERTY,
@@ -143,6 +144,21 @@ def test_simulate_all_frames_out_of_range(tmp_path, capsys):
                            capsys=capsys)
     assert code == EXIT_SOLVER
     assert "NoFix" in err
+
+
+def test_simulate_unrealizable_difference_is_a_failed_frame(tmp_path, capsys):
+    """Timing noise that pushes a difference past its baseline leaves the
+    frame without a fix: a named status row, exit 2, no traceback."""
+    scn = tmp_path / "noisy.scn"
+    scn.write_text(SQUARETEST.read_text().replace(
+        "noise_sigma = 0.0\nseed = 0", "noise_sigma = 0.5\nseed = 1"))
+    out_csv = tmp_path / "o.csv"
+    code, _, err = run_cli("simulate", str(scn), "-o", str(out_csv), capsys=capsys)
+    assert code == EXIT_SOLVER
+    assert err == "error: frame 0 produced no fix (UnrealizableTDOA)\n"
+    rows = out_csv.read_text().splitlines()
+    assert len(rows) == 6
+    assert rows[1] == "0,300,400,-150" + "," * 13 + "UnrealizableTDOA"
 
 
 def test_simulate_degenerate_symmetric_receiver(tmp_path, capsys):
@@ -342,6 +358,25 @@ def test_entry_point_runs():
                            "80", "640", "1.0"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "within the 10 s budget" in proc.stdout
+
+
+def test_main_builds_parser_once_and_runs_the_current_command(monkeypatch, capsys):
+    builds = []
+    build_parser = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert main(["solve", "squaretest_frame0"]) == EXIT_OK
+    solved = []
+    monkeypatch.setattr(cli, "cmd_solve", lambda args: solved.append(args.observations) or 7)
+    assert main(["solve", "squaretest_frame0"]) == 7
+    assert builds == [1]
+    assert solved == ["squaretest_frame0"]
+    capsys.readouterr()
 
 
 def test_usage_error_exit_code():

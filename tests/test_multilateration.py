@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from conftest import enu, unit_square
 
+from uwps import multilateration
 from uwps.errors import (
     DegenerateBaseline,
     DegenerateGeometry,
@@ -24,8 +25,9 @@ from uwps.multilateration import (
     pseudorange_diffs,
     residuals,
     select_underwater,
+    solve_frame,
 )
-from uwps.verify import oracle_diffs, sample_quadrilateral
+from uwps.verify import oracle_diffs, sample_quadrilateral, sample_scenario
 
 R0 = enu(0.0, 0.0, 0.0)
 CFG = SolverConfig()
@@ -139,6 +141,45 @@ def test_unit_norm_of_direction_vectors():
         pair = kleusberg_solve(diffs, R0, CFG)
         assert abs(np.linalg.norm(pair.e_1) - 1.0) < 1e-9
         assert abs(np.linalg.norm(pair.e_2) - 1.0) < 1e-9
+
+
+def numpy_closed_form(diffs, r0):
+    """The closed form in numpy arrays, the reference for kleusberg_solve's
+    float arithmetic: (g.g, discriminant, [(e, s, r, denominator index)])."""
+    d, e, b = diffs.d, diffs.e, diffs.b
+    w = b / (b * b - d * d)
+    u = d / (b * b - d * d)
+    f1 = w[0] * e[0] - w[1] * e[1]
+    f2 = w[1] * e[1] - w[2] * e[2]
+    g = np.cross(f1, f2)
+    h = (u[2] - u[1]) * f1 - (u[1] - u[0]) * f2
+    gg = float(g @ g)
+    disc = gg - float(h @ h)
+    branches = []
+    for sign in (1.0, -1.0):
+        evec = (np.cross(g, h) + sign * g * np.sqrt(disc)) / gg
+        dens = d + b * (e @ evec)
+        best = int(np.argmax(np.abs(dens)))
+        s = float(0.5 * (b[best] ** 2 - d[best] ** 2) / dens[best])
+        branches.append((evec, s, r0 + evec * s, best))
+    return gg, disc, branches
+
+
+def test_closed_form_matches_numpy_reference():
+    """Only the rounding differs: directions to 1e-12, ranges and positions
+    to 1e-9 m, the discriminant to 1e-12 of g.g (its cancellation scale)."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        buoys, truth, diffs = sample_scenario(rng)
+        gg, disc, branches = numpy_closed_form(diffs, buoys[0])
+        pair = kleusberg_solve(diffs, enu(*buoys[0]), CFG)
+        assert abs(pair.discriminant - disc) <= 1e-12 * gg
+        for (evec, s, pos, index), (e_ref, s_ref, pos_ref, index_ref) in zip(
+                pair.branches(), branches):
+            assert np.max(np.abs(evec - e_ref)) <= 1e-12
+            assert abs(s - s_ref) <= 1e-9
+            assert np.max(np.abs(pos.as_array() - pos_ref)) <= 1e-9
+            assert index == index_ref
 
 
 def test_mirror_property_for_coplanar_buoys():
@@ -457,6 +498,49 @@ def test_numerical_nonconvergence_reported():
     with pytest.raises(NonConvergence):
         numerical_solve(diffs, R0, enu(5000.0, -3000.0, -2000.0),
                         SolverConfig(max_iterations=1))
+
+
+# -- solve_frame -------------------------------------------------------
+
+def test_solve_frame_runs_gauss_newton_only_where_it_can_move(monkeypatch):
+    """numerical is what Gauss-Newton started at the analytic fix returns,
+    whether it ran or not. It is skipped only when the analytic fix meets its
+    first exit test, and always runs from a given guess."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return numerical_solve(*args, **kwargs)
+
+    monkeypatch.setattr(multilateration, "numerical_solve", counted)
+    buoys = unit_square(1000.0, ups=(0.0, 0.4, -0.3, 0.1))
+    ref = enu(*buoys[0])
+    rng = np.random.default_rng(7)
+    skipped = ran = 0
+    for _ in range(200):
+        truth = np.array([rng.uniform(100.0, 900.0), rng.uniform(100.0, 900.0),
+                          -rng.uniform(50.0, 500.0)])
+        diffs = oracle_diffs(buoys, truth)
+        calls.clear()
+        fix = solve_frame(diffs, ref, CFG)
+        assert fix.status == "ok"
+        assert fix.numerical == numerical_solve(diffs, ref, fix.analytic, CFG)
+        res = residuals(fix.analytic, diffs, ref)
+        assert fix.analytic_residuals.tobytes() == res.tobytes()
+        if 0.5 * float(res @ res) < 1e-24:
+            assert calls == [] and fix.numerical is fix.analytic
+            skipped += 1
+        else:
+            assert len(calls) == 1
+            ran += 1
+    # rounding leaves some noiseless analytic fixes above the cost floor
+    assert skipped > 100 and ran > 0
+
+    exact = oracle_diffs(buoys, np.array([300.0, 400.0, -150.0]))
+    fix = solve_frame(exact, ref, CFG)
+    calls.clear()
+    solve_frame(exact, ref, CFG, guess=fix.analytic)
+    assert len(calls) == 1
 
 
 def test_solver_config_validation():

@@ -9,6 +9,7 @@ from uwps.errors import (
     FieldOverflow,
     FieldRange,
     MalformedSentence,
+    PositioningError,
 )
 from uwps.geo import GeodeticCoord
 from uwps.protocol import (
@@ -31,6 +32,13 @@ def xor_oracle(data: bytes) -> int:
 
 def make_message(buoy_id=1, t=43200.0, lat=36.7201, lon=-4.4203, h=0.0):
     return BuoyMessage(buoy_id, t, GeodeticCoord(lat, lon, h))
+
+
+def frame_sentence(payload: bytes, checksum_text: str | None = None) -> bytes:
+    """payload between '$' and '*', its checksum (or the given text) and CRLF."""
+    if checksum_text is None:
+        checksum_text = f"{xor_oracle(payload):02X}"
+    return b"$" + payload + b"*" + checksum_text.encode("ascii") + b"\r\n"
 
 
 def test_reference_payload_checksum_matches_oracle():
@@ -101,6 +109,62 @@ def test_out_of_range_fields_rejected():
         sentence = b"$" + payload + f"*{xor_oracle(payload):02X}".encode() + b"\r\n"
         with pytest.raises(FieldRange):
             decode_message(sentence)
+
+
+@pytest.mark.parametrize("payload", [
+    b"UWPS,1,1_0.000,36.7201000,-4.4203000,0.00",      # digit separator
+    b"UWPS,1, 10.000,36.7201000,-4.4203000,0.00",      # leading space
+    b"UWPS,1,10.000 ,36.7201000,-4.4203000,0.00",      # trailing space
+    b"UWPS,01,43200.000,36.7201000,-4.4203000,0.00",   # leading zero
+    b"UWPS,+1,43200.000,36.7201000,-4.4203000,0.00",   # explicit sign
+    b"UWPS,1,43200.0,36.7201000,-4.4203000,0.00",      # too few decimals
+    b"UWPS,1,43200.000,36.72010000,-4.4203000,0.00",   # too many decimals
+    b"UWPS,1,43200.000,36.7201000,-4.4203000,1e1",     # exponent
+])
+def test_non_canonical_fields_rejected(payload):
+    """A field that encode_message would write differently does not decode."""
+    with pytest.raises(MalformedSentence, match="non-canonical"):
+        decode_message(frame_sentence(payload))
+
+
+def test_non_canonical_checksum_rejected():
+    payload = b"UWPS,1,43200.000,36.7201000,-4.4203000,8.00"
+    assert decode_message(frame_sentence(payload, "3C")).position.height == 8.0
+    with pytest.raises(MalformedSentence):
+        decode_message(frame_sentence(payload, "3c"))
+
+
+_FIELD_EDITS = [
+    lambda t: " " + t, lambda t: t + " ", lambda t: "+" + t, lambda t: "0" + t,
+    lambda t: t + "0", lambda t: t[:-1], lambda t: t[:1] + "_" + t[1:],
+    lambda t: t.replace(".", ".0", 1) if "." in t else t + ".0",
+]
+_CANONICAL_FIELDS = st.tuples(
+    st.integers(1, 4).map(str),
+    st.floats(0.0, 86399.999).map(lambda v: f"{v:.3f}"),
+    st.floats(-90.0, 90.0).map(lambda v: f"{v:.7f}"),
+    st.floats(-179.9999999, 180.0).map(lambda v: f"{v:.7f}"),
+    st.floats(-99999.99, 999999.99).map(lambda v: f"{v:.2f}"),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(fields=_CANONICAL_FIELDS, edit_at=st.integers(-1, 4),
+       edit=st.sampled_from(_FIELD_EDITS), lowercase=st.booleans())
+def test_decoded_sentence_reencodes_to_same_bytes(fields, edit_at, edit, lowercase):
+    """decode either raises a PositioningError or returns a message that
+    encodes to the very bytes it came from; at most one field is edited."""
+    fields = list(fields)
+    if edit_at >= 0:
+        fields[edit_at] = edit(fields[edit_at])
+    payload = ",".join(["UWPS"] + fields).encode("ascii")
+    hex_sum = f"{xor_oracle(payload):02X}"
+    sentence = frame_sentence(payload, hex_sum.lower() if lowercase else hex_sum)
+    try:
+        message = decode_message(sentence)
+    except PositioningError:
+        return
+    assert encode_message(message) == sentence
 
 
 def test_message_quantizes_to_wire_resolution():
