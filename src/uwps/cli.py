@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import verify as verify_mod
 from .channel import (
     BuoyTrack,
@@ -31,6 +29,7 @@ from .geo import ENU, CartesianVector, GeodeticCoord
 from .multilateration import (
     FrameFix,
     SolverConfig,
+    _norm,
     kleusberg_solve,
     pseudorange_diffs,
     residuals,
@@ -361,7 +360,8 @@ def cmd_simulate(args) -> int:
             rows.append(f"{record.frame_index}," + "," * 14 + ",NoFix")
             continue
         complete_frames += 1
-        truth = record.events[-1].true_position.as_array()
+        true_position = record.events[-1].true_position
+        truth = (true_position.x, true_position.y, true_position.z)
         obs = assemble_observations(record.events, scenario.sound_speed, frame=frame,
                                     speed_window=(0.0, math.inf))
         reference = obs.by_id(0).position
@@ -374,15 +374,15 @@ def cmd_simulate(args) -> int:
         else:
             fix = solve_frame(diffs, reference, parsed.solver, guess)
         solved = (fix.analytic, fix.numerical)
-        errs = [float(np.linalg.norm(p.as_array() - truth)) if p is not None else None
-                for p in solved]
+        errs = [_norm((p.x - truth[0], p.y - truth[1], p.z - truth[2]))
+                if p is not None else None for p in solved]
         res = [None, None]
         if fix.analytic is not None:
-            res[0] = float(np.linalg.norm(fix.analytic_residuals))
+            res[0] = _norm(fix.analytic_residuals)
         if fix.numerical is fix.analytic:
             res[1] = res[0]
         elif fix.numerical is not None:
-            res[1] = float(np.linalg.norm(residuals(fix.numerical, diffs, reference)))
+            res[1] = _norm(residuals(fix.numerical, diffs, reference))
         for err, errors in zip(errs, (errors_analytic, errors_numerical)):
             if err is not None:
                 errors.append(err)
@@ -485,7 +485,7 @@ def cmd_solve(args) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     for label, (evec, s, pos, idx) in zip(("1", "2"), pair.branches()):
-        res = float(np.linalg.norm(residuals(pos, diffs, reference)))
+        res = _norm(residuals(pos, diffs, reference))
         print(f"candidate {label}: ({pos.x:.9g}, {pos.y:.9g}, {pos.z:.9g}) m, "
               f"range {s:.9g} m, residual {res:.9g} m, range-eq baseline {idx}")
     print(f"discriminant = {pair.discriminant:.9g}")

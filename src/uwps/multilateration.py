@@ -10,7 +10,10 @@ relative to a reference buoy. Those are solved two ways:
   closed form cannot digest (noise, receiver motion).
 
 solve_frame runs both on one frame, the way the CLI and the property suite
-do.
+do. The closed form, the residuals and Gauss-Newton are plain IEEE double
+arithmetic on Python floats: on 3-vectors numpy's per-call overhead costs
+more than the maths, and float arithmetic rounds the same on every numpy
+build.
 
 Conventions: d_0i = P_i - P_0 is the range to buoy i minus the range to the
 reference, and baselines e_0i * b_0i point from the reference to buoy i.
@@ -303,16 +306,59 @@ def kleusberg_solve(
                          discriminant=disc)
 
 
+def _norm(v) -> float:
+    """Euclidean norm of a 3-vector: the square root of the plain float sum
+    of squares, the arithmetic of the residual kernel."""
+    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+
+
+def _cost(res) -> float:
+    """Half the squared residual norm, in the kernel's arithmetic."""
+    return 0.5 * (res[0] * res[0] + res[1] * res[1] + res[2] * res[2])
+
+
+def _anchors(diffs: DiffSet, reference: CartesianVector) -> tuple[float, ...]:
+    """x, y, z of the reference buoy, then of the three others, as floats."""
+    x0, y0, z0 = float(reference.x), float(reference.y), float(reference.z)
+    anchors = [x0, y0, z0]
+    for (ex, ey, ez), b in zip(diffs.e.tolist(), diffs.b.tolist()):
+        anchors += (x0 + ex * b, y0 + ey * b, z0 + ez * b)
+    return tuple(anchors)
+
+
+def _residual_kernel(x: float, y: float, z: float, anchors, d):
+    """Offsets from each anchor to (x, y, z), their ranges, and the residuals
+    (|X-R_i| - |X-R_0|) - d_0i, in plain float arithmetic.
+
+    This is the one residual computation: residuals(), the skip test in
+    solve_frame and every cost Gauss-Newton evaluates come from here, so a
+    skipped Gauss-Newton is bit-identical to one that ran.
+    """
+    x0, y0, z0, x1, y1, z1, x2, y2, z2, x3, y3, z3 = anchors
+    d1, d2, d3 = d
+    u0, v0, w0 = x - x0, y - y0, z - z0
+    u1, v1, w1 = x - x1, y - y1, z - z1
+    u2, v2, w2 = x - x2, y - y2, z - z2
+    u3, v3, w3 = x - x3, y - y3, z - z3
+    r0 = math.sqrt(u0 * u0 + v0 * v0 + w0 * w0)
+    r1 = math.sqrt(u1 * u1 + v1 * v1 + w1 * w1)
+    r2 = math.sqrt(u2 * u2 + v2 * v2 + w2 * w2)
+    r3 = math.sqrt(u3 * u3 + v3 * v3 + w3 * w3)
+    return (((u0, v0, w0), (u1, v1, w1), (u2, v2, w2), (u3, v3, w3)), (r0, r1, r2, r3),
+            ((r1 - r0) - d1, (r2 - r0) - d2, (r3 - r0) - d3))
+
+
 def residuals(
     position: CartesianVector | np.ndarray,
     diffs: DiffSet,
     reference: CartesianVector,
 ) -> np.ndarray:
     """Range-difference residuals (|X-R_i| - |X-R_0|) - d_0i, in meters."""
-    x = position.as_array() if isinstance(position, CartesianVector) else np.asarray(position, float)
-    r0 = reference.as_array()
-    buoys = diffs.buoy_positions(r0)
-    return (np.linalg.norm(x - buoys, axis=1) - np.linalg.norm(x - r0)) - diffs.d
+    if isinstance(position, CartesianVector):
+        x, y, z = float(position.x), float(position.y), float(position.z)
+    else:
+        x, y, z = np.asarray(position, float).tolist()
+    return np.array(_residual_kernel(x, y, z, _anchors(diffs, reference), diffs.d.tolist())[2])
 
 
 def select_underwater(
@@ -336,8 +382,44 @@ def select_underwater(
             "no candidate with nonnegative range below the surface plane")
     if len(qualified) == 1:
         return qualified[0]
-    qualified.sort(key=lambda p: (float(np.linalg.norm(residuals(p, diffs, reference))), p.z))
+    qualified.sort(key=lambda p: (_norm(residuals(p, diffs, reference)), p.z))
     return qualified[0]
+
+
+def _solve3(rows):
+    """Solve a 3x3 linear system given as augmented rows (a_i0, a_i1, a_i2, b_i).
+
+    Gaussian elimination with partial pivoting; as in LAPACK the first row
+    of largest magnitude pivots. Returns None when a pivot is exactly zero,
+    which is where np.linalg.solve raises LinAlgError.
+    """
+    r0, r1, r2 = rows
+    if abs(r1[0]) > abs(r0[0]):
+        if abs(r2[0]) > abs(r1[0]):
+            r0, r2 = r2, r0
+        else:
+            r0, r1 = r1, r0
+    elif abs(r2[0]) > abs(r0[0]):
+        r0, r2 = r2, r0
+    a00, a01, a02, b0 = r0
+    if a00 == 0.0:
+        return None
+    f1 = r1[0] / a00
+    f2 = r2[0] / a00
+    a11, a12, b1 = r1[1] - f1 * a01, r1[2] - f1 * a02, r1[3] - f1 * b0
+    a21, a22, b2 = r2[1] - f2 * a01, r2[2] - f2 * a02, r2[3] - f2 * b0
+    if abs(a21) > abs(a11):
+        a11, a12, b1, a21, a22, b2 = a21, a22, b2, a11, a12, b1
+    if a11 == 0.0:
+        return None
+    f = a21 / a11
+    a22 = a22 - f * a12
+    b2 = b2 - f * b1
+    if a22 == 0.0:
+        return None
+    x2 = b2 / a22
+    x1 = (b1 - a12 * x2) / a11
+    return ((b0 - a02 * x2) - a01 * x1) / a00, x1, x2
 
 
 def numerical_solve(
@@ -354,75 +436,90 @@ def numerical_solve(
     is taken whenever the model has earned enough trust, which keeps the
     quadratic endgame intact while preventing the huge extrapolations the
     raw step produces in the ill-conditioned vertical direction.
-    """
-    x = initial.as_array()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("initial guess must be finite")
-    r0 = reference.as_array()
-    buoys = diffs.buoy_positions(r0)
 
-    def residual_vector(p: np.ndarray) -> np.ndarray:
-        return (np.linalg.norm(p - buoys, axis=1) - np.linalg.norm(p - r0)) - diffs.d
+    Plain float arithmetic throughout, like kleusberg_solve: the Jacobian,
+    gradient and the six entries of the symmetric normal matrix are written
+    out, and the 3x3 solve is _solve3.
+    """
+    x, y, z = float(initial.x), float(initial.y), float(initial.z)
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError("initial guess must be finite")
+    anchors = _anchors(diffs, reference)
+    d = diffs.d.tolist()
 
     radius = _TRUST_RADIUS_0
     for iteration in range(cfg.max_iterations):
-        range_ref = np.linalg.norm(x - r0)
-        range_i = np.linalg.norm(x - buoys, axis=1)
-        if range_ref == 0.0 or np.any(range_i == 0.0):
+        offsets, ranges, res = _residual_kernel(x, y, z, anchors, d)
+        if 0.0 in ranges:
             raise SingularJacobian("iterate coincides with a buoy position")
-        res = (range_i - range_ref) - diffs.d
-        cost = 0.5 * float(res @ res)
+        cost = _cost(res)
         if cost < _COST_FLOOR:
-            return CartesianVector.from_array(x, ENU)
-        jac = (x - buoys) / range_i[:, None] - (x - r0) / range_ref
-        grad = jac.T @ res
-        normal = jac.T @ jac
-        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(normal))):
+            return CartesianVector(x, y, z, ENU)
+        (u0, v0, w0), (u1, v1, w1), (u2, v2, w2), (u3, v3, w3) = offsets
+        r0, r1, r2, r3 = ranges
+        ux, uy, uz = u0 / r0, v0 / r0, w0 / r0
+        j00, j01, j02 = u1 / r1 - ux, v1 / r1 - uy, w1 / r1 - uz
+        j10, j11, j12 = u2 / r2 - ux, v2 / r2 - uy, w2 / r2 - uz
+        j20, j21, j22 = u3 / r3 - ux, v3 / r3 - uy, w3 / r3 - uz
+        e0, e1, e2 = res
+        g0 = j00 * e0 + j10 * e1 + j20 * e2
+        g1 = j01 * e0 + j11 * e1 + j21 * e2
+        g2 = j02 * e0 + j12 * e1 + j22 * e2
+        n00 = j00 * j00 + j10 * j10 + j20 * j20
+        n01 = j00 * j01 + j10 * j11 + j20 * j21
+        n02 = j00 * j02 + j10 * j12 + j20 * j22
+        n11 = j01 * j01 + j11 * j11 + j21 * j21
+        n12 = j01 * j02 + j11 * j12 + j21 * j22
+        n22 = j02 * j02 + j12 * j12 + j22 * j22
+        if not all(map(math.isfinite, (g0, g1, g2, n00, n01, n02, n11, n12, n22))):
             raise SingularJacobian("non-finite normal equations")
 
-        try:
-            gn_step = np.linalg.solve(normal, -grad)
-            gn_ok = bool(np.all(np.isfinite(gn_step)))
-        except np.linalg.LinAlgError:
+        gn_step = _solve3(((n00, n01, n02, -g0), (n01, n11, n12, -g1), (n02, n12, n22, -g2)))
+        if gn_step is None:
             # fixed Levenberg damping rescue for rank-deficient normals
-            damped = normal + 1e-8 * max(float(np.trace(normal)), 1e-30) * np.eye(3)
-            try:
-                gn_step = np.linalg.solve(damped, -grad)
-                gn_ok = bool(np.all(np.isfinite(gn_step)))
-            except np.linalg.LinAlgError:
-                raise SingularJacobian("normal equations are rank-deficient") from None
-        if not gn_ok:
+            lam = 1e-8 * max(n00 + n11 + n22, 1e-30)
+            gn_step = _solve3(((n00 + lam, n01, n02, -g0), (n01, n11 + lam, n12, -g1),
+                               (n02, n12, n22 + lam, -g2)))
+            if gn_step is None:
+                raise SingularJacobian("normal equations are rank-deficient")
+        if not all(map(math.isfinite, gn_step)):
             raise SingularJacobian("normal equations are rank-deficient")
 
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = math.sqrt(g0 * g0 + g1 * g1 + g2 * g2)
         if gnorm == 0.0:
-            return CartesianVector.from_array(x, ENU)
+            return CartesianVector(x, y, z, ENU)
+        s0, s1, s2 = gn_step
+        gn_norm = math.sqrt(s0 * s0 + s1 * s1 + s2 * s2)
 
         step = None
         for _ in range(60):
-            if np.linalg.norm(gn_step) <= radius:
+            if gn_norm <= radius:
                 p = gn_step
             else:
-                curvature = float(grad @ (normal @ grad))
-                if curvature > 0.0:
-                    cauchy = -(gnorm * gnorm / curvature) * grad
-                else:
-                    cauchy = -(radius / gnorm) * grad
-                if np.linalg.norm(cauchy) >= radius:
-                    p = -(radius / gnorm) * grad
+                curvature = (g0 * (n00 * g0 + n01 * g1 + n02 * g2)
+                             + g1 * (n01 * g0 + n11 * g1 + n12 * g2)
+                             + g2 * (n02 * g0 + n12 * g1 + n22 * g2))
+                scale = -(gnorm * gnorm / curvature) if curvature > 0.0 else -(radius / gnorm)
+                c0, c1, c2 = scale * g0, scale * g1, scale * g2
+                if math.sqrt(c0 * c0 + c1 * c1 + c2 * c2) >= radius:
+                    scale = -(radius / gnorm)
+                    p = (scale * g0, scale * g1, scale * g2)
                 else:
                     # dogleg leg from the Cauchy point toward the GN step
-                    leg = gn_step - cauchy
-                    a = float(leg @ leg)
-                    bq = 2.0 * float(cauchy @ leg)
-                    cq = float(cauchy @ cauchy) - radius * radius
+                    l0, l1, l2 = s0 - c0, s1 - c1, s2 - c2
+                    a = l0 * l0 + l1 * l1 + l2 * l2
+                    bq = 2.0 * (c0 * l0 + c1 * l1 + c2 * l2)
+                    cq = (c0 * c0 + c1 * c1 + c2 * c2) - radius * radius
                     t = (-bq + math.sqrt(bq * bq - 4.0 * a * cq)) / (2.0 * a)
-                    p = cauchy + t * leg
-            trial = residual_vector(x + p)
-            trial_cost = 0.5 * float(trial @ trial)
-            predicted = -float(grad @ p) - 0.5 * float(p @ (normal @ p))
+                    p = (c0 + t * l0, c1 + t * l1, c2 + t * l2)
+            p0, p1, p2 = p
+            trial_cost = _cost(_residual_kernel(x + p0, y + p1, z + p2, anchors, d)[2])
+            predicted = (-(g0 * p0 + g1 * p1 + g2 * p2)
+                         - 0.5 * (p0 * (n00 * p0 + n01 * p1 + n02 * p2)
+                                  + p1 * (n01 * p0 + n11 * p1 + n12 * p2)
+                                  + p2 * (n02 * p0 + n12 * p1 + n22 * p2)))
             rho = (cost - trial_cost) / predicted if predicted > 0.0 else -1.0
-            pn = float(np.linalg.norm(p))
+            pn = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2)
             if rho < 0.25:
                 radius = _TRUST_SHRINK * pn
             elif rho > 0.75 and pn >= 0.99 * radius:
@@ -432,13 +529,13 @@ def numerical_solve(
                 break
             if radius < cfg.residual_tolerance:
                 # no step of meaningful size improves the model: stationary
-                return CartesianVector.from_array(x, ENU)
+                return CartesianVector(x, y, z, ENU)
         if step is None:
             raise NonConvergence(
                 f"no acceptable step at iteration {iteration + 1}")
-        x = x + step
-        if np.linalg.norm(step) < cfg.residual_tolerance:
-            return CartesianVector.from_array(x, ENU)
+        x, y, z = x + step[0], y + step[1], z + step[2]
+        if pn < cfg.residual_tolerance:
+            return CartesianVector(x, y, z, ENU)
 
     raise NonConvergence(
         f"step norm above {cfg.residual_tolerance:.1e} m after "
@@ -477,9 +574,10 @@ def solve_frame(
     return that start unchanged, so it is not run: numerical is then the
     analytic fix itself, bit for bit.
 
-    The closed form runs on Python floats; residuals and Gauss-Newton run
-    on numpy, whose 3-element dot product may be a fused multiply-add chain
-    (see docs/file-formats.md), so their last bits follow numpy's kernel.
+    The closed form, the residuals and Gauss-Newton are plain float
+    arithmetic, and the skip test computes the very cost of Gauss-Newton's
+    first exit test from the same residual kernel, so the two cannot
+    disagree.
     """
     pair = analytic = numerical = res = None
     status = "ok"
@@ -491,7 +589,7 @@ def solve_frame(
         status = type(exc).__name__
 
     if guess is None:
-        if res is not None and 0.5 * float(res @ res) < _COST_FLOOR:
+        if res is not None and _cost(res) < _COST_FLOOR:
             return FrameFix(pair=pair, analytic=analytic, numerical=analytic,
                             status=status, analytic_residuals=res)
         guess = analytic

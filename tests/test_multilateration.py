@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 from conftest import enu, unit_square
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uwps import multilateration
 from uwps.errors import (
@@ -11,7 +13,9 @@ from uwps.errors import (
     NonConvergence,
     NoRealSolution,
     NoUnderwaterSolution,
+    PositioningError,
     SingularDenominator,
+    SingularJacobian,
     UnrealizableTDOA,
 )
 from uwps.multilateration import (
@@ -483,8 +487,215 @@ def test_numerical_accepts_unrealizable_differences():
         assert np.linalg.norm(residuals(probe, wild, R0)) >= base - 1e-9
 
 
+def numpy_numerical_solve(diffs, reference, initial, cfg):
+    """Gauss-Newton in numpy arrays, the reference for numerical_solve's
+    float arithmetic: the same dogleg, exits and messages."""
+    x = initial.as_array()
+    r0 = reference.as_array()
+    buoys = diffs.buoy_positions(r0)
+
+    def residual_vector(p):
+        return (np.linalg.norm(p - buoys, axis=1) - np.linalg.norm(p - r0)) - diffs.d
+
+    radius = multilateration._TRUST_RADIUS_0
+    for iteration in range(cfg.max_iterations):
+        range_ref = np.linalg.norm(x - r0)
+        range_i = np.linalg.norm(x - buoys, axis=1)
+        if range_ref == 0.0 or np.any(range_i == 0.0):
+            raise SingularJacobian("iterate coincides with a buoy position")
+        res = (range_i - range_ref) - diffs.d
+        cost = 0.5 * float(res @ res)
+        if cost < multilateration._COST_FLOOR:
+            return x
+        jac = (x - buoys) / range_i[:, None] - (x - r0) / range_ref
+        grad = jac.T @ res
+        normal = jac.T @ jac
+        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(normal))):
+            raise SingularJacobian("non-finite normal equations")
+        try:
+            gn_step = np.linalg.solve(normal, -grad)
+        except np.linalg.LinAlgError:
+            damped = normal + 1e-8 * max(float(np.trace(normal)), 1e-30) * np.eye(3)
+            try:
+                gn_step = np.linalg.solve(damped, -grad)
+            except np.linalg.LinAlgError:
+                raise SingularJacobian("normal equations are rank-deficient") from None
+        if not np.all(np.isfinite(gn_step)):
+            raise SingularJacobian("normal equations are rank-deficient")
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm == 0.0:
+            return x
+        step = None
+        for _ in range(60):
+            if np.linalg.norm(gn_step) <= radius:
+                p = gn_step
+            else:
+                curvature = float(grad @ (normal @ grad))
+                if curvature > 0.0:
+                    cauchy = -(gnorm * gnorm / curvature) * grad
+                else:
+                    cauchy = -(radius / gnorm) * grad
+                if np.linalg.norm(cauchy) >= radius:
+                    p = -(radius / gnorm) * grad
+                else:
+                    leg = gn_step - cauchy
+                    a = float(leg @ leg)
+                    bq = 2.0 * float(cauchy @ leg)
+                    cq = float(cauchy @ cauchy) - radius * radius
+                    t = (-bq + np.sqrt(bq * bq - 4.0 * a * cq)) / (2.0 * a)
+                    p = cauchy + t * leg
+            trial = residual_vector(x + p)
+            trial_cost = 0.5 * float(trial @ trial)
+            predicted = -float(grad @ p) - 0.5 * float(p @ (normal @ p))
+            rho = (cost - trial_cost) / predicted if predicted > 0.0 else -1.0
+            pn = float(np.linalg.norm(p))
+            if rho < 0.25:
+                radius = multilateration._TRUST_SHRINK * pn
+            elif rho > 0.75 and pn >= 0.99 * radius:
+                radius = multilateration._TRUST_GROW * radius
+            if rho > multilateration._RHO_ACCEPT:
+                step = p
+                break
+            if radius < cfg.residual_tolerance:
+                return x
+        if step is None:
+            raise NonConvergence(f"no acceptable step at iteration {iteration + 1}")
+        x = x + step
+        if np.linalg.norm(step) < cfg.residual_tolerance:
+            return x
+    raise NonConvergence(
+        f"step norm above {cfg.residual_tolerance:.1e} m after "
+        f"{cfg.max_iterations} iterations")
+
+
+def numerical_cases():
+    """(diffs, reference, start, cfg): the criterion-1 family from 200 m-off
+    starts, noisy differences (sigma 0.1 m) and the unrealizable case."""
+    rng = np.random.default_rng(31)
+    cfg = SolverConfig(max_iterations=25)
+    for _ in range(100):
+        buoys, truth, diffs = sample_scenario(rng)
+        azimuth = rng.uniform(0.0, 2.0 * np.pi)
+        tilt = np.deg2rad(30.0) * np.sqrt(rng.uniform())
+        start = truth + 200.0 * np.array([np.cos(azimuth) * np.sin(tilt),
+                                          np.sin(azimuth) * np.sin(tilt),
+                                          -np.cos(tilt)])
+        yield diffs, enu(*buoys[0]), enu(*start), cfg
+    for _ in range(100):
+        buoys, truth, clean = sample_scenario(rng)
+        noisy = DiffSet(reference_id=0, ids=clean.ids, d=clean.d + rng.normal(0.0, 0.1, 3),
+                        e=clean.e, b=clean.b)
+        start = truth + rng.normal(0.0, 50.0, 3)
+        yield noisy, enu(*buoys[0]), enu(*start), CFG
+    clean = oracle_diffs(unit_square(1000.0), np.array([300.0, 400.0, -150.0]))
+    over = clean.d.copy()
+    over[0] = clean.b[0] + 0.5
+    wild = DiffSet(reference_id=0, ids=clean.ids, d=over, e=clean.e, b=clean.b)
+    yield wild, R0, enu(300.0, 400.0, -150.0), CFG
+
+
+def test_numerical_solve_matches_numpy_reference():
+    """Only the rounding differs: both raise the same error, or the fixes
+    agree within 1e-9 m. Within 10 m of the buoy plane the vertical column
+    of the Jacobian vanishes and the cost is flat to rounding over about
+    1e-4 m of height; there the fixes agree within 1e-4 m and their
+    residual norms within 1e-12 m."""
+    agreed = near_plane = 0
+    for diffs, ref, start, cfg in numerical_cases():
+        try:
+            want = numpy_numerical_solve(diffs, ref, start, cfg)
+        except PositioningError as exc:
+            with pytest.raises(type(exc)):
+                numerical_solve(diffs, ref, start, cfg)
+            continue
+        got = numerical_solve(diffs, ref, start, cfg)
+        deviation = np.max(np.abs(got.as_array() - want))
+        if abs(want[2]) >= 10.0:
+            assert deviation <= 1e-9
+            agreed += 1
+        else:
+            assert deviation <= 1e-4
+            assert abs(np.linalg.norm(residuals(got, diffs, ref))
+                       - np.linalg.norm(residuals(want, diffs, ref))) <= 1e-12
+            near_plane += 1
+    assert agreed >= 190 and near_plane >= 1
+
+
+def test_solve3_matches_numpy_solve():
+    """Well-conditioned symmetric systems, definite or not: np.linalg.solve
+    to 1e-12 relative."""
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        a = q @ np.diag(rng.choice([-1.0, 1.0], 3) * rng.uniform(0.1, 10.0, 3)) @ q.T
+        a = 0.5 * (a + a.T)
+        b = rng.standard_normal(3) * 10.0 ** rng.uniform(-6, 6)
+        want = np.linalg.solve(a, b)
+        got = multilateration._solve3(tuple((*row, rhs) for row, rhs in
+                                            zip(a.tolist(), b.tolist())))
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_solve3_pivots_past_zero_leading_entries():
+    got = multilateration._solve3(((0.0, 2.0, 0.0, 4.0), (3.0, 0.0, 0.0, 3.0),
+                                   (0.0, 0.0, 5.0, 10.0)))
+    assert got == (1.0, 2.0, 2.0)
+    got = multilateration._solve3(((1.0, 0.0, 0.0, 1.0), (0.0, 0.0, 1.0, 3.0),
+                                   (0.0, 1.0, 0.0, 2.0)))
+    assert got == (1.0, 2.0, 3.0)
+
+
+def test_solve3_reports_exactly_singular_matrix():
+    assert multilateration._solve3(((1.0, 2.0, 0.0, 1.0), (2.0, 4.0, 0.0, 1.0),
+                                    (0.0, 0.0, 0.0, 1.0))) is None
+    assert multilateration._solve3(((0.0, 0.0, 0.0, 1.0),) * 3) is None
+
+
+def test_numerical_takes_damped_rescue_in_plane_of_coplanar_buoys(monkeypatch):
+    """Buoys at one depth and the iterate exactly in their plane: the
+    vertical column of the Jacobian is zero, the normal matrix exactly
+    singular, and the damped solve takes the step."""
+    solves = []
+
+    def recorded(rows):
+        result = solve3(rows)
+        solves.append(result)
+        return result
+
+    solve3 = multilateration._solve3
+    monkeypatch.setattr(multilateration, "_solve3", recorded)
+    diffs = oracle_diffs(unit_square(1000.0), np.array([300.0, 400.0, -150.0]))
+    got = numerical_solve(diffs, R0, enu(250.0, 450.0, 0.0), CFG)
+    assert solves[0] is None and solves[1] is not None
+    assert got.z == 0.0 and np.all(np.isfinite(got.as_array()))
+    assert np.linalg.norm(residuals(got, diffs, R0)) < np.linalg.norm(
+        residuals(enu(250.0, 450.0, 0.0), diffs, R0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    directions=st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3), min_size=3, max_size=3),
+    lengths=st.lists(st.floats(1.0, 5000.0), min_size=3, max_size=3),
+    ratios=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+    start=st.tuples(*[st.floats(-1e6, 1e6)] * 3),
+)
+def test_numerical_returns_finite_fix_or_positioning_error(directions, lengths, ratios, start):
+    """Realizable or not, from starts up to 1e6 m away: a finite ENU fix or
+    a PositioningError, never anything else."""
+    e = np.array(directions)
+    norms = np.linalg.norm(e, axis=1)
+    assume(np.all(norms > 1e-3))
+    b = np.array(lengths)
+    diffs = DiffSet(reference_id=0, ids=(1, 2, 3), d=np.array(ratios) * b,
+                    e=e / norms[:, None], b=b)
+    try:
+        got = numerical_solve(diffs, R0, enu(*start), CFG)
+    except PositioningError:
+        return
+    assert got.frame == "ENU" and np.all(np.isfinite(got.as_array()))
+
+
 def test_numerical_singular_jacobian_at_buoy_position():
-    from uwps.errors import SingularJacobian
     buoys = unit_square(1000.0)
     diffs = oracle_diffs(buoys, np.array([300.0, 400.0, -150.0]))
     with pytest.raises(SingularJacobian):
@@ -505,14 +716,22 @@ def test_numerical_nonconvergence_reported():
 def test_solve_frame_runs_gauss_newton_only_where_it_can_move(monkeypatch):
     """numerical is what Gauss-Newton started at the analytic fix returns,
     whether it ran or not. It is skipped only when the analytic fix meets its
-    first exit test, and always runs from a given guess."""
+    first exit test, and always runs from a given guess. The skip test and
+    Gauss-Newton's first cost are the same kernel sum."""
     calls = []
+    costs = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return numerical_solve(*args, **kwargs)
 
+    def recorded_cost(res):
+        costs.append(cost(res))
+        return costs[-1]
+
+    cost = multilateration._cost
     monkeypatch.setattr(multilateration, "numerical_solve", counted)
+    monkeypatch.setattr(multilateration, "_cost", recorded_cost)
     buoys = unit_square(1000.0, ups=(0.0, 0.4, -0.3, 0.1))
     ref = enu(*buoys[0])
     rng = np.random.default_rng(7)
@@ -522,16 +741,23 @@ def test_solve_frame_runs_gauss_newton_only_where_it_can_move(monkeypatch):
                           -rng.uniform(50.0, 500.0)])
         diffs = oracle_diffs(buoys, truth)
         calls.clear()
+        costs.clear()
         fix = solve_frame(diffs, ref, CFG)
         assert fix.status == "ok"
-        assert fix.numerical == numerical_solve(diffs, ref, fix.analytic, CFG)
         res = residuals(fix.analytic, diffs, ref)
         assert fix.analytic_residuals.tobytes() == res.tobytes()
-        if 0.5 * float(res @ res) < 1e-24:
+        assert costs[0] == cost(res)    # the skip test
+        costs.clear()
+        assert fix.numerical == numerical_solve(diffs, ref, fix.analytic, CFG)
+        assert costs[0] == cost(res)    # Gauss-Newton's first exit test
+        if cost(res) < 1e-24:
             assert calls == [] and fix.numerical is fix.analytic
+            # Gauss-Newton returns its start at the first exit test
+            assert len(costs) == 1
             skipped += 1
         else:
             assert len(calls) == 1
+            assert costs[0] >= 1e-24
             ran += 1
     # rounding leaves some noiseless analytic fixes above the cost floor
     assert skipped > 100 and ran > 0
