@@ -33,8 +33,6 @@ from .protocol import BuoyMessage, FrameSchedule, transmit_times
 RX_CLOCK_TICK = 2.0 ** -40          # receiver timestamp resolution [s]
 DEFAULT_SPEED_CAP = 10.0            # receiver speed sanity cap [m/s]
 
-_ARRIVAL_TOL = 1e-12                # fixed-point stop for moving receivers [s]
-
 
 def _quantize_ms(t: float) -> float:
     return float(f"{t:.3f}")
@@ -59,8 +57,9 @@ class ReceiverTrack:
     initial: tuple[float, float, float]
     velocity: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
-    def position_at(self, t: float) -> np.ndarray:
-        return np.asarray(self.initial, float) + np.asarray(self.velocity, float) * t
+    def position_at(self, t: float) -> tuple[float, float, float]:
+        (x, y, z), (vx, vy, vz) = self.initial, self.velocity
+        return float(x + vx * t), float(y + vy * t), float(z + vz * t)
 
     def speed(self) -> float:
         return float(np.linalg.norm(self.velocity))
@@ -96,6 +95,10 @@ class Scenario:
             raise ValueError(
                 f"receiver speed {self.receiver.speed():.2f} m/s exceeds "
                 f"cap {self.speed_cap:.2f} m/s")
+        if self.receiver.speed() >= self.sound_speed:
+            raise ValueError(
+                f"receiver speed {self.receiver.speed():.2f} m/s is not below "
+                f"the sound speed {self.sound_speed:.2f} m/s")
         if self.range_limit <= 0:
             raise ValueError("range_limit must be > 0")
         end = self.frames * self.schedule.frame_period
@@ -153,7 +156,8 @@ def simulate(scenario: Scenario) -> list[FrameRecord]:
     frame = working_frame(scenario)
     c = scenario.sound_speed
     rx = scenario.receiver
-    moving = rx.speed() > 0.0
+    vx, vy, vz = (float(v) for v in rx.velocity)
+    a = c * c - (vx * vx + vy * vy + vz * vz)   # > 0: the receiver is slower than sound
 
     # buoy tracks in the working frame
     buoy_enu0 = [geodetic_to_enu(b.initial, frame).as_array() for b in scenario.buoys]
@@ -170,18 +174,13 @@ def simulate(scenario: Scenario) -> list[FrameRecord]:
             message = BuoyMessage(i + 1, t_tx, reported)
             # the acoustic source is the reported point
             source_enu = geodetic_to_enu(message.position, frame)
-            source = source_enu.as_array()
 
-            if moving:
-                t_arr = t_tx
-                for _ in range(100):
-                    t_next = t_tx + float(np.linalg.norm(rx.position_at(t_arr) - source)) / c
-                    if abs(t_next - t_arr) < _ARRIVAL_TOL:
-                        t_arr = t_next
-                        break
-                    t_arr = t_next
-            else:
-                t_arr = t_tx + float(np.linalg.norm(rx.position_at(0.0) - source)) / c
+            # |q + v*tau| = c*tau with q = p(t_tx) - source: the positive root
+            x, y, z = rx.position_at(t_tx)
+            qx, qy, qz = x - source_enu.x, y - source_enu.y, z - source_enu.z
+            qv = qx * vx + qy * vy + qz * vz
+            qq = qx * qx + qy * qy + qz * qz
+            t_arr = t_tx + (qv + math.sqrt(qv * qv + a * qq)) / a
 
             path_length = c * (t_arr - t_tx)
             if path_length > scenario.range_limit:
@@ -191,7 +190,7 @@ def simulate(scenario: Scenario) -> list[FrameRecord]:
                 frame_index=k,
                 message=message,
                 receive_time=_quantize_tick(t_arr) - scenario.clock_offset,
-                true_position=CartesianVector.from_array(rx.position_at(t_arr), ENU),
+                true_position=CartesianVector(*rx.position_at(t_arr), ENU),
                 source=source_enu,
                 source_frame=frame,
             ))

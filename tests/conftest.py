@@ -1,6 +1,6 @@
 """Geometry builders for the tests.
 
-The distance oracle, the Malaga anchor, the quadrilateral sampler and the
+The distance oracle, the Malaga anchor, the scenario sampler and the
 scenario builder live in `uwps.verify`, shared with `uwps verify`.
 """
 from __future__ import annotations

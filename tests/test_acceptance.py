@@ -1,23 +1,20 @@
-"""Acceptance suite: one test per criterion, at the stated tolerances.
+"""Acceptance suite: the paper's criteria, stated once in `uwps.verify`.
 
-Prints one PASS/FAIL line per criterion. Criterion 4 (the motion bound) is
-implemented exactly as stated and marked xfail: the single-frame solver
+Each criterion test calls the `uwps.verify` check that states it, at the
+criterion's case count and tolerance, and every other check of the suite
+runs as its own test; each prints one PASS/FAIL line per property.
+Criterion 4 (the motion bound) is marked xfail: the single-frame solver
 does not model the receiver's motion during the frame, and the geometry's
 vertical dilution amplifies that unmodelled motion in the solved position
 well beyond the bound. Modelling receiver motion is the open work that
 should turn it into a pass.
 """
-import math
 import time
 
-import numpy as np
 import pytest
-from conftest import make_scenario
 
-from uwps import channel, multilateration, protocol, verify
+from uwps import protocol, verify
 from uwps.errors import BudgetExceeded
-from uwps.geo import ENU, CartesianVector
-from uwps.multilateration import SolverConfig
 
 SEED = verify.DEFAULT_SEED
 
@@ -29,60 +26,25 @@ def report(name: str, ok: bool, detail: str):
 
 def test_criterion_1_reverse_calculation_exactness():
     """1000 randomized noiseless scenarios solve to < 1e-6 m in < 10 s."""
-    rng = np.random.default_rng(SEED)
     started = time.perf_counter()
-    worst = 0.0
-    for _ in range(1000):
-        buoys, truth, diffs = verify.sample_scenario(rng)
-        reference = CartesianVector(*buoys[0], ENU)
-        pair = multilateration.kleusberg_solve(diffs, reference, SolverConfig())
-        pick = multilateration.select_underwater(pair, diffs, reference)
-        worst = max(worst, float(np.linalg.norm(pick.as_array() - truth)))
+    ok, detail = verify.check_reconstruction_exactness(SEED, cases=1000)
     elapsed = time.perf_counter() - started
-    report("reverse_calculation",
-           worst < 1e-6 and elapsed < 10.0,
-           f"worst error {worst:.3e} m (< 1e-6 m), runtime {elapsed:.2f} s (< 10 s)")
+    report("reverse_calculation", ok and elapsed < 10.0,
+           f"{detail}, runtime {elapsed:.2f} s (< 10 s)")
 
 
 def test_criterion_2_clock_offset_independence():
-    """Sweeping the receiver clock offset changes nothing, bit for bit."""
-    baseline = None
-    identical = True
-    for offset in (-100.0, -1.0, 0.0, 1.0, 100.0):
-        scenario = make_scenario(frames=3, clock_offset=offset,
-                                 drifts=[(0.03, 0.04, 0.0), (-0.02, 0.05, 0.0),
-                                         (0.05, -0.01, 0.0), (0.01, 0.02, 0.0)])
-        frame = channel.working_frame(scenario)
-        run = []
-        for record in channel.simulate(scenario):
-            obs = channel.assemble_observations(record.events, scenario.sound_speed,
-                                                frame=frame)
-            diffs = multilateration.pseudorange_diffs(obs)
-            reference = obs.by_id(0).position
-            pair = multilateration.kleusberg_solve(diffs, reference, SolverConfig())
-            pick = multilateration.select_underwater(pair, diffs, reference)
-            run.append(diffs.d.tobytes() + pick.as_array().tobytes())
-        if baseline is None:
-            baseline = run
-        identical = identical and run == baseline
-    report("clock_offset_independence", identical,
-           "DiffSets and solutions bit-identical over offsets {-100,-1,0,1,100} s")
+    """Sweeping the receiver clock offset over {-100, -1, 0, 1, 100} s
+    leaves the DiffSets and solutions of drifting buoys bit-identical."""
+    report("clock_offset_independence", *verify.check_offset_sweep_bit_identical(SEED))
 
 
 def test_criterion_3_timing_budget():
-    s = protocol.compute_schedule(80, 640.0, 1.0)
-    ok = (s.message_duration == pytest.approx(1.0, abs=1e-12)
-          and s.frame_period == pytest.approx(8.0, abs=1e-12)
-          and s.frame_period < 10.0)
-    over = False
-    try:
+    """t_m = 1 s, T_f = 8 s < 10 s, slots apart; the cap trips when t_m > 1 s."""
+    ok, detail = verify.check_schedule_budget(SEED)
+    with pytest.raises(BudgetExceeded):
         protocol.compute_schedule(80, 639.0, 1.0)  # t_m just over 1 s
-    except BudgetExceeded:
-        over = True
-    under = protocol.compute_schedule(80, 640.0, 1.0)  # t_m exactly 1 s: allowed
-    ok = ok and over and under.message_duration == pytest.approx(1.0)
-    report("timing_budget", ok,
-           "t_m = 1 s, T_f = 8 s < 10 s; cap trips exactly when t_m > 1 s")
+    report("timing_budget", ok, f"{detail}; cap trips exactly when t_m > 1 s")
 
 
 @pytest.mark.xfail(strict=False,
@@ -91,61 +53,27 @@ def test_criterion_3_timing_budget():
                           "motion beyond the bound")
 def test_criterion_4_motion_bound():
     """Solved error <= v*S at speeds {1, 2.5, 5} m/s, 100 seeded trajectories."""
-    ok, detail = verify.check_motion_bound(SEED, trajectories=100)
-    report("motion_bound", ok, detail)
+    report("motion_bound", *verify.check_motion_bound(SEED, trajectories=100))
 
 
 def test_criterion_5_analytic_numerical_agreement():
     """Numerical from 200 m guesses matches the analytic underwater fix to
-    < 1e-4 m within 25 iterations, over criterion-1 scenarios.
-
-    Guess directions are drawn in a downward cone (half-angle 30 deg):
-    near-horizontal guesses land in the above-water mirror basin for
-    shallow receivers, where no local iteration can pick the branch."""
-    rng = np.random.default_rng(SEED)
-    worst = 0.0
-    cfg = SolverConfig(max_iterations=25)
-    for _ in range(1000):
-        buoys, truth, diffs = verify.sample_scenario(rng)
-        reference = CartesianVector(*buoys[0], ENU)
-        pair = multilateration.kleusberg_solve(diffs, reference, SolverConfig())
-        pick = multilateration.select_underwater(pair, diffs, reference)
-        azimuth = rng.uniform(0.0, 2.0 * math.pi)
-        tilt = math.radians(30.0) * math.sqrt(rng.uniform())
-        guess = truth + 200.0 * np.array([
-            math.cos(azimuth) * math.sin(tilt),
-            math.sin(azimuth) * math.sin(tilt),
-            -math.cos(tilt),
-        ])
-        got = multilateration.numerical_solve(diffs, reference,
-                                              CartesianVector(*guess, ENU), cfg)
-        worst = max(worst, float(np.linalg.norm(got.as_array() - pick.as_array())))
-    report("analytic_numerical_agreement", worst < 1e-4,
-           f"worst disagreement {worst:.3e} m over 1000 scenarios (< 1e-4 m, "
-           f"<= 25 iterations)")
+    < 1e-4 m within 25 iterations, over 1000 criterion-1 scenarios."""
+    report("analytic_numerical_agreement",
+           *verify.check_numerical_agreement(SEED, cases=1000))
 
 
-def test_criterion_6_property_suites():
-    """Unit norm, mirror symmetry, equivariance, range consistency, codec
-    round-trip + corruption fuzz, simulation determinism."""
-    checks = {
-        "unit_norm": verify.check_unit_norm,
-        "mirror_symmetry": verify.check_mirror_symmetry,
-        "rigid_motion_equivariance": verify.check_rigid_motion_equivariance,
-        "range_consistency": verify.check_range_consistency,
-        "codec_round_trip": verify.check_codec_round_trip,
-        "corruption_detection": verify.check_corruption_detection,
-        "determinism": verify.check_simulation_determinism,
-    }
-    failures = []
-    details = []
-    for name, fn in checks.items():
-        ok, detail = fn(SEED)
-        details.append(f"{name}: {detail}")
-        if not ok:
-            failures.append(name)
-    report("property_suites", not failures,
-           "; ".join(details) if failures else f"all {len(checks)} properties hold")
+_CRITERIA = {verify.check_reconstruction_exactness, verify.check_offset_sweep_bit_identical,
+             verify.check_schedule_budget, verify.check_motion_bound,
+             verify.check_numerical_agreement}
+
+
+@pytest.mark.parametrize("name, check", [pytest.param(name, fn, id=name)
+                                         for name, fn in verify._CHECKS
+                                         if fn not in _CRITERIA])
+def test_criterion_6_property_suites(name, check):
+    """Every other property of `uwps verify`, at its default seed."""
+    report(name, *check(SEED))
 
 
 def test_criterion_6_csv_determinism(tmp_path):

@@ -291,7 +291,7 @@ def test_schedule_budget_exceeded(capsys):
 
 def test_verify_reports_and_exit_code(capsys):
     code, out, _ = run_cli("verify", "--seed", "20260808", capsys=capsys)
-    lines = [l for l in capsys_lines(out) if l.startswith(("PASS", "FAIL"))]
+    lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 20
     failed = [l for l in lines if l.startswith("FAIL")]
     # the transplanted motion bound is the single documented failure
@@ -334,8 +334,6 @@ def test_verify_unit_norm_catches_injected_sign_bug():
             denominator_index_1=out[0][3], denominator_index_2=out[1][3],
             discriminant=disc)
 
-    ok, _ = verify.check_unit_norm(verify.DEFAULT_SEED)
-    assert ok
     ok, detail = verify.check_unit_norm(verify.DEFAULT_SEED, solve=buggy_solve)
     assert not ok, detail
 
@@ -344,13 +342,32 @@ def test_verify_verdicts_stable_across_seeds(capsys):
     verdicts = {}
     for seed in ("20260808", "12345"):
         _, out, _ = run_cli("verify", "--seed", seed, capsys=capsys)
-        verdicts[seed] = [l.split(":")[0] for l in capsys_lines(out)
+        verdicts[seed] = [l.split(":")[0] for l in out.splitlines()
                          if l.startswith(("PASS", "FAIL"))]
     assert verdicts["20260808"] == verdicts["12345"]
 
 
-def capsys_lines(out: str):
-    return out.splitlines()
+def test_readme_library_example_runs(capsys):
+    """The README's library example solves the bundled frame as `uwps solve`
+    does, and imports exactly the names the package re-exports."""
+    import ast
+
+    import uwps
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    code = code.split("```", 1)[0]
+    imported = {alias.name for node in ast.walk(ast.parse(code))
+                if isinstance(node, ast.ImportFrom) and node.module == "uwps"
+                for alias in node.names}
+    assert imported == set(uwps.__all__)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    fix = namespace["fix"]
+    assert fix.status == "ok"
+    x, y, z = fix.analytic.x, fix.analytic.y, fix.analytic.z
+    _, out, _ = run_cli("solve", "squaretest_frame0", capsys=capsys)
+    assert f"underwater solution: ({x:.9g}, {y:.9g}, {z:.9g}) m" in out
 
 
 def test_entry_point_runs():

@@ -1,6 +1,4 @@
 """Coordinate-frame conversions against WGS-84 constants and inverses."""
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,6 @@ from uwps.geo import (
     CartesianVector,
     GeodeticCoord,
     LocalFrame,
-    distance,
     ecef_to_geodetic,
     from_enu,
     geodetic_to_ecef,
@@ -91,33 +88,14 @@ def test_enu_origin_maps_to_zero():
     assert v.as_array() == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
 
 
-def test_enu_round_trip_and_isometry():
+def test_enu_round_trip():
     frame = LocalFrame(MALAGA)
     rng = np.random.default_rng(3)
-    points = []
     for _ in range(50):
         offset = rng.uniform(-5000, 5000, 3)
         p = CartesianVector.from_array(frame.origin_ecef + offset, ECEF)
         q = from_enu(to_enu(p, frame), frame)
         assert np.linalg.norm(q.as_array() - p.as_array()) < 1e-9
-        points.append(p)
-    for i in range(0, 48, 2):
-        a, b = points[i], points[i + 1]
-        d_ecef = distance(a, b)
-        d_enu = distance(to_enu(a, frame), to_enu(b, frame))
-        assert abs(d_enu - d_ecef) < 1e-9 * max(d_ecef, 1.0)
-
-
-def test_enu_up_axis_is_outward_ellipsoid_normal():
-    for g in (MALAGA, GeodeticCoord(-33.9, 151.2, 20.0), GeodeticCoord(71.0, -8.0, 5.0)):
-        frame = LocalFrame(g)
-        lat, lon = math.radians(g.latitude), math.radians(g.longitude)
-        normal = np.array([
-            math.cos(lat) * math.cos(lon),
-            math.cos(lat) * math.sin(lon),
-            math.sin(lat),
-        ])
-        assert float(frame.rotation[2] @ normal) > 1.0 - 1e-12
 
 
 def test_frame_basis_orthonormal():

@@ -31,7 +31,7 @@ from uwps.multilateration import (
     select_underwater,
     solve_frame,
 )
-from uwps.verify import oracle_diffs, sample_quadrilateral, sample_scenario
+from uwps.verify import oracle_diffs, sample_scenario
 
 R0 = enu(0.0, 0.0, 0.0)
 CFG = SolverConfig()
@@ -132,21 +132,6 @@ def test_square_reference_case_recovers_truth_exactly():
     assert pair.discriminant >= 0.0
 
 
-def test_unit_norm_of_direction_vectors():
-    rng = np.random.default_rng(42)
-    for _ in range(200):
-        buoys, length = sample_quadrilateral(rng)
-        truth = np.array([rng.uniform(0.2, 0.8) * length,
-                          rng.uniform(0.2, 0.8) * length,
-                          -rng.uniform(5.0, 1000.0)])
-        diffs = oracle_diffs(buoys, truth)
-        if np.min(np.abs(diffs.d)) < 0.5:
-            continue
-        pair = kleusberg_solve(diffs, R0, CFG)
-        assert abs(np.linalg.norm(pair.e_1) - 1.0) < 1e-9
-        assert abs(np.linalg.norm(pair.e_2) - 1.0) < 1e-9
-
-
 def numpy_closed_form(diffs, r0):
     """The closed form in numpy arrays, the reference for kleusberg_solve's
     float arithmetic: (g.g, discriminant, [(e, s, r, denominator index)])."""
@@ -209,25 +194,6 @@ def test_candidate_positions_constructed_from_e_and_s():
         assert pos.as_array() == pytest.approx(ref.as_array() + evec * s, abs=0.0)
 
 
-def test_range_equation_cross_index_consistency():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        buoys, length = sample_quadrilateral(rng)
-        truth = np.array([rng.uniform(0.2, 0.8) * length,
-                          rng.uniform(0.2, 0.8) * length,
-                          -rng.uniform(5.0, 1000.0)])
-        diffs = oracle_diffs(buoys, truth)
-        if np.min(np.abs(diffs.d)) < 0.5:
-            continue
-        pair = kleusberg_solve(diffs, R0, CFG)  # raises InconsistentRanges if not
-        for evec, _, _, _ in pair.branches():
-            dens = diffs.d + diffs.b * (diffs.e @ evec)
-            usable = np.abs(dens) > 1e-9 * np.max(diffs.b)
-            s_all = 0.5 * (diffs.b**2 - diffs.d**2) / dens
-            spread = np.ptp(s_all[usable])
-            assert spread < CFG.consistency_tolerance
-
-
 def test_discriminant_scan_to_no_real_solution():
     """Grow a perturbation of the oracle differences until the closed form
     reports that the hyperboloids no longer meet."""
@@ -286,24 +252,6 @@ def test_inconsistent_ranges_guard():
         kleusberg_solve(diffs, R0, SolverConfig(consistency_tolerance=1e-18))
     pair = kleusberg_solve(diffs, R0, CFG)
     assert isinstance(pair, CandidatePair)
-
-
-def test_rigid_motion_equivariance():
-    rng = np.random.default_rng(11)
-    buoys = unit_square(900.0, ups=(0.4, -1.2, 0.9, 0.1))
-    truth = np.array([240.0, 610.0, -330.0])
-    base = kleusberg_solve(oracle_diffs(buoys, truth), enu(*buoys[0]), CFG)
-    for _ in range(20):
-        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        if np.linalg.det(q) < 0:
-            q[:, 0] = -q[:, 0]
-        shift = rng.uniform(-5000.0, 5000.0, 3)
-        moved_buoys = buoys @ q.T + shift
-        moved_truth = q @ truth + shift
-        pair = kleusberg_solve(oracle_diffs(moved_buoys, moved_truth),
-                               enu(*moved_buoys[0]), CFG)
-        assert pair.r_1.as_array() == pytest.approx(q @ base.r_1.as_array() + shift, abs=1e-6)
-        assert pair.r_2.as_array() == pytest.approx(q @ base.r_2.as_array() + shift, abs=1e-6)
 
 
 # -- select_underwater -------------------------------------------------
@@ -389,31 +337,6 @@ def test_residuals_zero_on_symmetry_axis_with_zero_diffs():
     assert np.linalg.norm(on_axis) < 1e-9
 
 
-def test_residuals_of_both_candidates_small_on_noiseless_data():
-    rng = np.random.default_rng(5)
-    checked = 0
-    for _ in range(1000):
-        if checked >= 100:
-            break
-        buoys, length = sample_quadrilateral(rng)
-        truth = np.array([rng.uniform(0.2, 0.8) * length,
-                          rng.uniform(0.2, 0.8) * length,
-                          -rng.uniform(5.0, 1000.0)])
-        diffs = oracle_diffs(buoys, truth)
-        if np.min(np.abs(diffs.d)) < 0.5:
-            continue
-        ref = enu(*buoys[0])
-        pair = kleusberg_solve(diffs, ref, CFG)
-        norms = [float(np.linalg.norm(residuals(p, diffs, ref)))
-                 for _, s, p, _ in pair.branches() if s >= 0]
-        # genuine intersections reproduce the data; phantom branches
-        # (negative range already excluded) are rare and carry large norms
-        if norms and max(norms) < 1e-3:
-            assert max(norms) < 1e-6
-            checked += 1
-    assert checked >= 100
-
-
 # -- numerical_solve ---------------------------------------------------
 
 def test_numerical_from_truth_converges_immediately():
@@ -422,39 +345,6 @@ def test_numerical_from_truth_converges_immediately():
     diffs = oracle_diffs(buoys, truth)
     got = numerical_solve(diffs, R0, enu(*truth), CFG)
     assert got.as_array() == pytest.approx(truth, abs=1e-9)
-
-
-def test_numerical_matches_analytic_from_offset_guess():
-    rng = np.random.default_rng(20260808)
-    solved = 0
-    for _ in range(1000):
-        if solved >= 100:
-            break
-        buoys, length = sample_quadrilateral(rng)
-        truth = np.array([rng.uniform(0.2, 0.8) * length,
-                          rng.uniform(0.2, 0.8) * length,
-                          -rng.uniform(5.0, 1000.0)])
-        diffs = oracle_diffs(buoys, truth)
-        if np.min(np.abs(diffs.d)) < 0.5:
-            continue
-        ref = enu(*buoys[0])
-        pair = kleusberg_solve(diffs, ref, CFG)
-        under = [(s, p) for _, s, p, _ in pair.branches()
-                 if s >= 0 and p.z < 0
-                 and np.linalg.norm(residuals(p, diffs, ref)) < 1e-6]
-        if len(under) != 1:
-            continue
-        azimuth = rng.uniform(0.0, 2.0 * np.pi)
-        tilt = np.deg2rad(30.0) * np.sqrt(rng.uniform())
-        guess = truth + 200.0 * np.array([
-            np.cos(azimuth) * np.sin(tilt),
-            np.sin(azimuth) * np.sin(tilt),
-            -np.cos(tilt),
-        ])
-        got = numerical_solve(diffs, ref, enu(*guess), SolverConfig(max_iterations=25))
-        assert np.linalg.norm(got.as_array() - under[0][1].as_array()) < 1e-4
-        solved += 1
-    assert solved >= 100
 
 
 def test_numerical_on_noisy_data_beats_truth_residual():
