@@ -10,13 +10,14 @@ The receiver timestamps arrivals on a dyadic 2^-40 s grid before its clock
 offset is applied. With the offset any multiple of that tick (integers in
 particular) and session times under 2^13 s, receive times are exact floats
 and the offset cancels bit-for-bit in the downstream differencing.
+
+Everything is Python floats; add_timing_noise alone imports an array
+library, for its seeded Gaussian generator, when it is called.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .errors import IncompleteFrame
 from .geo import (
@@ -27,7 +28,7 @@ from .geo import (
     enu_to_geodetic,
     geodetic_to_enu,
 )
-from .multilateration import Observation, ObservationSet
+from .multilateration import Observation, ObservationSet, _norm
 from .protocol import BuoyMessage, FrameSchedule, transmit_times
 
 RX_CLOCK_TICK = 2.0 ** -40          # receiver timestamp resolution [s]
@@ -59,10 +60,10 @@ class ReceiverTrack:
 
     def position_at(self, t: float) -> tuple[float, float, float]:
         (x, y, z), (vx, vy, vz) = self.initial, self.velocity
-        return float(x + vx * t), float(y + vy * t), float(z + vz * t)
+        return x + vx * t, y + vy * t, z + vz * t
 
     def speed(self) -> float:
-        return float(np.linalg.norm(self.velocity))
+        return _norm(self.velocity)
 
 
 @dataclass(frozen=True)
@@ -156,12 +157,11 @@ def simulate(scenario: Scenario) -> list[FrameRecord]:
     frame = working_frame(scenario)
     c = scenario.sound_speed
     rx = scenario.receiver
-    vx, vy, vz = (float(v) for v in rx.velocity)
+    vx, vy, vz = rx.velocity
     a = c * c - (vx * vx + vy * vy + vz * vz)   # > 0: the receiver is slower than sound
 
     # buoy tracks in the working frame
-    buoy_enu0 = [geodetic_to_enu(b.initial, frame).as_array() for b in scenario.buoys]
-    buoy_vel = [np.asarray(b.drift, float) for b in scenario.buoys]
+    buoy_enu0 = [geodetic_to_enu(b.initial, frame) for b in scenario.buoys]
 
     records = []
     for k in range(scenario.frames):
@@ -169,8 +169,9 @@ def simulate(scenario: Scenario) -> list[FrameRecord]:
         events = []
         for i in range(4):
             t_tx = _quantize_ms(slots[i])
-            enu = buoy_enu0[i] + buoy_vel[i] * t_tx
-            reported = enu_to_geodetic(CartesianVector.from_array(enu, ENU), frame)
+            p0, (dx, dy, dz) = buoy_enu0[i], scenario.buoys[i].drift
+            enu = CartesianVector(p0.x + dx * t_tx, p0.y + dy * t_tx, p0.z + dz * t_tx, ENU)
+            reported = enu_to_geodetic(enu, frame)
             message = BuoyMessage(i + 1, t_tx, reported)
             # the acoustic source is the reported point
             source_enu = geodetic_to_enu(message.position, frame)
@@ -203,7 +204,6 @@ def assemble_observations(
     events,
     sound_speed: float,
     frame: LocalFrame | None = None,
-    speed_window=None,
 ) -> ObservationSet:
     """Turn one frame's receptions into solver observations.
 
@@ -235,8 +235,7 @@ def assemble_observations(
         )
         for wire_id in (1, 2, 3, 4)
     )
-    kwargs = {} if speed_window is None else {"speed_window": speed_window}
-    return ObservationSet(observations=observations, sound_speed=sound_speed, **kwargs)
+    return ObservationSet(observations=observations, sound_speed=sound_speed)
 
 
 def _enu_position(event: ReceptionEvent, frame: LocalFrame) -> CartesianVector:
@@ -248,6 +247,8 @@ def _enu_position(event: ReceptionEvent, frame: LocalFrame) -> CartesianVector:
 
 def add_timing_noise(records, sigma: float, seed: int) -> list[FrameRecord]:
     """Gaussian perturbation of receive timestamps, reproducible by seed."""
+    import numpy as np   # only noisy runs pay for the import
+
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     rng = np.random.default_rng(seed)

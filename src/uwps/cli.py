@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from . import verify as verify_mod
 from .channel import (
     BuoyTrack,
     ReceiverTrack,
@@ -360,10 +359,8 @@ def cmd_simulate(args) -> int:
             rows.append(f"{record.frame_index}," + "," * 14 + ",NoFix")
             continue
         complete_frames += 1
-        true_position = record.events[-1].true_position
-        truth = (true_position.x, true_position.y, true_position.z)
-        obs = assemble_observations(record.events, scenario.sound_speed, frame=frame,
-                                    speed_window=(0.0, math.inf))
+        truth = record.events[-1].true_position.as_tuple()
+        obs = assemble_observations(record.events, scenario.sound_speed, frame=frame)
         reference = obs.by_id(0).position
         try:
             diffs = pseudorange_diffs(obs)
@@ -391,7 +388,7 @@ def cmd_simulate(args) -> int:
         cells = [str(record.frame_index)]
         cells += [_fmt(v) for v in truth]
         for p in solved:
-            cells += [_fmt(v) for v in (p.as_array() if p is not None else (None,) * 3)]
+            cells += [_fmt(v) for v in (p.as_tuple() if p is not None else (None,) * 3)]
         cells += [_fmt(v) for v in errs + res]
         cells.append(_fmt(fix.pair.discriminant) if fix.pair is not None else "")
         chosen = ""
@@ -465,8 +462,7 @@ def cmd_solve(args) -> int:
 
     cfg = SolverConfig(consistency_tolerance=args.consistency_tolerance)
     try:
-        obs = assemble_observations(events, obs_file.sound_speed,
-                                    speed_window=(0.0, math.inf))
+        obs = assemble_observations(events, obs_file.sound_speed)
         diffs = pseudorange_diffs(obs)
         reference = obs.by_id(0).position
     except PositioningError as exc:
@@ -474,11 +470,9 @@ def cmd_solve(args) -> int:
         return EXIT_SOLVER
 
     print(f"reference buoy: wire id 1 at ENU origin, c = {obs_file.sound_speed:.9g} m/s")
-    for i in range(3):
-        print(f"d_0{diffs.ids[i]} = {diffs.d[i]:.9g} m   "
-              f"b_0{diffs.ids[i]} = {diffs.b[i]:.9g} m   "
-              f"e_0{diffs.ids[i]} = ({diffs.e[i][0]:.9g}, {diffs.e[i][1]:.9g}, "
-              f"{diffs.e[i][2]:.9g})")
+    for i, (d, b, (ex, ey, ez)) in enumerate(zip(diffs.d, diffs.b, diffs.e), start=1):
+        print(f"d_0{i} = {d:.9g} m   b_0{i} = {b:.9g} m   "
+              f"e_0{i} = ({ex:.9g}, {ey:.9g}, {ez:.9g})")
     try:
         pair = kleusberg_solve(diffs, reference, cfg)
     except PositioningError as exc:
@@ -522,7 +516,9 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.run_all(args.seed)
+    from . import verify   # loaded here: no other command needs the property suite
+
+    results = verify.run_all(verify.DEFAULT_SEED if args.seed is None else args.seed)
     failed = 0
     for result in results:
         print(f"{'PASS' if result.ok else 'FAIL'} {result.name}: {result.detail}")
@@ -556,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="max message duration in seconds")
 
     p_ver = sub.add_parser("verify", help="run the property suite")
-    p_ver.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
+    p_ver.add_argument("--seed", type=int, default=None)
     return parser
 
 

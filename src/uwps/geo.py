@@ -3,13 +3,13 @@
 All positioning math downstream runs in a local east-north-up frame whose
 origin is the reference buoy's first reported position; this module supplies
 the conversions that get GNSS geodetic fixes into and out of that frame.
+Vectors and the frame's rotation are Python floats and the conversions are
+written out, so they round the same wherever they run.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ZeroVector
 
@@ -56,12 +56,8 @@ class CartesianVector:
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
             raise ValueError("vector components must be finite")
 
-    @classmethod
-    def from_array(cls, a, frame: str) -> "CartesianVector":
-        return cls(float(a[0]), float(a[1]), float(a[2]), frame)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
+    def as_tuple(self) -> tuple[float, float, float]:
+        return self.x, self.y, self.z
 
 
 def distance(a: CartesianVector, b: CartesianVector) -> float:
@@ -74,8 +70,9 @@ def distance(a: CartesianVector, b: CartesianVector) -> float:
 class LocalFrame:
     """East-north-up tangent frame anchored at a geodetic origin.
 
-    The rotation matrix rows are the east, north and up unit vectors
-    expressed in ECEF; it is orthonormal by construction.
+    The rotation rows are the east, north and up unit vectors expressed in
+    ECEF; they are orthonormal by construction. rotation and origin_ecef
+    are tuples of floats.
     """
 
     def __init__(self, origin: GeodeticCoord):
@@ -84,12 +81,12 @@ class LocalFrame:
         lon = math.radians(origin.longitude)
         sl, cl = math.sin(lat), math.cos(lat)
         sp, cp = math.sin(lon), math.cos(lon)
-        self.rotation = np.array([
-            [-sp, cp, 0.0],
-            [-sl * cp, -sl * sp, cl],
-            [cl * cp, cl * sp, sl],
-        ])
-        self.origin_ecef = geodetic_to_ecef(origin).as_array()
+        self.rotation = (
+            (-sp, cp, 0.0),
+            (-sl * cp, -sl * sp, cl),
+            (cl * cp, cl * sp, sl),
+        )
+        self.origin_ecef = geodetic_to_ecef(origin).as_tuple()
 
     def __repr__(self):
         o = self.origin
@@ -149,16 +146,22 @@ def to_enu(v: CartesianVector, frame: LocalFrame) -> CartesianVector:
     """ECEF vector to local east-north-up coordinates."""
     if v.frame != ECEF:
         raise ValueError(f"expected ECEF vector, got {v.frame}")
-    enu = frame.rotation @ (v.as_array() - frame.origin_ecef)
-    return CartesianVector.from_array(enu, ENU)
+    (ex, ey, ez), (nx, ny, nz), (ux, uy, uz) = frame.rotation
+    ox, oy, oz = frame.origin_ecef
+    dx, dy, dz = v.x - ox, v.y - oy, v.z - oz
+    return CartesianVector(ex * dx + ey * dy + ez * dz, nx * dx + ny * dy + nz * dz,
+                           ux * dx + uy * dy + uz * dz, ENU)
 
 
 def from_enu(v: CartesianVector, frame: LocalFrame) -> CartesianVector:
     """Local east-north-up coordinates back to ECEF."""
     if v.frame != ENU:
         raise ValueError(f"expected ENU vector, got {v.frame}")
-    ecef = frame.origin_ecef + frame.rotation.T @ v.as_array()
-    return CartesianVector.from_array(ecef, ECEF)
+    (ex, ey, ez), (nx, ny, nz), (ux, uy, uz) = frame.rotation
+    ox, oy, oz = frame.origin_ecef
+    e, n, u = v.x, v.y, v.z
+    return CartesianVector(ox + (ex * e + nx * n + ux * u), oy + (ey * e + ny * n + uy * u),
+                           oz + (ez * e + nz * n + uz * u), ECEF)
 
 
 def geodetic_to_enu(g: GeodeticCoord, frame: LocalFrame) -> CartesianVector:

@@ -2,7 +2,7 @@
 
 The receiver clock is never estimated: differencing two pseudoranges against
 the same receiver cancels the offset, leaving three range differences d_0i
-relative to a reference buoy. Those are solved two ways:
+relative to the reference buoy 0. Those are solved two ways:
 
 * a closed-form solution (two candidate positions on the same axis, the
   underwater one being the physical fix), exact on consistent data;
@@ -10,10 +10,10 @@ relative to a reference buoy. Those are solved two ways:
   closed form cannot digest (noise, receiver motion).
 
 solve_frame runs both on one frame, the way the CLI and the property suite
-do. The closed form, the residuals and Gauss-Newton are plain IEEE double
-arithmetic on Python floats: on 3-vectors numpy's per-call overhead costs
-more than the maths, and float arithmetic rounds the same on every numpy
-build.
+do. Everything here, from the differencing to Gauss-Newton, is plain IEEE
+double arithmetic on Python floats and tuples of them: on 3-vectors an array
+library's per-call overhead costs more than the maths, and written-out float
+arithmetic rounds the same on every host.
 
 Conventions: d_0i = P_i - P_0 is the range to buoy i minus the range to the
 reference, and baselines e_0i * b_0i point from the reference to buoy i.
@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     DegenerateBaseline,
@@ -39,8 +37,7 @@ from .errors import (
 )
 from .geo import ENU, CartesianVector
 
-DEFAULT_SPEED_WINDOW = (1400.0, 1600.0)   # plausible seawater sound speeds [m/s]
-MIN_BASELINE = 1.0                        # coincident-buoy threshold [m]
+MIN_BASELINE = 1.0    # coincident-buoy threshold [m]
 
 # relative thresholds: direction collinearity and range-denominator collapse
 _COLLINEAR_RTOL = 1e-12
@@ -82,7 +79,6 @@ class ObservationSet:
 
     observations: tuple[Observation, Observation, Observation, Observation]
     sound_speed: float
-    speed_window: tuple[float, float] | None = DEFAULT_SPEED_WINDOW
 
     def __post_init__(self):
         if len(self.observations) != 4:
@@ -90,13 +86,8 @@ class ObservationSet:
         ids = sorted(o.buoy_id for o in self.observations)
         if ids != [0, 1, 2, 3]:
             raise ValueError(f"buoy ids must be 0..3 exactly once, got {ids}")
-        if self.sound_speed <= 0:
-            raise ValueError("sound_speed must be > 0")
-        if self.speed_window is not None:
-            lo, hi = self.speed_window
-            if not (lo <= self.sound_speed <= hi):
-                raise ValueError(
-                    f"sound_speed {self.sound_speed} outside sanity window [{lo}, {hi}]")
+        if not (math.isfinite(self.sound_speed) and self.sound_speed > 0):
+            raise ValueError(f"sound_speed {self.sound_speed} must be finite and > 0")
         object.__setattr__(
             self, "observations",
             tuple(sorted(self.observations, key=lambda o: o.buoy_id)))
@@ -107,53 +98,49 @@ class ObservationSet:
 
 @dataclass(frozen=True, eq=False)
 class DiffSet:
-    """Three pseudorange differences with their baselines.
+    """Three pseudorange differences with their baselines, as float tuples.
 
-    d[i], e[i], b[i] refer to non-reference buoy ids[i]; e rows are unit
-    vectors from the reference buoy, b their lengths in meters.
+    d[i], e[i], b[i] refer to buoy i + 1; e rows are unit vectors from the
+    reference buoy 0, b their lengths in meters. The constructor takes any
+    sequences of numbers, checks them once (finite, b > 0, each e row of
+    unit length within 1e-12) and stores them as float tuples.
     """
 
-    reference_id: int
-    ids: tuple[int, int, int]
-    d: np.ndarray          # (3,) pseudorange differences [m]
-    e: np.ndarray          # (3, 3) unit baseline directions
-    b: np.ndarray          # (3,) baseline lengths [m]
+    d: tuple[float, float, float]     # pseudorange differences [m]
+    e: tuple[tuple[float, float, float], ...]   # unit baseline directions
+    b: tuple[float, float, float]     # baseline lengths [m]
 
     def __post_init__(self):
-        d = np.asarray(self.d, float)
-        e = np.asarray(self.e, float)
-        b = np.asarray(self.b, float)
-        if d.shape != (3,) or e.shape != (3, 3) or b.shape != (3,):
-            raise ValueError("DiffSet arrays must have shapes (3,), (3,3), (3,)")
-        if np.any(b <= 0.0):
+        d, b = tuple(map(float, self.d)), tuple(map(float, self.b))
+        e = tuple(tuple(map(float, row)) for row in self.e)
+        if not (len(d) == len(b) == len(e) == 3 and all(len(row) == 3 for row in e)):
+            raise ValueError("DiffSet needs three d, three e rows of three and three b")
+        if not all(map(math.isfinite, (*d, *b, *e[0], *e[1], *e[2]))):
+            raise ValueError("DiffSet entries must be finite")
+        if min(b) <= 0.0:
             raise ValueError("baseline lengths must be positive")
-        if np.max(np.abs(np.linalg.norm(e, axis=1) - 1.0)) > 1e-12:
+        if any(abs(_norm(row) - 1.0) > 1e-12 for row in e):
             raise ValueError("baseline directions must be unit vectors")
-        for name, arr in (("d", d), ("e", e), ("b", b)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for name, value in (("d", d), ("e", e), ("b", b)):
+            object.__setattr__(self, name, value)
 
     def is_realizable(self) -> bool:
         """True when every |d_0i| < b_0i (a consistent stationary TDOA)."""
-        return bool(np.all(np.abs(self.d) < self.b))
-
-    def buoy_positions(self, reference: np.ndarray) -> np.ndarray:
-        """Reconstruct the three non-reference buoy positions (3x3)."""
-        return reference + self.e * self.b[:, None]
+        return all(abs(di) < bi for di, bi in zip(self.d, self.b))
 
 
 @dataclass(frozen=True, eq=False)
 class CandidatePair:
     """Both closed-form candidates; selection happens downstream.
 
-    s values may be negative (unphysical range) before filtering. The
-    denominator indices record which baseline's range equation produced
-    each s (0-based into DiffSet.ids). The discriminant is the closed
-    form's, kept for diagnostics.
+    e values are unit direction tuples, and s values may be negative
+    (unphysical range) before filtering. The denominator indices record
+    which baseline's range equation produced each s (0-based into
+    DiffSet.b). The discriminant is the closed form's, kept for diagnostics.
     """
 
-    e_1: np.ndarray
-    e_2: np.ndarray
+    e_1: tuple[float, float, float]
+    e_2: tuple[float, float, float]
     s_1: float
     s_2: float
     r_1: CartesianVector
@@ -187,39 +174,34 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
 
 
-def pseudorange_diffs(obs: ObservationSet, reference_id: int = 0) -> DiffSet:
-    """Difference the four pseudoranges against the reference buoy.
+def pseudorange_diffs(obs: ObservationSet) -> DiffSet:
+    """Difference the four pseudoranges against the reference buoy 0.
 
     The receiver clock offset cancels exactly: the arithmetic groups the
     receiver-clock times first, so a common shift of every receive_time
     leaves the result bit-identical.
     """
-    if not 0 <= reference_id <= 3:
-        raise ValueError(f"reference_id {reference_id} outside 0..3")
-    ref = obs.by_id(reference_id)
-    others = [o for o in obs.observations if o.buoy_id != reference_id]
+    ref, *others = obs.observations
     c = obs.sound_speed
-    ref_pos = ref.position.as_array()
+    x0, y0, z0 = ref.position.x, ref.position.y, ref.position.z
 
-    ids, d, e, b = [], [], [], []
+    d, e, b = [], [], []
     for o in others:
-        baseline = o.position.as_array() - ref_pos
-        length = float(np.linalg.norm(baseline))
+        baseline = (o.position.x - x0, o.position.y - y0, o.position.z - z0)
+        length = _norm(baseline)
         if length < MIN_BASELINE:
             raise DegenerateBaseline(
-                f"buoys {reference_id} and {o.buoy_id} separated by {length:.3g} m")
+                f"buoys 0 and {o.buoy_id} separated by {length:.3g} m")
         diff = c * ((o.receive_time - ref.receive_time)
                     - (o.transmit_time - ref.transmit_time))
         if abs(diff) >= length:
             raise UnrealizableTDOA(
                 f"|d| = {abs(diff):.3f} m >= baseline {length:.3f} m "
                 f"for buoy {o.buoy_id}")
-        ids.append(o.buoy_id)
         d.append(diff)
-        e.append(baseline / length)
+        e.append(tuple(v / length for v in baseline))
         b.append(length)
-    return DiffSet(reference_id=reference_id, ids=tuple(ids),
-                   d=np.array(d), e=np.array(e), b=np.array(b))
+    return DiffSet(d=d, e=e, b=b)
 
 
 def _dot(a, b) -> float:
@@ -240,12 +222,8 @@ def kleusberg_solve(
     Works entirely from the three baselines: directions from paired
     baseline combinations, then the receiver range from the
     best-conditioned range equation, cross-checked against the others.
-    The arithmetic is plain IEEE float arithmetic on Python floats: on
-    3-vectors the per-call overhead of numpy costs more than the maths.
     """
-    d = diffs.d.tolist()
-    b = diffs.b.tolist()
-    e = diffs.e.tolist()
+    d, b, e = diffs.d, diffs.b, diffs.e
 
     den = [bi * bi - di * di for bi, di in zip(b, d)]
     w = [bi / n for bi, n in zip(b, den)]
@@ -281,7 +259,7 @@ def kleusberg_solve(
 
     results = []
     for sign in (+1.0, -1.0):
-        evec = [(c + sign * gi * root) / gg for c, gi in zip(cross_gh, g)]
+        evec = tuple((c + sign * gi * root) / gg for c, gi in zip(cross_gh, g))
         dens = [di + bi * _dot(ei, evec) for di, bi, ei in zip(d, b, e)]
         best = max(range(3), key=lambda i: abs(dens[i]))
         if abs(dens[best]) <= den_tol:
@@ -298,7 +276,7 @@ def kleusberg_solve(
                         f"{cfg.consistency_tolerance:.3e} m)")
         pos = CartesianVector(x0 + evec[0] * s_best, y0 + evec[1] * s_best,
                               z0 + evec[2] * s_best, ENU)
-        results.append((np.array(evec), s_best, pos, best))
+        results.append((evec, s_best, pos, best))
 
     (e1, s1, p1, i1), (e2, s2, p2, i2) = results
     return CandidatePair(e_1=e1, e_2=e2, s_1=s1, s_2=s2, r_1=p1, r_2=p2,
@@ -319,9 +297,9 @@ def _cost(res) -> float:
 
 def _anchors(diffs: DiffSet, reference: CartesianVector) -> tuple[float, ...]:
     """x, y, z of the reference buoy, then of the three others, as floats."""
-    x0, y0, z0 = float(reference.x), float(reference.y), float(reference.z)
+    x0, y0, z0 = reference.x, reference.y, reference.z
     anchors = [x0, y0, z0]
-    for (ex, ey, ez), b in zip(diffs.e.tolist(), diffs.b.tolist()):
+    for (ex, ey, ez), b in zip(diffs.e, diffs.b):
         anchors += (x0 + ex * b, y0 + ey * b, z0 + ez * b)
     return tuple(anchors)
 
@@ -349,16 +327,13 @@ def _residual_kernel(x: float, y: float, z: float, anchors, d):
 
 
 def residuals(
-    position: CartesianVector | np.ndarray,
+    position: CartesianVector,
     diffs: DiffSet,
     reference: CartesianVector,
-) -> np.ndarray:
+) -> tuple[float, float, float]:
     """Range-difference residuals (|X-R_i| - |X-R_0|) - d_0i, in meters."""
-    if isinstance(position, CartesianVector):
-        x, y, z = float(position.x), float(position.y), float(position.z)
-    else:
-        x, y, z = np.asarray(position, float).tolist()
-    return np.array(_residual_kernel(x, y, z, _anchors(diffs, reference), diffs.d.tolist())[2])
+    return _residual_kernel(position.x, position.y, position.z,
+                            _anchors(diffs, reference), diffs.d)[2]
 
 
 def select_underwater(
@@ -441,11 +416,11 @@ def numerical_solve(
     gradient and the six entries of the symmetric normal matrix are written
     out, and the 3x3 solve is _solve3.
     """
-    x, y, z = float(initial.x), float(initial.y), float(initial.z)
+    x, y, z = initial.x, initial.y, initial.z
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError("initial guess must be finite")
     anchors = _anchors(diffs, reference)
-    d = diffs.d.tolist()
+    d = diffs.d
 
     radius = _TRUST_RADIUS_0
     for iteration in range(cfg.max_iterations):
@@ -556,7 +531,7 @@ class FrameFix:
     analytic: CartesianVector | None
     numerical: CartesianVector | None
     status: str
-    analytic_residuals: np.ndarray | None = None
+    analytic_residuals: tuple[float, float, float] | None = None
 
 
 def solve_frame(
@@ -594,10 +569,11 @@ def solve_frame(
                             status=status, analytic_residuals=res)
         guess = analytic
     if guess is None:
-        r0 = reference.as_array()
-        centroid = np.vstack([diffs.buoy_positions(r0), r0]).mean(axis=0)
-        centroid[2] = -0.5 * float(np.max(diffs.b))
-        guess = CartesianVector.from_array(centroid, ENU)
+        # east and north of the buoy centroid, summed buoys 1-3 then buoy 0
+        a = _anchors(diffs, reference)
+        guess = CartesianVector(sum(a[i] for i in (3, 6, 9, 0)) / 4.0,
+                                sum(a[i] for i in (4, 7, 10, 1)) / 4.0,
+                                -0.5 * max(diffs.b), ENU)
 
     try:
         numerical = numerical_solve(diffs, reference, guess, cfg)

@@ -17,6 +17,7 @@ suite.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,6 +44,10 @@ def _enu(p) -> CartesianVector:
     return CartesianVector(float(p[0]), float(p[1]), float(p[2]), ENU)
 
 
+def _array(v: CartesianVector) -> np.ndarray:
+    return np.array(v.as_tuple())
+
+
 def oracle_diffs(buoys: np.ndarray, truth: np.ndarray) -> DiffSet:
     """Pseudorange differences from ground truth by brute-force distances.
 
@@ -53,8 +58,7 @@ def oracle_diffs(buoys: np.ndarray, truth: np.ndarray) -> DiffSet:
     ranges = np.linalg.norm(buoys - np.asarray(truth, float), axis=1)
     baselines = buoys[1:] - buoys[0]
     lengths = np.linalg.norm(baselines, axis=1)
-    return DiffSet(reference_id=0, ids=(1, 2, 3), d=ranges[1:] - ranges[0],
-                   e=baselines / lengths[:, None], b=lengths)
+    return DiffSet(d=ranges[1:] - ranges[0], e=baselines / lengths[:, None], b=lengths)
 
 
 def _quadrilateral_corners(rng: np.random.Generator):
@@ -65,15 +69,23 @@ def _quadrilateral_corners(rng: np.random.Generator):
     return corners, length
 
 
+# draws sample_scenario makes for one case before it gives up: no case of
+# the criterion-1 and criterion-5 families (1000 each at seeds 20260808 and
+# 12345) needs more than 3
+SAMPLE_DRAWS = 100
+
+
 def sample_scenario(rng: np.random.Generator):
     """One reconstruction-family case: buoys on a jittered square, ups
     within +/-2 m, and a receiver 5-1000 m deep over the middle of the array.
 
     Excluded: receivers near the equal-range degenerate axis (any |d|
     below 0.5 m) and data admitting two exact underwater solutions (the
-    position is then unidentifiable from one frame's differences).
+    position is then unidentifiable from one frame's differences). Raises
+    RuntimeError when SAMPLE_DRAWS draws in a row are excluded, as when the
+    closed form fails on every one.
     """
-    while True:
+    for _ in range(SAMPLE_DRAWS):
         corners, length = _quadrilateral_corners(rng)
         buoys = np.column_stack([corners, rng.uniform(-2.0, 2.0, 4)])
         truth = np.array([rng.uniform(0.2, 0.8) * length,
@@ -95,6 +107,7 @@ def sample_scenario(rng: np.random.Generator):
         if len(exact_under) != 1:
             continue
         return buoys, truth, diffs
+    raise RuntimeError(f"no usable scenario in {SAMPLE_DRAWS} draws")
 
 
 def make_scenario(buoy_enu, drifts=None, receiver=(300.0, 400.0, -150.0),
@@ -148,8 +161,8 @@ def check_geodetic_round_trip(seed: int) -> tuple[bool, str]:
         g = GeodeticCoord(rng.uniform(-90, 90), rng.uniform(-179.999, 180.0),
                           rng.uniform(-11000.0, 9000.0))
         back = geo.ecef_to_geodetic(geo.geodetic_to_ecef(g))
-        err = float(np.linalg.norm(geo.geodetic_to_ecef(back).as_array()
-                                   - geo.geodetic_to_ecef(g).as_array()))
+        err = float(np.linalg.norm(_array(geo.geodetic_to_ecef(back))
+                                   - _array(geo.geodetic_to_ecef(g))))
         worst = max(worst, err)
     return worst < 1e-6, f"worst round-trip {worst:.3e} m (< 1e-6 m)"
 
@@ -157,10 +170,11 @@ def check_geodetic_round_trip(seed: int) -> tuple[bool, str]:
 def check_enu_isometry(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     frame = LocalFrame(MALAGA)
+    origin = np.array(frame.origin_ecef)
     worst = 0.0
     for _ in range(200):
-        a = CartesianVector.from_array(frame.origin_ecef + rng.uniform(-5e3, 5e3, 3), geo.ECEF)
-        b = CartesianVector.from_array(frame.origin_ecef + rng.uniform(-5e3, 5e3, 3), geo.ECEF)
+        a = CartesianVector(*(origin + rng.uniform(-5e3, 5e3, 3)).tolist(), geo.ECEF)
+        b = CartesianVector(*(origin + rng.uniform(-5e3, 5e3, 3)).tolist(), geo.ECEF)
         d_ecef = geo.distance(a, b)
         d_enu = geo.distance(geo.to_enu(a, frame), geo.to_enu(b, frame))
         worst = max(worst, abs(d_enu - d_ecef) / max(d_ecef, 1.0))
@@ -176,7 +190,7 @@ def check_enu_up_axis(seed: int) -> tuple[bool, str]:
         lat, lon = math.radians(g.latitude), math.radians(g.longitude)
         normal = np.array([math.cos(lat) * math.cos(lon),
                            math.cos(lat) * math.sin(lon), math.sin(lat)])
-        worst = min(worst, float(frame.rotation[2] @ normal))
+        worst = min(worst, float(np.array(frame.rotation[2]) @ normal))
     return worst > 1.0 - 1e-12, f"min up.normal dot {worst:.15f} (> 1 - 1e-12)"
 
 
@@ -195,12 +209,13 @@ def check_clock_offset_invariance(seed: int) -> tuple[bool, str]:
                 i, t_tx, round(t_arr / tick) * tick, _enu(b)))
         base = multilateration.pseudorange_diffs(
             multilateration.ObservationSet(tuple(base_obs), 1500.0))
-        for offset in (-100.0, -1.0, 0.0, 1.0, 100.0):
+        for offset in (-100.0, -1.0, 0.0, 0.5, 1.0, 100.0):
             moved = multilateration.pseudorange_diffs(multilateration.ObservationSet(
                 tuple(multilateration.Observation(
                     o.buoy_id, o.transmit_time, o.receive_time + offset, o.position)
                     for o in base_obs), 1500.0))
-            if moved.d.tobytes() != base.d.tobytes():
+            # bytes, not ==: bit identity tells -0.0 from 0.0
+            if struct.pack("3d", *moved.d) != struct.pack("3d", *base.d):
                 return False, f"DiffSet changed under offset {offset}"
     return True, "bit-identical DiffSets under all offsets"
 
@@ -225,7 +240,7 @@ def check_reconstruction_exactness(seed: int, cases: int = 1000) -> tuple[bool, 
         ref = _enu(buoys[0])
         pair = multilateration.kleusberg_solve(diffs, ref, SolverConfig())
         pick = multilateration.select_underwater(pair, diffs, ref)
-        worst = max(worst, float(np.linalg.norm(pick.as_array() - truth)))
+        worst = max(worst, float(np.linalg.norm(_array(pick) - truth)))
     return worst < 1e-6, f"worst error {worst:.3e} m over {cases} cases (< 1e-6 m)"
 
 
@@ -241,7 +256,7 @@ def check_mirror_symmetry(seed: int) -> tuple[bool, str]:
         if np.min(np.abs(diffs.d)) < 0.5:
             continue
         pair = multilateration.kleusberg_solve(diffs, _enu(buoys[0]), SolverConfig())
-        p1, p2 = pair.r_1.as_array(), pair.r_2.as_array()
+        p1, p2 = _array(pair.r_1), _array(pair.r_2)
         worst = max(worst, float(np.max(np.abs(p1[:2] - p2[:2]))), abs(p1[2] + p2[2]))
     return worst < 1e-6, f"worst mirror defect {worst:.3e} m (< 1e-6 m)"
 
@@ -281,7 +296,7 @@ def check_numerical_agreement(seed: int, cases: int = 200) -> tuple[bool, str]:
             math.cos(azimuth) * math.sin(tilt),
             math.sin(azimuth) * math.sin(tilt), -math.cos(tilt)])
         got = multilateration.numerical_solve(diffs, ref, _enu(guess), cfg)
-        worst = max(worst, float(np.linalg.norm(got.as_array() - pick.as_array())))
+        worst = max(worst, float(np.linalg.norm(_array(got) - _array(pick))))
     return worst < 1e-4, f"worst disagreement {worst:.3e} m over {cases} cases (< 1e-4 m)"
 
 
@@ -301,8 +316,8 @@ def check_rigid_motion_equivariance(seed: int) -> tuple[bool, str]:
             _enu(q @ buoys[0] + shift), SolverConfig())
         worst = max(
             worst,
-            float(np.linalg.norm(moved.r_1.as_array() - (q @ base.r_1.as_array() + shift))),
-            float(np.linalg.norm(moved.r_2.as_array() - (q @ base.r_2.as_array() + shift))))
+            float(np.linalg.norm(_array(moved.r_1) - (q @ _array(base.r_1) + shift))),
+            float(np.linalg.norm(_array(moved.r_2) - (q @ _array(base.r_2) + shift))))
     return worst < 1e-6, f"worst equivariance defect {worst:.3e} m (< 1e-6 m)"
 
 
@@ -312,10 +327,11 @@ def check_range_consistency(seed: int) -> tuple[bool, str]:
     for _ in range(200):
         buoys, truth, diffs = sample_scenario(rng)
         pair = multilateration.kleusberg_solve(diffs, _enu(buoys[0]), SolverConfig())
+        d, e, b = np.array(diffs.d), np.array(diffs.e), np.array(diffs.b)
         for evec, _, _, _ in pair.branches():
-            dens = diffs.d + diffs.b * (diffs.e @ evec)
-            usable = np.abs(dens) > 1e-9 * float(np.max(diffs.b))
-            s_all = 0.5 * (diffs.b ** 2 - diffs.d ** 2) / dens
+            dens = d + b * (e @ np.array(evec))
+            usable = np.abs(dens) > 1e-9 * float(np.max(b))
+            s_all = 0.5 * (b ** 2 - d ** 2) / dens
             worst = max(worst, float(np.ptp(s_all[usable])))
     return worst < 1e-6, f"worst cross-baseline range spread {worst:.3e} m (< 1e-6 m)"
 
@@ -378,8 +394,8 @@ def check_end_to_end_exactness(seed: int) -> tuple[bool, str]:
     for offset in (-100.0, 0.0, 3.7, 100.0):
         scenario = make_scenario(_LAYOUT, _DRIFTS, clock_offset=offset, frames=4)
         for record, _, pick in _solve_records(scenario):
-            truth = record.events[-1].true_position.as_array()
-            worst = max(worst, float(np.linalg.norm(pick.as_array() - truth)))
+            truth = _array(record.events[-1].true_position)
+            worst = max(worst, float(np.linalg.norm(_array(pick) - truth)))
     return worst < 1e-6, f"worst stationary error {worst:.3e} m (< 1e-6 m)"
 
 
@@ -387,7 +403,7 @@ def check_offset_sweep_bit_identical(seed: int) -> tuple[bool, str]:
     runs = []
     for offset in (-100.0, -1.0, 0.0, 1.0, 100.0):
         scenario = make_scenario(_LAYOUT, _DRIFTS, clock_offset=offset, frames=3)
-        runs.append([diffs.d.tobytes() + pick.as_array().tobytes()
+        runs.append([struct.pack("6d", *diffs.d, *pick.as_tuple())
                      for _, diffs, pick in _solve_records(scenario)])
     ok = all(r == runs[0] for r in runs)
     return ok, ("solutions bit-identical across the offset sweep" if ok
@@ -410,7 +426,7 @@ def check_simulation_determinism(seed: int) -> tuple[bool, str]:
         noisy = channel.add_timing_noise(records, 1e-4, seed=seed)
         return [(r.complete, e.buoy_id, e.receive_time, e.message, e.true_position)
                 for r in noisy for e in r.events]
-    ok = run() == run()
+    ok = repr(run()) == repr(run())   # float repr is exact, and tells -0.0 from 0.0
     return ok, "identical scenario + seed reproduces the event stream bit-for-bit"
 
 
@@ -423,8 +439,8 @@ def check_motion_displacement(seed: int) -> tuple[bool, str]:
             vel = (speed * math.cos(azimuth), speed * math.sin(azimuth), 0.0)
             scenario = make_scenario(_LAYOUT, velocity=vel, frames=2)
             for record in channel.simulate(scenario):
-                first = record.events[0].true_position.as_array()
-                last = record.events[-1].true_position.as_array()
+                first = _array(record.events[0].true_position)
+                last = _array(record.events[-1].true_position)
                 worst = max(worst, float(np.linalg.norm(last - first)) / (speed * 8.0))
     return worst <= 1.0, f"worst displacement / (v*T_f) = {worst:.3f} (<= 1)"
 
@@ -461,12 +477,12 @@ def check_motion_bound(seed: int, trajectories: int = 100) -> tuple[bool, str]:
                 if fix is None:
                     continue
                 # chain the fix only while it stays plausibly near the array
-                if float(np.linalg.norm(fix.as_array())) < 5.0 * float(np.max(diffs.b)):
+                if float(np.linalg.norm(_array(fix))) < 5.0 * float(np.max(diffs.b)):
                     previous = fix
                 else:
                     previous = None
-                truth = record.events[-1].true_position.as_array()
-                error = float(np.linalg.norm(fix.as_array() - truth))
+                truth = _array(record.events[-1].true_position)
+                error = float(np.linalg.norm(_array(fix) - truth))
                 total += 1
                 ratios.append(error / (speed * span))
                 if error > speed * span:

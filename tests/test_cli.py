@@ -1,6 +1,8 @@
 """CLI contracts: commands, exit codes, file grammars, determinism."""
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -308,8 +310,8 @@ def test_verify_unit_norm_catches_injected_sign_bug():
     from uwps.multilateration import CandidatePair
 
     def buggy_solve(diffs, reference, cfg):
-        d, e, b = diffs.d, diffs.e, diffs.b
-        r0 = reference.as_array()
+        d, e, b = np.array(diffs.d), np.array(diffs.e), np.array(diffs.b)
+        r0 = np.array(reference.as_tuple())
         w = b / (b * b - d * d)
         u = d / (b * b - d * d)
         f1 = w[0] * e[0] - w[1] * e[1]
@@ -328,14 +330,44 @@ def test_verify_unit_norm_catches_injected_sign_bug():
             out.append((evec, s, r0 + evec * s, i))
         from uwps.geo import ENU, CartesianVector
         return CandidatePair(
-            e_1=out[0][0], e_2=out[1][0], s_1=out[0][1], s_2=out[1][1],
-            r_1=CartesianVector.from_array(out[0][2], ENU),
-            r_2=CartesianVector.from_array(out[1][2], ENU),
+            e_1=tuple(out[0][0]), e_2=tuple(out[1][0]), s_1=out[0][1], s_2=out[1][1],
+            r_1=CartesianVector(*out[0][2].tolist(), ENU),
+            r_2=CartesianVector(*out[1][2].tolist(), ENU),
             denominator_index_1=out[0][3], denominator_index_2=out[1][3],
             discriminant=disc)
 
     ok, detail = verify.check_unit_norm(verify.DEFAULT_SEED, solve=buggy_solve)
     assert not ok, detail
+
+
+def test_verify_check_fails_when_no_scenario_can_be_drawn(monkeypatch):
+    """A closed form that always raises leaves sample_scenario nothing to
+    accept: the check FAILs with the raise within seconds, no endless loop."""
+    from uwps import multilateration, verify
+    from uwps.errors import NoRealSolution
+
+    def broken(*args, **kwargs):
+        raise NoRealSolution("always")
+
+    def still_drawing(signum, frame):
+        raise TimeoutError("still drawing after 10 s")
+
+    monkeypatch.setattr(multilateration, "kleusberg_solve", broken)
+    monkeypatch.setattr(verify, "_CHECKS", [("multilateration.reconstruction_exactness",
+                                             verify.check_reconstruction_exactness)])
+    previous = signal.signal(signal.SIGALRM, still_drawing)
+    signal.alarm(10)
+    try:
+        started = time.perf_counter()
+        [result] = verify.run_all(verify.DEFAULT_SEED)
+        elapsed = time.perf_counter() - started
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not result.ok
+    assert result.detail == (f"raised RuntimeError: no usable scenario in "
+                             f"{verify.SAMPLE_DRAWS} draws")
+    assert elapsed < 5.0
 
 
 def test_verify_verdicts_stable_across_seeds(capsys):
@@ -368,6 +400,31 @@ def test_readme_library_example_runs(capsys):
     x, y, z = fix.analytic.x, fix.analytic.y, fix.analytic.z
     _, out, _ = run_cli("solve", "squaretest_frame0", capsys=capsys)
     assert f"underwater solution: ({x:.9g}, {y:.9g}, {z:.9g}) m" in out
+
+
+# numpy made unimportable: every command but `uwps verify` runs without it
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+import uwps
+from uwps.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [["simulate", "squaretest"], ["solve", "squaretest_frame0"],
+                                  ["schedule", "80", "640", "1"]], ids=lambda a: a[0])
+def test_runs_without_numpy(argv, tmp_path, capsys):
+    if argv[0] == "simulate":
+        argv = [*argv, "-o", str(tmp_path / "out.csv")]
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    if argv[0] == "simulate":
+        assert (tmp_path / "out.csv").read_bytes() == (DATA / "squaretest.csv").read_bytes()
+        assert proc.stdout == (DATA / "squaretest.stdout").read_text()
+    else:
+        assert proc.stdout == run_cli(*argv, capsys=capsys)[1]
 
 
 def test_entry_point_runs():
