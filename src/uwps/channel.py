@@ -86,8 +86,10 @@ class Scenario:
     def __post_init__(self):
         if len(self.buoys) != 4:
             raise ValueError("exactly four buoys required")
-        if self.sound_speed <= 0:
-            raise ValueError("sound_speed must be > 0")
+        if not (math.isfinite(self.sound_speed) and self.sound_speed > 0):
+            raise ValueError(f"sound_speed {self.sound_speed} must be finite and > 0")
+        if not math.isfinite(self.clock_offset):
+            raise ValueError(f"clock_offset {self.clock_offset} must be finite")
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
         if self.receiver.initial[2] >= 0:
@@ -100,8 +102,8 @@ class Scenario:
             raise ValueError(
                 f"receiver speed {self.receiver.speed():.2f} m/s is not below "
                 f"the sound speed {self.sound_speed:.2f} m/s")
-        if self.range_limit <= 0:
-            raise ValueError("range_limit must be > 0")
+        if not self.range_limit > 0:   # NaN too; inf means unlimited
+            raise ValueError(f"range_limit {self.range_limit} must be > 0")
         end = self.frames * self.schedule.frame_period
         if end >= 86400.0:
             raise ValueError(

@@ -68,7 +68,7 @@ _SCENARIO_KEYS = {
     "schedule": {"message_bytes", "bit_rate", "guard"},
     "run": {"frames"},
     "solver": {"residual_tolerance", "max_iterations", "consistency_tolerance",
-               "surface_plane_up", "initial_guess"},
+               "surface_plane_up"},
 }
 
 
@@ -80,7 +80,6 @@ class ScenarioFile:
     solver: SolverConfig
     noise_sigma: float = 0.0
     seed: int = 0
-    initial_guess: tuple[float, float, float] | None = None
 
 
 def _parse_sections(text: str, path: str):
@@ -216,10 +215,6 @@ def parse_scenario_file(path: Path) -> ScenarioFile:
             solver_kwargs[key] = scalar(solver_block, key, None)
     if "max_iterations" in solver_block:
         solver_kwargs["max_iterations"] = integer(solver_block, "max_iterations", 0)
-    initial_guess = None
-    if "initial_guess" in solver_block:
-        initial_guess = tuple(_floats(solver_block["initial_guess"][0], 3, str(path),
-                                      solver_block["initial_guess"][1]))
 
     if sections:
         raise FileFormatError(f"{path}: unknown section [{next(iter(sections))}]")
@@ -241,7 +236,7 @@ def parse_scenario_file(path: Path) -> ScenarioFile:
     except (ValueError, PositioningError) as exc:
         raise FileFormatError(f"{path}: {exc}") from None
     return ScenarioFile(scenario=scenario, solver=solver, noise_sigma=noise_sigma,
-                        seed=seed, initial_guess=initial_guess)
+                        seed=seed)
 
 
 # -- observation files ---------------------------------------------------
@@ -346,8 +341,6 @@ def cmd_simulate(args) -> int:
     records = simulate(scenario)
     if parsed.noise_sigma > 0.0:
         records = add_timing_noise(records, parsed.noise_sigma, parsed.seed)
-    guess = (CartesianVector(*parsed.initial_guess, ENU)
-             if parsed.initial_guess is not None else None)
 
     rows = []
     errors_analytic = []
@@ -361,7 +354,6 @@ def cmd_simulate(args) -> int:
         complete_frames += 1
         truth = record.events[-1].true_position.as_tuple()
         obs = assemble_observations(record.events, scenario.sound_speed, frame=frame)
-        reference = obs.by_id(0).position
         try:
             diffs = pseudorange_diffs(obs)
         except PositioningError as exc:
@@ -369,7 +361,7 @@ def cmd_simulate(args) -> int:
             fix = FrameFix(pair=None, analytic=None, numerical=None,
                            status=type(exc).__name__)
         else:
-            fix = solve_frame(diffs, reference, parsed.solver, guess)
+            fix = solve_frame(diffs, parsed.solver)
         solved = (fix.analytic, fix.numerical)
         errs = [_norm((p.x - truth[0], p.y - truth[1], p.z - truth[2]))
                 if p is not None else None for p in solved]
@@ -379,7 +371,7 @@ def cmd_simulate(args) -> int:
         if fix.numerical is fix.analytic:
             res[1] = res[0]
         elif fix.numerical is not None:
-            res[1] = _norm(residuals(fix.numerical, diffs, reference))
+            res[1] = _norm(residuals(fix.numerical, diffs))
         for err, errors in zip(errs, (errors_analytic, errors_numerical)):
             if err is not None:
                 errors.append(err)
@@ -452,6 +444,11 @@ def write_observation_file(path: Path, record, sound_speed: float) -> None:
 
 
 def cmd_solve(args) -> int:
+    try:
+        cfg = SolverConfig(consistency_tolerance=args.consistency_tolerance)
+    except ValueError as exc:
+        print(f"error: --consistency-tolerance: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     path = resolve_input(args.observations)
     try:
         obs_file = parse_observation_file(path)
@@ -460,11 +457,9 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    cfg = SolverConfig(consistency_tolerance=args.consistency_tolerance)
     try:
         obs = assemble_observations(events, obs_file.sound_speed)
         diffs = pseudorange_diffs(obs)
-        reference = obs.by_id(0).position
     except PositioningError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -474,21 +469,21 @@ def cmd_solve(args) -> int:
         print(f"d_0{i} = {d:.9g} m   b_0{i} = {b:.9g} m   "
               f"e_0{i} = ({ex:.9g}, {ey:.9g}, {ez:.9g})")
     try:
-        pair = kleusberg_solve(diffs, reference, cfg)
+        pair = kleusberg_solve(diffs, cfg)
     except PositioningError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     for label, (evec, s, pos, idx) in zip(("1", "2"), pair.branches()):
-        res = _norm(residuals(pos, diffs, reference))
+        res = _norm(residuals(pos, diffs))
         print(f"candidate {label}: ({pos.x:.9g}, {pos.y:.9g}, {pos.z:.9g}) m, "
               f"range {s:.9g} m, residual {res:.9g} m, range-eq baseline {idx}")
     print(f"discriminant = {pair.discriminant:.9g}")
     try:
-        pick = select_underwater(pair, diffs, reference, cfg)
+        pick = select_underwater(pair, diffs, cfg)
     except PositioningError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    res = residuals(pick, diffs, reference)
+    res = residuals(pick, diffs)
     print(f"underwater solution: ({pick.x:.9g}, {pick.y:.9g}, {pick.z:.9g}) m")
     print(f"residuals: ({res[0]:.9g}, {res[1]:.9g}, {res[2]:.9g}) m")
     return EXIT_OK

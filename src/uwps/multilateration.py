@@ -2,7 +2,8 @@
 
 The receiver clock is never estimated: differencing two pseudoranges against
 the same receiver cancels the offset, leaving three range differences d_0i
-relative to the reference buoy 0. Those are solved two ways:
+relative to the reference buoy 0, held in a DiffSet with that buoy's
+position. Those are solved two ways:
 
 * a closed-form solution (two candidate positions on the same axis, the
   underwater one being the physical fix), exact on consistent data;
@@ -21,7 +22,7 @@ reference, and baselines e_0i * b_0i point from the reference to buoy i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     DegenerateBaseline,
@@ -92,23 +93,24 @@ class ObservationSet:
             self, "observations",
             tuple(sorted(self.observations, key=lambda o: o.buoy_id)))
 
-    def by_id(self, buoy_id: int) -> Observation:
-        return self.observations[buoy_id]
-
 
 @dataclass(frozen=True, eq=False)
 class DiffSet:
-    """Three pseudorange differences with their baselines, as float tuples.
+    """Three pseudorange differences with their baselines and reference buoy.
 
     d[i], e[i], b[i] refer to buoy i + 1; e rows are unit vectors from the
-    reference buoy 0, b their lengths in meters. The constructor takes any
-    sequences of numbers, checks them once (finite, b > 0, each e row of
-    unit length within 1e-12) and stores them as float tuples.
+    reference buoy 0, b their lengths in meters, reference buoy 0's ENU
+    position. The constructor takes any sequences of numbers, checks them
+    once (finite, b > 0, each e row of unit length within 1e-12, an ENU
+    reference), stores them as float tuples and adds the anchors: x, y, z
+    of buoy 0, then of buoys 1-3 (reference + e * b).
     """
 
     d: tuple[float, float, float]     # pseudorange differences [m]
     e: tuple[tuple[float, float, float], ...]   # unit baseline directions
     b: tuple[float, float, float]     # baseline lengths [m]
+    reference: CartesianVector        # buoy 0, working ENU frame [m]
+    anchors: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         d, b = tuple(map(float, self.d)), tuple(map(float, self.b))
@@ -121,7 +123,13 @@ class DiffSet:
             raise ValueError("baseline lengths must be positive")
         if any(abs(_norm(row) - 1.0) > 1e-12 for row in e):
             raise ValueError("baseline directions must be unit vectors")
-        for name, value in (("d", d), ("e", e), ("b", b)):
+        if not (isinstance(self.reference, CartesianVector) and self.reference.frame == ENU):
+            raise ValueError("the reference must be a position in the working ENU frame")
+        x0, y0, z0 = self.reference.as_tuple()
+        anchors = [x0, y0, z0]
+        for (ex, ey, ez), length in zip(e, b):
+            anchors += (x0 + ex * length, y0 + ey * length, z0 + ez * length)
+        for name, value in (("d", d), ("e", e), ("b", b), ("anchors", tuple(anchors))):
             object.__setattr__(self, name, value)
 
     def is_realizable(self) -> bool:
@@ -168,8 +176,10 @@ class SolverConfig:
     surface_plane_up: float = 0.0         # candidates above this are not underwater [m]
 
     def __post_init__(self):
-        if self.residual_tolerance <= 0 or self.consistency_tolerance <= 0:
-            raise ValueError("tolerances must be > 0")
+        for name in ("residual_tolerance", "consistency_tolerance"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} {value} must be finite and > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -201,7 +211,7 @@ def pseudorange_diffs(obs: ObservationSet) -> DiffSet:
         d.append(diff)
         e.append(tuple(v / length for v in baseline))
         b.append(length)
-    return DiffSet(d=d, e=e, b=b)
+    return DiffSet(d=d, e=e, b=b, reference=ref.position)
 
 
 def _dot(a, b) -> float:
@@ -212,11 +222,7 @@ def _cross(a, b) -> list[float]:
     return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
 
 
-def kleusberg_solve(
-    diffs: DiffSet,
-    reference: CartesianVector,
-    cfg: SolverConfig = SolverConfig(),
-) -> CandidatePair:
+def kleusberg_solve(diffs: DiffSet, cfg: SolverConfig = SolverConfig()) -> CandidatePair:
     """Closed-form two-candidate solution of the range-difference system.
 
     Works entirely from the three baselines: directions from paired
@@ -255,7 +261,7 @@ def kleusberg_solve(
     root = math.sqrt(disc)
     cross_gh = _cross(g, h)
     den_tol = _DENOMINATOR_RTOL * b_max
-    x0, y0, z0 = reference.x, reference.y, reference.z
+    x0, y0, z0 = diffs.reference.as_tuple()
 
     results = []
     for sign in (+1.0, -1.0):
@@ -295,15 +301,6 @@ def _cost(res) -> float:
     return 0.5 * (res[0] * res[0] + res[1] * res[1] + res[2] * res[2])
 
 
-def _anchors(diffs: DiffSet, reference: CartesianVector) -> tuple[float, ...]:
-    """x, y, z of the reference buoy, then of the three others, as floats."""
-    x0, y0, z0 = reference.x, reference.y, reference.z
-    anchors = [x0, y0, z0]
-    for (ex, ey, ez), b in zip(diffs.e, diffs.b):
-        anchors += (x0 + ex * b, y0 + ey * b, z0 + ez * b)
-    return tuple(anchors)
-
-
 def _residual_kernel(x: float, y: float, z: float, anchors, d):
     """Offsets from each anchor to (x, y, z), their ranges, and the residuals
     (|X-R_i| - |X-R_0|) - d_0i, in plain float arithmetic.
@@ -326,20 +323,14 @@ def _residual_kernel(x: float, y: float, z: float, anchors, d):
             ((r1 - r0) - d1, (r2 - r0) - d2, (r3 - r0) - d3))
 
 
-def residuals(
-    position: CartesianVector,
-    diffs: DiffSet,
-    reference: CartesianVector,
-) -> tuple[float, float, float]:
+def residuals(position: CartesianVector, diffs: DiffSet) -> tuple[float, float, float]:
     """Range-difference residuals (|X-R_i| - |X-R_0|) - d_0i, in meters."""
-    return _residual_kernel(position.x, position.y, position.z,
-                            _anchors(diffs, reference), diffs.d)[2]
+    return _residual_kernel(position.x, position.y, position.z, diffs.anchors, diffs.d)[2]
 
 
 def select_underwater(
     pair: CandidatePair,
     diffs: DiffSet,
-    reference: CartesianVector,
     cfg: SolverConfig = SolverConfig(),
 ) -> CartesianVector:
     """Pick the physical fix: nonnegative range and below the surface plane.
@@ -357,7 +348,7 @@ def select_underwater(
             "no candidate with nonnegative range below the surface plane")
     if len(qualified) == 1:
         return qualified[0]
-    qualified.sort(key=lambda p: (_norm(residuals(p, diffs, reference)), p.z))
+    qualified.sort(key=lambda p: (_norm(residuals(p, diffs)), p.z))
     return qualified[0]
 
 
@@ -399,7 +390,7 @@ def _solve3(rows):
 
 def numerical_solve(
     diffs: DiffSet,
-    reference: CartesianVector,
+    *,
     initial: CartesianVector,
     cfg: SolverConfig = SolverConfig(),
 ) -> CartesianVector:
@@ -419,8 +410,7 @@ def numerical_solve(
     x, y, z = initial.x, initial.y, initial.z
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError("initial guess must be finite")
-    anchors = _anchors(diffs, reference)
-    d = diffs.d
+    anchors, d = diffs.anchors, diffs.d
 
     radius = _TRUST_RADIUS_0
     for iteration in range(cfg.max_iterations):
@@ -536,7 +526,6 @@ class FrameFix:
 
 def solve_frame(
     diffs: DiffSet,
-    reference: CartesianVector,
     cfg: SolverConfig,
     guess: CartesianVector | None = None,
 ) -> FrameFix:
@@ -557,9 +546,9 @@ def solve_frame(
     pair = analytic = numerical = res = None
     status = "ok"
     try:
-        pair = kleusberg_solve(diffs, reference, cfg)
-        analytic = select_underwater(pair, diffs, reference, cfg)
-        res = residuals(analytic, diffs, reference)
+        pair = kleusberg_solve(diffs, cfg)
+        analytic = select_underwater(pair, diffs, cfg)
+        res = residuals(analytic, diffs)
     except PositioningError as exc:
         status = type(exc).__name__
 
@@ -570,13 +559,13 @@ def solve_frame(
         guess = analytic
     if guess is None:
         # east and north of the buoy centroid, summed buoys 1-3 then buoy 0
-        a = _anchors(diffs, reference)
+        a = diffs.anchors
         guess = CartesianVector(sum(a[i] for i in (3, 6, 9, 0)) / 4.0,
                                 sum(a[i] for i in (4, 7, 10, 1)) / 4.0,
                                 -0.5 * max(diffs.b), ENU)
 
     try:
-        numerical = numerical_solve(diffs, reference, guess, cfg)
+        numerical = numerical_solve(diffs, initial=guess, cfg=cfg)
     except PositioningError as exc:
         if status == "ok":
             status = type(exc).__name__

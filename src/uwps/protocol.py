@@ -11,6 +11,7 @@ between '$' and '*' exclusive. Worst-case sentence length stays under the
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -181,13 +182,16 @@ def compute_schedule(
     The reference budget (80 bytes at 640 bps with a 1 s guard) gives
     t_m = 1 s and an 8 s frame. A cap on the transmission time (1 s by
     default, None to disable) turns an over-budget message into an error.
+    bit_rate, guard and the cap must be finite.
     """
     if message_bytes <= 0:
         raise ValueError("message_bytes must be > 0")
-    if bit_rate <= 0:
-        raise ValueError("bit_rate must be > 0")
-    if guard < 0:
-        raise ValueError("guard must be >= 0")
+    if not (math.isfinite(bit_rate) and bit_rate > 0):
+        raise ValueError(f"bit_rate {bit_rate} must be finite and > 0")
+    if not (math.isfinite(guard) and guard >= 0):
+        raise ValueError(f"guard {guard} must be finite and >= 0")
+    if max_message_duration is not None and not math.isfinite(max_message_duration):
+        raise ValueError(f"message duration cap {max_message_duration} must be finite")
     t_m = 8.0 * message_bytes / bit_rate
     if max_message_duration is not None and t_m > max_message_duration:
         raise BudgetExceeded(

@@ -58,7 +58,8 @@ def oracle_diffs(buoys: np.ndarray, truth: np.ndarray) -> DiffSet:
     ranges = np.linalg.norm(buoys - np.asarray(truth, float), axis=1)
     baselines = buoys[1:] - buoys[0]
     lengths = np.linalg.norm(baselines, axis=1)
-    return DiffSet(d=ranges[1:] - ranges[0], e=baselines / lengths[:, None], b=lengths)
+    return DiffSet(d=ranges[1:] - ranges[0], e=baselines / lengths[:, None], b=lengths,
+                   reference=_enu(buoys[0]))
 
 
 def _quadrilateral_corners(rng: np.random.Generator):
@@ -94,15 +95,14 @@ def sample_scenario(rng: np.random.Generator):
         diffs = oracle_diffs(buoys, truth)
         if np.min(np.abs(diffs.d)) < 0.5:
             continue
-        ref = _enu(buoys[0])
         try:
-            pair = multilateration.kleusberg_solve(diffs, ref, SolverConfig())
+            pair = multilateration.kleusberg_solve(diffs, SolverConfig())
         except PositioningError:
             continue
         exact_under = [
             p for _, s, p, _ in pair.branches()
             if s >= 0.0 and p.z < 0.0
-            and np.linalg.norm(multilateration.residuals(p, diffs, ref)) < 1e-6
+            and np.linalg.norm(multilateration.residuals(p, diffs)) < 1e-6
         ]
         if len(exact_under) != 1:
             continue
@@ -147,9 +147,8 @@ def _solve_records(scenario):
         obs = channel.assemble_observations(record.events, scenario.sound_speed,
                                             frame=frame)
         diffs = multilateration.pseudorange_diffs(obs)
-        ref = obs.by_id(0).position
-        pair = multilateration.kleusberg_solve(diffs, ref, SolverConfig())
-        yield record, diffs, multilateration.select_underwater(pair, diffs, ref)
+        pair = multilateration.kleusberg_solve(diffs, SolverConfig())
+        yield record, diffs, multilateration.select_underwater(pair, diffs)
 
 
 # -- geo properties ----------------------------------------------------
@@ -226,7 +225,7 @@ def check_unit_norm(seed: int, solve: Callable = multilateration.kleusberg_solve
     worst = 0.0
     for _ in range(200):
         buoys, truth, diffs = sample_scenario(rng)
-        pair = solve(diffs, _enu(buoys[0]), SolverConfig())
+        pair = solve(diffs, SolverConfig())
         worst = max(worst, abs(float(np.linalg.norm(pair.e_1)) - 1.0),
                     abs(float(np.linalg.norm(pair.e_2)) - 1.0))
     return worst < 1e-9, f"worst | |e|-1 | = {worst:.3e} (< 1e-9)"
@@ -237,9 +236,8 @@ def check_reconstruction_exactness(seed: int, cases: int = 1000) -> tuple[bool, 
     worst = 0.0
     for _ in range(cases):
         buoys, truth, diffs = sample_scenario(rng)
-        ref = _enu(buoys[0])
-        pair = multilateration.kleusberg_solve(diffs, ref, SolverConfig())
-        pick = multilateration.select_underwater(pair, diffs, ref)
+        pair = multilateration.kleusberg_solve(diffs, SolverConfig())
+        pick = multilateration.select_underwater(pair, diffs)
         worst = max(worst, float(np.linalg.norm(_array(pick) - truth)))
     return worst < 1e-6, f"worst error {worst:.3e} m over {cases} cases (< 1e-6 m)"
 
@@ -255,7 +253,7 @@ def check_mirror_symmetry(seed: int) -> tuple[bool, str]:
         diffs = oracle_diffs(buoys, truth)
         if np.min(np.abs(diffs.d)) < 0.5:
             continue
-        pair = multilateration.kleusberg_solve(diffs, _enu(buoys[0]), SolverConfig())
+        pair = multilateration.kleusberg_solve(diffs, SolverConfig())
         p1, p2 = _array(pair.r_1), _array(pair.r_2)
         worst = max(worst, float(np.max(np.abs(p1[:2] - p2[:2]))), abs(p1[2] + p2[2]))
     return worst < 1e-6, f"worst mirror defect {worst:.3e} m (< 1e-6 m)"
@@ -266,12 +264,11 @@ def check_residual_consistency(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(200):
         buoys, truth, diffs = sample_scenario(rng)
-        ref = _enu(buoys[0])
-        pair = multilateration.kleusberg_solve(diffs, ref, SolverConfig())
+        pair = multilateration.kleusberg_solve(diffs, SolverConfig())
         for _, s, p, _ in pair.branches():
             if s >= 0.0:  # negative-range branches are unphysical by design
                 worst = max(worst, float(np.linalg.norm(
-                    multilateration.residuals(p, diffs, ref))))
+                    multilateration.residuals(p, diffs))))
     return worst < 1e-6, f"worst physical-candidate residual {worst:.3e} m (< 1e-6 m)"
 
 
@@ -287,15 +284,14 @@ def check_numerical_agreement(seed: int, cases: int = 200) -> tuple[bool, str]:
     cfg = SolverConfig(max_iterations=25)  # criterion 5's iteration budget
     for _ in range(cases):
         buoys, truth, diffs = sample_scenario(rng)
-        ref = _enu(buoys[0])
-        pair = multilateration.kleusberg_solve(diffs, ref, SolverConfig())
-        pick = multilateration.select_underwater(pair, diffs, ref)
+        pair = multilateration.kleusberg_solve(diffs, SolverConfig())
+        pick = multilateration.select_underwater(pair, diffs)
         azimuth = rng.uniform(0.0, 2.0 * np.pi)
         tilt = math.radians(30.0) * math.sqrt(rng.uniform())
         guess = truth + 200.0 * np.array([
             math.cos(azimuth) * math.sin(tilt),
             math.sin(azimuth) * math.sin(tilt), -math.cos(tilt)])
-        got = multilateration.numerical_solve(diffs, ref, _enu(guess), cfg)
+        got = multilateration.numerical_solve(diffs, initial=_enu(guess), cfg=cfg)
         worst = max(worst, float(np.linalg.norm(_array(got) - _array(pick))))
     return worst < 1e-4, f"worst disagreement {worst:.3e} m over {cases} cases (< 1e-4 m)"
 
@@ -305,15 +301,13 @@ def check_rigid_motion_equivariance(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(50):
         buoys, truth, _ = sample_scenario(rng)
-        base = multilateration.kleusberg_solve(
-            oracle_diffs(buoys, truth), _enu(buoys[0]), SolverConfig())
+        base = multilateration.kleusberg_solve(oracle_diffs(buoys, truth), SolverConfig())
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
         shift = rng.uniform(-5000.0, 5000.0, 3)
         moved = multilateration.kleusberg_solve(
-            oracle_diffs(buoys @ q.T + shift, q @ truth + shift),
-            _enu(q @ buoys[0] + shift), SolverConfig())
+            oracle_diffs(buoys @ q.T + shift, q @ truth + shift), SolverConfig())
         worst = max(
             worst,
             float(np.linalg.norm(_array(moved.r_1) - (q @ _array(base.r_1) + shift))),
@@ -326,7 +320,7 @@ def check_range_consistency(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(200):
         buoys, truth, diffs = sample_scenario(rng)
-        pair = multilateration.kleusberg_solve(diffs, _enu(buoys[0]), SolverConfig())
+        pair = multilateration.kleusberg_solve(diffs, SolverConfig())
         d, e, b = np.array(diffs.d), np.array(diffs.e), np.array(diffs.b)
         for evec, _, _, _ in pair.branches():
             dens = d + b * (e @ np.array(evec))
@@ -472,8 +466,7 @@ def check_motion_bound(seed: int, trajectories: int = 100) -> tuple[bool, str]:
                 obs = channel.assemble_observations(record.events, scenario.sound_speed,
                                                     frame=frame)
                 diffs = multilateration.pseudorange_diffs(obs)
-                fix = multilateration.solve_frame(diffs, obs.by_id(0).position, cfg,
-                                                  previous).numerical
+                fix = multilateration.solve_frame(diffs, cfg, previous).numerical
                 if fix is None:
                     continue
                 # chain the fix only while it stays plausibly near the array

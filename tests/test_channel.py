@@ -1,4 +1,5 @@
 """Simulator contracts: kinematics, clock offsets, noise, assembly."""
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -27,9 +28,7 @@ CFG = SolverConfig()
 def underwater_fix(record, scenario, frame=None):
     obs = assemble_observations(record.events, scenario.sound_speed, frame=frame)
     diffs = pseudorange_diffs(obs)
-    reference = obs.by_id(0).position
-    pair = kleusberg_solve(diffs, reference, CFG)
-    return select_underwater(pair, diffs, reference, CFG)
+    return select_underwater(kleusberg_solve(diffs, CFG), diffs, CFG)
 
 
 def test_one_second_at_1500m_slant_range():
@@ -100,17 +99,17 @@ def test_assemble_positions_in_working_frame():
     frame = working_frame(scenario)
     obs = assemble_observations(record.events, scenario.sound_speed, frame=frame)
     for event in record.events:
-        got = obs.by_id(event.buoy_id - 1).position
+        got = obs.observations[event.buoy_id - 1].position
         want = geodetic_to_enu(event.message.position, frame)
         assert got == want
         assert got is event.source   # the simulator's conversion, not a second one
     # the reference buoy anchors the frame, so it sits at the origin
-    assert obs.by_id(0).position.as_tuple() == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
+    assert obs.observations[0].position.as_tuple() == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
     # in any other frame each report is converted afresh
     other = LocalFrame(GeodeticCoord(36.73, -4.41, 0.0))
     obs = assemble_observations(record.events, scenario.sound_speed, frame=other)
     for event in record.events:
-        got = obs.by_id(event.buoy_id - 1).position
+        got = obs.observations[event.buoy_id - 1].position
         assert got == geodetic_to_enu(event.message.position, other)
 
 
@@ -155,3 +154,9 @@ def test_scenario_validation():
         replace(make_scenario(), receiver=sonic, speed_cap=1e6)
     with pytest.raises(ValueError):
         make_scenario(frames=11000)                  # crosses day rollover
+    for bad in (dict(sound_speed=math.nan), dict(sound_speed=math.inf),
+                dict(sound_speed=0.0), dict(clock_offset=math.nan),
+                dict(clock_offset=math.inf), dict(range_limit=math.nan)):
+        with pytest.raises(ValueError, match="must be"):
+            replace(make_scenario(), **bad)
+    assert replace(make_scenario(), range_limit=math.inf).range_limit == math.inf

@@ -109,10 +109,13 @@ def test_simulate_missing_file(tmp_path, capsys):
 
 def test_simulate_rejects_unknown_key(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
-    bad.write_text(scenario_text(extra="\n[channel2]\nx = 1\n"))
-    code, _, err = run_cli("simulate", str(bad), capsys=capsys)
-    assert code == EXIT_USAGE
-    assert "unknown" in err
+    for text in (scenario_text(extra="\n[channel2]\nx = 1\n"),
+                 # the solver's start is no scenario option
+                 scenario_text(solver="[solver]\ninitial_guess = 300.0 400.0 -150.0\n")):
+        bad.write_text(text)
+        code, _, err = run_cli("simulate", str(bad), capsys=capsys)
+        assert code == EXIT_USAGE
+        assert "unknown" in err
 
 
 def test_simulate_fast_receiver_flags_bound(tmp_path, capsys):
@@ -217,6 +220,30 @@ def test_input_numbers_rejected_with_line(command, text, bad_line, tmp_path, cap
     assert f"{path}:{lineno}: " in err
 
 
+FLAG_CASES = [
+    ("solve", "squaretest_frame0", "--consistency-tolerance", "-1"),
+    ("solve", "squaretest_frame0", "--consistency-tolerance", "0"),
+    ("solve", "squaretest_frame0", "--consistency-tolerance", "nan"),
+    ("solve", "squaretest_frame0", "--consistency-tolerance", "inf"),
+    ("schedule", "80", "nan", "1"),
+    ("schedule", "80", "640", "nan"),
+    ("schedule", "80", "640", "inf"),
+    ("schedule", "80", "640", "1", "--cap", "nan"),
+    ("schedule", "80", "640", "1", "--cap", "inf"),
+]
+
+
+@pytest.mark.parametrize("argv", FLAG_CASES, ids=" ".join)
+def test_cli_numbers_rejected(argv, capsys):
+    """A flag or argument that is not a finite number in range is a usage
+    error naming it: exit 1, no traceback, nothing on stdout."""
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and "must be" in err
+    assert "Traceback" not in err
+
+
 def test_solve_bundled_frame_matches_simulate(tmp_path, capsys):
     out_csv = tmp_path / "out.csv"
     run_cli("simulate", "squaretest", "-o", str(out_csv), capsys=capsys)
@@ -309,9 +336,9 @@ def test_verify_unit_norm_catches_injected_sign_bug():
     from uwps import verify
     from uwps.multilateration import CandidatePair
 
-    def buggy_solve(diffs, reference, cfg):
+    def buggy_solve(diffs, cfg):
         d, e, b = np.array(diffs.d), np.array(diffs.e), np.array(diffs.b)
-        r0 = np.array(reference.as_tuple())
+        r0 = np.array(diffs.reference.as_tuple())
         w = b / (b * b - d * d)
         u = d / (b * b - d * d)
         f1 = w[0] * e[0] - w[1] * e[1]

@@ -1,6 +1,7 @@
 """Solver core: differencing, closed form, selection, residuals, iteration."""
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from uwps.errors import (
     SingularJacobian,
     UnrealizableTDOA,
 )
+from uwps.geo import ECEF, CartesianVector
 from uwps.multilateration import (
     CandidatePair,
     DiffSet,
@@ -36,7 +38,6 @@ from uwps.multilateration import (
 )
 from uwps.verify import oracle_diffs, sample_scenario
 
-R0 = enu(0.0, 0.0, 0.0)
 CFG = SolverConfig()
 
 
@@ -80,9 +81,11 @@ def test_diffset_checks_its_entries_and_stores_float_tuples():
     e, b = good.e, good.b
     for bad in (dict(d=good.d[:2]), dict(d=(math.nan, 0.0, 0.0)), dict(b=(0.0, *b[1:])),
                 dict(b=(math.inf, *b[1:])), dict(e=((1.0, 1e-5, 0.0), *e[1:])),
-                dict(e=(e[0][:2], *e[1:]))):
+                dict(e=(e[0][:2], *e[1:])),
+                dict(reference=CartesianVector(0.0, 0.0, 0.0, ECEF)),
+                dict(reference=(0.0, 0.0, 0.0))):
         with pytest.raises(ValueError):
-            DiffSet(**{"d": good.d, "e": e, "b": b, **bad})
+            replace(good, **bad)
 
 
 def test_coincident_buoys_rejected():
@@ -115,7 +118,7 @@ def test_sound_speed_must_be_finite_and_positive():
 def test_square_reference_case_recovers_truth_exactly():
     buoys = unit_square(1000.0)
     truth = np.array([300.0, 400.0, -150.0])
-    pair = kleusberg_solve(oracle_diffs(buoys, truth), R0, CFG)
+    pair = kleusberg_solve(oracle_diffs(buoys, truth), CFG)
     positions = sorted((pair.r_1.as_tuple(), pair.r_2.as_tuple()), key=lambda p: p[2])
     assert positions[0] == pytest.approx([300.0, 400.0, -150.0], abs=1e-6)
     assert positions[1] == pytest.approx([300.0, 400.0, 150.0], abs=1e-6)
@@ -151,7 +154,7 @@ def test_closed_form_matches_numpy_reference():
     for _ in range(300):
         buoys, truth, diffs = sample_scenario(rng)
         gg, disc, branches = numpy_closed_form(diffs, buoys[0])
-        pair = kleusberg_solve(diffs, enu(*buoys[0]), CFG)
+        pair = kleusberg_solve(diffs, CFG)
         assert abs(pair.discriminant - disc) <= 1e-12 * gg
         for (evec, s, pos, index), (e_ref, s_ref, pos_ref, index_ref) in zip(
                 pair.branches(), branches):
@@ -161,27 +164,14 @@ def test_closed_form_matches_numpy_reference():
             assert index == index_ref
 
 
-def test_mirror_property_for_coplanar_buoys():
-    buoys = np.array([
-        [0.0, 0.0, 0.0],
-        [900.0, -40.0, 0.0],
-        [1100.0, 950.0, 0.0],
-        [-60.0, 1010.0, 0.0],
-    ])
-    truth = np.array([420.0, 510.0, -233.0])
-    pair = kleusberg_solve(oracle_diffs(buoys, truth), R0, CFG)
-    p1, p2 = pair.r_1.as_tuple(), pair.r_2.as_tuple()
-    assert p1[:2] == pytest.approx(p2[:2], abs=1e-6)
-    assert p1[2] == pytest.approx(-p2[2], abs=1e-6)
-
-
 def test_candidate_positions_constructed_from_e_and_s():
     buoys = unit_square(800.0, ups=(1.0, -0.5, 0.3, 0.8))
     truth = np.array([250.0, 330.0, -90.0])
-    ref = enu(*buoys[0])
-    pair = kleusberg_solve(oracle_diffs(buoys, truth), ref, CFG)
+    diffs = oracle_diffs(buoys, truth)
+    pair = kleusberg_solve(diffs, CFG)
+    r0 = diffs.reference.as_tuple()
     for evec, s, pos, _ in pair.branches():
-        assert pos.as_tuple() == tuple(r + ei * s for r, ei in zip(ref.as_tuple(), evec))
+        assert pos.as_tuple() == tuple(r + ei * s for r, ei in zip(r0, evec))
 
 
 def test_discriminant_scan_to_no_real_solution():
@@ -191,15 +181,15 @@ def test_discriminant_scan_to_no_real_solution():
     truth = np.array([300.0, 400.0, -150.0])
     clean = oracle_diffs(buoys, truth)
     direction = np.array([1.0, -1.0, 1.0])
-    last_disc = kleusberg_solve(clean, R0, CFG).discriminant
+    last_disc = kleusberg_solve(clean, CFG).discriminant
     scale, raised = 0.5, False
     loose = SolverConfig(consistency_tolerance=1e9)
     while scale < 600.0:
-        perturbed = DiffSet(d=np.add(clean.d, scale * direction), e=clean.e, b=clean.b)
+        perturbed = replace(clean, d=np.add(clean.d, scale * direction))
         if not perturbed.is_realizable():
             break
         try:
-            last_disc = kleusberg_solve(perturbed, R0, loose).discriminant
+            last_disc = kleusberg_solve(perturbed, loose).discriminant
             assert last_disc >= 0.0
         except NoRealSolution:
             raised = True
@@ -217,16 +207,16 @@ def test_collinear_buoys_degenerate_geometry():
     ])
     truth = np.array([200.0, 700.0, -150.0])
     with pytest.raises(DegenerateGeometry):
-        kleusberg_solve(oracle_diffs(buoys, truth), R0, CFG)
+        kleusberg_solve(oracle_diffs(buoys, truth), CFG)
 
 
 def test_symmetric_axis_singular_denominator():
     # receiver on the square's vertical axis: every difference is zero
     diffs = oracle_diffs(unit_square(1000.0), np.array([500.0, 500.0, -150.0]))
     assert diffs.d == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
-    exact_zero = DiffSet(d=(0.0, 0.0, 0.0), e=diffs.e, b=diffs.b)
+    exact_zero = replace(diffs, d=(0.0, 0.0, 0.0))
     with pytest.raises(SingularDenominator):
-        kleusberg_solve(exact_zero, R0, CFG)
+        kleusberg_solve(exact_zero, CFG)
 
 
 def test_inconsistent_ranges_guard():
@@ -237,8 +227,8 @@ def test_inconsistent_ranges_guard():
     truth = np.array([300.0, 400.0, -150.0])
     diffs = oracle_diffs(buoys, truth)
     with pytest.raises(InconsistentRanges):
-        kleusberg_solve(diffs, R0, SolverConfig(consistency_tolerance=1e-18))
-    pair = kleusberg_solve(diffs, R0, CFG)
+        kleusberg_solve(diffs, SolverConfig(consistency_tolerance=1e-18))
+    pair = kleusberg_solve(diffs, CFG)
     assert isinstance(pair, CandidatePair)
 
 
@@ -257,26 +247,26 @@ SQUARE_DIFFS = oracle_diffs(unit_square(1000.0), np.array([300.0, 400.0, -150.0]
 
 
 def test_select_prefers_candidate_below_surface():
-    pick = select_underwater(fake_pair(-100.0, 100.0), SQUARE_DIFFS, R0, CFG)
+    pick = select_underwater(fake_pair(-100.0, 100.0), SQUARE_DIFFS, CFG)
     assert pick.z == -100.0
 
 
 def test_select_rejects_candidates_above_surface():
     with pytest.raises(NoUnderwaterSolution):
-        select_underwater(fake_pair(5.0, 100.0), SQUARE_DIFFS, R0, CFG)
+        select_underwater(fake_pair(5.0, 100.0), SQUARE_DIFFS, CFG)
 
 
 def test_select_rejects_negative_range():
     with pytest.raises(NoUnderwaterSolution):
-        select_underwater(fake_pair(-100.0, 100.0, s1=-500.0), SQUARE_DIFFS, R0, CFG)
+        select_underwater(fake_pair(-100.0, 100.0, s1=-500.0), SQUARE_DIFFS, CFG)
 
 
 def test_select_resolves_mirror_pair_to_oracle_truth():
     buoys = unit_square(1000.0)
     truth = np.array([300.0, 400.0, -150.0])
     diffs = oracle_diffs(buoys, truth)
-    pair = kleusberg_solve(diffs, R0, CFG)
-    pick = select_underwater(pair, diffs, R0, CFG)
+    pair = kleusberg_solve(diffs, CFG)
+    pick = select_underwater(pair, diffs, CFG)
     assert pick.as_tuple() == pytest.approx(truth, abs=1e-6)
 
 
@@ -289,12 +279,12 @@ def test_select_residual_tiebreak_when_both_below_plane():
     raised_plane = SolverConfig(surface_plane_up=200.0, consistency_tolerance=1.0)
     # nudge the differences: the true branch tracks the perturbation, the
     # mirror branch no longer reproduces it exactly
-    nudged = DiffSet(d=np.add(clean.d, [0.05, -0.03, 0.02]), e=clean.e, b=clean.b)
-    pair = kleusberg_solve(nudged, R0, raised_plane)
+    nudged = replace(clean, d=np.add(clean.d, [0.05, -0.03, 0.02]))
+    pair = kleusberg_solve(nudged, raised_plane)
     assert all(s >= 0 and p.z < raised_plane.surface_plane_up
                for _, s, p, _ in pair.branches())
-    pick = select_underwater(pair, nudged, R0, raised_plane)
-    norms = {float(np.linalg.norm(residuals(p, nudged, R0))): p
+    pick = select_underwater(pair, nudged, raised_plane)
+    norms = {float(np.linalg.norm(residuals(p, nudged))): p
              for _, _, p, _ in pair.branches()}
     assert pick == norms[min(norms)]
 
@@ -305,21 +295,21 @@ def test_residuals_vanish_at_truth():
     buoys = unit_square(1000.0)
     truth = np.array([300.0, 400.0, -150.0])
     diffs = oracle_diffs(buoys, truth)
-    assert np.linalg.norm(residuals(enu(*truth), diffs, R0)) < 1e-9
+    assert np.linalg.norm(residuals(enu(*truth), diffs)) < 1e-9
 
 
 def test_residuals_nonzero_off_truth():
     buoys = unit_square(1000.0)
     truth = np.array([300.0, 400.0, -150.0])
     diffs = oracle_diffs(buoys, truth)
-    shifted = residuals(enu(310.0, 400.0, -150.0), diffs, R0)
+    shifted = residuals(enu(310.0, 400.0, -150.0), diffs)
     assert np.max(np.abs(shifted)) > 1e-3
 
 
 def test_residuals_zero_on_symmetry_axis_with_zero_diffs():
     buoys = unit_square(1000.0)
     diffs = oracle_diffs(buoys, np.array([500.0, 500.0, -150.0]))
-    on_axis = residuals(enu(500.0, 500.0, -700.0), diffs, R0)
+    on_axis = residuals(enu(500.0, 500.0, -700.0), diffs)
     assert np.linalg.norm(on_axis) < 1e-9
 
 
@@ -329,7 +319,7 @@ def test_numerical_from_truth_converges_immediately():
     buoys = unit_square(1000.0)
     truth = np.array([300.0, 400.0, -150.0])
     diffs = oracle_diffs(buoys, truth)
-    got = numerical_solve(diffs, R0, enu(*truth), CFG)
+    got = numerical_solve(diffs, initial=enu(*truth), cfg=CFG)
     assert got.as_tuple() == pytest.approx(truth, abs=1e-9)
 
 
@@ -338,10 +328,10 @@ def test_numerical_on_noisy_data_beats_truth_residual():
     buoys = unit_square(1000.0)
     truth = np.array([300.0, 400.0, -150.0])
     clean = oracle_diffs(buoys, truth)
-    noisy = DiffSet(d=np.add(clean.d, rng.normal(0.0, 0.1, 3)), e=clean.e, b=clean.b)
-    got = numerical_solve(noisy, R0, enu(*truth), CFG)
-    assert (np.linalg.norm(residuals(got, noisy, R0))
-            <= np.linalg.norm(residuals(enu(*truth), noisy, R0)) + 1e-12)
+    noisy = replace(clean, d=np.add(clean.d, rng.normal(0.0, 0.1, 3)))
+    got = numerical_solve(noisy, initial=enu(*truth), cfg=CFG)
+    assert (np.linalg.norm(residuals(got, noisy))
+            <= np.linalg.norm(residuals(enu(*truth), noisy)) + 1e-12)
 
 
 def test_numerical_accepts_unrealizable_differences():
@@ -349,27 +339,27 @@ def test_numerical_accepts_unrealizable_differences():
     must accept it and settle on the finite compromise minimizer."""
     wild = unrealizable_diffs()
     assert not wild.is_realizable()
-    got = numerical_solve(wild, R0, enu(300.0, 400.0, -150.0), CFG)
+    got = numerical_solve(wild, initial=enu(300.0, 400.0, -150.0), cfg=CFG)
     assert np.all(np.isfinite(got.as_tuple()))
     # it is a genuine local minimizer: no nearby point does better
-    base = np.linalg.norm(residuals(got, wild, R0))
+    base = np.linalg.norm(residuals(got, wild))
     rng = np.random.default_rng(1)
     for _ in range(50):
         probe = np.array(got.as_tuple()) + rng.normal(0.0, 0.5, 3)
-        assert np.linalg.norm(residuals(enu(*probe), wild, R0)) >= base - 1e-9
+        assert np.linalg.norm(residuals(enu(*probe), wild)) >= base - 1e-9
 
 
 def unrealizable_diffs():
     """The square's differences with |d_01| half a meter past its baseline."""
     clean = oracle_diffs(unit_square(1000.0), np.array([300.0, 400.0, -150.0]))
-    return DiffSet(d=(clean.b[0] + 0.5, *clean.d[1:]), e=clean.e, b=clean.b)
+    return replace(clean, d=(clean.b[0] + 0.5, *clean.d[1:]))
 
 
-def numpy_numerical_solve(diffs, reference, initial, cfg):
+def numpy_numerical_solve(diffs, initial, cfg):
     """Gauss-Newton in numpy arrays, the reference for numerical_solve's
     float arithmetic: the same dogleg, exits and messages."""
     x = np.array(initial.as_tuple())
-    r0 = np.array(reference.as_tuple())
+    r0 = np.array(diffs.reference.as_tuple())
     buoys = r0 + np.array(diffs.e) * np.array(diffs.b)[:, None]
     d = np.array(diffs.d)
 
@@ -448,7 +438,7 @@ def numpy_numerical_solve(diffs, reference, initial, cfg):
 
 
 def numerical_cases():
-    """(diffs, reference, start, cfg): the criterion-1 family from 200 m-off
+    """(diffs, start, cfg): the criterion-1 family from 200 m-off
     starts, noisy differences (sigma 0.1 m) and the unrealizable case."""
     rng = np.random.default_rng(31)
     cfg = SolverConfig(max_iterations=25)
@@ -459,13 +449,13 @@ def numerical_cases():
         start = truth + 200.0 * np.array([np.cos(azimuth) * np.sin(tilt),
                                           np.sin(azimuth) * np.sin(tilt),
                                           -np.cos(tilt)])
-        yield diffs, enu(*buoys[0]), enu(*start), cfg
+        yield diffs, enu(*start), cfg
     for _ in range(100):
         buoys, truth, clean = sample_scenario(rng)
-        noisy = DiffSet(d=np.add(clean.d, rng.normal(0.0, 0.1, 3)), e=clean.e, b=clean.b)
+        noisy = replace(clean, d=np.add(clean.d, rng.normal(0.0, 0.1, 3)))
         start = truth + rng.normal(0.0, 50.0, 3)
-        yield noisy, enu(*buoys[0]), enu(*start), CFG
-    yield unrealizable_diffs(), R0, enu(300.0, 400.0, -150.0), CFG
+        yield noisy, enu(*start), CFG
+    yield unrealizable_diffs(), enu(300.0, 400.0, -150.0), CFG
 
 
 def test_numerical_solve_matches_numpy_reference():
@@ -475,22 +465,22 @@ def test_numerical_solve_matches_numpy_reference():
     1e-4 m of height; there the fixes agree within 1e-4 m and their
     residual norms within 1e-12 m."""
     agreed = near_plane = 0
-    for diffs, ref, start, cfg in numerical_cases():
+    for diffs, start, cfg in numerical_cases():
         try:
-            want = numpy_numerical_solve(diffs, ref, start, cfg)
+            want = numpy_numerical_solve(diffs, start, cfg)
         except PositioningError as exc:
             with pytest.raises(type(exc)):
-                numerical_solve(diffs, ref, start, cfg)
+                numerical_solve(diffs, initial=start, cfg=cfg)
             continue
-        got = numerical_solve(diffs, ref, start, cfg)
+        got = numerical_solve(diffs, initial=start, cfg=cfg)
         deviation = np.max(np.abs(np.array(got.as_tuple()) - want))
         if abs(want[2]) >= 10.0:
             assert deviation <= 1e-9
             agreed += 1
         else:
             assert deviation <= 1e-4
-            assert abs(np.linalg.norm(residuals(got, diffs, ref))
-                       - np.linalg.norm(residuals(enu(*want), diffs, ref))) <= 1e-12
+            assert abs(np.linalg.norm(residuals(got, diffs))
+                       - np.linalg.norm(residuals(enu(*want), diffs))) <= 1e-12
             near_plane += 1
     assert agreed >= 190 and near_plane >= 1
 
@@ -539,11 +529,11 @@ def test_numerical_takes_damped_rescue_in_plane_of_coplanar_buoys(monkeypatch):
     solve3 = multilateration._solve3
     monkeypatch.setattr(multilateration, "_solve3", recorded)
     diffs = oracle_diffs(unit_square(1000.0), np.array([300.0, 400.0, -150.0]))
-    got = numerical_solve(diffs, R0, enu(250.0, 450.0, 0.0), CFG)
+    got = numerical_solve(diffs, initial=enu(250.0, 450.0, 0.0), cfg=CFG)
     assert solves[0] is None and solves[1] is not None
     assert got.z == 0.0 and np.all(np.isfinite(got.as_tuple()))
-    assert np.linalg.norm(residuals(got, diffs, R0)) < np.linalg.norm(
-        residuals(enu(250.0, 450.0, 0.0), diffs, R0))
+    assert np.linalg.norm(residuals(got, diffs)) < np.linalg.norm(
+        residuals(enu(250.0, 450.0, 0.0), diffs))
 
 
 @settings(max_examples=300, deadline=None)
@@ -560,9 +550,10 @@ def test_numerical_returns_finite_fix_or_positioning_error(directions, lengths, 
     norms = np.linalg.norm(e, axis=1)
     assume(np.all(norms > 1e-3))
     b = np.array(lengths)
-    diffs = DiffSet(d=np.array(ratios) * b, e=e / norms[:, None], b=b)
+    diffs = DiffSet(d=np.array(ratios) * b, e=e / norms[:, None], b=b,
+                    reference=enu(0.0, 0.0, 0.0))
     try:
-        got = numerical_solve(diffs, R0, enu(*start), CFG)
+        got = numerical_solve(diffs, initial=enu(*start), cfg=CFG)
     except PositioningError:
         return
     assert got.frame == "ENU" and np.all(np.isfinite(got.as_tuple()))
@@ -572,7 +563,7 @@ def test_numerical_singular_jacobian_at_buoy_position():
     buoys = unit_square(1000.0)
     diffs = oracle_diffs(buoys, np.array([300.0, 400.0, -150.0]))
     with pytest.raises(SingularJacobian):
-        numerical_solve(diffs, R0, enu(*buoys[2]), CFG)
+        numerical_solve(diffs, initial=enu(*buoys[2]), cfg=CFG)
 
 
 def test_numerical_nonconvergence_reported():
@@ -580,8 +571,8 @@ def test_numerical_nonconvergence_reported():
     truth = np.array([300.0, 400.0, -150.0])
     diffs = oracle_diffs(buoys, truth)
     with pytest.raises(NonConvergence):
-        numerical_solve(diffs, R0, enu(5000.0, -3000.0, -2000.0),
-                        SolverConfig(max_iterations=1))
+        numerical_solve(diffs, initial=enu(5000.0, -3000.0, -2000.0),
+                        cfg=SolverConfig(max_iterations=1))
 
 
 # -- solve_frame -------------------------------------------------------
@@ -606,7 +597,6 @@ def test_solve_frame_runs_gauss_newton_only_where_it_can_move(monkeypatch):
     monkeypatch.setattr(multilateration, "numerical_solve", counted)
     monkeypatch.setattr(multilateration, "_cost", recorded_cost)
     buoys = unit_square(1000.0, ups=(0.0, 0.4, -0.3, 0.1))
-    ref = enu(*buoys[0])
     rng = np.random.default_rng(7)
     skipped = ran = 0
     for _ in range(200):
@@ -615,13 +605,13 @@ def test_solve_frame_runs_gauss_newton_only_where_it_can_move(monkeypatch):
         diffs = oracle_diffs(buoys, truth)
         calls.clear()
         costs.clear()
-        fix = solve_frame(diffs, ref, CFG)
+        fix = solve_frame(diffs, CFG)
         assert fix.status == "ok"
-        res = residuals(fix.analytic, diffs, ref)
+        res = residuals(fix.analytic, diffs)
         assert struct.pack("3d", *fix.analytic_residuals) == struct.pack("3d", *res)
         assert costs[0] == cost(res)    # the skip test
         costs.clear()
-        assert fix.numerical == numerical_solve(diffs, ref, fix.analytic, CFG)
+        assert fix.numerical == numerical_solve(diffs, initial=fix.analytic, cfg=CFG)
         assert costs[0] == cost(res)    # Gauss-Newton's first exit test
         if cost(res) < 1e-24:
             assert calls == [] and fix.numerical is fix.analytic
@@ -636,9 +626,9 @@ def test_solve_frame_runs_gauss_newton_only_where_it_can_move(monkeypatch):
     assert skipped > 100 and ran > 0
 
     exact = oracle_diffs(buoys, np.array([300.0, 400.0, -150.0]))
-    fix = solve_frame(exact, ref, CFG)
+    fix = solve_frame(exact, CFG)
     calls.clear()
-    solve_frame(exact, ref, CFG, guess=fix.analytic)
+    solve_frame(exact, CFG, guess=fix.analytic)
     assert len(calls) == 1
 
 
