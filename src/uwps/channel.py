@@ -28,11 +28,11 @@ from .geo import (
     enu_to_geodetic,
     geodetic_to_enu,
 )
-from .multilateration import Observation, ObservationSet, _norm
+from .multilateration import SURFACE_UP, Observation, ObservationSet, _norm
 from .protocol import BuoyMessage, FrameSchedule, transmit_times
 
 RX_CLOCK_TICK = 2.0 ** -40          # receiver timestamp resolution [s]
-DEFAULT_SPEED_CAP = 10.0            # receiver speed sanity cap [m/s]
+SPEED_CAP = 10.0                    # receiver speed sanity cap [m/s]
 
 
 def _quantize_ms(t: float) -> float:
@@ -81,23 +81,26 @@ class Scenario:
     schedule: FrameSchedule
     frames: int
     range_limit: float = math.inf
-    speed_cap: float = DEFAULT_SPEED_CAP
 
     def __post_init__(self):
         if len(self.buoys) != 4:
             raise ValueError("exactly four buoys required")
+        if not all(map(math.isfinite, (*self.receiver.initial, *self.receiver.velocity))):
+            raise ValueError("receiver position and velocity must be finite")
+        if not all(math.isfinite(v) for b in self.buoys for v in b.drift):
+            raise ValueError("buoy drifts must be finite")
         if not (math.isfinite(self.sound_speed) and self.sound_speed > 0):
             raise ValueError(f"sound_speed {self.sound_speed} must be finite and > 0")
         if not math.isfinite(self.clock_offset):
             raise ValueError(f"clock_offset {self.clock_offset} must be finite")
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
-        if self.receiver.initial[2] >= 0:
+        if self.receiver.initial[2] >= SURFACE_UP:
             raise ValueError("receiver must start below the surface (up < 0)")
-        if self.receiver.speed() > self.speed_cap:
+        if self.receiver.speed() > SPEED_CAP:
             raise ValueError(
                 f"receiver speed {self.receiver.speed():.2f} m/s exceeds "
-                f"cap {self.speed_cap:.2f} m/s")
+                f"cap {SPEED_CAP:.2f} m/s")
         if self.receiver.speed() >= self.sound_speed:
             raise ValueError(
                 f"receiver speed {self.receiver.speed():.2f} m/s is not below "
@@ -118,20 +121,15 @@ class ReceptionEvent:
     instant, working ENU frame) and is withheld from the solvers.
     source is the reported position converted into source_frame, as the
     simulator computed it; both are None for events read from the wire,
-    and neither takes part in comparisons.
+    and neither takes part in comparisons. The buoy is message.buoy_id.
     """
 
-    buoy_id: int                      # wire id 1..4
     frame_index: int
     message: BuoyMessage
     receive_time: float               # receiver clock [s]
     true_position: CartesianVector
     source: CartesianVector | None = field(default=None, compare=False)
     source_frame: LocalFrame | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.buoy_id not in (1, 2, 3, 4):
-            raise ValueError(f"buoy_id {self.buoy_id} outside 1..4")
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,6 @@ def simulate(scenario: Scenario) -> list[FrameRecord]:
             if path_length > scenario.range_limit:
                 continue
             events.append(ReceptionEvent(
-                buoy_id=i + 1,
                 frame_index=k,
                 message=message,
                 receive_time=_quantize_tick(t_arr) - scenario.clock_offset,
@@ -218,14 +215,14 @@ def assemble_observations(
     events = tuple(events)
     if len(events) != 4:
         raise IncompleteFrame(f"need four events, got {len(events)}")
-    ids = sorted(e.buoy_id for e in events)
+    ids = sorted(e.message.buoy_id for e in events)
     if ids != [1, 2, 3, 4]:
         raise IncompleteFrame(f"need buoys 1..4 exactly once, got {ids}")
     frames_seen = {e.frame_index for e in events}
     if len(frames_seen) != 1:
         raise IncompleteFrame(f"events mix frames {sorted(frames_seen)}")
 
-    by_id = {e.buoy_id: e for e in events}
+    by_id = {e.message.buoy_id: e for e in events}
     if frame is None:
         frame = LocalFrame(by_id[1].message.position)
     observations = tuple(

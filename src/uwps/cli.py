@@ -63,12 +63,11 @@ def _fmt(value: float | None) -> str:
 
 _SCENARIO_KEYS = {
     "buoy": {"position", "drift"},
-    "receiver": {"position", "velocity", "speed_cap"},
+    "receiver": {"position", "velocity"},
     "channel": {"sound_speed", "clock_offset", "range_limit", "noise_sigma", "seed"},
     "schedule": {"message_bytes", "bit_rate", "guard"},
     "run": {"frames"},
-    "solver": {"residual_tolerance", "max_iterations", "consistency_tolerance",
-               "surface_plane_up"},
+    "solver": {"consistency_tolerance"},
 }
 
 
@@ -129,12 +128,21 @@ def _integer(value: str, path: str, lineno: int) -> int:
     return int(number)
 
 
-def parse_scenario_file(path: Path) -> ScenarioFile:
+def _read_text(path: Path) -> str:
+    """The file's UTF-8 text; an unreadable or undecodable file is a FileFormatError."""
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
+        return data.decode("utf-8")
     except OSError as exc:
         raise FileFormatError(f"{path}: {exc.strerror or exc}") from None
-    sections = _parse_sections(text, str(path))
+    except UnicodeDecodeError as exc:
+        # the bad byte's line, counted as the parsers count lines
+        lineno = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise FileFormatError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+
+
+def parse_scenario_file(path: Path) -> ScenarioFile:
+    sections = _parse_sections(_read_text(path), str(path))
 
     def section(name, required=True):
         block = sections.pop(name, None)
@@ -171,10 +179,6 @@ def parse_scenario_file(path: Path) -> ScenarioFile:
     velocity = (0.0, 0.0, 0.0)
     if "velocity" in rx:
         velocity = tuple(_floats(rx["velocity"][0], 3, str(path), rx["velocity"][1]))
-    receiver_args = {"initial": position, "velocity": velocity}
-    speed_cap = None
-    if "speed_cap" in rx:
-        speed_cap = _floats(rx["speed_cap"][0], 1, str(path), rx["speed_cap"][1])[0]
 
     chan = section("channel")
     if "sound_speed" not in chan:
@@ -209,30 +213,23 @@ def parse_scenario_file(path: Path) -> ScenarioFile:
     frames = integer(run, "frames", 0)
 
     solver_block = section("solver", required=False)
-    solver_kwargs = {}
-    for key in ("residual_tolerance", "consistency_tolerance", "surface_plane_up"):
-        if key in solver_block:
-            solver_kwargs[key] = scalar(solver_block, key, None)
-    if "max_iterations" in solver_block:
-        solver_kwargs["max_iterations"] = integer(solver_block, "max_iterations", 0)
+    consistency_tolerance = scalar(solver_block, "consistency_tolerance",
+                                   SolverConfig.consistency_tolerance)
 
     if sections:
         raise FileFormatError(f"{path}: unknown section [{next(iter(sections))}]")
 
     try:
-        scenario_kwargs = dict(
+        scenario = Scenario(
             buoys=tuple(buoys),
-            receiver=ReceiverTrack(**receiver_args),
+            receiver=ReceiverTrack(initial=position, velocity=velocity),
             sound_speed=sound_speed,
             clock_offset=clock_offset,
             schedule=compute_schedule(message_bytes, bit_rate, guard),
             frames=frames,
             range_limit=range_limit,
         )
-        if speed_cap is not None:
-            scenario_kwargs["speed_cap"] = speed_cap
-        scenario = Scenario(**scenario_kwargs)
-        solver = SolverConfig(**solver_kwargs)
+        solver = SolverConfig(consistency_tolerance=consistency_tolerance)
     except (ValueError, PositioningError) as exc:
         raise FileFormatError(f"{path}: {exc}") from None
     return ScenarioFile(scenario=scenario, solver=solver, noise_sigma=noise_sigma,
@@ -251,10 +248,7 @@ class ObservationFile:
 
 
 def parse_observation_file(path: Path) -> ObservationFile:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FileFormatError(f"{path}: {exc.strerror or exc}") from None
+    text = _read_text(path)
     sound_speed = None
     frame_index = 0
     receive_times: list[float] = []
@@ -279,7 +273,10 @@ def parse_observation_file(path: Path) -> ObservationFile:
                 raise FileFormatError(
                     f"{path}:{lineno}: observation needs '<receive_time> <sentence>'")
             receive_times.append(_floats(parts[0], 1, str(path), lineno)[0])
-            sentences.append((parts[1].strip() + "\r\n").encode("ascii"))
+            sentence = parts[1].strip()
+            if not sentence.isascii():
+                raise FileFormatError(f"{path}:{lineno}: sentence is not ASCII")
+            sentences.append((sentence + "\r\n").encode("ascii"))
             line_numbers.append(lineno)
         else:
             raise FileFormatError(f"{path}:{lineno}: unknown key {key!r}")
@@ -303,7 +300,6 @@ def _decode_observation_events(obs_file: ObservationFile, path: Path):
             raise FileFormatError(
                 f"{path}:{lineno}: {type(exc).__name__}: {exc}") from None
         events.append(ReceptionEvent(
-            buoy_id=message.buoy_id,
             frame_index=obs_file.frame_index,
             message=message,
             receive_time=receive_time,
@@ -479,7 +475,7 @@ def cmd_solve(args) -> int:
               f"range {s:.9g} m, residual {res:.9g} m, range-eq baseline {idx}")
     print(f"discriminant = {pair.discriminant:.9g}")
     try:
-        pick = select_underwater(pair, diffs, cfg)
+        pick = select_underwater(pair, diffs)
     except PositioningError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER

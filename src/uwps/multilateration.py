@@ -39,6 +39,7 @@ from .errors import (
 from .geo import ENU, CartesianVector
 
 MIN_BASELINE = 1.0    # coincident-buoy threshold [m]
+SURFACE_UP = 0.0      # the sea surface: a receiver or fix is underwater below it [m]
 
 # relative thresholds: direction collinearity and range-denominator collapse
 _COLLINEAR_RTOL = 1e-12
@@ -50,6 +51,7 @@ _TRUST_SHRINK = 0.5
 _TRUST_GROW = 2.0
 _RHO_ACCEPT = 1e-4
 _COST_FLOOR = 1e-24     # m^2; half the squared residual norm that counts as solved
+_STEP_TOL = 1e-9        # m; a step or trust radius this short ends the iteration
 
 
 @dataclass(frozen=True)
@@ -164,24 +166,22 @@ class CandidatePair:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances shared by the analytic and iterative solvers.
+    """The settings of the analytic and iterative solvers.
 
     consistency_tolerance is meaningful for noiseless stationary data at
     its default; widen it for noisy or moving-receiver inputs.
     """
 
-    residual_tolerance: float = 1e-9      # iterative step-norm stop [m]
-    max_iterations: int = 50
+    max_iterations: int = 50              # Gauss-Newton iteration budget
     consistency_tolerance: float = 1e-6   # cross-baseline range agreement [m]
-    surface_plane_up: float = 0.0         # candidates above this are not underwater [m]
 
     def __post_init__(self):
-        for name in ("residual_tolerance", "consistency_tolerance"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} {value} must be finite and > 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        value = self.consistency_tolerance
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"consistency_tolerance {value} must be finite and > 0")
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"max_iterations {n!r} must be an integer >= 1")
 
 
 def pseudorange_diffs(obs: ObservationSet) -> DiffSet:
@@ -328,12 +328,8 @@ def residuals(position: CartesianVector, diffs: DiffSet) -> tuple[float, float, 
     return _residual_kernel(position.x, position.y, position.z, diffs.anchors, diffs.d)[2]
 
 
-def select_underwater(
-    pair: CandidatePair,
-    diffs: DiffSet,
-    cfg: SolverConfig = SolverConfig(),
-) -> CartesianVector:
-    """Pick the physical fix: nonnegative range and below the surface plane.
+def select_underwater(pair: CandidatePair, diffs: DiffSet) -> CartesianVector:
+    """Pick the physical fix: nonnegative range and below SURFACE_UP.
 
     When both candidates qualify, the one that better reproduces the
     measured differences wins (phantom branches of the squared system
@@ -341,7 +337,7 @@ def select_underwater(
     """
     qualified = []
     for evec, s, pos, _ in pair.branches():
-        if s >= 0.0 and pos.z < cfg.surface_plane_up:
+        if s >= 0.0 and pos.z < SURFACE_UP:
             qualified.append(pos)
     if not qualified:
         raise NoUnderwaterSolution(
@@ -492,18 +488,18 @@ def numerical_solve(
             if rho > _RHO_ACCEPT:
                 step = p
                 break
-            if radius < cfg.residual_tolerance:
+            if radius < _STEP_TOL:
                 # no step of meaningful size improves the model: stationary
                 return CartesianVector(x, y, z, ENU)
         if step is None:
             raise NonConvergence(
                 f"no acceptable step at iteration {iteration + 1}")
         x, y, z = x + step[0], y + step[1], z + step[2]
-        if pn < cfg.residual_tolerance:
+        if pn < _STEP_TOL:
             return CartesianVector(x, y, z, ENU)
 
     raise NonConvergence(
-        f"step norm above {cfg.residual_tolerance:.1e} m after "
+        f"step norm above {_STEP_TOL:.1e} m after "
         f"{cfg.max_iterations} iterations")
 
 
@@ -547,7 +543,7 @@ def solve_frame(
     status = "ok"
     try:
         pair = kleusberg_solve(diffs, cfg)
-        analytic = select_underwater(pair, diffs, cfg)
+        analytic = select_underwater(pair, diffs)
         res = residuals(analytic, diffs)
     except PositioningError as exc:
         status = type(exc).__name__

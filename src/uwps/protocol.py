@@ -175,14 +175,14 @@ def compute_schedule(
     message_bytes: int,
     bit_rate: float,
     guard: float,
-    max_message_duration: float | None = 1.0,
+    max_message_duration: float = 1.0,
 ) -> FrameSchedule:
     """Build the four-slot schedule for a message size and modem rate.
 
     The reference budget (80 bytes at 640 bps with a 1 s guard) gives
     t_m = 1 s and an 8 s frame. A cap on the transmission time (1 s by
-    default, None to disable) turns an over-budget message into an error.
-    bit_rate, guard and the cap must be finite.
+    default) turns an over-budget message into an error. bit_rate, guard
+    and the cap must be finite.
     """
     if message_bytes <= 0:
         raise ValueError("message_bytes must be > 0")
@@ -190,10 +190,10 @@ def compute_schedule(
         raise ValueError(f"bit_rate {bit_rate} must be finite and > 0")
     if not (math.isfinite(guard) and guard >= 0):
         raise ValueError(f"guard {guard} must be finite and >= 0")
-    if max_message_duration is not None and not math.isfinite(max_message_duration):
+    if not math.isfinite(max_message_duration):
         raise ValueError(f"message duration cap {max_message_duration} must be finite")
     t_m = 8.0 * message_bytes / bit_rate
-    if max_message_duration is not None and t_m > max_message_duration:
+    if t_m > max_message_duration:
         raise BudgetExceeded(
             f"message duration {t_m:.3f} s exceeds the "
             f"{max_message_duration:.3f} s cap")

@@ -101,7 +101,7 @@ def sample_scenario(rng: np.random.Generator):
             continue
         exact_under = [
             p for _, s, p, _ in pair.branches()
-            if s >= 0.0 and p.z < 0.0
+            if s >= 0.0 and p.z < multilateration.SURFACE_UP
             and np.linalg.norm(multilateration.residuals(p, diffs)) < 1e-6
         ]
         if len(exact_under) != 1:
@@ -410,7 +410,7 @@ def check_causality(seed: int) -> tuple[bool, str]:
         for record in channel.simulate(scenario):
             for event in record.events:
                 if event.receive_time + offset <= event.message.gnss_time:
-                    return False, f"non-causal arrival for buoy {event.buoy_id}"
+                    return False, f"non-causal arrival for buoy {event.message.buoy_id}"
     return True, "every arrival after its transmission in GNSS time"
 
 
@@ -418,7 +418,7 @@ def check_simulation_determinism(seed: int) -> tuple[bool, str]:
     def run():
         records = channel.simulate(make_scenario(_LAYOUT, _DRIFTS, frames=3))
         noisy = channel.add_timing_noise(records, 1e-4, seed=seed)
-        return [(r.complete, e.buoy_id, e.receive_time, e.message, e.true_position)
+        return [(r.complete, e.message.buoy_id, e.receive_time, e.message, e.true_position)
                 for r in noisy for e in r.events]
     ok = repr(run()) == repr(run())   # float repr is exact, and tells -0.0 from 0.0
     return ok, "identical scenario + seed reproduces the event stream bit-for-bit"

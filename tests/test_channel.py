@@ -28,7 +28,7 @@ CFG = SolverConfig()
 def underwater_fix(record, scenario, frame=None):
     obs = assemble_observations(record.events, scenario.sound_speed, frame=frame)
     diffs = pseudorange_diffs(obs)
-    return select_underwater(kleusberg_solve(diffs, CFG), diffs, CFG)
+    return select_underwater(kleusberg_solve(diffs, CFG), diffs)
 
 
 def test_one_second_at_1500m_slant_range():
@@ -99,7 +99,7 @@ def test_assemble_positions_in_working_frame():
     frame = working_frame(scenario)
     obs = assemble_observations(record.events, scenario.sound_speed, frame=frame)
     for event in record.events:
-        got = obs.observations[event.buoy_id - 1].position
+        got = obs.observations[event.message.buoy_id - 1].position
         want = geodetic_to_enu(event.message.position, frame)
         assert got == want
         assert got is event.source   # the simulator's conversion, not a second one
@@ -109,7 +109,7 @@ def test_assemble_positions_in_working_frame():
     other = LocalFrame(GeodeticCoord(36.73, -4.41, 0.0))
     obs = assemble_observations(record.events, scenario.sound_speed, frame=other)
     for event in record.events:
-        got = obs.observations[event.buoy_id - 1].position
+        got = obs.observations[event.message.buoy_id - 1].position
         assert got == geodetic_to_enu(event.message.position, other)
 
 
@@ -147,11 +147,11 @@ def test_timing_noise_pseudorange_sigma():
 def test_scenario_validation():
     with pytest.raises(ValueError):
         make_scenario(receiver=(0.0, 0.0, 5.0))      # above the surface
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds cap 10.00 m/s"):
         make_scenario(velocity=(20.0, 0.0, 0.0))     # beyond the speed cap
-    sonic = ReceiverTrack(initial=(300.0, 400.0, -150.0), velocity=(1500.0, 0.0, 0.0))
-    with pytest.raises(ValueError):                  # not slower than sound
-        replace(make_scenario(), receiver=sonic, speed_cap=1e6)
+    sonic = ReceiverTrack(initial=(300.0, 400.0, -150.0), velocity=(8.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="not below the sound speed"):   # under the cap
+        replace(make_scenario(), receiver=sonic, sound_speed=5.0)
     with pytest.raises(ValueError):
         make_scenario(frames=11000)                  # crosses day rollover
     for bad in (dict(sound_speed=math.nan), dict(sound_speed=math.inf),
@@ -159,4 +159,14 @@ def test_scenario_validation():
                 dict(clock_offset=math.inf), dict(range_limit=math.nan)):
         with pytest.raises(ValueError, match="must be"):
             replace(make_scenario(), **bad)
+    for initial, velocity in (((math.nan, 400.0, -150.0), (0.0, 0.0, 0.0)),
+                              ((300.0, -math.inf, -150.0), (0.0, 0.0, 0.0)),
+                              ((300.0, 400.0, -150.0), (math.nan, 0.0, 0.0)),
+                              ((300.0, 400.0, -150.0), (0.0, math.inf, 0.0))):
+        with pytest.raises(ValueError, match="receiver position and velocity must be finite"):
+            make_scenario(receiver=initial, velocity=velocity)
+    buoys = make_scenario().buoys
+    drifting = (replace(buoys[0], drift=(0.0, math.nan, 0.0)), *buoys[1:])
+    with pytest.raises(ValueError, match="buoy drifts must be finite"):
+        replace(make_scenario(), buoys=drifting)
     assert replace(make_scenario(), range_limit=math.inf).range_limit == math.inf

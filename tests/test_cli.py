@@ -109,13 +109,25 @@ def test_simulate_missing_file(tmp_path, capsys):
 
 def test_simulate_rejects_unknown_key(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
-    for text in (scenario_text(extra="\n[channel2]\nx = 1\n"),
-                 # the solver's start is no scenario option
-                 scenario_text(solver="[solver]\ninitial_guess = 300.0 400.0 -150.0\n")):
+    bad.write_text(scenario_text(extra="\n[channel2]\nx = 1\n"))
+    code, _, err = run_cli("simulate", str(bad), capsys=capsys)
+    assert code == EXIT_USAGE
+    assert "unknown section [channel2]" in err
+    # the solver's start and the settings that became constants are no options
+    for section, key_line in (("[solver]", "initial_guess = 300.0 400.0 -150.0"),
+                              ("[solver]", "residual_tolerance = 1e-9"),
+                              ("[solver]", "max_iterations = 50"),
+                              ("[solver]", "max_iterations = 2.5"),
+                              ("[solver]", "surface_plane_up = 0.0"),
+                              ("[receiver]", "speed_cap = 10.0")):
+        text = scenario_text(solver="[solver]\n").replace(
+            f"{section}\n", f"{section}\n{key_line}\n")
         bad.write_text(text)
-        code, _, err = run_cli("simulate", str(bad), capsys=capsys)
+        lineno = text.splitlines().index(key_line) + 1
+        code, out, err = run_cli("simulate", str(bad), capsys=capsys)
         assert code == EXIT_USAGE
-        assert "unknown" in err
+        assert out == ""
+        assert err.startswith(f"error: {bad}:{lineno}: unknown key {key_line.split()[0]!r}")
 
 
 def test_simulate_fast_receiver_flags_bound(tmp_path, capsys):
@@ -192,6 +204,7 @@ NUMBER_CASES = [
     ("simulate", _add_channel_line("range_limit = nan"), "range_limit = nan"),
     ("simulate", scenario_text(extra="\n[schedule]\nmessage_bytes = 2.5\n"),
      "message_bytes = 2.5"),
+    # a removed key: now rejected as unknown, still naming its line
     ("simulate", scenario_text(solver="[solver]\nmax_iterations = 2.5\n"),
      "max_iterations = 2.5"),
     ("simulate", scenario_text(solver="[solver]\nconsistency_tolerance = inf\n"),
@@ -218,6 +231,29 @@ def test_input_numbers_rejected_with_line(command, text, bad_line, tmp_path, cap
     lineno = next(i for i, line in enumerate(text.splitlines(), start=1) if bad_line in line)
     assert code == EXIT_USAGE
     assert f"{path}:{lineno}: " in err
+
+
+UNDECODABLE_CASES = [
+    ("simulate", scenario_text().encode().replace(b"[run]", b"[run] # \xe4"), "[run]"),
+    ("solve", FRAME0.encode().replace(b"frame = 0", b"frame = 0 \xff"), "frame = 0"),
+    ("solve", FRAME0.replace("*1C", "*1C\u00e4").encode(), "*1C\u00e4"),
+]
+
+
+@pytest.mark.parametrize("command, data, bad_line", UNDECODABLE_CASES,
+                         ids=["scenario not UTF-8", "observations not UTF-8",
+                              "sentence not ASCII"])
+def test_undecodable_input_rejected_with_line(command, data, bad_line, tmp_path, capsys):
+    """A file that is not UTF-8, or a sentence outside ASCII, is a file
+    error naming path:line: exit 1, nothing on stdout, no traceback."""
+    path = tmp_path / ("in.scn" if command == "simulate" else "in.obs")
+    path.write_bytes(data)
+    lines = data.decode("utf-8", "replace").splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if bad_line in line)
+    code, out, err = run_cli(command, str(path), capsys=capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: {path}:{lineno}: ")
 
 
 FLAG_CASES = [
@@ -482,6 +518,23 @@ def test_main_builds_parser_once_and_runs_the_current_command(monkeypatch, capsy
 
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == EXIT_USAGE
+
+
+def test_file_formats_doc_lists_the_scenario_keys():
+    """docs/file-formats.md's key table names exactly the keys the scenario
+    parser accepts, section by section."""
+    doc = (Path(__file__).parent.parent / "docs" / "file-formats.md").read_text()
+    table = doc.split("## Scenario files", 1)[1].split("\n\n## ", 1)[0]
+    documented: dict[str, set[str]] = {}
+    section = None
+    for row in table.splitlines():
+        cells = [cell.strip() for cell in row.strip().strip("|").split("|")]
+        if not row.startswith("|") or cells[0] in ("Section", "---"):
+            continue
+        if cells[0]:
+            section = cells[0].strip("`[]").split()[0]
+        documented.setdefault(section, set()).add(cells[1].strip("`"))
+    assert documented == cli._SCENARIO_KEYS
 
 
 def test_scenario_parser_units_and_defaults(tmp_path):

@@ -28,6 +28,7 @@ from uwps.multilateration import (
     DiffSet,
     Observation,
     ObservationSet,
+    SURFACE_UP,
     SolverConfig,
     kleusberg_solve,
     numerical_solve,
@@ -247,18 +248,18 @@ SQUARE_DIFFS = oracle_diffs(unit_square(1000.0), np.array([300.0, 400.0, -150.0]
 
 
 def test_select_prefers_candidate_below_surface():
-    pick = select_underwater(fake_pair(-100.0, 100.0), SQUARE_DIFFS, CFG)
+    pick = select_underwater(fake_pair(-100.0, 100.0), SQUARE_DIFFS)
     assert pick.z == -100.0
 
 
 def test_select_rejects_candidates_above_surface():
     with pytest.raises(NoUnderwaterSolution):
-        select_underwater(fake_pair(5.0, 100.0), SQUARE_DIFFS, CFG)
+        select_underwater(fake_pair(5.0, 100.0), SQUARE_DIFFS)
 
 
 def test_select_rejects_negative_range():
     with pytest.raises(NoUnderwaterSolution):
-        select_underwater(fake_pair(-100.0, 100.0, s1=-500.0), SQUARE_DIFFS, CFG)
+        select_underwater(fake_pair(-100.0, 100.0, s1=-500.0), SQUARE_DIFFS)
 
 
 def test_select_resolves_mirror_pair_to_oracle_truth():
@@ -266,27 +267,29 @@ def test_select_resolves_mirror_pair_to_oracle_truth():
     truth = np.array([300.0, 400.0, -150.0])
     diffs = oracle_diffs(buoys, truth)
     pair = kleusberg_solve(diffs, CFG)
-    pick = select_underwater(pair, diffs, CFG)
+    pick = select_underwater(pair, diffs)
     assert pick.as_tuple() == pytest.approx(truth, abs=1e-6)
 
 
 def test_select_residual_tiebreak_when_both_below_plane():
-    """With the surface plane raised, the mirror pair both qualify; the
-    candidate reproducing the measured differences wins."""
-    buoys = unit_square(1000.0)
-    truth = np.array([300.0, 400.0, -150.0])
+    """With the square 300 m below the surface, the mirror pair both
+    qualify; the candidate reproducing the measured differences wins.
+
+    The square is coplanar, so the mirror image reproduces any differences
+    as well as the true branch: both residual norms are bit-identical, and
+    the pick is the exact-tie rule, the deeper candidate."""
+    buoys = unit_square(1000.0, ups=(-300.0,) * 4)
+    truth = np.array([300.0, 400.0, -450.0])
     clean = oracle_diffs(buoys, truth)
-    raised_plane = SolverConfig(surface_plane_up=200.0, consistency_tolerance=1.0)
-    # nudge the differences: the true branch tracks the perturbation, the
-    # mirror branch no longer reproduces it exactly
+    loose = SolverConfig(consistency_tolerance=1.0)
     nudged = replace(clean, d=np.add(clean.d, [0.05, -0.03, 0.02]))
-    pair = kleusberg_solve(nudged, raised_plane)
-    assert all(s >= 0 and p.z < raised_plane.surface_plane_up
-               for _, s, p, _ in pair.branches())
-    pick = select_underwater(pair, nudged, raised_plane)
+    pair = kleusberg_solve(nudged, loose)
+    assert all(s >= 0 and p.z < SURFACE_UP for _, s, p, _ in pair.branches())
+    pick = select_underwater(pair, nudged)
     norms = {float(np.linalg.norm(residuals(p, nudged))): p
              for _, _, p, _ in pair.branches()}
     assert pick == norms[min(norms)]
+    assert pick.z == min(p.z for _, _, p, _ in pair.branches())
 
 
 # -- residuals ---------------------------------------------------------
@@ -425,15 +428,15 @@ def numpy_numerical_solve(diffs, initial, cfg):
             if rho > multilateration._RHO_ACCEPT:
                 step = p
                 break
-            if radius < cfg.residual_tolerance:
+            if radius < multilateration._STEP_TOL:
                 return x
         if step is None:
             raise NonConvergence(f"no acceptable step at iteration {iteration + 1}")
         x = x + step
-        if np.linalg.norm(step) < cfg.residual_tolerance:
+        if np.linalg.norm(step) < multilateration._STEP_TOL:
             return x
     raise NonConvergence(
-        f"step norm above {cfg.residual_tolerance:.1e} m after "
+        f"step norm above {multilateration._STEP_TOL:.1e} m after "
         f"{cfg.max_iterations} iterations")
 
 
@@ -633,7 +636,10 @@ def test_solve_frame_runs_gauss_newton_only_where_it_can_move(monkeypatch):
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(residual_tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations=0)
+    for bad in (0, -1, 2.5, 25.0, True, "25", None):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolverConfig(max_iterations=bad)
+    for bad in (0.0, -1e-6, math.nan, math.inf):
+        with pytest.raises(ValueError, match="consistency_tolerance"):
+            SolverConfig(consistency_tolerance=bad)
+    assert SolverConfig(max_iterations=1).max_iterations == 1
