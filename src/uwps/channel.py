@@ -105,6 +105,10 @@ class Scenario:
             raise ValueError(
                 f"receiver speed {self.receiver.speed():.2f} m/s is not below "
                 f"the sound speed {self.sound_speed:.2f} m/s")
+        c, (vx, vy, vz) = self.sound_speed, self.receiver.velocity
+        if not 0.0 < c * c - (vx * vx + vy * vy + vz * vz) < math.inf:
+            # simulate's arrival time divides by c^2 - |v|^2
+            raise ValueError(f"sound_speed {c} m/s squared is out of float range")
         if not self.range_limit > 0:   # NaN too; inf means unlimited
             raise ValueError(f"range_limit {self.range_limit} must be > 0")
         end = self.frames * self.schedule.frame_period
@@ -120,25 +124,29 @@ class ReceptionEvent:
     true_position is ground truth (receiver location at the arrival
     instant, working ENU frame) and is withheld from the solvers.
     source is the reported position converted into source_frame, as the
-    simulator computed it; both are None for events read from the wire,
-    and neither takes part in comparisons. The buoy is message.buoy_id.
+    simulator computed it, and takes no part in comparisons. All three
+    are None for events read from the wire. The buoy is message.buoy_id.
     """
 
     frame_index: int
     message: BuoyMessage
     receive_time: float               # receiver clock [s]
-    true_position: CartesianVector
+    true_position: CartesianVector | None = None
     source: CartesianVector | None = field(default=None, compare=False)
     source_frame: LocalFrame | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class FrameRecord:
-    """All receptions of one frame; complete means all four buoys heard."""
+    """All receptions of one frame."""
 
     frame_index: int
     events: tuple[ReceptionEvent, ...]
-    complete: bool
+
+    @property
+    def complete(self) -> bool:
+        """All four buoys heard."""
+        return len(self.events) == 4
 
 
 def working_frame(scenario: Scenario) -> LocalFrame:
@@ -194,8 +202,7 @@ def simulate(scenario: Scenario) -> list[FrameRecord]:
                 source=source_enu,
                 source_frame=frame,
             ))
-        records.append(FrameRecord(frame_index=k, events=tuple(events),
-                                   complete=len(events) == 4))
+        records.append(FrameRecord(frame_index=k, events=tuple(events)))
     return records
 
 

@@ -24,7 +24,7 @@ from .channel import (
     working_frame,
 )
 from .errors import PositioningError
-from .geo import ENU, CartesianVector, GeodeticCoord
+from .geo import GeodeticCoord
 from .multilateration import (
     FrameFix,
     SolverConfig,
@@ -61,13 +61,21 @@ def _fmt(value: float | None) -> str:
 
 # -- scenario files ------------------------------------------------------
 
+# The scenario grammar: section -> key -> (how many numbers, integer or
+# not, default). A key without a default is required, and so is a section
+# with a required key. Only range_limit may be inf, and an integer must
+# be >= 0.
+_BUOY_KEYS = {"position": (3, False, None), "drift": (3, False, (0.0, 0.0, 0.0))}
 _SCENARIO_KEYS = {
-    "buoy": {"position", "drift"},
-    "receiver": {"position", "velocity"},
-    "channel": {"sound_speed", "clock_offset", "range_limit", "noise_sigma", "seed"},
-    "schedule": {"message_bytes", "bit_rate", "guard"},
-    "run": {"frames"},
-    "solver": {"consistency_tolerance"},
+    **{f"buoy {i}": _BUOY_KEYS for i in (1, 2, 3, 4)},
+    "receiver": {"position": (3, False, None), "velocity": (3, False, (0.0, 0.0, 0.0))},
+    "channel": {"sound_speed": (1, False, None), "clock_offset": (1, False, 0.0),
+                "range_limit": (1, False, math.inf), "noise_sigma": (1, False, 0.0),
+                "seed": (1, True, 0)},
+    "schedule": {"message_bytes": (1, True, 80), "bit_rate": (1, False, 640.0),
+                 "guard": (1, False, 1.0)},
+    "run": {"frames": (1, True, None)},
+    "solver": {"consistency_tolerance": (1, False, SolverConfig.consistency_tolerance)},
 }
 
 
@@ -106,26 +114,41 @@ def _parse_sections(text: str, path: str):
     return sections
 
 
-def _floats(value: str, count: int, path: str, lineno: int,
-            allow_inf: bool = False) -> list[float]:
-    """count finite numbers; infinity only where allow_inf, NaN never."""
+def _number(text: str) -> float:
+    """One number as files and flags spell it: float()'s syntax in ASCII,
+    without `_` separators. NaN and inf pass; the caller range-checks."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"non-numeric value {text!r}")
+    return float(text)
+
+
+def _integer(text: str) -> int:
+    """A whole number in the grammar of _number, as an int."""
+    number = _number(text)
+    if not number.is_integer():
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(number)
+
+
+def _numbers(value: str, count: int, integer: bool, path: Path, lineno: int,
+             allow_inf: bool = False):
+    """The value on a file line as count numbers, a tuple unless count is 1:
+    finite (or inf where allow_inf) and whole where integer."""
     parts = value.split()
     if len(parts) != count:
         raise FileFormatError(f"{path}:{lineno}: expected {count} numbers, got {len(parts)}")
     try:
-        numbers = [float(p) for p in parts]
+        numbers = [_number(p) for p in parts]
     except ValueError:
         raise FileFormatError(f"{path}:{lineno}: non-numeric value {value!r}") from None
     if not all(math.isfinite(v) or (allow_inf and math.isinf(v)) for v in numbers):
         raise FileFormatError(f"{path}:{lineno}: non-finite value {value!r}")
-    return numbers
-
-
-def _integer(value: str, path: str, lineno: int) -> int:
-    number = _floats(value, 1, path, lineno)[0]
-    if number != int(number):
-        raise FileFormatError(f"{path}:{lineno}: expected an integer, got {value!r}")
-    return int(number)
+    if integer:
+        whole = [int(v) for v in numbers]
+        if whole != numbers:
+            raise FileFormatError(f"{path}:{lineno}: expected an integer, got {value!r}")
+        numbers = whole
+    return numbers[0] if count == 1 else tuple(numbers)
 
 
 def _read_text(path: Path) -> str:
@@ -143,97 +166,55 @@ def _read_text(path: Path) -> str:
 
 def parse_scenario_file(path: Path) -> ScenarioFile:
     sections = _parse_sections(_read_text(path), str(path))
-
-    def section(name, required=True):
+    values = {}   # section name -> key -> parsed value
+    for name, keys in _SCENARIO_KEYS.items():
         block = sections.pop(name, None)
         if block is None:
-            if required:
+            if any(default is None for _, _, default in keys.values()):
                 raise FileFormatError(f"{path}: missing section [{name}]")
-            return {}
-        base = name.split()[0]
-        allowed = _SCENARIO_KEYS[base]
+            block = {}
         for key, (_, lineno) in block.items():
-            if key not in allowed:
+            if key not in keys:
                 raise FileFormatError(f"{path}:{lineno}: unknown key {key!r} in [{name}]")
-        return block
-
-    buoys = []
-    for i in (1, 2, 3, 4):
-        block = section(f"buoy {i}")
-        if "position" not in block:
-            raise FileFormatError(f"{path}: [buoy {i}] needs a position")
-        lat, lon, height = _floats(block["position"][0], 3, str(path),
-                                   block["position"][1])
-        drift = (0.0, 0.0, 0.0)
-        if "drift" in block:
-            drift = tuple(_floats(block["drift"][0], 3, str(path), block["drift"][1]))
-        try:
-            buoys.append(BuoyTrack(initial=GeodeticCoord(lat, lon, height), drift=drift))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: [buoy {i}]: {exc}") from None
-
-    rx = section("receiver")
-    if "position" not in rx:
-        raise FileFormatError(f"{path}: [receiver] needs a position")
-    position = tuple(_floats(rx["position"][0], 3, str(path), rx["position"][1]))
-    velocity = (0.0, 0.0, 0.0)
-    if "velocity" in rx:
-        velocity = tuple(_floats(rx["velocity"][0], 3, str(path), rx["velocity"][1]))
-
-    chan = section("channel")
-    if "sound_speed" not in chan:
-        raise FileFormatError(f"{path}: [channel] needs sound_speed")
-
-    def scalar(block, key, default, allow_inf=False):
-        if key not in block:
-            return default
-        return _floats(block[key][0], 1, str(path), block[key][1], allow_inf)[0]
-
-    def integer(block, key, default):
-        if key not in block:
-            return default
-        return _integer(block[key][0], str(path), block[key][1])
-
-    sound_speed = scalar(chan, "sound_speed", None)
-    clock_offset = scalar(chan, "clock_offset", 0.0)
-    range_limit = scalar(chan, "range_limit", math.inf, allow_inf=True)
-    noise_sigma = scalar(chan, "noise_sigma", 0.0)
-    seed = integer(chan, "seed", 0)
-    if seed < 0:
-        raise FileFormatError(f"{path}:{chan['seed'][1]}: seed must be >= 0")
-
-    sched = section("schedule", required=False)
-    message_bytes = integer(sched, "message_bytes", 80)
-    bit_rate = scalar(sched, "bit_rate", 640.0)
-    guard = scalar(sched, "guard", 1.0)
-
-    run = section("run")
-    if "frames" not in run:
-        raise FileFormatError(f"{path}: [run] needs frames")
-    frames = integer(run, "frames", 0)
-
-    solver_block = section("solver", required=False)
-    consistency_tolerance = scalar(solver_block, "consistency_tolerance",
-                                   SolverConfig.consistency_tolerance)
-
+        values[name] = parsed = {}
+        for key, (count, integer, default) in keys.items():
+            if key not in block:
+                if default is None:
+                    raise FileFormatError(f"{path}: [{name}] needs {key}")
+                parsed[key] = default
+                continue
+            value, lineno = block[key]
+            parsed[key] = _numbers(value, count, integer, path, lineno, key == "range_limit")
+            if integer and parsed[key] < 0:
+                raise FileFormatError(f"{path}:{lineno}: {key} must be >= 0")
     if sections:
         raise FileFormatError(f"{path}: unknown section [{next(iter(sections))}]")
 
+    buoys = []
+    for i in (1, 2, 3, 4):
+        buoy = values[f"buoy {i}"]
+        try:
+            buoys.append(BuoyTrack(initial=GeodeticCoord(*buoy["position"]),
+                                   drift=buoy["drift"]))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: [buoy {i}]: {exc}") from None
+    receiver, channel = values["receiver"], values["channel"]
     try:
         scenario = Scenario(
             buoys=tuple(buoys),
-            receiver=ReceiverTrack(initial=position, velocity=velocity),
-            sound_speed=sound_speed,
-            clock_offset=clock_offset,
-            schedule=compute_schedule(message_bytes, bit_rate, guard),
-            frames=frames,
-            range_limit=range_limit,
+            receiver=ReceiverTrack(initial=receiver["position"],
+                                   velocity=receiver["velocity"]),
+            sound_speed=channel["sound_speed"],
+            clock_offset=channel["clock_offset"],
+            schedule=compute_schedule(**values["schedule"]),
+            frames=values["run"]["frames"],
+            range_limit=channel["range_limit"],
         )
-        solver = SolverConfig(consistency_tolerance=consistency_tolerance)
+        solver = SolverConfig(**values["solver"])
     except (ValueError, PositioningError) as exc:
         raise FileFormatError(f"{path}: {exc}") from None
-    return ScenarioFile(scenario=scenario, solver=solver, noise_sigma=noise_sigma,
-                        seed=seed)
+    return ScenarioFile(scenario=scenario, solver=solver,
+                        noise_sigma=channel["noise_sigma"], seed=channel["seed"])
 
 
 # -- observation files ---------------------------------------------------
@@ -262,17 +243,17 @@ def parse_observation_file(path: Path) -> ObservationFile:
             raise FileFormatError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "sound_speed":
-            sound_speed = _floats(value, 1, str(path), lineno)[0]
+            sound_speed = _numbers(value, 1, False, path, lineno)
             if sound_speed <= 0.0:
                 raise FileFormatError(f"{path}:{lineno}: sound_speed must be > 0")
         elif key == "frame":
-            frame_index = _integer(value, str(path), lineno)
+            frame_index = _numbers(value, 1, True, path, lineno)
         elif key == "observation":
             parts = value.split(None, 1)
             if len(parts) != 2:
                 raise FileFormatError(
                     f"{path}:{lineno}: observation needs '<receive_time> <sentence>'")
-            receive_times.append(_floats(parts[0], 1, str(path), lineno)[0])
+            receive_times.append(_numbers(parts[0], 1, False, path, lineno))
             sentence = parts[1].strip()
             if not sentence.isascii():
                 raise FileFormatError(f"{path}:{lineno}: sentence is not ASCII")
@@ -303,7 +284,6 @@ def _decode_observation_events(obs_file: ObservationFile, path: Path):
             frame_index=obs_file.frame_index,
             message=message,
             receive_time=receive_time,
-            true_position=CartesianVector(0.0, 0.0, -1.0, ENU),  # unknown here
         ))
     return events
 
@@ -533,17 +513,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one observation file")
     p_solve.add_argument("observations", help="observation file path or bundled name")
-    p_solve.add_argument("--consistency-tolerance", type=float, default=1e-6)
+    p_solve.add_argument("--consistency-tolerance", type=_number, default=1e-6)
 
     p_sched = sub.add_parser("schedule", help="print a TDMA schedule")
-    p_sched.add_argument("message_bytes", type=int)
-    p_sched.add_argument("bit_rate", type=float)
-    p_sched.add_argument("guard", type=float)
-    p_sched.add_argument("--cap", type=float, default=1.0,
+    p_sched.add_argument("message_bytes", type=_integer)
+    p_sched.add_argument("bit_rate", type=_number)
+    p_sched.add_argument("guard", type=_number)
+    p_sched.add_argument("--cap", type=_number, default=1.0,
                          help="max message duration in seconds")
 
     p_ver = sub.add_parser("verify", help="run the property suite")
-    p_ver.add_argument("--seed", type=int, default=None)
+    p_ver.add_argument("--seed", type=_integer, default=None)
     return parser
 
 

@@ -155,20 +155,23 @@ class FrameSchedule:
 
     message_duration: float            # t_m [s]
     guard_time: float                  # g [s]
-    frame_period: float                # T_f [s]
-    start_times: tuple[float, float, float, float]
 
     def __post_init__(self):
         if self.message_duration <= 0.0:
             raise ValueError("message_duration must be > 0")
         if self.guard_time < 0.0:
             raise ValueError("guard_time must be >= 0")
+
+    @property
+    def frame_period(self) -> float:
+        """T_f = 4 (t_m + g) [s]."""
+        return 4.0 * (self.message_duration + self.guard_time)
+
+    @property
+    def start_times(self) -> tuple[float, float, float, float]:
+        """Each buoy's transmit instant within the frame [s]."""
         slot = self.message_duration + self.guard_time
-        for i in range(3):
-            if abs((self.start_times[i + 1] - self.start_times[i]) - slot) > 1e-12:
-                raise ValueError("start_times must be spaced by t_m + g")
-        if abs(self.frame_period - 4.0 * slot) > 1e-12:
-            raise ValueError("frame_period must equal 4*(t_m + g)")
+        return (0.0, slot, 2.0 * slot, 3.0 * slot)
 
 
 def compute_schedule(
@@ -181,8 +184,8 @@ def compute_schedule(
 
     The reference budget (80 bytes at 640 bps with a 1 s guard) gives
     t_m = 1 s and an 8 s frame. A cap on the transmission time (1 s by
-    default) turns an over-budget message into an error. bit_rate, guard
-    and the cap must be finite.
+    default) turns an over-budget message into an error. bit_rate and
+    guard must be finite, and the cap finite and > 0.
     """
     if message_bytes <= 0:
         raise ValueError("message_bytes must be > 0")
@@ -190,20 +193,15 @@ def compute_schedule(
         raise ValueError(f"bit_rate {bit_rate} must be finite and > 0")
     if not (math.isfinite(guard) and guard >= 0):
         raise ValueError(f"guard {guard} must be finite and >= 0")
-    if not math.isfinite(max_message_duration):
-        raise ValueError(f"message duration cap {max_message_duration} must be finite")
+    if not (math.isfinite(max_message_duration) and max_message_duration > 0):
+        raise ValueError(
+            f"message duration cap {max_message_duration} must be finite and > 0")
     t_m = 8.0 * message_bytes / bit_rate
     if t_m > max_message_duration:
         raise BudgetExceeded(
             f"message duration {t_m:.3f} s exceeds the "
             f"{max_message_duration:.3f} s cap")
-    slot = t_m + guard
-    return FrameSchedule(
-        message_duration=t_m,
-        guard_time=guard,
-        frame_period=4.0 * slot,
-        start_times=(0.0, slot, 2.0 * slot, 3.0 * slot),
-    )
+    return FrameSchedule(message_duration=t_m, guard_time=guard)
 
 
 def transmit_times(s: FrameSchedule, frame_index: int) -> tuple[float, float, float, float]:

@@ -432,10 +432,11 @@ def check_motion_displacement(seed: int) -> tuple[bool, str]:
             azimuth = rng.uniform(0.0, 2.0 * np.pi)
             vel = (speed * math.cos(azimuth), speed * math.sin(azimuth), 0.0)
             scenario = make_scenario(_LAYOUT, velocity=vel, frames=2)
+            period = scenario.schedule.frame_period
             for record in channel.simulate(scenario):
                 first = _array(record.events[0].true_position)
                 last = _array(record.events[-1].true_position)
-                worst = max(worst, float(np.linalg.norm(last - first)) / (speed * 8.0))
+                worst = max(worst, float(np.linalg.norm(last - first)) / (speed * period))
     return worst <= 1.0, f"worst displacement / (v*T_f) = {worst:.3f} (<= 1)"
 
 
@@ -448,7 +449,6 @@ def check_motion_bound(seed: int, trajectories: int = 100) -> tuple[bool, str]:
     exceedance is measured, not hidden.
     """
     rng = np.random.default_rng(seed)
-    span = 6.0  # first-to-last transmit separation of the reference schedule
     ratios = []
     violations = 0
     total = 0
@@ -459,6 +459,8 @@ def check_motion_bound(seed: int, trajectories: int = 100) -> tuple[bool, str]:
             start = (rng.uniform(200.0, 800.0), rng.uniform(200.0, 800.0),
                      -rng.uniform(100.0, 500.0))
             scenario = make_scenario(_LAYOUT, velocity=vel, receiver=start, frames=2)
+            starts = scenario.schedule.start_times
+            span = starts[3] - starts[0]   # first-to-last transmit separation
             frame = channel.working_frame(scenario)
             cfg = SolverConfig(consistency_tolerance=500.0)
             previous = None

@@ -170,3 +170,7 @@ def test_scenario_validation():
     with pytest.raises(ValueError, match="buoy drifts must be finite"):
         replace(make_scenario(), buoys=drifting)
     assert replace(make_scenario(), range_limit=math.inf).range_limit == math.inf
+    # c^2 underflows to 0 or overflows: simulate could not time an arrival
+    for sound_speed in (1e-200, 1e200):
+        with pytest.raises(ValueError, match="squared is out of float range"):
+            replace(make_scenario(), sound_speed=sound_speed)

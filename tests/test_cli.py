@@ -1,11 +1,16 @@
 """CLI contracts: commands, exit codes, file grammars, determinism."""
+import contextlib
+import io
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwps import cli
 from uwps.cli import (
@@ -210,6 +215,11 @@ NUMBER_CASES = [
     ("simulate", scenario_text(solver="[solver]\nconsistency_tolerance = inf\n"),
      "consistency_tolerance = inf"),
     ("simulate", _add_channel_line("range_limit = inf"), None),   # the default: accepted
+    # float() reads these; the grammar does not: no `_`, ASCII digits only
+    ("simulate", scenario_text(sound_speed="1_500.0"), "sound_speed = 1_500.0"),
+    ("simulate", scenario_text(frames="\uff15"), "frames = \uff15"),
+    ("solve", FRAME0.replace("0.3480102169633028", "0.348_0102169633028"),
+     "= 0.348_0102169633028 $UWPS,1"),
     ("solve", FRAME0.replace("0.3480102169633028", "nan"), "= nan $UWPS,1"),
     ("solve", FRAME0.replace("sound_speed = 1500", "sound_speed = nan"), "sound_speed = nan"),
     ("solve", FRAME0.replace("sound_speed = 1500", "sound_speed = 0"), "sound_speed = 0"),
@@ -256,6 +266,72 @@ def test_undecodable_input_rejected_with_line(command, data, bad_line, tmp_path,
     assert err.startswith(f"error: {path}:{lineno}: ")
 
 
+# the bundled scenario's value spellings, section -> key -> (value, line)
+_BASE = cli._parse_sections(SQUARETEST.read_text(), "squaretest")
+_GRAMMAR = [(name, key, *spec)
+            for name, keys in cli._SCENARIO_KEYS.items() for key, spec in keys.items()]
+_BAD_NUMBERS = st.one_of(
+    st.integers(10, 99).map(lambda n: f"{n // 10}_{n % 10}"),     # `_` separator
+    st.sampled_from(["\uff15", "\u0665", "1\u09eb.0", "\uff11e3"]),  # non-ASCII digits
+    st.sampled_from(["nan", "inf", "-inf", "NaN", "infinity"]),
+)
+
+
+@st.composite
+def scenario_files(draw):
+    """Scenario text from the grammar table: the bundled file's values, a
+    few keys redrawn as other valid numbers, and at most one grammar fault
+    (a wrong count, a misspelled or non-finite number, a dropped key or
+    section, an unknown key or section)."""
+    redrawn = draw(st.sets(st.sampled_from(range(len(_GRAMMAR))), max_size=3))
+    broken = draw(st.sets(st.sampled_from(range(len(_GRAMMAR))), max_size=1))
+    fault = draw(st.sampled_from(["count", "spelling", "drop", "unknown key",
+                                  "unknown section", "drop section"]))
+    sections: dict[str, list[str]] = {}
+    for index, (name, key, count, integer, _) in enumerate(_GRAMMAR):
+        value = _BASE.get(name, {}).get(key, (None,))[0]
+        if index in redrawn:
+            number = (st.integers(0, 5 if key == "frames" else 10**6).map(str) if integer
+                      else st.floats(-1e4, 1e4).map(repr))
+            value = " ".join(draw(number) for _ in range(count))
+        if index in broken:
+            numbers = (value or "1 " * count).split()
+            if fault == "count":
+                numbers = numbers[:-1] if draw(st.booleans()) else numbers + ["1"]
+            elif fault == "spelling":
+                numbers[draw(st.integers(0, count - 1))] = draw(_BAD_NUMBERS)
+            value = None if fault == "drop" else " ".join(numbers)
+            if fault == "unknown key":
+                sections.setdefault(name, []).append("speed_cap = 10.0")
+            elif fault == "unknown section":
+                sections.setdefault(f"{name} 2", []).append(f"{key} = 1")
+            elif fault == "drop section":
+                sections[name] = None
+        lines = sections.setdefault(name, [])
+        if value is not None and lines is not None:
+            lines.append(f"{key} = {value}")
+    return "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines)
+                   for name, lines in sections.items() if lines is not None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=scenario_files())
+def test_simulate_fuzzed_scenario_files(text):
+    """uwps simulate on any scenario file exits 0, 1 or 2 without a
+    traceback, and a rejected file is reported as `error: <path>...`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.scn"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["simulate", str(path), "-o", str(Path(tmp) / "out.csv")])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_SOLVER)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_USAGE:
+        assert err.getvalue().startswith(f"error: {path}")
+        assert out.getvalue() == ""
+
+
 FLAG_CASES = [
     ("solve", "squaretest_frame0", "--consistency-tolerance", "-1"),
     ("solve", "squaretest_frame0", "--consistency-tolerance", "0"),
@@ -266,6 +342,8 @@ FLAG_CASES = [
     ("schedule", "80", "640", "inf"),
     ("schedule", "80", "640", "1", "--cap", "nan"),
     ("schedule", "80", "640", "1", "--cap", "inf"),
+    ("schedule", "80", "640", "1", "--cap", "0"),
+    ("schedule", "80", "640", "1", "--cap", "-1"),
 ]
 
 
@@ -278,6 +356,28 @@ def test_cli_numbers_rejected(argv, capsys):
     assert out == ""
     assert err.startswith("error: ") and "must be" in err
     assert "Traceback" not in err
+
+
+SPELLING_CASES = [
+    ("schedule", "8_0", "640", "1"),
+    ("schedule", "80", "6_40", "1"),
+    ("schedule", "80", "640", "\uff11"),
+    ("schedule", "80", "640", "1", "--cap", "1_0"),
+    ("solve", "squaretest_frame0", "--consistency-tolerance", "1_0"),
+    ("solve", "squaretest_frame0", "--consistency-tolerance", "\uff11"),
+    ("verify", "--seed", "1_0"),
+    ("verify", "--seed", "\u0661"),
+]
+
+
+@pytest.mark.parametrize("argv", SPELLING_CASES, ids=" ".join)
+def test_cli_numbers_follow_the_file_grammar(argv, capsys):
+    """A flag or argument spelled with a `_` separator or a non-ASCII digit
+    is no number, as in the files: exit 1, no traceback, nothing on stdout."""
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "invalid" in err and "Traceback" not in err
 
 
 def test_solve_bundled_frame_matches_simulate(tmp_path, capsys):
@@ -521,11 +621,12 @@ def test_usage_error_exit_code():
 
 
 def test_file_formats_doc_lists_the_scenario_keys():
-    """docs/file-formats.md's key table names exactly the keys the scenario
-    parser accepts, section by section."""
+    """docs/file-formats.md's key table names exactly the keys of the
+    scenario grammar, section by section, each with the grammar's number
+    count, kind and optional marking."""
     doc = (Path(__file__).parent.parent / "docs" / "file-formats.md").read_text()
     table = doc.split("## Scenario files", 1)[1].split("\n\n## ", 1)[0]
-    documented: dict[str, set[str]] = {}
+    documented: dict[str, dict[str, tuple]] = {}
     section = None
     for row in table.splitlines():
         cells = [cell.strip() for cell in row.strip().strip("|").split("|")]
@@ -533,8 +634,13 @@ def test_file_formats_doc_lists_the_scenario_keys():
             continue
         if cells[0]:
             section = cells[0].strip("`[]").split()[0]
-        documented.setdefault(section, set()).add(cells[1].strip("`"))
-    assert documented == cli._SCENARIO_KEYS
+        count, kind = cells[2].split()
+        documented.setdefault(section, {})[cells[1].strip("`")] = (
+            int(count), kind == "integer", "optional" in cells[3])
+    assert documented == {
+        section.split()[0]: {key: (count, integer, default is not None)
+                             for key, (count, integer, default) in keys.items()}
+        for section, keys in cli._SCENARIO_KEYS.items()}
 
 
 def test_scenario_parser_units_and_defaults(tmp_path):
