@@ -33,6 +33,10 @@ from .protocol import BuoyMessage, FrameSchedule, transmit_times
 
 RX_CLOCK_TICK = 2.0 ** -40          # receiver timestamp resolution [s]
 SPEED_CAP = 10.0                    # receiver speed sanity cap [m/s]
+# bound on the magnitude of receiver coordinates and buoy heights [m], buoy
+# drifts and the sound speed [m/s]: every range, squared range and arrival
+# time simulate computes then stays well within float range
+MAGNITUDE_CAP = 1e9
 
 
 def _quantize_ms(t: float) -> float:
@@ -109,6 +113,12 @@ class Scenario:
         if not 0.0 < c * c - (vx * vx + vy * vy + vz * vz) < math.inf:
             # simulate's arrival time divides by c^2 - |v|^2
             raise ValueError(f"sound_speed {c} m/s squared is out of float range")
+        for name, values in (("receiver position", self.receiver.initial),
+                             ("buoy heights", [b.initial.height for b in self.buoys]),
+                             ("buoy drifts", [v for b in self.buoys for v in b.drift]),
+                             ("sound_speed", (c,))):
+            if any(abs(v) > MAGNITUDE_CAP for v in values):
+                raise ValueError(f"{name} must be at most {MAGNITUDE_CAP:g} in magnitude")
         if not self.range_limit > 0:   # NaN too; inf means unlimited
             raise ValueError(f"range_limit {self.range_limit} must be > 0")
         end = self.frames * self.schedule.frame_period

@@ -393,9 +393,12 @@ def cmd_simulate(args) -> int:
         span = scenario.schedule.start_times[3] - scenario.schedule.start_times[0]
         bound = speed * span
         print(f"motion bound v*S = {bound:.9g} m (v = {speed:.9g} m/s, S = {span:.9g} s)")
-        observed = max(errors_numerical or errors_analytic or [math.nan])
-        verdict = "within" if observed <= bound else "exceeds"
-        print(f"max solved error {observed:.9g} m {verdict} the motion bound")
+        scored = errors_numerical or errors_analytic
+        if scored:
+            verdict = "within" if max(scored) <= bound else "exceeds"
+            print(f"max solved error {max(scored):.9g} m {verdict} the motion bound")
+        else:
+            print("no frame was solved: the motion bound was not checked")
 
     if complete_frames == 0:
         print("error: NoFix in every frame", file=sys.stderr)

@@ -52,6 +52,10 @@ _TRUST_GROW = 2.0
 _RHO_ACCEPT = 1e-4
 _COST_FLOOR = 1e-24     # m^2; half the squared residual norm that counts as solved
 _STEP_TOL = 1e-9        # m; a step or trust radius this short ends the iteration
+# Gauss-Newton gives up on an iterate farther from buoy 0 than this many
+# longest baselines: out there d_0i -> -b_i (e_i . u) depends on the
+# direction u alone, so the range is unobservable
+_REACH = 100.0
 
 
 @dataclass(frozen=True)
@@ -401,18 +405,46 @@ def numerical_solve(
 
     Plain float arithmetic throughout, like kleusberg_solve: the Jacobian,
     gradient and the six entries of the symmetric normal matrix are written
-    out, and the 3x3 solve is _solve3.
+    out, and the 3x3 solve is _solve3. Each trial step costs one residual
+    kernel evaluation, and the accepted trial's is the next iteration's.
+
+    Returns the iterate when half its squared residual norm is below
+    1e-24 m^2, when the gradient vanishes, when no step longer than the
+    1e-9 m tolerance can improve the model, or after an accepted step
+    shorter than that tolerance. No returned fix lies at or above
+    SURFACE_UP. Raises ValueError for a non-finite start, and otherwise:
+
+    * NonConvergence for a start at or above SURFACE_UP, or as soon as an
+      accepted step lands there: on the plane of a near-coplanar array a
+      least-squares compromise of inconsistent differences is no fix;
+    * NonConvergence as soon as an accepted step lands farther from buoy 0
+      than _REACH longest baselines, where the range is unobservable; a
+      start out there is not an error, and its iterates are not bounded;
+    * NonConvergence when no trial step is accepted, or when the iteration
+      budget runs out;
+    * SingularJacobian when the iterate coincides with a buoy, or the
+      normal equations are non-finite or rank-deficient even when damped.
     """
     x, y, z = initial.x, initial.y, initial.z
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError("initial guess must be finite")
     anchors, d = diffs.anchors, diffs.d
+    reach = _REACH * max(diffs.b)
 
     radius = _TRUST_RADIUS_0
+    kernel = _residual_kernel(x, y, z, anchors, d)
+    if kernel[1][0] > reach:
+        # a start out there, such as a closed-form fix, is polished: only an
+        # iterate that runs off from within reach is given up on
+        reach = math.inf
     for iteration in range(cfg.max_iterations):
-        offsets, ranges, res = _residual_kernel(x, y, z, anchors, d)
+        offsets, ranges, res = kernel
         if 0.0 in ranges:
             raise SingularJacobian("iterate coincides with a buoy position")
+        if z >= SURFACE_UP:
+            # only a start gets here: an accepted step that lands at the
+            # surface ends the iteration where it lands
+            raise NonConvergence(f"start at up = {z:.3g} m is not below the surface")
         cost = _cost(res)
         if cost < _COST_FLOOR:
             return CartesianVector(x, y, z, ENU)
@@ -474,7 +506,8 @@ def numerical_solve(
                     t = (-bq + math.sqrt(bq * bq - 4.0 * a * cq)) / (2.0 * a)
                     p = (c0 + t * l0, c1 + t * l1, c2 + t * l2)
             p0, p1, p2 = p
-            trial_cost = _cost(_residual_kernel(x + p0, y + p1, z + p2, anchors, d)[2])
+            trial = _residual_kernel(x + p0, y + p1, z + p2, anchors, d)
+            trial_cost = _cost(trial[2])
             predicted = (-(g0 * p0 + g1 * p1 + g2 * p2)
                          - 0.5 * (p0 * (n00 * p0 + n01 * p1 + n02 * p2)
                                   + p1 * (n01 * p0 + n11 * p1 + n12 * p2)
@@ -495,6 +528,14 @@ def numerical_solve(
             raise NonConvergence(
                 f"no acceptable step at iteration {iteration + 1}")
         x, y, z = x + step[0], y + step[1], z + step[2]
+        kernel = trial
+        if z >= SURFACE_UP:
+            raise NonConvergence(
+                f"iterate reached the surface (up = {z:.3g} m) at iteration {iteration + 1}")
+        if trial[1][0] > reach:
+            raise NonConvergence(
+                f"iterate {trial[1][0]:.3g} m from buoy 0, beyond reach "
+                f"({reach:.3g} m), at iteration {iteration + 1}")
         if pn < _STEP_TOL:
             return CartesianVector(x, y, z, ENU)
 

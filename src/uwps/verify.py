@@ -446,11 +446,13 @@ def check_motion_bound(seed: int, trajectories: int = 100) -> tuple[bool, str]:
     FAILs today: the single-frame solver does not model the receiver's
     motion during the frame, and the geometry's vertical dilution amplifies
     that unmodelled motion in the solved position. Kept as stated so the
-    exceedance is measured, not hidden.
+    exceedance is measured, not hidden: a frame without a fix counts as
+    not meeting the bound.
     """
     rng = np.random.default_rng(seed)
     ratios = []
     violations = 0
+    unsolved = 0
     total = 0
     for speed in (1.0, 2.5, 5.0):
         for _ in range(trajectories):
@@ -469,7 +471,9 @@ def check_motion_bound(seed: int, trajectories: int = 100) -> tuple[bool, str]:
                                                     frame=frame)
                 diffs = multilateration.pseudorange_diffs(obs)
                 fix = multilateration.solve_frame(diffs, cfg, previous).numerical
+                total += 1
                 if fix is None:
+                    unsolved += 1
                     continue
                 # chain the fix only while it stays plausibly near the array
                 if float(np.linalg.norm(_array(fix))) < 5.0 * float(np.max(diffs.b)):
@@ -478,14 +482,15 @@ def check_motion_bound(seed: int, trajectories: int = 100) -> tuple[bool, str]:
                     previous = None
                 truth = _array(record.events[-1].true_position)
                 error = float(np.linalg.norm(_array(fix) - truth))
-                total += 1
                 ratios.append(error / (speed * span))
                 if error > speed * span:
                     violations += 1
-    worst = max(ratios)
-    ok = violations == 0
-    return ok, (f"{violations}/{total} frames exceed v*S; error/(v*S) "
-                f"median {float(np.median(ratios)):.2f}, worst {worst:.2f}")
+    detail = (f"{violations + unsolved}/{total} frames exceed v*S or have no fix "
+              f"({unsolved} unsolved)")
+    if ratios:
+        detail += (f"; error/(v*S) of solved frames median {float(np.median(ratios)):.2f}, "
+                   f"worst {max(ratios):.2f}")
+    return violations + unsolved == 0, detail
 
 
 _CHECKS: list[tuple[str, Callable[[int], tuple[bool, str]]]] = [

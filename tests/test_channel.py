@@ -174,3 +174,15 @@ def test_scenario_validation():
     for sound_speed in (1e-200, 1e200):
         with pytest.raises(ValueError, match="squared is out of float range"):
             replace(make_scenario(), sound_speed=sound_speed)
+    # finite squares, but an arrival time or squared range would overflow
+    with pytest.raises(ValueError, match="sound_speed must be at most 1e"):
+        replace(make_scenario(), sound_speed=1e153)
+    with pytest.raises(ValueError, match="receiver position must be at most 1e"):
+        make_scenario(receiver=(1e160, 400.0, -150.0))
+    moved = (replace(buoys[1], initial=replace(buoys[1].initial, height=-1e160)), *buoys[1:])
+    with pytest.raises(ValueError, match="buoy heights must be at most 1e"):
+        replace(make_scenario(), buoys=moved)
+    drifting = (replace(buoys[0], drift=(1e160, 0.0, 0.0)), *buoys[1:])
+    with pytest.raises(ValueError, match="buoy drifts must be at most 1e"):
+        replace(make_scenario(), buoys=drifting)
+    assert replace(make_scenario(), sound_speed=1e9).sound_speed == 1e9

@@ -136,15 +136,37 @@ def test_simulate_rejects_unknown_key(tmp_path, capsys):
 
 
 def test_simulate_fast_receiver_flags_bound(tmp_path, capsys):
+    """Every frame fails the closed form, and Gauss-Newton from the centroid
+    ends at the surface, where its buoy-plane compromise lies about 154 m
+    from the truth: no frame is solved, so the bound is not checked."""
     scn = tmp_path / "fast.scn"
     scn.write_text(scenario_text(
         receiver_velocity="10.0 0.0 0.0",
         solver="[solver]\nconsistency_tolerance = 1000.0\n"))
-    code, out, _ = run_cli("simulate", str(scn), "-o", str(tmp_path / "o.csv"),
-                           capsys=capsys)
-    assert code == EXIT_OK
+    out_csv = tmp_path / "o.csv"
+    code, out, err = run_cli("simulate", str(scn), "-o", str(out_csv), capsys=capsys)
+    assert code == EXIT_SOLVER
     assert "motion bound v*S = 60 m" in out
-    assert "the motion bound" in out
+    assert "no frame was solved: the motion bound was not checked" in out
+    assert "nan" not in out
+    assert err == "error: frame 0 produced no fix (NoRealSolution)\n"
+    for row in out_csv.read_text().splitlines()[1:]:
+        cells = row.split(",")
+        assert cells[4:14] == [""] * 10 and cells[16] == "NoRealSolution"
+
+
+def test_simulate_without_frames_skips_motion_bound(tmp_path, capsys):
+    """A moving receiver out of every buoy's range: no frame has a fix, so
+    there is no error to hold against the bound."""
+    scn = tmp_path / "far.scn"
+    scn.write_text(scenario_text(receiver_velocity="1.0 0.0 0.0").replace(
+        "[run]", "range_limit = 10.0\n[run]"))
+    code, out, err = run_cli("simulate", str(scn), "-o", str(tmp_path / "o.csv"),
+                             capsys=capsys)
+    assert code == EXIT_SOLVER
+    assert "no frame was solved: the motion bound was not checked" in out
+    assert "max solved error" not in out and "nan" not in out
+    assert "NoFix in every frame" in err
 
 
 def test_simulate_noisy_scenario_runs(tmp_path, capsys):
@@ -193,6 +215,21 @@ def test_simulate_degenerate_symmetric_receiver(tmp_path, capsys):
     if code != EXIT_OK:
         assert code == EXIT_SOLVER
         assert "frame" in err
+
+
+@pytest.mark.parametrize("old, new", [
+    ("sound_speed = 1500.0", "sound_speed = 1e153"),
+    ("position = 300.0 400.0 -150.0", "position = 1e160 400.0 -150.0"),
+], ids=["sound_speed", "receiver position"])
+def test_simulate_rejects_magnitudes_that_overflow(old, new, tmp_path, capsys):
+    """Values whose arrival times would overflow are a file error, exit 1,
+    not a traceback from the simulator."""
+    path = tmp_path / "big.scn"
+    path.write_text(SQUARETEST.read_text().replace(old, new))
+    code, out, err = run_cli("simulate", str(path), capsys=capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and "must be at most 1e+09" in err
 
 
 def _add_channel_line(line):

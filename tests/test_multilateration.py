@@ -339,17 +339,52 @@ def test_numerical_on_noisy_data_beats_truth_residual():
 
 def test_numerical_accepts_unrealizable_differences():
     """Noisy data may push |d| past the baseline; the iterative solver
-    must accept it and settle on the finite compromise minimizer."""
+    must accept it. The compromise minimizer of these differences lies on
+    the buoy plane (u = +9e-6 m), where no fix can be, so from any start
+    Gauss-Newton ends at the surface instead of reporting it."""
     wild = unrealizable_diffs()
     assert not wild.is_realizable()
-    got = numerical_solve(wild, initial=enu(300.0, 400.0, -150.0), cfg=CFG)
-    assert np.all(np.isfinite(got.as_tuple()))
-    # it is a genuine local minimizer: no nearby point does better
-    base = np.linalg.norm(residuals(got, wild))
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        probe = np.array(got.as_tuple()) + rng.normal(0.0, 0.5, 3)
-        assert np.linalg.norm(residuals(enu(*probe), wild)) >= base - 1e-9
+    for up in (-150.0, -1.0, -1000.0):
+        with pytest.raises(NonConvergence, match="reached the surface"):
+            numerical_solve(wild, initial=enu(300.0, 400.0, up), cfg=CFG)
+
+
+def test_numerical_stops_at_the_surface():
+    """A start at or above the surface raises, and so does the first
+    accepted step that lands there, naming its iteration; no returned fix
+    lies at or above the surface."""
+    diffs = oracle_diffs(unit_square(1000.0), np.array([300.0, 400.0, -150.0]))
+    for up in (SURFACE_UP, 5.0):
+        with pytest.raises(NonConvergence, match="start at up = .* not below the surface"):
+            numerical_solve(diffs, initial=enu(300.0, 400.0, up), cfg=CFG)
+    noisy = replace(diffs, d=(301.0, 409.0, 178.0))
+    with pytest.raises(NonConvergence,
+                       match=r"reached the surface \(up = 27.3 m\) at iteration 7"):
+        numerical_solve(noisy, initial=enu(500.0, 500.0, -707.0), cfg=CFG)
+    for case, start, cfg in numerical_cases():
+        try:
+            got = numerical_solve(case, initial=start, cfg=cfg)
+        except PositioningError:
+            continue
+        assert got.z < SURFACE_UP
+
+
+def test_numerical_stops_beyond_reach():
+    """An accepted step farther from buoy 0 than 100 longest baselines ends
+    the iteration. A start out there, such as a closed-form fix 250 km
+    away, is no error: it returns as it is, or polished out there."""
+    square = unit_square(1000.0)
+    diffs = replace(oracle_diffs(square, np.array([300.0, 400.0, -150.0])),
+                    d=(252.0, 408.0, 140.0))
+    with pytest.raises(NonConvergence, match=r"from buoy 0, beyond reach \(1.41e\+05 m\)"):
+        numerical_solve(diffs, initial=enu(500.0, 500.0, -707.0), cfg=CFG)
+    far = np.array([2e5, 400.0, -1.5e5])
+    exact = oracle_diffs(square, far)
+    assert numerical_solve(exact, initial=enu(*far), cfg=CFG).as_tuple() == tuple(far)
+    nudged = replace(exact, d=(exact.d[0] + 1e-6, *exact.d[1:]))
+    got = numerical_solve(nudged, initial=enu(*far), cfg=CFG)
+    assert np.linalg.norm(got.as_tuple()) > 100.0 * max(exact.b)
+    assert np.linalg.norm(residuals(got, nudged)) < np.linalg.norm(residuals(enu(*far), nudged))
 
 
 def unrealizable_diffs():
@@ -365,6 +400,9 @@ def numpy_numerical_solve(diffs, initial, cfg):
     r0 = np.array(diffs.reference.as_tuple())
     buoys = r0 + np.array(diffs.e) * np.array(diffs.b)[:, None]
     d = np.array(diffs.d)
+    reach = multilateration._REACH * max(diffs.b)
+    if np.linalg.norm(x - r0) > reach:
+        reach = np.inf
 
     def residual_vector(p):
         return (np.linalg.norm(p - buoys, axis=1) - np.linalg.norm(p - r0)) - d
@@ -375,6 +413,8 @@ def numpy_numerical_solve(diffs, initial, cfg):
         range_i = np.linalg.norm(x - buoys, axis=1)
         if range_ref == 0.0 or np.any(range_i == 0.0):
             raise SingularJacobian("iterate coincides with a buoy position")
+        if x[2] >= SURFACE_UP:
+            raise NonConvergence(f"start at up = {x[2]:.3g} m is not below the surface")
         res = (range_i - range_ref) - d
         cost = 0.5 * float(res @ res)
         if cost < multilateration._COST_FLOOR:
@@ -433,6 +473,13 @@ def numpy_numerical_solve(diffs, initial, cfg):
         if step is None:
             raise NonConvergence(f"no acceptable step at iteration {iteration + 1}")
         x = x + step
+        if x[2] >= SURFACE_UP:
+            raise NonConvergence(
+                f"iterate reached the surface (up = {x[2]:.3g} m) at iteration {iteration + 1}")
+        if np.linalg.norm(x - r0) > reach:
+            raise NonConvergence(
+                f"iterate {np.linalg.norm(x - r0):.3g} m from buoy 0, beyond reach "
+                f"({reach:.3g} m), at iteration {iteration + 1}")
         if np.linalg.norm(step) < multilateration._STEP_TOL:
             return x
     raise NonConvergence(
@@ -519,9 +566,9 @@ def test_solve3_reports_exactly_singular_matrix():
 
 
 def test_numerical_takes_damped_rescue_in_plane_of_coplanar_buoys(monkeypatch):
-    """Buoys at one depth and the iterate exactly in their plane: the
-    vertical column of the Jacobian is zero, the normal matrix exactly
-    singular, and the damped solve takes the step."""
+    """Buoys at one depth below the surface and the iterate exactly in
+    their plane: the vertical column of the Jacobian is zero, the normal
+    matrix exactly singular, and the damped solve takes the step."""
     solves = []
 
     def recorded(rows):
@@ -531,12 +578,13 @@ def test_numerical_takes_damped_rescue_in_plane_of_coplanar_buoys(monkeypatch):
 
     solve3 = multilateration._solve3
     monkeypatch.setattr(multilateration, "_solve3", recorded)
-    diffs = oracle_diffs(unit_square(1000.0), np.array([300.0, 400.0, -150.0]))
-    got = numerical_solve(diffs, initial=enu(250.0, 450.0, 0.0), cfg=CFG)
+    diffs = oracle_diffs(unit_square(1000.0, ups=(-20.0,) * 4),
+                         np.array([300.0, 400.0, -150.0]))
+    got = numerical_solve(diffs, initial=enu(250.0, 450.0, -20.0), cfg=CFG)
     assert solves[0] is None and solves[1] is not None
-    assert got.z == 0.0 and np.all(np.isfinite(got.as_tuple()))
+    assert got.z == -20.0 and np.all(np.isfinite(got.as_tuple()))
     assert np.linalg.norm(residuals(got, diffs)) < np.linalg.norm(
-        residuals(enu(250.0, 450.0, 0.0), diffs))
+        residuals(enu(250.0, 450.0, -20.0), diffs))
 
 
 @settings(max_examples=300, deadline=None)
