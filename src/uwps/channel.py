@@ -11,23 +11,17 @@ offset is applied. With the offset any multiple of that tick (integers in
 particular) and session times under 2^13 s, receive times are exact floats
 and the offset cancels bit-for-bit in the downstream differencing.
 
-Everything is Python floats; add_timing_noise alone imports an array
+Everything is Python floats, and every working-frame position is an
+(east, north, up) float tuple; add_timing_noise alone imports an array
 library, for its seeded Gaussian generator, when it is called.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import IncompleteFrame
-from .geo import (
-    ENU,
-    CartesianVector,
-    GeodeticCoord,
-    LocalFrame,
-    enu_to_geodetic,
-    geodetic_to_enu,
-)
+from .geo import GeodeticCoord, LocalFrame, enu_to_geodetic, geodetic_to_enu
 from .multilateration import SURFACE_UP, Observation, ObservationSet, _norm
 from .protocol import BuoyMessage, FrameSchedule, transmit_times
 
@@ -132,17 +126,18 @@ class ReceptionEvent:
     """One message heard by the receiver.
 
     true_position is ground truth (receiver location at the arrival
-    instant, working ENU frame) and is withheld from the solvers.
-    source is the reported position converted into source_frame, as the
-    simulator computed it, and takes no part in comparisons. All three
-    are None for events read from the wire. The buoy is message.buoy_id.
+    instant, an (east, north, up) float tuple in the working ENU frame) and
+    is withheld from the solvers. source is the reported position converted
+    into source_frame, an (east, north, up) float tuple as the simulator
+    computed it, and takes no part in comparisons. All three are None for
+    events read from the wire. The buoy is message.buoy_id.
     """
 
     frame_index: int
     message: BuoyMessage
     receive_time: float               # receiver clock [s]
-    true_position: CartesianVector | None = None
-    source: CartesianVector | None = field(default=None, compare=False)
+    true_position: tuple[float, float, float] | None = None
+    source: tuple[float, float, float] | None = field(default=None, compare=False)
     source_frame: LocalFrame | None = field(default=None, compare=False)
 
 
@@ -187,16 +182,15 @@ def simulate(scenario: Scenario) -> list[FrameRecord]:
         events = []
         for i in range(4):
             t_tx = _quantize_ms(slots[i])
-            p0, (dx, dy, dz) = buoy_enu0[i], scenario.buoys[i].drift
-            enu = CartesianVector(p0.x + dx * t_tx, p0.y + dy * t_tx, p0.z + dz * t_tx, ENU)
-            reported = enu_to_geodetic(enu, frame)
+            (e0, n0, u0), (dx, dy, dz) = buoy_enu0[i], scenario.buoys[i].drift
+            reported = enu_to_geodetic((e0 + dx * t_tx, n0 + dy * t_tx, u0 + dz * t_tx), frame)
             message = BuoyMessage(i + 1, t_tx, reported)
             # the acoustic source is the reported point
-            source_enu = geodetic_to_enu(message.position, frame)
+            source = geodetic_to_enu(message.position, frame)
 
             # |q + v*tau| = c*tau with q = p(t_tx) - source: the positive root
             x, y, z = rx.position_at(t_tx)
-            qx, qy, qz = x - source_enu.x, y - source_enu.y, z - source_enu.z
+            qx, qy, qz = x - source[0], y - source[1], z - source[2]
             qv = qx * vx + qy * vy + qz * vz
             qq = qx * qx + qy * qy + qz * qz
             t_arr = t_tx + (qv + math.sqrt(qv * qv + a * qq)) / a
@@ -208,8 +202,8 @@ def simulate(scenario: Scenario) -> list[FrameRecord]:
                 frame_index=k,
                 message=message,
                 receive_time=_quantize_tick(t_arr) - scenario.clock_offset,
-                true_position=CartesianVector(*rx.position_at(t_arr), ENU),
-                source=source_enu,
+                true_position=rx.position_at(t_arr),
+                source=source,
                 source_frame=frame,
             ))
         records.append(FrameRecord(frame_index=k, events=tuple(events)))
@@ -254,7 +248,7 @@ def assemble_observations(
     return ObservationSet(observations=observations, sound_speed=sound_speed)
 
 
-def _enu_position(event: ReceptionEvent, frame: LocalFrame) -> CartesianVector:
+def _enu_position(event: ReceptionEvent, frame: LocalFrame) -> tuple[float, float, float]:
     # a frame is computed from its origin alone
     if event.source is not None and event.source_frame.origin == frame.origin:
         return event.source
@@ -262,17 +256,21 @@ def _enu_position(event: ReceptionEvent, frame: LocalFrame) -> CartesianVector:
 
 
 def add_timing_noise(records, sigma: float, seed: int) -> list[FrameRecord]:
-    """Gaussian perturbation of receive timestamps, reproducible by seed."""
+    """Gaussian perturbation of receive timestamps, reproducible by seed.
+
+    One standard-normal draw per event, in event order, all taken in one
+    call: the generator gives the same numbers as one draw per event.
+    """
     import numpy as np   # only noisy runs pay for the import
 
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
+    records = list(records)
     rng = np.random.default_rng(seed)
-    noisy = []
-    for record in records:
-        events = tuple(
-            replace(e, receive_time=e.receive_time + sigma * float(rng.standard_normal()))
-            for e in record.events
-        )
-        noisy.append(replace(record, events=events))
-    return noisy
+    draws = iter(rng.standard_normal(sum(len(r.events) for r in records)).tolist())
+    return [
+        FrameRecord(record.frame_index, tuple(
+            ReceptionEvent(e.frame_index, e.message, e.receive_time + sigma * next(draws),
+                           e.true_position, e.source, e.source_frame)
+            for e in record.events))
+        for record in records]

@@ -328,7 +328,7 @@ def cmd_simulate(args) -> int:
             rows.append(f"{record.frame_index}," + "," * 14 + ",NoFix")
             continue
         complete_frames += 1
-        truth = record.events[-1].true_position.as_tuple()
+        truth = record.events[-1].true_position
         obs = assemble_observations(record.events, scenario.sound_speed, frame=frame)
         try:
             diffs = pseudorange_diffs(obs)
@@ -339,7 +339,7 @@ def cmd_simulate(args) -> int:
         else:
             fix = solve_frame(diffs, parsed.solver)
         solved = (fix.analytic, fix.numerical)
-        errs = [_norm((p.x - truth[0], p.y - truth[1], p.z - truth[2]))
+        errs = [_norm((p[0] - truth[0], p[1] - truth[1], p[2] - truth[2]))
                 if p is not None else None for p in solved]
         res = [None, None]
         if fix.analytic is not None:
@@ -356,7 +356,7 @@ def cmd_simulate(args) -> int:
         cells = [str(record.frame_index)]
         cells += [_fmt(v) for v in truth]
         for p in solved:
-            cells += [_fmt(v) for v in (p.as_tuple() if p is not None else (None,) * 3)]
+            cells += [_fmt(v) for v in (p if p is not None else (None,) * 3)]
         cells += [_fmt(v) for v in errs + res]
         cells.append(_fmt(fix.pair.discriminant) if fix.pair is not None else "")
         chosen = ""
@@ -452,9 +452,9 @@ def cmd_solve(args) -> int:
     except PositioningError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    for label, (evec, s, pos, idx) in zip(("1", "2"), pair.branches()):
-        res = _norm(residuals(pos, diffs))
-        print(f"candidate {label}: ({pos.x:.9g}, {pos.y:.9g}, {pos.z:.9g}) m, "
+    for label, (evec, s, (x, y, z), idx) in zip(("1", "2"), pair.branches()):
+        res = _norm(residuals((x, y, z), diffs))
+        print(f"candidate {label}: ({x:.9g}, {y:.9g}, {z:.9g}) m, "
               f"range {s:.9g} m, residual {res:.9g} m, range-eq baseline {idx}")
     print(f"discriminant = {pair.discriminant:.9g}")
     try:
@@ -463,7 +463,7 @@ def cmd_solve(args) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     res = residuals(pick, diffs)
-    print(f"underwater solution: ({pick.x:.9g}, {pick.y:.9g}, {pick.z:.9g}) m")
+    print(f"underwater solution: ({pick[0]:.9g}, {pick[1]:.9g}, {pick[2]:.9g}) m")
     print(f"residuals: ({res[0]:.9g}, {res[1]:.9g}, {res[2]:.9g}) m")
     return EXIT_OK
 

@@ -3,8 +3,10 @@
 All positioning math downstream runs in a local east-north-up frame whose
 origin is the reference buoy's first reported position; this module supplies
 the conversions that get GNSS geodetic fixes into and out of that frame.
-Vectors and the frame's rotation are Python floats and the conversions are
-written out, so they round the same wherever they run.
+A position in that frame is a plain (east, north, up) tuple of floats; the
+frame-tagged, self-checking CartesianVector is kept for ECEF vectors. Each
+conversion is one written-out float kernel that the public functions share,
+so it rounds the same wherever it runs.
 """
 from __future__ import annotations
 
@@ -86,15 +88,16 @@ class LocalFrame:
             (-sl * cp, -sl * sp, cl),
             (cl * cp, cl * sp, sl),
         )
-        self.origin_ecef = geodetic_to_ecef(origin).as_tuple()
+        self.origin_ecef = _geodetic_to_ecef(origin)
 
     def __repr__(self):
         o = self.origin
         return f"LocalFrame(lat={o.latitude}, lon={o.longitude}, h={o.height})"
 
 
-def geodetic_to_ecef(g: GeodeticCoord) -> CartesianVector:
-    """Geodetic coordinates to earth-centered earth-fixed meters."""
+# -- float kernels: the one arithmetic of every conversion below ----------
+
+def _geodetic_to_ecef(g: GeodeticCoord) -> tuple[float, float, float]:
     lat = math.radians(g.latitude)
     lon = math.radians(g.longitude)
     sl, cl = math.sin(lat), math.cos(lat)
@@ -102,22 +105,18 @@ def geodetic_to_ecef(g: GeodeticCoord) -> CartesianVector:
     x = (n + g.height) * cl * math.cos(lon)
     y = (n + g.height) * cl * math.sin(lon)
     z = (n * (1.0 - WGS84_E2) + g.height) * sl
-    return CartesianVector(x, y, z, ECEF)
+    return x, y, z
 
 
-def ecef_to_geodetic(v: CartesianVector) -> GeodeticCoord:
-    """Inverse of geodetic_to_ecef (Bowring start, then fixed-point).
-
-    Round-trip error is far below the 1e-6 m contract for heights within
-    [-11000, +9000] m.
-    """
-    if v.frame != ECEF:
-        raise ValueError(f"expected ECEF vector, got {v.frame}")
-    x, y, z = v.x, v.y, v.z
+def _ecef_to_geodetic(x: float, y: float, z: float) -> GeodeticCoord:
     p = math.hypot(x, y)
     if p == 0.0 and z == 0.0:
         raise ZeroVector("zero-length ECEF vector")
     lon = math.degrees(math.atan2(y, x))
+    if lon == -180.0:
+        # atan2 gives -180 on the negative x axis when y is -0.0; the
+        # longitude range is (-180, 180]
+        lon = 180.0
 
     if p < 1e-9:
         # on the polar axis the longitude is arbitrary
@@ -142,32 +141,61 @@ def ecef_to_geodetic(v: CartesianVector) -> GeodeticCoord:
     return GeodeticCoord(math.degrees(lat), lon, h)
 
 
-def to_enu(v: CartesianVector, frame: LocalFrame) -> CartesianVector:
-    """ECEF vector to local east-north-up coordinates."""
+def _to_enu(x: float, y: float, z: float, frame: LocalFrame) -> tuple[float, float, float]:
+    (ex, ey, ez), (nx, ny, nz), (ux, uy, uz) = frame.rotation
+    ox, oy, oz = frame.origin_ecef
+    dx, dy, dz = x - ox, y - oy, z - oz
+    return (ex * dx + ey * dy + ez * dz, nx * dx + ny * dy + nz * dz,
+            ux * dx + uy * dy + uz * dz)
+
+
+def _from_enu(enu, frame: LocalFrame) -> tuple[float, float, float]:
+    (ex, ey, ez), (nx, ny, nz), (ux, uy, uz) = frame.rotation
+    ox, oy, oz = frame.origin_ecef
+    e, n, u = enu
+    return (ox + (ex * e + nx * n + ux * u), oy + (ey * e + ny * n + uy * u),
+            oz + (ez * e + nz * n + uz * u))
+
+
+# -- the public conversions -----------------------------------------------
+
+def geodetic_to_ecef(g: GeodeticCoord) -> CartesianVector:
+    """Geodetic coordinates to earth-centered earth-fixed meters."""
+    return CartesianVector(*_geodetic_to_ecef(g), ECEF)
+
+
+def ecef_to_geodetic(v: CartesianVector) -> GeodeticCoord:
+    """Inverse of geodetic_to_ecef (Bowring start, then fixed-point).
+
+    Round-trip error is far below the 1e-6 m contract for heights within
+    [-11000, +9000] m. A point on the antimeridian comes back at longitude
+    180, never -180.
+    """
     if v.frame != ECEF:
         raise ValueError(f"expected ECEF vector, got {v.frame}")
-    (ex, ey, ez), (nx, ny, nz), (ux, uy, uz) = frame.rotation
-    ox, oy, oz = frame.origin_ecef
-    dx, dy, dz = v.x - ox, v.y - oy, v.z - oz
-    return CartesianVector(ex * dx + ey * dy + ez * dz, nx * dx + ny * dy + nz * dz,
-                           ux * dx + uy * dy + uz * dz, ENU)
+    return _ecef_to_geodetic(v.x, v.y, v.z)
 
 
-def from_enu(v: CartesianVector, frame: LocalFrame) -> CartesianVector:
-    """Local east-north-up coordinates back to ECEF."""
-    if v.frame != ENU:
-        raise ValueError(f"expected ENU vector, got {v.frame}")
-    (ex, ey, ez), (nx, ny, nz), (ux, uy, uz) = frame.rotation
-    ox, oy, oz = frame.origin_ecef
-    e, n, u = v.x, v.y, v.z
-    return CartesianVector(ox + (ex * e + nx * n + ux * u), oy + (ey * e + ny * n + uy * u),
-                           oz + (ez * e + nz * n + uz * u), ECEF)
+def to_enu(v: CartesianVector, frame: LocalFrame) -> tuple[float, float, float]:
+    """ECEF vector to a local (east, north, up) float tuple."""
+    if v.frame != ECEF:
+        raise ValueError(f"expected ECEF vector, got {v.frame}")
+    return _to_enu(v.x, v.y, v.z, frame)
 
 
-def geodetic_to_enu(g: GeodeticCoord, frame: LocalFrame) -> CartesianVector:
-    """Convenience composition used throughout the receiver pipeline."""
-    return to_enu(geodetic_to_ecef(g), frame)
+def from_enu(enu: tuple[float, float, float], frame: LocalFrame) -> CartesianVector:
+    """A local (east, north, up) position back to an ECEF vector."""
+    return CartesianVector(*_from_enu(enu, frame), ECEF)
 
 
-def enu_to_geodetic(v: CartesianVector, frame: LocalFrame) -> GeodeticCoord:
-    return ecef_to_geodetic(from_enu(v, frame))
+def geodetic_to_enu(g: GeodeticCoord, frame: LocalFrame) -> tuple[float, float, float]:
+    """Geodetic coordinates to an (east, north, up) float tuple in frame:
+    the conversion every report takes into the receiver pipeline."""
+    return _to_enu(*_geodetic_to_ecef(g), frame)
+
+
+def enu_to_geodetic(enu: tuple[float, float, float], frame: LocalFrame) -> GeodeticCoord:
+    """An (east, north, up) position in frame to geodetic coordinates. The
+    position is not checked: the values that reach it were checked where
+    they entered the program."""
+    return _ecef_to_geodetic(*_from_enu(enu, frame))

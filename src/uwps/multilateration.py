@@ -14,7 +14,9 @@ solve_frame runs both on one frame, the way the CLI and the property suite
 do. Everything here, from the differencing to Gauss-Newton, is plain IEEE
 double arithmetic on Python floats and tuples of them: on 3-vectors an array
 library's per-call overhead costs more than the maths, and written-out float
-arithmetic rounds the same on every host.
+arithmetic rounds the same on every host. A position is an (east, north, up)
+float tuple in the working ENU frame. The public constructors, Observation
+and DiffSet, check the positions they are given; the solvers trust them.
 
 Conventions: d_0i = P_i - P_0 is the range to buoy i minus the range to the
 reference, and baselines e_0i * b_0i point from the reference to buoy i.
@@ -36,7 +38,6 @@ from .errors import (
     SingularJacobian,
     UnrealizableTDOA,
 )
-from .geo import ENU, CartesianVector
 
 MIN_BASELINE = 1.0    # coincident-buoy threshold [m]
 SURFACE_UP = 0.0      # the sea surface: a receiver or fix is underwater below it [m]
@@ -58,26 +59,44 @@ _STEP_TOL = 1e-9        # m; a step or trust radius this short ends the iteratio
 _REACH = 100.0
 
 
+def _enu_point(value, what: str) -> tuple[float, float, float]:
+    """value as an (east, north, up) float tuple: three finite numbers, else
+    ValueError. A tuple of three floats is returned as it is."""
+    try:
+        x, y, z = value
+        if not (type(value) is tuple and type(x) is type(y) is type(z) is float):
+            value = x, y, z = float(x), float(y), float(z)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be three numbers (east, north, up) in the "
+                         "working ENU frame") from None
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError(f"{what} must be finite")
+    return value
+
+
 @dataclass(frozen=True)
 class Observation:
     """One buoy's broadcast as seen by the receiver.
 
     transmit_time is GNSS seconds; receive_time is the receiver's own
-    (offset, unsynchronized) clock.
+    (offset, unsynchronized) clock. position is the buoy's (east, north,
+    up) in the working ENU frame [m]: any three finite numbers, stored as a
+    tuple of floats.
     """
 
     buoy_id: int
     transmit_time: float
     receive_time: float
-    position: CartesianVector
+    position: tuple[float, float, float]
 
     def __post_init__(self):
         if not 0 <= self.buoy_id <= 3:
             raise ValueError(f"buoy_id {self.buoy_id} outside 0..3")
         if not (math.isfinite(self.transmit_time) and math.isfinite(self.receive_time)):
             raise ValueError("times must be finite")
-        if self.position.frame != ENU:
-            raise ValueError("observation positions must be in the working ENU frame")
+        position = _enu_point(self.position, "observation position")
+        if position is not self.position:
+            object.__setattr__(self, "position", position)
 
 
 @dataclass(frozen=True)
@@ -105,17 +124,18 @@ class DiffSet:
     """Three pseudorange differences with their baselines and reference buoy.
 
     d[i], e[i], b[i] refer to buoy i + 1; e rows are unit vectors from the
-    reference buoy 0, b their lengths in meters, reference buoy 0's ENU
-    position. The constructor takes any sequences of numbers, checks them
-    once (finite, b > 0, each e row of unit length within 1e-12, an ENU
-    reference), stores them as float tuples and adds the anchors: x, y, z
-    of buoy 0, then of buoys 1-3 (reference + e * b).
+    reference buoy 0, b their lengths in meters, reference buoy 0's
+    (east, north, up) position. The constructor takes any sequences of
+    numbers, checks them once (finite, b > 0, each e row of unit length
+    within 1e-12, three reference coordinates), stores them as float tuples
+    and adds the anchors: x, y, z of buoy 0, then of buoys 1-3
+    (reference + e * b).
     """
 
     d: tuple[float, float, float]     # pseudorange differences [m]
     e: tuple[tuple[float, float, float], ...]   # unit baseline directions
     b: tuple[float, float, float]     # baseline lengths [m]
-    reference: CartesianVector        # buoy 0, working ENU frame [m]
+    reference: tuple[float, float, float]   # buoy 0, working ENU frame [m]
     anchors: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -129,13 +149,13 @@ class DiffSet:
             raise ValueError("baseline lengths must be positive")
         if any(abs(_norm(row) - 1.0) > 1e-12 for row in e):
             raise ValueError("baseline directions must be unit vectors")
-        if not (isinstance(self.reference, CartesianVector) and self.reference.frame == ENU):
-            raise ValueError("the reference must be a position in the working ENU frame")
-        x0, y0, z0 = self.reference.as_tuple()
+        reference = _enu_point(self.reference, "the reference")
+        x0, y0, z0 = reference
         anchors = [x0, y0, z0]
         for (ex, ey, ez), length in zip(e, b):
             anchors += (x0 + ex * length, y0 + ey * length, z0 + ez * length)
-        for name, value in (("d", d), ("e", e), ("b", b), ("anchors", tuple(anchors))):
+        for name, value in (("d", d), ("e", e), ("b", b), ("reference", reference),
+                            ("anchors", tuple(anchors))):
             object.__setattr__(self, name, value)
 
     def is_realizable(self) -> bool:
@@ -147,18 +167,19 @@ class DiffSet:
 class CandidatePair:
     """Both closed-form candidates; selection happens downstream.
 
-    e values are unit direction tuples, and s values may be negative
-    (unphysical range) before filtering. The denominator indices record
-    which baseline's range equation produced each s (0-based into
-    DiffSet.b). The discriminant is the closed form's, kept for diagnostics.
+    e values are unit direction tuples, r values (east, north, up) float
+    tuples, and s values may be negative (unphysical range) before
+    filtering. The denominator indices record which baseline's range
+    equation produced each s (0-based into DiffSet.b). The discriminant is
+    the closed form's, kept for diagnostics.
     """
 
     e_1: tuple[float, float, float]
     e_2: tuple[float, float, float]
     s_1: float
     s_2: float
-    r_1: CartesianVector
-    r_2: CartesianVector
+    r_1: tuple[float, float, float]
+    r_2: tuple[float, float, float]
     denominator_index_1: int
     denominator_index_2: int
     discriminant: float
@@ -197,11 +218,12 @@ def pseudorange_diffs(obs: ObservationSet) -> DiffSet:
     """
     ref, *others = obs.observations
     c = obs.sound_speed
-    x0, y0, z0 = ref.position.x, ref.position.y, ref.position.z
+    x0, y0, z0 = ref.position
 
     d, e, b = [], [], []
     for o in others:
-        baseline = (o.position.x - x0, o.position.y - y0, o.position.z - z0)
+        x, y, z = o.position
+        baseline = (x - x0, y - y0, z - z0)
         length = _norm(baseline)
         if length < MIN_BASELINE:
             raise DegenerateBaseline(
@@ -265,7 +287,7 @@ def kleusberg_solve(diffs: DiffSet, cfg: SolverConfig = SolverConfig()) -> Candi
     root = math.sqrt(disc)
     cross_gh = _cross(g, h)
     den_tol = _DENOMINATOR_RTOL * b_max
-    x0, y0, z0 = diffs.reference.as_tuple()
+    x0, y0, z0 = diffs.reference
 
     results = []
     for sign in (+1.0, -1.0):
@@ -284,8 +306,7 @@ def kleusberg_solve(diffs: DiffSet, cfg: SolverConfig = SolverConfig()) -> Candi
                         f"range from baseline {i} differs by "
                         f"{abs(s_all[i] - s_best):.3e} m (tolerance "
                         f"{cfg.consistency_tolerance:.3e} m)")
-        pos = CartesianVector(x0 + evec[0] * s_best, y0 + evec[1] * s_best,
-                              z0 + evec[2] * s_best, ENU)
+        pos = (x0 + evec[0] * s_best, y0 + evec[1] * s_best, z0 + evec[2] * s_best)
         results.append((evec, s_best, pos, best))
 
     (e1, s1, p1, i1), (e2, s2, p2, i2) = results
@@ -327,12 +348,15 @@ def _residual_kernel(x: float, y: float, z: float, anchors, d):
             ((r1 - r0) - d1, (r2 - r0) - d2, (r3 - r0) - d3))
 
 
-def residuals(position: CartesianVector, diffs: DiffSet) -> tuple[float, float, float]:
-    """Range-difference residuals (|X-R_i| - |X-R_0|) - d_0i, in meters."""
-    return _residual_kernel(position.x, position.y, position.z, diffs.anchors, diffs.d)[2]
+def residuals(position: tuple[float, float, float], diffs: DiffSet
+              ) -> tuple[float, float, float]:
+    """Range-difference residuals (|X-R_i| - |X-R_0|) - d_0i at the
+    (east, north, up) position X, in meters."""
+    x, y, z = position
+    return _residual_kernel(x, y, z, diffs.anchors, diffs.d)[2]
 
 
-def select_underwater(pair: CandidatePair, diffs: DiffSet) -> CartesianVector:
+def select_underwater(pair: CandidatePair, diffs: DiffSet) -> tuple[float, float, float]:
     """Pick the physical fix: nonnegative range and below SURFACE_UP.
 
     When both candidates qualify, the one that better reproduces the
@@ -341,14 +365,14 @@ def select_underwater(pair: CandidatePair, diffs: DiffSet) -> CartesianVector:
     """
     qualified = []
     for evec, s, pos, _ in pair.branches():
-        if s >= 0.0 and pos.z < SURFACE_UP:
+        if s >= 0.0 and pos[2] < SURFACE_UP:
             qualified.append(pos)
     if not qualified:
         raise NoUnderwaterSolution(
             "no candidate with nonnegative range below the surface plane")
     if len(qualified) == 1:
         return qualified[0]
-    qualified.sort(key=lambda p: (_norm(residuals(p, diffs)), p.z))
+    qualified.sort(key=lambda p: (_norm(residuals(p, diffs)), p[2]))
     return qualified[0]
 
 
@@ -391,9 +415,9 @@ def _solve3(rows):
 def numerical_solve(
     diffs: DiffSet,
     *,
-    initial: CartesianVector,
+    initial: tuple[float, float, float],
     cfg: SolverConfig = SolverConfig(),
-) -> CartesianVector:
+) -> tuple[float, float, float]:
     """Gauss-Newton least squares on the residual system.
 
     Accepts inconsistent DiffSets (noise, receiver motion), so the
@@ -408,6 +432,7 @@ def numerical_solve(
     out, and the 3x3 solve is _solve3. Each trial step costs one residual
     kernel evaluation, and the accepted trial's is the next iteration's.
 
+    initial and the returned fix are (east, north, up) float tuples.
     Returns the iterate when half its squared residual norm is below
     1e-24 m^2, when the gradient vanishes, when no step longer than the
     1e-9 m tolerance can improve the model, or after an accepted step
@@ -425,7 +450,7 @@ def numerical_solve(
     * SingularJacobian when the iterate coincides with a buoy, or the
       normal equations are non-finite or rank-deficient even when damped.
     """
-    x, y, z = initial.x, initial.y, initial.z
+    x, y, z = initial
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError("initial guess must be finite")
     anchors, d = diffs.anchors, diffs.d
@@ -447,7 +472,7 @@ def numerical_solve(
             raise NonConvergence(f"start at up = {z:.3g} m is not below the surface")
         cost = _cost(res)
         if cost < _COST_FLOOR:
-            return CartesianVector(x, y, z, ENU)
+            return x, y, z
         (u0, v0, w0), (u1, v1, w1), (u2, v2, w2), (u3, v3, w3) = offsets
         r0, r1, r2, r3 = ranges
         ux, uy, uz = u0 / r0, v0 / r0, w0 / r0
@@ -480,7 +505,7 @@ def numerical_solve(
 
         gnorm = math.sqrt(g0 * g0 + g1 * g1 + g2 * g2)
         if gnorm == 0.0:
-            return CartesianVector(x, y, z, ENU)
+            return x, y, z
         s0, s1, s2 = gn_step
         gn_norm = math.sqrt(s0 * s0 + s1 * s1 + s2 * s2)
 
@@ -523,7 +548,7 @@ def numerical_solve(
                 break
             if radius < _STEP_TOL:
                 # no step of meaningful size improves the model: stationary
-                return CartesianVector(x, y, z, ENU)
+                return x, y, z
         if step is None:
             raise NonConvergence(
                 f"no acceptable step at iteration {iteration + 1}")
@@ -537,7 +562,7 @@ def numerical_solve(
                 f"iterate {trial[1][0]:.3g} m from buoy 0, beyond reach "
                 f"({reach:.3g} m), at iteration {iteration + 1}")
         if pn < _STEP_TOL:
-            return CartesianVector(x, y, z, ENU)
+            return x, y, z
 
     raise NonConvergence(
         f"step norm above {_STEP_TOL:.1e} m after "
@@ -550,13 +575,14 @@ class FrameFix:
 
     pair is None when the closed form failed, analytic also when the
     underwater selection failed, numerical when Gauss-Newton failed;
-    status is "ok" or the name of the first error raised.
+    the fixes are (east, north, up) float tuples. status is "ok" or the
+    name of the first error raised.
     analytic_residuals are residuals(analytic), None without an analytic fix.
     """
 
     pair: CandidatePair | None
-    analytic: CartesianVector | None
-    numerical: CartesianVector | None
+    analytic: tuple[float, float, float] | None
+    numerical: tuple[float, float, float] | None
     status: str
     analytic_residuals: tuple[float, float, float] | None = None
 
@@ -564,7 +590,7 @@ class FrameFix:
 def solve_frame(
     diffs: DiffSet,
     cfg: SolverConfig,
-    guess: CartesianVector | None = None,
+    guess: tuple[float, float, float] | None = None,
 ) -> FrameFix:
     """The closed form, its underwater pick, then Gauss-Newton.
 
@@ -597,9 +623,9 @@ def solve_frame(
     if guess is None:
         # east and north of the buoy centroid, summed buoys 1-3 then buoy 0
         a = diffs.anchors
-        guess = CartesianVector(sum(a[i] for i in (3, 6, 9, 0)) / 4.0,
-                                sum(a[i] for i in (4, 7, 10, 1)) / 4.0,
-                                -0.5 * max(diffs.b), ENU)
+        guess = (sum(a[i] for i in (3, 6, 9, 0)) / 4.0,
+                 sum(a[i] for i in (4, 7, 10, 1)) / 4.0,
+                 -0.5 * max(diffs.b))
 
     try:
         numerical = numerical_solve(diffs, initial=guess, cfg=cfg)

@@ -45,7 +45,9 @@ class BuoyMessage:
     """One buoy broadcast: who, when (GNSS seconds-of-day), and where.
 
     Fields are stored at wire resolution (1 ms / 1e-7 deg / 1 cm), so
-    decode(encode(m)) == m holds for every constructible message.
+    decode(encode(m)) == m holds for every constructible message. A
+    longitude that rounds to -180 is stored as 180, the same meridian
+    inside the (-180, 180] range.
     """
 
     buoy_id: int
@@ -59,9 +61,12 @@ class BuoyMessage:
             raise ValueError(f"gnss_time {self.gnss_time} outside [0, 86400)")
         object.__setattr__(self, "gnss_time", _q(self.gnss_time, 3))
         p = self.position
+        longitude = _q(p.longitude, 7)
+        if longitude == -180.0:
+            longitude = 180.0
         object.__setattr__(
             self, "position",
-            GeodeticCoord(_q(p.latitude, 7), _q(p.longitude, 7), _q(p.height, 2)),
+            GeodeticCoord(_q(p.latitude, 7), longitude, _q(p.height, 2)),
         )
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import channel, geo, multilateration, protocol
 from .errors import PositioningError
-from .geo import ENU, CartesianVector, GeodeticCoord, LocalFrame
+from .geo import CartesianVector, GeodeticCoord, LocalFrame
 from .multilateration import DiffSet, SolverConfig
 
 DEFAULT_SEED = 20260808
@@ -40,14 +40,6 @@ class PropertyResult:
     detail: str
 
 
-def _enu(p) -> CartesianVector:
-    return CartesianVector(float(p[0]), float(p[1]), float(p[2]), ENU)
-
-
-def _array(v: CartesianVector) -> np.ndarray:
-    return np.array(v.as_tuple())
-
-
 def oracle_diffs(buoys: np.ndarray, truth: np.ndarray) -> DiffSet:
     """Pseudorange differences from ground truth by brute-force distances.
 
@@ -59,7 +51,7 @@ def oracle_diffs(buoys: np.ndarray, truth: np.ndarray) -> DiffSet:
     baselines = buoys[1:] - buoys[0]
     lengths = np.linalg.norm(baselines, axis=1)
     return DiffSet(d=ranges[1:] - ranges[0], e=baselines / lengths[:, None], b=lengths,
-                   reference=_enu(buoys[0]))
+                   reference=buoys[0])
 
 
 def _quadrilateral_corners(rng: np.random.Generator):
@@ -101,7 +93,7 @@ def sample_scenario(rng: np.random.Generator):
             continue
         exact_under = [
             p for _, s, p, _ in pair.branches()
-            if s >= 0.0 and p.z < multilateration.SURFACE_UP
+            if s >= 0.0 and p[2] < multilateration.SURFACE_UP
             and np.linalg.norm(multilateration.residuals(p, diffs)) < 1e-6
         ]
         if len(exact_under) != 1:
@@ -119,8 +111,8 @@ def make_scenario(buoy_enu, drifts=None, receiver=(300.0, 400.0, -150.0),
     if drifts is None:
         drifts = [(0.0, 0.0, 0.0)] * 4
     buoys = tuple(
-        channel.BuoyTrack(initial=geo.enu_to_geodetic(_enu(p), frame), drift=tuple(d))
-        for p, d in zip(np.asarray(buoy_enu, float), drifts))
+        channel.BuoyTrack(initial=geo.enu_to_geodetic(p, frame), drift=tuple(d))
+        for p, d in zip(np.asarray(buoy_enu, float).tolist(), drifts))
     return channel.Scenario(
         buoys=buoys,
         receiver=channel.ReceiverTrack(initial=tuple(receiver), velocity=tuple(velocity)),
@@ -160,8 +152,7 @@ def check_geodetic_round_trip(seed: int) -> tuple[bool, str]:
         g = GeodeticCoord(rng.uniform(-90, 90), rng.uniform(-179.999, 180.0),
                           rng.uniform(-11000.0, 9000.0))
         back = geo.ecef_to_geodetic(geo.geodetic_to_ecef(g))
-        err = float(np.linalg.norm(_array(geo.geodetic_to_ecef(back))
-                                   - _array(geo.geodetic_to_ecef(g))))
+        err = geo.distance(geo.geodetic_to_ecef(back), geo.geodetic_to_ecef(g))
         worst = max(worst, err)
     return worst < 1e-6, f"worst round-trip {worst:.3e} m (< 1e-6 m)"
 
@@ -175,7 +166,7 @@ def check_enu_isometry(seed: int) -> tuple[bool, str]:
         a = CartesianVector(*(origin + rng.uniform(-5e3, 5e3, 3)).tolist(), geo.ECEF)
         b = CartesianVector(*(origin + rng.uniform(-5e3, 5e3, 3)).tolist(), geo.ECEF)
         d_ecef = geo.distance(a, b)
-        d_enu = geo.distance(geo.to_enu(a, frame), geo.to_enu(b, frame))
+        d_enu = math.dist(geo.to_enu(a, frame), geo.to_enu(b, frame))
         worst = max(worst, abs(d_enu - d_ecef) / max(d_ecef, 1.0))
     return worst < 1e-9, f"worst relative distortion {worst:.3e} (< 1e-9)"
 
@@ -205,7 +196,7 @@ def check_clock_offset_invariance(seed: int) -> tuple[bool, str]:
             t_tx = float(f"{10.0 + 2.0 * i:.3f}")
             t_arr = t_tx + float(np.linalg.norm(truth - b)) / 1500.0
             base_obs.append(multilateration.Observation(
-                i, t_tx, round(t_arr / tick) * tick, _enu(b)))
+                i, t_tx, round(t_arr / tick) * tick, b))
         base = multilateration.pseudorange_diffs(
             multilateration.ObservationSet(tuple(base_obs), 1500.0))
         for offset in (-100.0, -1.0, 0.0, 0.5, 1.0, 100.0):
@@ -238,7 +229,7 @@ def check_reconstruction_exactness(seed: int, cases: int = 1000) -> tuple[bool, 
         buoys, truth, diffs = sample_scenario(rng)
         pair = multilateration.kleusberg_solve(diffs, SolverConfig())
         pick = multilateration.select_underwater(pair, diffs)
-        worst = max(worst, float(np.linalg.norm(_array(pick) - truth)))
+        worst = max(worst, float(np.linalg.norm(np.array(pick) - truth)))
     return worst < 1e-6, f"worst error {worst:.3e} m over {cases} cases (< 1e-6 m)"
 
 
@@ -254,7 +245,7 @@ def check_mirror_symmetry(seed: int) -> tuple[bool, str]:
         if np.min(np.abs(diffs.d)) < 0.5:
             continue
         pair = multilateration.kleusberg_solve(diffs, SolverConfig())
-        p1, p2 = _array(pair.r_1), _array(pair.r_2)
+        p1, p2 = np.array(pair.r_1), np.array(pair.r_2)
         worst = max(worst, float(np.max(np.abs(p1[:2] - p2[:2]))), abs(p1[2] + p2[2]))
     return worst < 1e-6, f"worst mirror defect {worst:.3e} m (< 1e-6 m)"
 
@@ -291,8 +282,8 @@ def check_numerical_agreement(seed: int, cases: int = 200) -> tuple[bool, str]:
         guess = truth + 200.0 * np.array([
             math.cos(azimuth) * math.sin(tilt),
             math.sin(azimuth) * math.sin(tilt), -math.cos(tilt)])
-        got = multilateration.numerical_solve(diffs, initial=_enu(guess), cfg=cfg)
-        worst = max(worst, float(np.linalg.norm(_array(got) - _array(pick))))
+        got = multilateration.numerical_solve(diffs, initial=tuple(guess.tolist()), cfg=cfg)
+        worst = max(worst, float(np.linalg.norm(np.array(got) - np.array(pick))))
     return worst < 1e-4, f"worst disagreement {worst:.3e} m over {cases} cases (< 1e-4 m)"
 
 
@@ -310,8 +301,8 @@ def check_rigid_motion_equivariance(seed: int) -> tuple[bool, str]:
             oracle_diffs(buoys @ q.T + shift, q @ truth + shift), SolverConfig())
         worst = max(
             worst,
-            float(np.linalg.norm(_array(moved.r_1) - (q @ _array(base.r_1) + shift))),
-            float(np.linalg.norm(_array(moved.r_2) - (q @ _array(base.r_2) + shift))))
+            float(np.linalg.norm(np.array(moved.r_1) - (q @ np.array(base.r_1) + shift))),
+            float(np.linalg.norm(np.array(moved.r_2) - (q @ np.array(base.r_2) + shift))))
     return worst < 1e-6, f"worst equivariance defect {worst:.3e} m (< 1e-6 m)"
 
 
@@ -388,8 +379,8 @@ def check_end_to_end_exactness(seed: int) -> tuple[bool, str]:
     for offset in (-100.0, 0.0, 3.7, 100.0):
         scenario = make_scenario(_LAYOUT, _DRIFTS, clock_offset=offset, frames=4)
         for record, _, pick in _solve_records(scenario):
-            truth = _array(record.events[-1].true_position)
-            worst = max(worst, float(np.linalg.norm(_array(pick) - truth)))
+            truth = np.array(record.events[-1].true_position)
+            worst = max(worst, float(np.linalg.norm(np.array(pick) - truth)))
     return worst < 1e-6, f"worst stationary error {worst:.3e} m (< 1e-6 m)"
 
 
@@ -397,7 +388,7 @@ def check_offset_sweep_bit_identical(seed: int) -> tuple[bool, str]:
     runs = []
     for offset in (-100.0, -1.0, 0.0, 1.0, 100.0):
         scenario = make_scenario(_LAYOUT, _DRIFTS, clock_offset=offset, frames=3)
-        runs.append([struct.pack("6d", *diffs.d, *pick.as_tuple())
+        runs.append([struct.pack("6d", *diffs.d, *pick)
                      for _, diffs, pick in _solve_records(scenario)])
     ok = all(r == runs[0] for r in runs)
     return ok, ("solutions bit-identical across the offset sweep" if ok
@@ -434,8 +425,8 @@ def check_motion_displacement(seed: int) -> tuple[bool, str]:
             scenario = make_scenario(_LAYOUT, velocity=vel, frames=2)
             period = scenario.schedule.frame_period
             for record in channel.simulate(scenario):
-                first = _array(record.events[0].true_position)
-                last = _array(record.events[-1].true_position)
+                first = np.array(record.events[0].true_position)
+                last = np.array(record.events[-1].true_position)
                 worst = max(worst, float(np.linalg.norm(last - first)) / (speed * period))
     return worst <= 1.0, f"worst displacement / (v*T_f) = {worst:.3f} (<= 1)"
 
@@ -476,12 +467,12 @@ def check_motion_bound(seed: int, trajectories: int = 100) -> tuple[bool, str]:
                     unsolved += 1
                     continue
                 # chain the fix only while it stays plausibly near the array
-                if float(np.linalg.norm(_array(fix))) < 5.0 * float(np.max(diffs.b)):
+                if float(np.linalg.norm(fix)) < 5.0 * float(np.max(diffs.b)):
                     previous = fix
                 else:
                     previous = None
-                truth = _array(record.events[-1].true_position)
-                error = float(np.linalg.norm(_array(fix) - truth))
+                truth = np.array(record.events[-1].true_position)
+                error = float(np.linalg.norm(np.array(fix) - truth))
                 ratios.append(error / (speed * span))
                 if error > speed * span:
                     violations += 1

@@ -10,11 +10,11 @@ import functools
 import numpy as np
 
 from uwps import verify
-from uwps.geo import ENU, CartesianVector
 
 
-def enu(x: float, y: float, z: float) -> CartesianVector:
-    return CartesianVector(x, y, z, ENU)
+def enu(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """A working-frame (east, north, up) position, as the pipeline carries it."""
+    return float(x), float(y), float(z)
 
 
 def unit_square(side: float = 1000.0, ups=(0.0, 0.0, 0.0, 0.0)) -> np.ndarray:

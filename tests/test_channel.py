@@ -14,7 +14,7 @@ from uwps.channel import (
     working_frame,
 )
 from uwps.errors import IncompleteFrame
-from uwps.geo import GeodeticCoord, LocalFrame, distance, geodetic_to_enu
+from uwps.geo import GeodeticCoord, LocalFrame, geodetic_to_enu
 from uwps.multilateration import (
     SolverConfig,
     kleusberg_solve,
@@ -46,7 +46,7 @@ def test_one_second_at_1500m_slant_range():
     for record in records:
         for event in record.events:
             flight = (event.receive_time + moving.clock_offset) - event.message.gnss_time
-            path = distance(event.true_position, event.source)
+            path = math.dist(event.true_position, event.source)
             assert path / moving.sound_speed == pytest.approx(flight, abs=1e-12)
     # closing on buoy 1 at 2.8 m/s, it hears the first message early
     assert records[0].events[0].receive_time + moving.clock_offset < 1.0 - 1e-3
@@ -75,7 +75,7 @@ def test_assemble_recovers_truth():
     scenario = make_scenario(frames=1)
     record = simulate(scenario)[0]
     pick = underwater_fix(record, scenario)
-    assert distance(pick, record.events[-1].true_position) < 1e-6
+    assert math.dist(pick, record.events[-1].true_position) < 1e-6
 
 
 def test_assemble_rejects_duplicate_ids():
@@ -104,7 +104,7 @@ def test_assemble_positions_in_working_frame():
         assert got == want
         assert got is event.source   # the simulator's conversion, not a second one
     # the reference buoy anchors the frame, so it sits at the origin
-    assert obs.observations[0].position.as_tuple() == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
+    assert obs.observations[0].position == pytest.approx((0.0, 0.0, 0.0), abs=1e-9)
     # in any other frame each report is converted afresh
     other = LocalFrame(GeodeticCoord(36.73, -4.41, 0.0))
     obs = assemble_observations(record.events, scenario.sound_speed, frame=other)

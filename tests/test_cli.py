@@ -205,6 +205,43 @@ def test_simulate_unrealizable_difference_is_a_failed_frame(tmp_path, capsys):
     assert rows[1] == "0,300,400,-150" + "," * 13 + "UnrealizableTDOA"
 
 
+ANTIMERIDIAN = """
+[buoy 1]
+position = 0.0 180.0 0.00
+drift = 0.0005 0.0 0.0
+[buoy 2]
+position = 0.0 -179.99 0.0
+[buoy 3]
+position = 0.009 -179.99 0.0
+[buoy 4]
+position = 0.009 179.99999 0.0
+[receiver]
+position = 500.0 500.0 -150.0
+[channel]
+sound_speed = 1500.0
+[run]
+frames = 5
+"""
+
+
+def test_simulate_across_the_antimeridian(tmp_path, capsys):
+    """Buoys on both sides of the antimeridian, buoy 1 drifting east across
+    it: its reports that round to -180 deg are sent as 180, and every frame
+    is solved."""
+    scn = tmp_path / "antimeridian.scn"
+    scn.write_text(ANTIMERIDIAN)
+    out_csv = tmp_path / "o.csv"
+    code, _, err = run_cli("simulate", str(scn), "-o", str(out_csv), "--export-obs",
+                           str(tmp_path / "obs"), capsys=capsys)
+    assert (code, err) == (EXIT_OK, "")
+    rows = out_csv.read_text().splitlines()[1:]
+    assert len(rows) == 5 and all(row.endswith(",ok") for row in rows)
+    sentences = [line for path in sorted((tmp_path / "obs").iterdir())
+                 for line in path.read_text().splitlines() if line.startswith("observation")]
+    assert any(",180.0000000," in line for line in sentences)
+    assert not any(",-180.0000000," in line for line in sentences)
+
+
 def test_simulate_degenerate_symmetric_receiver(tmp_path, capsys):
     scn = tmp_path / "axis.scn"
     scn.write_text(scenario_text(receiver_position="499.99935 500.0008 -150.0"))
@@ -369,6 +406,121 @@ def test_simulate_fuzzed_scenario_files(text):
         assert out.getvalue() == ""
 
 
+# the bundled frame's four sentences, as its observation lines spell them
+_FRAME0_SENTENCES = [line.split()[3] for line in FRAME0.splitlines()
+                     if line.startswith("observation")]
+
+
+@st.composite
+def _sentences(draw):
+    """A bundled sentence, a canonical sentence from anywhere on the globe,
+    or either with one character replaced."""
+    from uwps.geo import GeodeticCoord
+    from uwps.protocol import BuoyMessage, encode_message
+
+    if draw(st.booleans()):
+        sentence = draw(st.sampled_from(_FRAME0_SENTENCES))
+    else:
+        message = BuoyMessage(draw(st.integers(1, 4)), draw(st.floats(0.0, 86399.999)),
+                              GeodeticCoord(draw(st.floats(-90.0, 90.0)),
+                                            draw(st.floats(-179.9999999, 180.0)),
+                                            draw(st.floats(-100.0, 100.0))))
+        sentence = encode_message(message).decode("ascii").rstrip("\r\n")
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(sentence) - 1))
+        sentence = sentence[:at] + draw(st.sampled_from("$*,.-09AZ ")) + sentence[at + 1:]
+    return sentence
+
+
+_FILE_NUMBERS = st.one_of(
+    st.floats(-1e4, 1e4).map(repr),
+    st.floats().map(repr),               # every float, NaN and the infinities too
+    st.sampled_from(["1e308", "-1e308", "5e-324", "0", "-0.0"]),
+    _BAD_NUMBERS,
+)
+
+
+@st.composite
+def observation_files(draw):
+    """Observation files near the bundled frame. Each value keeps its
+    bundled spelling four times in five; otherwise the sound speed and the
+    frame index take any spelling of a number, a receive time is shifted by
+    up to 5 s or takes any spelling, a sentence is drawn by _sentences, and
+    the file may have 0-6 observation lines, no sound speed, or a stray
+    line."""
+    def kept(value, other):
+        return value if draw(st.integers(0, 4)) else draw(other)
+
+    times = [line.split()[2] for line in FRAME0.splitlines() if line.startswith("observation")]
+    lines = ["# fuzzed observation file", f"frame = {kept('0', _FILE_NUMBERS)}"]
+    if draw(st.integers(0, 9)):
+        lines.append(f"sound_speed = {kept('1500', _FILE_NUMBERS)}")
+    for k in range(kept(4, st.integers(0, 6))):
+        shifted = st.floats(-5.0, 5.0).map(lambda shift, t=float(times[k % 4]): repr(t + shift))
+        time = kept(times[k % 4], st.one_of(shifted, _FILE_NUMBERS))
+        lines.append(f"observation = {time} {kept(_FRAME0_SENTENCES[k % 4], _sentences())}")
+    if not draw(st.integers(0, 9)):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(
+            ["speed = 1500", "observation = 1.0", "no equals sign", "= 3"])))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=observation_files())
+def test_solve_fuzzed_observation_files(text):
+    """uwps solve on any observation file exits 0, 1 or 2 without a
+    traceback: a rejected file is reported as `error: <path>...`, and a
+    frame without a fix names its PositioningError."""
+    from uwps import errors
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.obs"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", str(path)])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_SOLVER)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_USAGE:
+        assert err.getvalue().startswith(f"error: {path}")
+        assert out.getvalue() == ""
+    elif code == EXIT_SOLVER:
+        name = err.getvalue().removeprefix("error: ").split(":", 1)[0]
+        assert issubclass(getattr(errors, name), errors.PositioningError)
+    else:
+        assert err.getvalue() == "" and "underwater solution: (" in out.getvalue()
+
+
+def test_positions_build_no_vector_per_frame(monkeypatch, tmp_path, capsys):
+    """Working-frame positions travel as float tuples from the simulator to
+    the CSV row: a run builds a fixed number of CartesianVectors, however
+    many frames it has, and one solve builds no more than that."""
+    from uwps.geo import CartesianVector
+
+    built = []
+    check = CartesianVector.__post_init__
+
+    def counted(self):
+        built.append(self.frame)
+        check(self)
+
+    monkeypatch.setattr(CartesianVector, "__post_init__", counted)
+    per_run = {}
+    for scenario, frames, code in ((SQUARETEST, "frames = 5", EXIT_OK),
+                                   (DATA / "moving.scn", "frames = 80", EXIT_SOLVER)):
+        counts = []
+        for n in (1, 6):
+            path = tmp_path / f"{n}.scn"
+            path.write_text(scenario.read_text().replace(frames, f"frames = {n}"))
+            built.clear()
+            assert run_cli("simulate", str(path), capsys=capsys)[0] in (EXIT_OK, code)
+            counts.append(len(built))
+        assert counts[0] == counts[1], (scenario.name, counts)
+        per_run[scenario.name] = counts[0]
+    built.clear()
+    assert run_cli("solve", "squaretest_frame0", capsys=capsys)[0] == EXIT_OK
+    assert len(built) <= per_run[SQUARETEST.name]
+
 FLAG_CASES = [
     ("solve", "squaretest_frame0", "--consistency-tolerance", "-1"),
     ("solve", "squaretest_frame0", "--consistency-tolerance", "0"),
@@ -511,7 +663,7 @@ def test_verify_unit_norm_catches_injected_sign_bug():
 
     def buggy_solve(diffs, cfg):
         d, e, b = np.array(diffs.d), np.array(diffs.e), np.array(diffs.b)
-        r0 = np.array(diffs.reference.as_tuple())
+        r0 = np.array(diffs.reference)
         w = b / (b * b - d * d)
         u = d / (b * b - d * d)
         f1 = w[0] * e[0] - w[1] * e[1]
@@ -528,11 +680,9 @@ def test_verify_unit_norm_catches_injected_sign_bug():
             i = int(np.argmax(np.abs(dens)))
             s = float(0.5 * (b[i] ** 2 - d[i] ** 2) / dens[i])
             out.append((evec, s, r0 + evec * s, i))
-        from uwps.geo import ENU, CartesianVector
         return CandidatePair(
             e_1=tuple(out[0][0]), e_2=tuple(out[1][0]), s_1=out[0][1], s_2=out[1][1],
-            r_1=CartesianVector(*out[0][2].tolist(), ENU),
-            r_2=CartesianVector(*out[1][2].tolist(), ENU),
+            r_1=tuple(out[0][2].tolist()), r_2=tuple(out[1][2].tolist()),
             denominator_index_1=out[0][3], denominator_index_2=out[1][3],
             discriminant=disc)
 
@@ -597,7 +747,7 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), namespace)
     fix = namespace["fix"]
     assert fix.status == "ok"
-    x, y, z = fix.analytic.x, fix.analytic.y, fix.analytic.z
+    x, y, z = fix.analytic
     _, out, _ = run_cli("solve", "squaretest_frame0", capsys=capsys)
     assert f"underwater solution: ({x:.9g}, {y:.9g}, {z:.9g}) m" in out
 

@@ -54,6 +54,14 @@ def test_ecef_to_geodetic_pole_case():
     assert g.height == pytest.approx(0.0, abs=1e-7)
 
 
+def test_ecef_to_geodetic_writes_the_antimeridian_as_180():
+    # atan2(-0.0, -a) is -180 degrees, outside the longitude range (-180, 180]
+    for y in (-0.0, 0.0):
+        g = ecef_to_geodetic(CartesianVector(-WGS84_A, y, 0.0, ECEF))
+        assert (g.latitude, g.longitude) == (0.0, 180.0)
+        assert g.height == pytest.approx(0.0, abs=1e-7)
+
+
 def test_zero_vector_rejected():
     with pytest.raises(ZeroVector):
         ecef_to_geodetic(CartesianVector(0.0, 0.0, 0.0, ECEF))
@@ -84,7 +92,7 @@ def test_round_trip_on_coordinate_grid():
 def test_enu_origin_maps_to_zero():
     frame = LocalFrame(MALAGA)
     v = to_enu(geodetic_to_ecef(MALAGA), frame)
-    assert v.as_tuple() == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
+    assert v == pytest.approx((0.0, 0.0, 0.0), abs=1e-9)
 
 
 def test_enu_round_trip():
@@ -96,9 +104,9 @@ def test_enu_round_trip():
     for _ in range(50):
         offset = rng.uniform(-5000, 5000, 3)
         p = CartesianVector(*(origin + offset).tolist(), ECEF)
-        enu = np.array(to_enu(p, frame).as_tuple())
+        enu = np.array(to_enu(p, frame))
         assert np.max(np.abs(enu - rotation @ offset)) < 1e-9
-        q = from_enu(CartesianVector(*enu.tolist(), ENU), frame)
+        q = from_enu(tuple(enu.tolist()), frame)
         assert np.max(np.abs(np.array(q.as_tuple()) - (origin + rotation.T @ enu))) < 1e-9
         assert distance(q, p) < 1e-9
 
@@ -114,7 +122,8 @@ def test_frame_tags_enforced():
     frame = LocalFrame(MALAGA)
     with pytest.raises(ValueError):
         to_enu(CartesianVector(1.0, 2.0, 3.0, ENU), frame)
-    with pytest.raises(ValueError):
+    # an ENU position is a plain tuple: a vector is no position to convert
+    with pytest.raises(TypeError):
         from_enu(CartesianVector(1.0, 2.0, 3.0, ECEF), frame)
     with pytest.raises(ValueError):
         CartesianVector(0.0, 0.0, 0.0, "NED")

@@ -84,9 +84,23 @@ def test_diffset_checks_its_entries_and_stores_float_tuples():
                 dict(b=(math.inf, *b[1:])), dict(e=((1.0, 1e-5, 0.0), *e[1:])),
                 dict(e=(e[0][:2], *e[1:])),
                 dict(reference=CartesianVector(0.0, 0.0, 0.0, ECEF)),
-                dict(reference=(0.0, 0.0, 0.0))):
+                dict(reference=(0.0, math.inf, 0.0)), dict(reference=(0.0, 0.0))):
         with pytest.raises(ValueError):
             replace(good, **bad)
+    # the reference is stored as a float tuple, whatever sequence it came in
+    moved = replace(good, reference=np.array([1, 2, 3]))
+    assert moved.reference == (1.0, 2.0, 3.0)
+    assert all(type(v) is float for v in moved.reference)
+
+
+def test_observation_checks_its_position():
+    good = Observation(0, 10.0, 11.0, (1.0, 2.0, -3.0))
+    assert Observation(0, 10.0, 11.0, np.array([1, 2, -3])) == good
+    assert all(type(v) is float for v in Observation(0, 10.0, 11.0, [1, 2, -3]).position)
+    for bad in (CartesianVector(1.0, 2.0, -3.0, ECEF), (1.0, math.nan, -3.0),
+                (1.0, 2.0), (1.0, 2.0, -3.0, 4.0), "abc"):
+        with pytest.raises(ValueError, match="observation position"):
+            replace(good, position=bad)
 
 
 def test_coincident_buoys_rejected():
@@ -120,7 +134,7 @@ def test_square_reference_case_recovers_truth_exactly():
     buoys = unit_square(1000.0)
     truth = np.array([300.0, 400.0, -150.0])
     pair = kleusberg_solve(oracle_diffs(buoys, truth), CFG)
-    positions = sorted((pair.r_1.as_tuple(), pair.r_2.as_tuple()), key=lambda p: p[2])
+    positions = sorted((pair.r_1, pair.r_2), key=lambda p: p[2])
     assert positions[0] == pytest.approx([300.0, 400.0, -150.0], abs=1e-6)
     assert positions[1] == pytest.approx([300.0, 400.0, 150.0], abs=1e-6)
     assert pair.discriminant >= 0.0
@@ -161,7 +175,7 @@ def test_closed_form_matches_numpy_reference():
                 pair.branches(), branches):
             assert np.max(np.abs(np.array(evec) - e_ref)) <= 1e-12
             assert abs(s - s_ref) <= 1e-9
-            assert np.max(np.abs(np.array(pos.as_tuple()) - pos_ref)) <= 1e-9
+            assert np.max(np.abs(np.array(pos) - pos_ref)) <= 1e-9
             assert index == index_ref
 
 
@@ -170,9 +184,9 @@ def test_candidate_positions_constructed_from_e_and_s():
     truth = np.array([250.0, 330.0, -90.0])
     diffs = oracle_diffs(buoys, truth)
     pair = kleusberg_solve(diffs, CFG)
-    r0 = diffs.reference.as_tuple()
+    r0 = diffs.reference
     for evec, s, pos, _ in pair.branches():
-        assert pos.as_tuple() == tuple(r + ei * s for r, ei in zip(r0, evec))
+        assert pos == tuple(r + ei * s for r, ei in zip(r0, evec))
 
 
 def test_discriminant_scan_to_no_real_solution():
@@ -249,7 +263,7 @@ SQUARE_DIFFS = oracle_diffs(unit_square(1000.0), np.array([300.0, 400.0, -150.0]
 
 def test_select_prefers_candidate_below_surface():
     pick = select_underwater(fake_pair(-100.0, 100.0), SQUARE_DIFFS)
-    assert pick.z == -100.0
+    assert pick[2] == -100.0
 
 
 def test_select_rejects_candidates_above_surface():
@@ -268,7 +282,7 @@ def test_select_resolves_mirror_pair_to_oracle_truth():
     diffs = oracle_diffs(buoys, truth)
     pair = kleusberg_solve(diffs, CFG)
     pick = select_underwater(pair, diffs)
-    assert pick.as_tuple() == pytest.approx(truth, abs=1e-6)
+    assert pick == pytest.approx(truth, abs=1e-6)
 
 
 def test_select_residual_tiebreak_when_both_below_plane():
@@ -284,12 +298,12 @@ def test_select_residual_tiebreak_when_both_below_plane():
     loose = SolverConfig(consistency_tolerance=1.0)
     nudged = replace(clean, d=np.add(clean.d, [0.05, -0.03, 0.02]))
     pair = kleusberg_solve(nudged, loose)
-    assert all(s >= 0 and p.z < SURFACE_UP for _, s, p, _ in pair.branches())
+    assert all(s >= 0 and p[2] < SURFACE_UP for _, s, p, _ in pair.branches())
     pick = select_underwater(pair, nudged)
     norms = {float(np.linalg.norm(residuals(p, nudged))): p
              for _, _, p, _ in pair.branches()}
     assert pick == norms[min(norms)]
-    assert pick.z == min(p.z for _, _, p, _ in pair.branches())
+    assert pick[2] == min(p[2] for _, _, p, _ in pair.branches())
 
 
 # -- residuals ---------------------------------------------------------
@@ -323,7 +337,7 @@ def test_numerical_from_truth_converges_immediately():
     truth = np.array([300.0, 400.0, -150.0])
     diffs = oracle_diffs(buoys, truth)
     got = numerical_solve(diffs, initial=enu(*truth), cfg=CFG)
-    assert got.as_tuple() == pytest.approx(truth, abs=1e-9)
+    assert got == pytest.approx(truth, abs=1e-9)
 
 
 def test_numerical_on_noisy_data_beats_truth_residual():
@@ -366,7 +380,7 @@ def test_numerical_stops_at_the_surface():
             got = numerical_solve(case, initial=start, cfg=cfg)
         except PositioningError:
             continue
-        assert got.z < SURFACE_UP
+        assert got[2] < SURFACE_UP
 
 
 def test_numerical_stops_beyond_reach():
@@ -380,10 +394,10 @@ def test_numerical_stops_beyond_reach():
         numerical_solve(diffs, initial=enu(500.0, 500.0, -707.0), cfg=CFG)
     far = np.array([2e5, 400.0, -1.5e5])
     exact = oracle_diffs(square, far)
-    assert numerical_solve(exact, initial=enu(*far), cfg=CFG).as_tuple() == tuple(far)
+    assert numerical_solve(exact, initial=enu(*far), cfg=CFG) == tuple(far)
     nudged = replace(exact, d=(exact.d[0] + 1e-6, *exact.d[1:]))
     got = numerical_solve(nudged, initial=enu(*far), cfg=CFG)
-    assert np.linalg.norm(got.as_tuple()) > 100.0 * max(exact.b)
+    assert np.linalg.norm(got) > 100.0 * max(exact.b)
     assert np.linalg.norm(residuals(got, nudged)) < np.linalg.norm(residuals(enu(*far), nudged))
 
 
@@ -396,8 +410,8 @@ def unrealizable_diffs():
 def numpy_numerical_solve(diffs, initial, cfg):
     """Gauss-Newton in numpy arrays, the reference for numerical_solve's
     float arithmetic: the same dogleg, exits and messages."""
-    x = np.array(initial.as_tuple())
-    r0 = np.array(diffs.reference.as_tuple())
+    x = np.array(initial)
+    r0 = np.array(diffs.reference)
     buoys = r0 + np.array(diffs.e) * np.array(diffs.b)[:, None]
     d = np.array(diffs.d)
     reach = multilateration._REACH * max(diffs.b)
@@ -523,7 +537,7 @@ def test_numerical_solve_matches_numpy_reference():
                 numerical_solve(diffs, initial=start, cfg=cfg)
             continue
         got = numerical_solve(diffs, initial=start, cfg=cfg)
-        deviation = np.max(np.abs(np.array(got.as_tuple()) - want))
+        deviation = np.max(np.abs(np.array(got) - want))
         if abs(want[2]) >= 10.0:
             assert deviation <= 1e-9
             agreed += 1
@@ -582,7 +596,7 @@ def test_numerical_takes_damped_rescue_in_plane_of_coplanar_buoys(monkeypatch):
                          np.array([300.0, 400.0, -150.0]))
     got = numerical_solve(diffs, initial=enu(250.0, 450.0, -20.0), cfg=CFG)
     assert solves[0] is None and solves[1] is not None
-    assert got.z == -20.0 and np.all(np.isfinite(got.as_tuple()))
+    assert got[2] == -20.0 and np.all(np.isfinite(got))
     assert np.linalg.norm(residuals(got, diffs)) < np.linalg.norm(
         residuals(enu(250.0, 450.0, -20.0), diffs))
 
@@ -595,8 +609,8 @@ def test_numerical_takes_damped_rescue_in_plane_of_coplanar_buoys(monkeypatch):
     start=st.tuples(*[st.floats(-1e6, 1e6)] * 3),
 )
 def test_numerical_returns_finite_fix_or_positioning_error(directions, lengths, ratios, start):
-    """Realizable or not, from starts up to 1e6 m away: a finite ENU fix or
-    a PositioningError, never anything else."""
+    """Realizable or not, from starts up to 1e6 m away: a finite (east,
+    north, up) float tuple or a PositioningError, never anything else."""
     e = np.array(directions)
     norms = np.linalg.norm(e, axis=1)
     assume(np.all(norms > 1e-3))
@@ -607,7 +621,8 @@ def test_numerical_returns_finite_fix_or_positioning_error(directions, lengths, 
         got = numerical_solve(diffs, initial=enu(*start), cfg=CFG)
     except PositioningError:
         return
-    assert got.frame == "ENU" and np.all(np.isfinite(got.as_tuple()))
+    assert type(got) is tuple and all(type(v) is float and math.isfinite(v) for v in got)
+    assert len(got) == 3
 
 
 def test_numerical_singular_jacobian_at_buoy_position():

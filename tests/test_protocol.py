@@ -104,6 +104,7 @@ def test_out_of_range_fields_rejected():
         b"UWPS,1,43200.000,36.7201000,-4.4203000,1e400",
         b"UWPS,1,43200.000,36.7201000,-4.4203000,-1e20",   # wider than the height field
         b"UWPS,1,43200.000,36.7201000,-179.99999999,0.00",  # -180 at wire resolution
+        b"UWPS,1,43200.000,36.7201000,-180.0000000,0.00",
         b"UWPS,1,86399.9996,36.7201000,-4.4203000,0.00",    # 86400.000 at wire resolution
     ):
         sentence = b"$" + payload + f"*{xor_oracle(payload):02X}".encode() + b"\r\n"
@@ -172,6 +173,18 @@ def test_message_quantizes_to_wire_resolution():
     assert m.gnss_time == 12.346
     assert m.position.latitude == 36.1234568
     assert m.position.height == 1.23
+
+
+def test_message_writes_minus_180_as_180():
+    """A longitude that rounds to -180 at the wire's 1e-7 deg is the same
+    meridian as 180, the only spelling inside (-180, 180]."""
+    m = BuoyMessage(1, 0.0, GeodeticCoord(0.009, -179.99999996, 0.0))
+    assert m.position.longitude == 180.0
+    sentence = encode_message(m)
+    assert b",180.0000000," in sentence
+    assert decode_message(sentence) == m
+    assert BuoyMessage(1, 0.0, GeodeticCoord(0.0, -179.99999994, 0.0)).position.longitude == (
+        -179.9999999)
 
 
 def test_message_validation():
