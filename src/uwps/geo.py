@@ -3,10 +3,10 @@
 All positioning math downstream runs in a local east-north-up frame whose
 origin is the reference buoy's first reported position; this module supplies
 the conversions that get GNSS geodetic fixes into and out of that frame.
-A position in that frame is a plain (east, north, up) tuple of floats; the
-frame-tagged, self-checking CartesianVector is kept for ECEF vectors. Each
-conversion is one written-out float kernel that the public functions share,
-so it rounds the same wherever it runs.
+Every position, ECEF or ENU, is a plain tuple of three floats, checked
+where it enters the program; only GeodeticCoord checks itself. Each
+conversion is written out once in floats, so it rounds the same wherever
+it runs.
 """
 from __future__ import annotations
 
@@ -20,10 +20,6 @@ WGS84_A = 6378137.0                    # semi-major axis [m]
 WGS84_F = 1.0 / 298.257223563          # flattening
 WGS84_B = WGS84_A * (1.0 - WGS84_F)    # semi-minor axis [m]
 WGS84_E2 = WGS84_F * (2.0 - WGS84_F)   # first eccentricity squared
-
-ECEF = "ECEF"
-ENU = "ENU"
-_FRAMES = (ECEF, ENU)
 
 
 @dataclass(frozen=True)
@@ -41,32 +37,6 @@ class GeodeticCoord:
             raise ValueError(f"longitude {self.longitude} outside (-180, 180]")
         if not math.isfinite(self.height):
             raise ValueError("height must be finite")
-
-
-@dataclass(frozen=True)
-class CartesianVector:
-    """A 3-vector in meters, tagged with the frame it lives in."""
-
-    x: float
-    y: float
-    z: float
-    frame: str
-
-    def __post_init__(self):
-        if self.frame not in _FRAMES:
-            raise ValueError(f"unknown frame {self.frame!r}")
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise ValueError("vector components must be finite")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return self.x, self.y, self.z
-
-
-def distance(a: CartesianVector, b: CartesianVector) -> float:
-    """Euclidean distance between two vectors of the same frame."""
-    if a.frame != b.frame:
-        raise ValueError(f"frame mismatch: {a.frame} vs {b.frame}")
-    return math.dist((a.x, a.y, a.z), (b.x, b.y, b.z))
 
 
 class LocalFrame:
@@ -88,16 +58,16 @@ class LocalFrame:
             (-sl * cp, -sl * sp, cl),
             (cl * cp, cl * sp, sl),
         )
-        self.origin_ecef = _geodetic_to_ecef(origin)
+        self.origin_ecef = geodetic_to_ecef(origin)
 
     def __repr__(self):
         o = self.origin
         return f"LocalFrame(lat={o.latitude}, lon={o.longitude}, h={o.height})"
 
 
-# -- float kernels: the one arithmetic of every conversion below ----------
-
-def _geodetic_to_ecef(g: GeodeticCoord) -> tuple[float, float, float]:
+def geodetic_to_ecef(g: GeodeticCoord) -> tuple[float, float, float]:
+    """Geodetic coordinates to an earth-centered earth-fixed (x, y, z) float
+    tuple in meters; g checked itself when it was built."""
     lat = math.radians(g.latitude)
     lon = math.radians(g.longitude)
     sl, cl = math.sin(lat), math.cos(lat)
@@ -108,7 +78,16 @@ def _geodetic_to_ecef(g: GeodeticCoord) -> tuple[float, float, float]:
     return x, y, z
 
 
-def _ecef_to_geodetic(x: float, y: float, z: float) -> GeodeticCoord:
+def ecef_to_geodetic(ecef) -> GeodeticCoord:
+    """Inverse of geodetic_to_ecef (Bowring start, then fixed-point).
+
+    ecef is an (x, y, z) sequence in meters. A wrong length or a non-finite
+    entry raises ValueError (the GeodeticCoord result checks itself), and
+    the origin raises ZeroVector. Round-trip error is far below the 1e-6 m
+    contract for heights within [-11000, +9000] m. A point on the
+    antimeridian comes back at longitude 180, never -180.
+    """
+    x, y, z = ecef
     p = math.hypot(x, y)
     if p == 0.0 and z == 0.0:
         raise ZeroVector("zero-length ECEF vector")
@@ -141,15 +120,20 @@ def _ecef_to_geodetic(x: float, y: float, z: float) -> GeodeticCoord:
     return GeodeticCoord(math.degrees(lat), lon, h)
 
 
-def _to_enu(x: float, y: float, z: float, frame: LocalFrame) -> tuple[float, float, float]:
+def to_enu(ecef, frame: LocalFrame) -> tuple[float, float, float]:
+    """An ECEF (x, y, z) position to an (east, north, up) float tuple in
+    frame. Not checked: the program builds each from a GeodeticCoord."""
     (ex, ey, ez), (nx, ny, nz), (ux, uy, uz) = frame.rotation
     ox, oy, oz = frame.origin_ecef
+    x, y, z = ecef
     dx, dy, dz = x - ox, y - oy, z - oz
     return (ex * dx + ey * dy + ez * dz, nx * dx + ny * dy + nz * dz,
             ux * dx + uy * dy + uz * dz)
 
 
-def _from_enu(enu, frame: LocalFrame) -> tuple[float, float, float]:
+def from_enu(enu, frame: LocalFrame) -> tuple[float, float, float]:
+    """An (east, north, up) position in frame back to an ECEF (x, y, z)
+    float tuple. The position is not checked, as in to_enu."""
     (ex, ey, ez), (nx, ny, nz), (ux, uy, uz) = frame.rotation
     ox, oy, oz = frame.origin_ecef
     e, n, u = enu
@@ -157,45 +141,14 @@ def _from_enu(enu, frame: LocalFrame) -> tuple[float, float, float]:
             oz + (ez * e + nz * n + uz * u))
 
 
-# -- the public conversions -----------------------------------------------
-
-def geodetic_to_ecef(g: GeodeticCoord) -> CartesianVector:
-    """Geodetic coordinates to earth-centered earth-fixed meters."""
-    return CartesianVector(*_geodetic_to_ecef(g), ECEF)
-
-
-def ecef_to_geodetic(v: CartesianVector) -> GeodeticCoord:
-    """Inverse of geodetic_to_ecef (Bowring start, then fixed-point).
-
-    Round-trip error is far below the 1e-6 m contract for heights within
-    [-11000, +9000] m. A point on the antimeridian comes back at longitude
-    180, never -180.
-    """
-    if v.frame != ECEF:
-        raise ValueError(f"expected ECEF vector, got {v.frame}")
-    return _ecef_to_geodetic(v.x, v.y, v.z)
-
-
-def to_enu(v: CartesianVector, frame: LocalFrame) -> tuple[float, float, float]:
-    """ECEF vector to a local (east, north, up) float tuple."""
-    if v.frame != ECEF:
-        raise ValueError(f"expected ECEF vector, got {v.frame}")
-    return _to_enu(v.x, v.y, v.z, frame)
-
-
-def from_enu(enu: tuple[float, float, float], frame: LocalFrame) -> CartesianVector:
-    """A local (east, north, up) position back to an ECEF vector."""
-    return CartesianVector(*_from_enu(enu, frame), ECEF)
-
-
 def geodetic_to_enu(g: GeodeticCoord, frame: LocalFrame) -> tuple[float, float, float]:
     """Geodetic coordinates to an (east, north, up) float tuple in frame:
     the conversion every report takes into the receiver pipeline."""
-    return _to_enu(*_geodetic_to_ecef(g), frame)
+    return to_enu(geodetic_to_ecef(g), frame)
 
 
 def enu_to_geodetic(enu: tuple[float, float, float], frame: LocalFrame) -> GeodeticCoord:
     """An (east, north, up) position in frame to geodetic coordinates. The
     position is not checked: the values that reach it were checked where
     they entered the program."""
-    return _ecef_to_geodetic(*_from_enu(enu, frame))
+    return ecef_to_geodetic(from_enu(enu, frame))

@@ -158,10 +158,6 @@ class DiffSet:
                             ("anchors", tuple(anchors))):
             object.__setattr__(self, name, value)
 
-    def is_realizable(self) -> bool:
-        """True when every |d_0i| < b_0i (a consistent stationary TDOA)."""
-        return all(abs(di) < bi for di, bi in zip(self.d, self.b))
-
 
 @dataclass(frozen=True, eq=False)
 class CandidatePair:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import channel, geo, multilateration, protocol
 from .errors import PositioningError
-from .geo import CartesianVector, GeodeticCoord, LocalFrame
+from .geo import GeodeticCoord, LocalFrame
 from .multilateration import DiffSet, SolverConfig
 
 DEFAULT_SEED = 20260808
@@ -152,7 +152,7 @@ def check_geodetic_round_trip(seed: int) -> tuple[bool, str]:
         g = GeodeticCoord(rng.uniform(-90, 90), rng.uniform(-179.999, 180.0),
                           rng.uniform(-11000.0, 9000.0))
         back = geo.ecef_to_geodetic(geo.geodetic_to_ecef(g))
-        err = geo.distance(geo.geodetic_to_ecef(back), geo.geodetic_to_ecef(g))
+        err = math.dist(geo.geodetic_to_ecef(back), geo.geodetic_to_ecef(g))
         worst = max(worst, err)
     return worst < 1e-6, f"worst round-trip {worst:.3e} m (< 1e-6 m)"
 
@@ -163,9 +163,9 @@ def check_enu_isometry(seed: int) -> tuple[bool, str]:
     origin = np.array(frame.origin_ecef)
     worst = 0.0
     for _ in range(200):
-        a = CartesianVector(*(origin + rng.uniform(-5e3, 5e3, 3)).tolist(), geo.ECEF)
-        b = CartesianVector(*(origin + rng.uniform(-5e3, 5e3, 3)).tolist(), geo.ECEF)
-        d_ecef = geo.distance(a, b)
+        a = tuple((origin + rng.uniform(-5e3, 5e3, 3)).tolist())
+        b = tuple((origin + rng.uniform(-5e3, 5e3, 3)).tolist())
+        d_ecef = math.dist(a, b)
         d_enu = math.dist(geo.to_enu(a, frame), geo.to_enu(b, frame))
         worst = max(worst, abs(d_enu - d_ecef) / max(d_ecef, 1.0))
     return worst < 1e-9, f"worst relative distortion {worst:.3e} (< 1e-9)"

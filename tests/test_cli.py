@@ -491,36 +491,6 @@ def test_solve_fuzzed_observation_files(text):
         assert err.getvalue() == "" and "underwater solution: (" in out.getvalue()
 
 
-def test_positions_build_no_vector_per_frame(monkeypatch, tmp_path, capsys):
-    """Working-frame positions travel as float tuples from the simulator to
-    the CSV row: a run builds a fixed number of CartesianVectors, however
-    many frames it has, and one solve builds no more than that."""
-    from uwps.geo import CartesianVector
-
-    built = []
-    check = CartesianVector.__post_init__
-
-    def counted(self):
-        built.append(self.frame)
-        check(self)
-
-    monkeypatch.setattr(CartesianVector, "__post_init__", counted)
-    per_run = {}
-    for scenario, frames, code in ((SQUARETEST, "frames = 5", EXIT_OK),
-                                   (DATA / "moving.scn", "frames = 80", EXIT_SOLVER)):
-        counts = []
-        for n in (1, 6):
-            path = tmp_path / f"{n}.scn"
-            path.write_text(scenario.read_text().replace(frames, f"frames = {n}"))
-            built.clear()
-            assert run_cli("simulate", str(path), capsys=capsys)[0] in (EXIT_OK, code)
-            counts.append(len(built))
-        assert counts[0] == counts[1], (scenario.name, counts)
-        per_run[scenario.name] = counts[0]
-    built.clear()
-    assert run_cli("solve", "squaretest_frame0", capsys=capsys)[0] == EXIT_OK
-    assert len(built) <= per_run[SQUARETEST.name]
-
 FLAG_CASES = [
     ("solve", "squaretest_frame0", "--consistency-tolerance", "-1"),
     ("solve", "squaretest_frame0", "--consistency-tolerance", "0"),

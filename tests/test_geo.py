@@ -1,4 +1,6 @@
 """Coordinate-frame conversions against WGS-84 constants and inverses."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,18 +8,16 @@ from hypothesis import strategies as st
 
 from uwps.errors import ZeroVector
 from uwps.geo import (
-    ECEF,
-    ENU,
     WGS84_A,
     WGS84_B,
     WGS84_F,
-    CartesianVector,
     GeodeticCoord,
     LocalFrame,
-    distance,
     ecef_to_geodetic,
+    enu_to_geodetic,
     from_enu,
     geodetic_to_ecef,
+    geodetic_to_enu,
     to_enu,
 )
 from uwps.verify import MALAGA
@@ -25,7 +25,7 @@ from uwps.verify import MALAGA
 
 def test_equator_prime_meridian_is_semi_major_axis():
     v = geodetic_to_ecef(GeodeticCoord(0.0, 0.0, 0.0))
-    assert v.as_tuple() == pytest.approx([WGS84_A, 0.0, 0.0], abs=1e-6)
+    assert v == pytest.approx([WGS84_A, 0.0, 0.0], abs=1e-6)
 
 
 def test_north_pole_is_semi_minor_axis():
@@ -33,23 +33,23 @@ def test_north_pole_is_semi_minor_axis():
     b = WGS84_A * (1.0 - WGS84_F)
     assert b == pytest.approx(WGS84_B)
     v = geodetic_to_ecef(GeodeticCoord(90.0, 0.0, 0.0))
-    assert v.as_tuple() == pytest.approx([0.0, 0.0, b], abs=1e-6)
+    assert v == pytest.approx([0.0, 0.0, b], abs=1e-6)
 
 
 def test_equator_east_axis_with_height():
     v = geodetic_to_ecef(GeodeticCoord(0.0, 90.0, 100.0))
-    assert v.as_tuple() == pytest.approx([0.0, WGS84_A + 100.0, 0.0], abs=1e-6)
+    assert v == pytest.approx([0.0, WGS84_A + 100.0, 0.0], abs=1e-6)
 
 
 def test_ecef_to_geodetic_inverts_equator_case():
-    g = ecef_to_geodetic(CartesianVector(WGS84_A, 0.0, 0.0, ECEF))
+    g = ecef_to_geodetic((WGS84_A, 0.0, 0.0))
     assert g.latitude == pytest.approx(0.0, abs=1e-12)
     assert g.longitude == pytest.approx(0.0, abs=1e-12)
     assert g.height == pytest.approx(0.0, abs=1e-7)
 
 
 def test_ecef_to_geodetic_pole_case():
-    g = ecef_to_geodetic(CartesianVector(0.0, 0.0, WGS84_A * (1.0 - WGS84_F), ECEF))
+    g = ecef_to_geodetic((0.0, 0.0, WGS84_A * (1.0 - WGS84_F)))
     assert g.latitude == pytest.approx(90.0, abs=1e-9)
     assert g.height == pytest.approx(0.0, abs=1e-7)
 
@@ -57,14 +57,14 @@ def test_ecef_to_geodetic_pole_case():
 def test_ecef_to_geodetic_writes_the_antimeridian_as_180():
     # atan2(-0.0, -a) is -180 degrees, outside the longitude range (-180, 180]
     for y in (-0.0, 0.0):
-        g = ecef_to_geodetic(CartesianVector(-WGS84_A, y, 0.0, ECEF))
+        g = ecef_to_geodetic((-WGS84_A, y, 0.0))
         assert (g.latitude, g.longitude) == (0.0, 180.0)
         assert g.height == pytest.approx(0.0, abs=1e-7)
 
 
 def test_zero_vector_rejected():
     with pytest.raises(ZeroVector):
-        ecef_to_geodetic(CartesianVector(0.0, 0.0, 0.0, ECEF))
+        ecef_to_geodetic((0.0, 0.0, 0.0))
 
 
 @settings(max_examples=300, deadline=None)
@@ -76,7 +76,7 @@ def test_zero_vector_rejected():
 def test_geodetic_ecef_round_trip(lat, lon, h):
     g = GeodeticCoord(lat, lon, h)
     back = ecef_to_geodetic(geodetic_to_ecef(g))
-    assert distance(geodetic_to_ecef(back), geodetic_to_ecef(g)) < 1e-6
+    assert math.dist(geodetic_to_ecef(back), geodetic_to_ecef(g)) < 1e-6
 
 
 def test_round_trip_on_coordinate_grid():
@@ -85,7 +85,7 @@ def test_round_trip_on_coordinate_grid():
             for h in (-11000.0, -500.0, 0.0, 150.0, 9000.0):
                 g = GeodeticCoord(lat, lon, h)
                 back = ecef_to_geodetic(geodetic_to_ecef(g))
-                err = distance(geodetic_to_ecef(back), geodetic_to_ecef(g))
+                err = math.dist(geodetic_to_ecef(back), geodetic_to_ecef(g))
                 assert err < 1e-6, (lat, lon, h, err)
 
 
@@ -97,18 +97,23 @@ def test_enu_origin_maps_to_zero():
 
 def test_enu_round_trip():
     """Both conversions match the rotation matrix applied in numpy, where
-    only the rounding differs, and invert each other, to 1e-9 m at 5 km."""
+    only the rounding differs, and invert each other, to 1e-9 m at 5 km.
+    The geodetic shortcuts are the ECEF conversions composed, bit for bit."""
     frame = LocalFrame(MALAGA)
     rotation, origin = np.array(frame.rotation), np.array(frame.origin_ecef)
     rng = np.random.default_rng(3)
     for _ in range(50):
         offset = rng.uniform(-5000, 5000, 3)
-        p = CartesianVector(*(origin + offset).tolist(), ECEF)
+        p = tuple((origin + offset).tolist())
         enu = np.array(to_enu(p, frame))
         assert np.max(np.abs(enu - rotation @ offset)) < 1e-9
-        q = from_enu(tuple(enu.tolist()), frame)
-        assert np.max(np.abs(np.array(q.as_tuple()) - (origin + rotation.T @ enu))) < 1e-9
-        assert distance(q, p) < 1e-9
+        e = tuple(enu.tolist())
+        q = from_enu(e, frame)
+        assert np.max(np.abs(np.array(q) - (origin + rotation.T @ enu))) < 1e-9
+        assert math.dist(q, p) < 1e-9
+        g = ecef_to_geodetic(p)
+        assert geodetic_to_enu(g, frame) == to_enu(geodetic_to_ecef(g), frame)
+        assert enu_to_geodetic(e, frame) == ecef_to_geodetic(from_enu(e, frame))
 
 
 def test_frame_basis_orthonormal():
@@ -118,15 +123,19 @@ def test_frame_basis_orthonormal():
     assert np.max(np.abs(eye - np.eye(3))) < 1e-12
 
 
-def test_frame_tags_enforced():
-    frame = LocalFrame(MALAGA)
+def test_ecef_to_geodetic_rejects_what_is_no_position():
+    """The ECEF boundary: a non-finite entry ends in the GeodeticCoord
+    result's ValueError, the origin in ZeroVector, a 2-tuple in the
+    unpacking's ValueError."""
+    a = WGS84_A
+    for bad in (math.nan, math.inf, -math.inf):
+        for p in ((bad, 0.0, 0.0), (a, bad, 0.0), (a, 0.0, bad), (0.0, 0.0, bad)):
+            with pytest.raises(ValueError):
+                ecef_to_geodetic(p)
+    with pytest.raises(ZeroVector):
+        ecef_to_geodetic((0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
-        to_enu(CartesianVector(1.0, 2.0, 3.0, ENU), frame)
-    # an ENU position is a plain tuple: a vector is no position to convert
-    with pytest.raises(TypeError):
-        from_enu(CartesianVector(1.0, 2.0, 3.0, ECEF), frame)
-    with pytest.raises(ValueError):
-        CartesianVector(0.0, 0.0, 0.0, "NED")
+        ecef_to_geodetic((a, 0.0))
 
 
 def test_geodetic_validation():
