@@ -1,10 +1,12 @@
 """Scenario simulator: scheduled buoy broadcasts heard by a submerged receiver.
 
 The simulated world keeps the broadcast content authoritative: a buoy
-transmits exactly when and from where its message says (schedule instants are
-snapped to the 1 ms wire resolution, positions to the 1e-7 deg / 1 cm wire
-resolution, and the acoustic path starts at the reported point). Noiseless
-runs therefore reproduce the receiver position to well below 1e-6 m.
+transmits exactly when and from where its message says (transmit_times gives
+the schedule instants at the 1 ms wire resolution, BuoyMessage rounds
+positions to the 1e-7 deg / 1 cm wire resolution, and the acoustic path
+starts at the reported point). Noiseless runs therefore reproduce the
+receiver position to well below 1e-6 m. A report the wire cannot carry is
+BuoyMessage's ValueError.
 
 The receiver timestamps arrivals on a dyadic 2^-40 s grid before its clock
 offset is applied. With the offset any multiple of that tick (integers in
@@ -31,10 +33,6 @@ SPEED_CAP = 10.0                    # receiver speed sanity cap [m/s]
 # drifts and the sound speed [m/s]: every range, squared range and arrival
 # time simulate computes then stays well within float range
 MAGNITUDE_CAP = 1e9
-
-
-def _quantize_ms(t: float) -> float:
-    return float(f"{t:.3f}")
 
 
 def _quantize_tick(t: float) -> float:
@@ -178,10 +176,8 @@ def simulate(scenario: Scenario) -> list[FrameRecord]:
 
     records = []
     for k in range(scenario.frames):
-        slots = transmit_times(scenario.schedule, k)
         events = []
-        for i in range(4):
-            t_tx = _quantize_ms(slots[i])
+        for i, t_tx in enumerate(transmit_times(scenario.schedule, k)):
             (e0, n0, u0), (dx, dy, dz) = buoy_enu0[i], scenario.buoys[i].drift
             reported = enu_to_geodetic((e0 + dx * t_tx, n0 + dy * t_tx, u0 + dz * t_tx), frame)
             message = BuoyMessage(i + 1, t_tx, reported)

@@ -235,6 +235,7 @@ def parse_observation_file(path: Path) -> ObservationFile:
     receive_times: list[float] = []
     sentences: list[bytes] = []
     line_numbers: list[int] = []
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -242,6 +243,9 @@ def parse_observation_file(path: Path) -> ObservationFile:
         if "=" not in line:
             raise FileFormatError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen and key != "observation":
+            raise FileFormatError(f"{path}:{lineno}: duplicate key {key!r}")
+        seen.add(key)
         if key == "sound_speed":
             sound_speed = _numbers(value, 1, False, path, lineno)
             if sound_speed <= 0.0:
@@ -307,14 +311,19 @@ def resolve_input(name: str) -> Path:
 # -- commands ------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    path = resolve_input(args.scenario)
     try:
-        parsed = parse_scenario_file(resolve_input(args.scenario))
+        parsed = parse_scenario_file(path)
+        frame = working_frame(parsed.scenario)
+        records = simulate(parsed.scenario)
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError as exc:
+        # a buoy report the wire cannot carry: BuoyMessage rejects it
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     scenario = parsed.scenario
-    frame = working_frame(scenario)
-    records = simulate(scenario)
     if parsed.noise_sigma > 0.0:
         records = add_timing_noise(records, parsed.noise_sigma, parsed.seed)
 
@@ -368,17 +377,23 @@ def cmd_simulate(args) -> int:
         cells.append(fix.status)
         rows.append(",".join(cells))
 
-        if args.export_obs is not None:
-            export_dir = Path(args.export_obs)
-            export_dir.mkdir(parents=True, exist_ok=True)
-            write_observation_file(
-                export_dir / f"frame_{record.frame_index:04d}.obs",
-                record, scenario.sound_speed)
-
     csv_text = CSV_HEADER + "\n" + "\n".join(rows) + "\n"
-    if args.output is not None:
-        Path(args.output).write_text(csv_text, encoding="utf-8")
-    else:
+    target = None   # the path being written, named if the write fails
+    try:
+        if args.export_obs is not None and complete_frames:
+            export_dir = target = Path(args.export_obs)
+            export_dir.mkdir(parents=True, exist_ok=True)
+            for record in records:
+                if record.complete:
+                    target = export_dir / f"frame_{record.frame_index:04d}.obs"
+                    write_observation_file(target, record, scenario.sound_speed)
+        if args.output is not None:
+            target = Path(args.output)
+            target.write_text(csv_text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {target}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.output is None:
         sys.stdout.write(csv_text)
 
     print(f"frames: {len(records)} ({complete_frames} complete)")

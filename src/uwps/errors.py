@@ -60,10 +60,6 @@ class SingularJacobian(PositioningError):
 
 # -- protocol ----------------------------------------------------------
 
-class FieldOverflow(PositioningError):
-    """A message field does not fit its fixed wire width."""
-
-
 class ChecksumMismatch(PositioningError):
     """Sentence checksum does not match its payload."""
 

@@ -6,33 +6,24 @@ Wire format is a single NMEA-style ASCII sentence:
 
 with gnss_time as seconds-of-day to 1 ms, lat/lon to 1e-7 deg (about 1 cm)
 and height to 1 cm. <HH> is the two-digit uppercase hex XOR of every byte
-between '$' and '*' exclusive. Worst-case sentence length stays under the
-80-byte message budget with margin.
+between '$' and '*' exclusive.
+
+BuoyMessage states once what a sentence can carry, so encode_message
+cannot fail: the widest sentence is 57 bytes of the 80-byte message budget.
+transmit_times rounds the schedule's instants to the wire's 1 ms.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    BudgetExceeded,
-    ChecksumMismatch,
-    FieldOverflow,
-    FieldRange,
-    MalformedSentence,
-)
+from .errors import BudgetExceeded, ChecksumMismatch, FieldRange, MalformedSentence
 from .geo import GeodeticCoord
 
 TALKER = "UWPS"
 MAX_MESSAGE_BYTES = 80
 
-# fixed field widths (characters) for overflow checks
-_W_ID = 1
-_W_TIME = 9      # "86399.999"
-_W_LAT = 11      # "-90.0000000"
-_W_LON = 12      # "-179.9999999"
-_W_HEIGHT = 9    # e.g. "-11000.00"
-_HEIGHT_RANGE = (-99999.99, 999999.99)   # the heights that fit _W_HEIGHT
+_HEIGHT_RANGE = (-99999.99, 999999.99)   # the heights that fit the 9-character field
 
 
 def _q(value: float, decimals: int) -> float:
@@ -44,7 +35,9 @@ def _q(value: float, decimals: int) -> float:
 class BuoyMessage:
     """One buoy broadcast: who, when (GNSS seconds-of-day), and where.
 
-    Fields are stored at wire resolution (1 ms / 1e-7 deg / 1 cm), so
+    Fields are rounded to wire resolution (1 ms / 1e-7 deg / 1 cm) and the
+    stored values checked: buoy_id an int in 1..4, gnss_time in [0, 86400)
+    and the height within the field's [-99999.99, 999999.99] m. So
     decode(encode(m)) == m holds for every constructible message. A
     longitude that rounds to -180 is stored as 180, the same meridian
     inside the (-180, 180] range.
@@ -55,19 +48,22 @@ class BuoyMessage:
     position: GeodeticCoord
 
     def __post_init__(self):
-        if self.buoy_id not in (1, 2, 3, 4):
-            raise ValueError(f"buoy_id {self.buoy_id} outside 1..4")
-        if not (0.0 <= self.gnss_time < 86400.0):
-            raise ValueError(f"gnss_time {self.gnss_time} outside [0, 86400)")
-        object.__setattr__(self, "gnss_time", _q(self.gnss_time, 3))
+        gnss_time = _q(self.gnss_time, 3)
         p = self.position
         longitude = _q(p.longitude, 7)
         if longitude == -180.0:
             longitude = 180.0
+        height = _q(p.height, 2)
+        if type(self.buoy_id) is not int or not 1 <= self.buoy_id <= 4:
+            raise ValueError(f"buoy_id {self.buoy_id} outside 1..4")
+        if not (0.0 <= gnss_time < 86400.0):
+            raise ValueError(f"gnss_time {gnss_time} outside [0, 86400)")
+        if not (_HEIGHT_RANGE[0] <= height <= _HEIGHT_RANGE[1]):
+            raise ValueError(
+                f"height {height} outside [{_HEIGHT_RANGE[0]}, {_HEIGHT_RANGE[1]}]")
+        object.__setattr__(self, "gnss_time", gnss_time)
         object.__setattr__(
-            self, "position",
-            GeodeticCoord(_q(p.latitude, 7), longitude, _q(p.height, 2)),
-        )
+            self, "position", GeodeticCoord(_q(p.latitude, 7), longitude, height))
 
 
 def checksum(payload: bytes) -> int:
@@ -79,22 +75,12 @@ def checksum(payload: bytes) -> int:
 
 
 def encode_message(m: BuoyMessage) -> bytes:
-    """Render a BuoyMessage as one checksummed ASCII sentence."""
-    fields = (
-        (str(m.buoy_id), _W_ID, "buoy_id"),
-        (f"{m.gnss_time:.3f}", _W_TIME, "gnss_time"),
-        (f"{m.position.latitude:.7f}", _W_LAT, "latitude"),
-        (f"{m.position.longitude:.7f}", _W_LON, "longitude"),
-        (f"{m.position.height:.2f}", _W_HEIGHT, "height"),
-    )
-    for text, width, name in fields:
-        if len(text) > width:
-            raise FieldOverflow(f"{name} field {text!r} exceeds {width} chars")
-    payload = ",".join([TALKER] + [f[0] for f in fields]).encode("ascii")
-    sentence = b"$" + payload + b"*" + f"{checksum(payload):02X}".encode("ascii") + b"\r\n"
-    if len(sentence) > MAX_MESSAGE_BYTES:
-        raise FieldOverflow(f"sentence length {len(sentence)} exceeds {MAX_MESSAGE_BYTES}")
-    return sentence
+    """Render a BuoyMessage as one checksummed ASCII sentence; total, as
+    every stored message fits its fields."""
+    p = m.position
+    payload = (f"{TALKER},{m.buoy_id},{m.gnss_time:.3f},{p.latitude:.7f},"
+               f"{p.longitude:.7f},{p.height:.2f}").encode("ascii")
+    return b"$" + payload + b"*" + f"{checksum(payload):02X}".encode("ascii") + b"\r\n"
 
 
 def decode_message(raw: bytes) -> BuoyMessage:
@@ -137,21 +123,17 @@ def decode_message(raw: bytes) -> BuoyMessage:
                  for p, decimals in zip(parts[2:6], (3, 7, 7, 2))]
     except ValueError:
         raise MalformedSentence(f"non-numeric field in {parts[1:]!r}") from None
-    # the range checks see the values the message would store
+    # BuoyMessage checks the ranges on the values it would store; the
+    # GeodeticCoord is built first, so a -180 longitude is out of range
+    # before the message could write it as 180
     gnss_time, lat, lon, height = (float(t) for t in texts)
-    if buoy_id not in (1, 2, 3, 4):
-        raise FieldRange(f"buoy_id {buoy_id} outside 1..4")
-    if not (0.0 <= gnss_time < 86400.0):
-        raise FieldRange(f"gnss_time {gnss_time} outside [0, 86400)")
-    if not (-90.0 <= lat <= 90.0):
-        raise FieldRange(f"latitude {lat} outside [-90, 90]")
-    if not (-180.0 < lon <= 180.0):
-        raise FieldRange(f"longitude {lon} outside (-180, 180]")
-    if not (_HEIGHT_RANGE[0] <= height <= _HEIGHT_RANGE[1]):
-        raise FieldRange(f"height {height} outside [{_HEIGHT_RANGE[0]}, {_HEIGHT_RANGE[1]}]")
+    try:
+        message = BuoyMessage(buoy_id, gnss_time, GeodeticCoord(lat, lon, height))
+    except ValueError as exc:
+        raise FieldRange(str(exc)) from None
     if parts[1] != str(buoy_id) or parts[2:6] != texts:
         raise MalformedSentence(f"non-canonical field in {parts[1:]!r}")
-    return BuoyMessage(buoy_id, gnss_time, GeodeticCoord(lat, lon, height))
+    return message
 
 
 @dataclass(frozen=True)
@@ -210,8 +192,9 @@ def compute_schedule(
 
 
 def transmit_times(s: FrameSchedule, frame_index: int) -> tuple[float, float, float, float]:
-    """Absolute transmit instants of the four buoys in a given frame."""
+    """Absolute transmit instants of the four buoys in a given frame, at the
+    wire's 1 ms resolution: each is the gnss_time its message carries."""
     if frame_index < 0:
         raise ValueError("frame_index must be >= 0")
     base = frame_index * s.frame_period
-    return tuple(base + t for t in s.start_times)
+    return tuple(float(f"{base + t:.3f}") for t in s.start_times)

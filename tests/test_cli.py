@@ -1,6 +1,8 @@
 """CLI contracts: commands, exit codes, file grammars, determinism."""
 import contextlib
+import errno
 import io
+import os
 import signal
 import subprocess
 import sys
@@ -267,6 +269,40 @@ def test_simulate_rejects_magnitudes_that_overflow(old, new, tmp_path, capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith(f"error: {path}: ") and "must be at most 1e+09" in err
+
+
+@pytest.mark.parametrize("buoy", [1, 2])
+@pytest.mark.parametrize("export", [False, True], ids=["csv", "export-obs"])
+def test_simulate_rejects_a_report_the_wire_cannot_carry(buoy, export, tmp_path, capsys):
+    """A buoy height outside the sentence's field is a file error, exit 1,
+    with nothing on stdout and nothing exported."""
+    lines = SQUARETEST.read_text().splitlines()
+    at = lines.index(f"[buoy {buoy}]") + 1   # its position line
+    lines[at] = " ".join(lines[at].split()[:-1] + ["-150000"])
+    path = tmp_path / "deep.scn"
+    path.write_text("\n".join(lines) + "\n")
+    export_dir = tmp_path / "obs"
+    argv = ["simulate", str(path)] + (["--export-obs", str(export_dir)] if export else [])
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {path}: height -150000.0 outside [-99999.99, 999999.99]\n"
+    assert not export_dir.exists()
+
+
+@pytest.mark.parametrize("flag", ["-o", "--export-obs"])
+def test_simulate_reports_an_unwritable_output(flag, tmp_path, capsys):
+    """An output path that cannot be written is `error: <path>: <reason>`,
+    exit 1, nothing on stdout, no traceback."""
+    if flag == "-o":
+        target, reason = tmp_path / "missing" / "x.csv", os.strerror(errno.ENOENT)
+    else:
+        target, reason = tmp_path / "a_file", os.strerror(errno.EEXIST)
+        target.write_text("not a directory\n")
+    code, out, err = run_cli("simulate", "squaretest", flag, str(target), capsys=capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {target}: {reason}\n"
 
 
 def _add_channel_line(line):
@@ -564,6 +600,19 @@ def test_solve_reports_checksum_with_line_number(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert "ChecksumMismatch" in err
     assert ":5:" in err  # fourth content line is file line 5
+
+
+@pytest.mark.parametrize("line", ["sound_speed = 1400", "frame = 1"])
+def test_solve_rejects_a_repeated_key(line, tmp_path, capsys):
+    """A second sound_speed or frame line is a file error naming it, exit
+    1, not a silent override."""
+    path = tmp_path / "twice.obs"
+    path.write_text(FRAME0 + line + "\n")
+    code, out, err = run_cli("solve", str(path), capsys=capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    lineno = len(FRAME0.splitlines()) + 1
+    assert err == f"error: {path}:{lineno}: duplicate key {line.split()[0]!r}\n"
 
 
 def test_solve_reports_solver_taxonomy_name(tmp_path, capsys):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from uwps.errors import (
     BudgetExceeded,
     ChecksumMismatch,
-    FieldOverflow,
     FieldRange,
     MalformedSentence,
     PositioningError,
@@ -57,9 +56,23 @@ def test_worst_case_length_within_budget():
     assert len(encode_message(worst)) <= MAX_MESSAGE_BYTES
 
 
-def test_height_field_overflow():
-    with pytest.raises(FieldOverflow):
-        encode_message(make_message(h=12345678.0))
+@pytest.mark.parametrize("h", [-99999.99, 999999.99, -99999.994, 999999.994])
+def test_heights_at_the_field_ends_round_trip(h):
+    m = make_message(4, 86399.999, -89.9999999, -179.9999999, h)
+    sentence = encode_message(m)
+    assert len(sentence) == 57   # the widest sentences
+    assert decode_message(sentence) == m
+
+
+@pytest.mark.parametrize("h", [-100000.0, -99999.996, 1000000.0, 999999.996, -150000.0])
+def test_heights_beyond_the_field_rejected(h):
+    """A height that does not fit the 9-character field is no message, and a
+    sentence carrying one does not decode."""
+    with pytest.raises(ValueError, match="height"):
+        make_message(h=h)
+    payload = f"UWPS,1,43200.000,36.7201000,-4.4203000,{h:.2f}".encode("ascii")
+    with pytest.raises(FieldRange, match="height"):
+        decode_message(frame_sentence(payload))
 
 
 def test_single_bit_flip_detected_as_checksum_mismatch():
@@ -192,6 +205,13 @@ def test_message_validation():
         BuoyMessage(0, 0.0, GeodeticCoord(0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         BuoyMessage(1, 86400.0, GeodeticCoord(0.0, 0.0, 0.0))
+    # the range is checked on the stored time: this one rounds to 86400.000
+    with pytest.raises(ValueError, match="gnss_time 86400.0 outside"):
+        BuoyMessage(1, 86399.9996, GeodeticCoord(0.0, 0.0, 0.0))
+    # an id the one-digit field would spell otherwise
+    for buoy_id in (True, 1.0):
+        with pytest.raises(ValueError, match="buoy_id"):
+            BuoyMessage(buoy_id, 0.0, GeodeticCoord(0.0, 0.0, 0.0))
 
 
 @settings(max_examples=300, deadline=None)
@@ -200,7 +220,7 @@ def test_message_validation():
     t=st.floats(0.0, 86399.999),
     lat=st.floats(-90.0, 90.0),
     lon=st.floats(-179.9999999, 180.0),
-    h=st.floats(-9000.0, 9000.0),
+    h=st.floats(-99999.99, 999999.99),
 )
 def test_round_trip_property(buoy_id, t, lat, lon, h):
     m = BuoyMessage(buoy_id, t, GeodeticCoord(lat, lon, h))
@@ -247,3 +267,13 @@ def test_transmit_times_periodicity():
     assert transmit_times(s, 1) == pytest.approx((8.0, 10.0, 12.0, 14.0))
     for k in (0, 3, 17):
         assert transmit_times(s, k)[0] == pytest.approx(k * s.frame_period)
+
+
+@pytest.mark.parametrize("args", [(80, 640.0, 1.0), (77, 1234.5, 0.0003), (13, 9999.0, 0.7)])
+def test_transmit_times_at_wire_resolution(args):
+    """Each instant is the gnss_time its message carries, to 1 ms."""
+    s = compute_schedule(*args)
+    for k in (0, 1, 7, 1000, 10**4):
+        for t in transmit_times(s, k):
+            assert t == float(f"{t:.3f}")
+            assert BuoyMessage(1, t, GeodeticCoord(0.0, 0.0, 0.0)).gnss_time == t
