@@ -325,7 +325,10 @@ def cmd_simulate(args) -> int:
         return EXIT_USAGE
     scenario = parsed.scenario
     if parsed.noise_sigma > 0.0:
-        records = add_timing_noise(records, parsed.noise_sigma, parsed.seed)
+        try:
+            records = add_timing_noise(records, parsed.noise_sigma, parsed.seed)
+        except ModuleNotFoundError as exc:
+            return _needs_numpy(exc, f"{path}: timing noise (noise_sigma > 0)")
 
     rows = []
     errors_analytic = []
@@ -504,8 +507,20 @@ def cmd_schedule(args) -> int:
     return EXIT_OK
 
 
+def _needs_numpy(exc: ModuleNotFoundError, what: str) -> int:
+    """Report that what needs numpy, the one optional dependency, and
+    return the usage exit code; any other missing module is re-raised."""
+    if exc.name != "numpy":
+        raise exc
+    print(f"error: {what} needs numpy", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_verify(args) -> int:
-    from . import verify   # loaded here: no other command needs the property suite
+    try:
+        from . import verify   # loaded here: no other command needs the property suite
+    except ModuleNotFoundError as exc:
+        return _needs_numpy(exc, "uwps verify")
 
     results = verify.run_all(verify.DEFAULT_SEED if args.seed is None else args.seed)
     failed = 0

@@ -86,6 +86,12 @@ def ecef_to_geodetic(ecef) -> GeodeticCoord:
     the origin raises ZeroVector. Round-trip error is far below the 1e-6 m
     contract for heights within [-11000, +9000] m. A point on the
     antimeridian comes back at longitude 180, never -180.
+
+    The fixed-point iteration stops at its fixed point: as soon as a pass
+    returns the latitude it started from, after at most 4 passes. A
+    latitude that alternates between two floats takes all 4. The result is
+    that of 4 passes bit for bit, because each pass is the same function of
+    the latitude, and the sign of z fixes the sign of a zero latitude.
     """
     x, y, z = ecef
     p = math.hypot(x, y)
@@ -109,8 +115,10 @@ def ecef_to_geodetic(ecef) -> GeodeticCoord:
                      p - WGS84_E2 * WGS84_A * math.cos(beta) ** 3)
     for _ in range(4):
         beta = math.atan2((1.0 - WGS84_F) * math.sin(lat), math.cos(lat))
-        lat = math.atan2(z + ep2 * WGS84_B * math.sin(beta) ** 3,
-                         p - WGS84_E2 * WGS84_A * math.cos(beta) ** 3)
+        lat, previous = math.atan2(z + ep2 * WGS84_B * math.sin(beta) ** 3,
+                                   p - WGS84_E2 * WGS84_A * math.cos(beta) ** 3), lat
+        if lat == previous:
+            break
     sl = math.sin(lat)
     n = WGS84_A / math.sqrt(1.0 - WGS84_E2 * sl * sl)
     if abs(lat) < math.radians(89.0):

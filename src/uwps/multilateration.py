@@ -126,10 +126,14 @@ class DiffSet:
     d[i], e[i], b[i] refer to buoy i + 1; e rows are unit vectors from the
     reference buoy 0, b their lengths in meters, reference buoy 0's
     (east, north, up) position. The constructor takes any sequences of
-    numbers, checks them once (finite, b > 0, each e row of unit length
-    within 1e-12, three reference coordinates), stores them as float tuples
-    and adds the anchors: x, y, z of buoy 0, then of buoys 1-3
-    (reference + e * b).
+    numbers, lists and numpy arrays alike, checks them once (three d,
+    three e rows of three and three b, all finite, b > 0, each e row of
+    unit length within 1e-12, three reference coordinates), stores them as
+    float tuples and adds the anchors: x, y, z of buoy 0, then of buoys 1-3
+    (reference + e * b). The checks and the anchors are written out in
+    scalars, one pass per frame, in that order and with the arithmetic of
+    the vector form. Any |d| below its b is accepted here; kleusberg_solve
+    raises UnrealizableTDOA for the others.
     """
 
     d: tuple[float, float, float]     # pseudorange differences [m]
@@ -139,24 +143,39 @@ class DiffSet:
     anchors: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        d, b = tuple(map(float, self.d)), tuple(map(float, self.b))
-        e = tuple(tuple(map(float, row)) for row in self.e)
-        if not (len(d) == len(b) == len(e) == 3 and all(len(row) == 3 for row in e)):
-            raise ValueError("DiffSet needs three d, three e rows of three and three b")
-        if not all(map(math.isfinite, (*d, *b, *e[0], *e[1], *e[2]))):
+        try:
+            (d0, d1, d2), (b0, b1, b2) = self.d, self.b
+            (ex0, ey0, ez0), (ex1, ey1, ez1), (ex2, ey2, ez2) = self.e
+        except ValueError:
+            raise ValueError(
+                "DiffSet needs three d, three e rows of three and three b") from None
+        d0, d1, d2, b0, b1, b2 = float(d0), float(d1), float(d2), float(b0), float(b1), float(b2)
+        ex0, ey0, ez0 = float(ex0), float(ey0), float(ez0)
+        ex1, ey1, ez1 = float(ex1), float(ey1), float(ez1)
+        ex2, ey2, ez2 = float(ex2), float(ey2), float(ez2)
+        isfinite = math.isfinite
+        if not (isfinite(d0) and isfinite(d1) and isfinite(d2) and isfinite(b0)
+                and isfinite(b1) and isfinite(b2) and isfinite(ex0) and isfinite(ey0)
+                and isfinite(ez0) and isfinite(ex1) and isfinite(ey1) and isfinite(ez1)
+                and isfinite(ex2) and isfinite(ey2) and isfinite(ez2)):
             raise ValueError("DiffSet entries must be finite")
-        if min(b) <= 0.0:
+        if b0 <= 0.0 or b1 <= 0.0 or b2 <= 0.0:
             raise ValueError("baseline lengths must be positive")
-        if any(abs(_norm(row) - 1.0) > 1e-12 for row in e):
+        if (abs(math.sqrt(ex0 * ex0 + ey0 * ey0 + ez0 * ez0) - 1.0) > 1e-12
+                or abs(math.sqrt(ex1 * ex1 + ey1 * ey1 + ez1 * ez1) - 1.0) > 1e-12
+                or abs(math.sqrt(ex2 * ex2 + ey2 * ey2 + ez2 * ez2) - 1.0) > 1e-12):
             raise ValueError("baseline directions must be unit vectors")
         reference = _enu_point(self.reference, "the reference")
         x0, y0, z0 = reference
-        anchors = [x0, y0, z0]
-        for (ex, ey, ez), length in zip(e, b):
-            anchors += (x0 + ex * length, y0 + ey * length, z0 + ez * length)
-        for name, value in (("d", d), ("e", e), ("b", b), ("reference", reference),
-                            ("anchors", tuple(anchors))):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "d", (d0, d1, d2))
+        object.__setattr__(self, "e", ((ex0, ey0, ez0), (ex1, ey1, ez1), (ex2, ey2, ez2)))
+        object.__setattr__(self, "b", (b0, b1, b2))
+        object.__setattr__(self, "reference", reference)
+        object.__setattr__(self, "anchors", (
+            x0, y0, z0,
+            x0 + ex0 * b0, y0 + ey0 * b0, z0 + ez0 * b0,
+            x0 + ex1 * b1, y0 + ey1 * b1, z0 + ez1 * b1,
+            x0 + ex2 * b2, y0 + ey2 * b2, z0 + ez2 * b2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,29 +238,26 @@ def pseudorange_diffs(obs: ObservationSet) -> DiffSet:
     d, e, b = [], [], []
     for o in others:
         x, y, z = o.position
-        baseline = (x - x0, y - y0, z - z0)
-        length = _norm(baseline)
+        bx, by, bz = x - x0, y - y0, z - z0
+        length = math.sqrt(bx * bx + by * by + bz * bz)
         if length < MIN_BASELINE:
             raise DegenerateBaseline(
                 f"buoys 0 and {o.buoy_id} separated by {length:.3g} m")
         diff = c * ((o.receive_time - ref.receive_time)
                     - (o.transmit_time - ref.transmit_time))
         if abs(diff) >= length:
-            raise UnrealizableTDOA(
-                f"|d| = {abs(diff):.3f} m >= baseline {length:.3f} m "
-                f"for buoy {o.buoy_id}")
+            raise _unrealizable(diff, length, o.buoy_id)
         d.append(diff)
-        e.append(tuple(v / length for v in baseline))
+        e.append((bx / length, by / length, bz / length))
         b.append(length)
     return DiffSet(d=d, e=e, b=b, reference=ref.position)
 
 
-def _dot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross(a, b) -> list[float]:
-    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+def _unrealizable(diff: float, length: float, buoy_id: int) -> UnrealizableTDOA:
+    """The error for a difference |diff| >= its baseline: by the triangle
+    inequality no point produces it."""
+    return UnrealizableTDOA(
+        f"|d| = {abs(diff):.3f} m >= baseline {length:.3f} m for buoy {buoy_id}")
 
 
 def kleusberg_solve(diffs: DiffSet, cfg: SolverConfig = SolverConfig()) -> CandidatePair:
@@ -250,26 +266,58 @@ def kleusberg_solve(diffs: DiffSet, cfg: SolverConfig = SolverConfig()) -> Candi
     Works entirely from the three baselines: directions from paired
     baseline combinations, then the receiver range from the
     best-conditioned range equation, cross-checked against the others.
+
+    Written out in float scalars, with the operations of the vector form
+    in the same order (every sum left to right), so its results are those
+    of the vector form bit for bit. Any DiffSet gives a CandidatePair or a
+    PositioningError; the errors, in the order they are tested:
+
+    * UnrealizableTDOA for a difference with |d_0i| >= b_0i, before
+      anything is divided: no point produces it;
+    * DegenerateBaseline where b_0i^2 - d_0i^2 underflows to zero, for
+      baselines below about 1e-154 m;
+    * SingularDenominator (all differences ~ 0) or DegenerateGeometry for
+      collinear directions; a NaN in that test, from inputs whose squares
+      overflow, counts as collinear;
+    * NoRealSolution for a negative discriminant;
+    * per branch, SingularDenominator when every range denominator is
+      below 1e-9 of the longest baseline, and InconsistentRanges when the
+      other usable range equations disagree by more than
+      cfg.consistency_tolerance.
     """
-    d, b, e = diffs.d, diffs.b, diffs.e
+    d0, d1, d2 = diffs.d
+    b0, b1, b2 = diffs.b
+    (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = diffs.e
+    if not (abs(d0) < b0 and abs(d1) < b1 and abs(d2) < b2):
+        for i, (di, bi) in enumerate(zip(diffs.d, diffs.b)):
+            if abs(di) >= bi:
+                raise _unrealizable(di, bi, i + 1)
 
-    den = [bi * bi - di * di for bi, di in zip(b, d)]
-    w = [bi / n for bi, n in zip(b, den)]
-    u = [di / n for di, n in zip(d, den)]
-    f1 = [w[0] * p - w[1] * q for p, q in zip(e[0], e[1])]
-    f2 = [w[1] * p - w[2] * q for p, q in zip(e[1], e[2])]
-    u1 = u[1] - u[0]
-    u2 = u[2] - u[1]
-    g = _cross(f1, f2)
-    h = [u2 * p - u1 * q for p, q in zip(f1, f2)]
-    gg = _dot(g, g)
-    disc = gg - _dot(h, h)
+    n0 = b0 * b0 - d0 * d0
+    n1 = b1 * b1 - d1 * d1
+    n2 = b2 * b2 - d2 * d2
+    if n0 == 0.0 or n1 == 0.0 or n2 == 0.0:
+        i = (n0, n1, n2).index(0.0)
+        raise DegenerateBaseline(
+            f"buoys 0 and {i + 1} separated by {diffs.b[i]:.3g} m: b^2 - d^2 underflows")
+    w0, w1, w2 = b0 / n0, b1 / n1, b2 / n2
+    u0, u1, u2 = d0 / n0, d1 / n1, d2 / n2
+    f10, f11, f12 = w0 * e00 - w1 * e10, w0 * e01 - w1 * e11, w0 * e02 - w1 * e12
+    f20, f21, f22 = w1 * e10 - w2 * e20, w1 * e11 - w2 * e21, w1 * e12 - w2 * e22
+    du1 = u1 - u0
+    du2 = u2 - u1
+    g0 = f11 * f22 - f12 * f21
+    g1 = f12 * f20 - f10 * f22
+    g2 = f10 * f21 - f11 * f20
+    h0, h1, h2 = du2 * f10 - du1 * f20, du2 * f11 - du1 * f21, du2 * f12 - du1 * f22
+    gg = g0 * g0 + g1 * g1 + g2 * g2
+    disc = gg - (h0 * h0 + h1 * h1 + h2 * h2)
 
-    f1_norm = math.sqrt(_dot(f1, f1))
-    f2_norm = math.sqrt(_dot(f2, f2))
-    b_max = max(b)
-    if math.sqrt(gg) <= _COLLINEAR_RTOL * f1_norm * f2_norm:
-        if max(abs(di) for di in d) <= _DENOMINATOR_RTOL * b_max:
+    f1_norm = math.sqrt(f10 * f10 + f11 * f11 + f12 * f12)
+    f2_norm = math.sqrt(f20 * f20 + f21 * f21 + f22 * f22)
+    b_max = max(b0, b1, b2)
+    if not math.sqrt(gg) > _COLLINEAR_RTOL * f1_norm * f2_norm:
+        if max(abs(d0), abs(d1), abs(d2)) <= _DENOMINATOR_RTOL * b_max:
             # all differences ~ 0 over concyclic buoys (receiver on the
             # symmetry axis): the direction is underdetermined and every
             # range denominator vanishes along that axis
@@ -281,29 +329,40 @@ def kleusberg_solve(diffs: DiffSet, cfg: SolverConfig = SolverConfig()) -> Candi
             f"discriminant {disc:.3e} < 0: hyperboloid intersections do not meet")
 
     root = math.sqrt(disc)
-    cross_gh = _cross(g, h)
+    c0, c1, c2 = g1 * h2 - g2 * h1, g2 * h0 - g0 * h2, g0 * h1 - g1 * h0
     den_tol = _DENOMINATOR_RTOL * b_max
+    tol = cfg.consistency_tolerance
     x0, y0, z0 = diffs.reference
+    nums = (n0, n1, n2)
 
     results = []
     for sign in (+1.0, -1.0):
-        evec = tuple((c + sign * gi * root) / gg for c, gi in zip(cross_gh, g))
-        dens = [di + bi * _dot(ei, evec) for di, bi, ei in zip(d, b, e)]
-        best = max(range(3), key=lambda i: abs(dens[i]))
-        if abs(dens[best]) <= den_tol:
+        v0 = (c0 + sign * g0 * root) / gg
+        v1 = (c1 + sign * g1 * root) / gg
+        v2 = (c2 + sign * g2 * root) / gg
+        p0 = d0 + b0 * (e00 * v0 + e01 * v1 + e02 * v2)
+        p1 = d1 + b1 * (e10 * v0 + e11 * v1 + e12 * v2)
+        p2 = d2 + b2 * (e20 * v0 + e21 * v1 + e22 * v2)
+        # the largest |denominator|, the first on a tie
+        best, top = 0, abs(p0)
+        if abs(p1) > top:
+            best, top = 1, abs(p1)
+        if abs(p2) > top:
+            best, top = 2, abs(p2)
+        if top <= den_tol:
             raise SingularDenominator(
                 f"all range denominators below {den_tol:.3e} m")
-        s_all = [0.5 * n / dn for n, dn in zip(den, dens)]
-        s_best = s_all[best]
+        dens = (p0, p1, p2)
+        s_best = 0.5 * nums[best] / dens[best]
         for i in range(3):
             if i != best and abs(dens[i]) > den_tol:
-                if abs(s_all[i] - s_best) > cfg.consistency_tolerance:
+                gap = abs(0.5 * nums[i] / dens[i] - s_best)
+                if gap > tol:
                     raise InconsistentRanges(
-                        f"range from baseline {i} differs by "
-                        f"{abs(s_all[i] - s_best):.3e} m (tolerance "
-                        f"{cfg.consistency_tolerance:.3e} m)")
-        pos = (x0 + evec[0] * s_best, y0 + evec[1] * s_best, z0 + evec[2] * s_best)
-        results.append((evec, s_best, pos, best))
+                        f"range from baseline {i} differs by {gap:.3e} m "
+                        f"(tolerance {tol:.3e} m)")
+        results.append(((v0, v1, v2), s_best,
+                        (x0 + v0 * s_best, y0 + v1 * s_best, z0 + v2 * s_best), best))
 
     (e1, s1, p1, i1), (e2, s2, p2, i2) = results
     return CandidatePair(e_1=e1, e_2=e2, s_1=s1, s_2=s2, r_1=p1, r_2=p2,

@@ -323,14 +323,20 @@ def check_range_consistency(seed: int) -> tuple[bool, str]:
 
 # -- protocol properties -----------------------------------------------
 
+def _random_message(rng: np.random.Generator) -> protocol.BuoyMessage:
+    """A message drawn over every field's whole range, the height over all
+    the heights its 9-character field holds."""
+    return protocol.BuoyMessage(
+        int(rng.integers(1, 5)), float(rng.uniform(0.0, 86399.999)),
+        GeodeticCoord(float(rng.uniform(-90, 90)),
+                      float(rng.uniform(-179.9999999, 180.0)),
+                      float(rng.uniform(*protocol._HEIGHT_RANGE))))
+
+
 def check_codec_round_trip(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     for _ in range(2000):
-        m = protocol.BuoyMessage(
-            int(rng.integers(1, 5)), float(rng.uniform(0.0, 86399.999)),
-            GeodeticCoord(float(rng.uniform(-90, 90)),
-                          float(rng.uniform(-179.9999999, 180.0)),
-                          float(rng.uniform(-100.0, 100.0))))
+        m = _random_message(rng)
         sentence = protocol.encode_message(m)
         if len(sentence) > protocol.MAX_MESSAGE_BYTES:
             return False, f"sentence {len(sentence)} bytes exceeds budget"
@@ -342,11 +348,7 @@ def check_codec_round_trip(seed: int) -> tuple[bool, str]:
 def check_corruption_detection(seed: int, cases: int = 10000) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     for _ in range(cases):
-        m = protocol.BuoyMessage(
-            int(rng.integers(1, 5)), float(rng.uniform(0.0, 86399.999)),
-            GeodeticCoord(float(rng.uniform(-90, 90)),
-                          float(rng.uniform(-179.9999999, 180.0)),
-                          float(rng.uniform(-100.0, 100.0))))
+        m = _random_message(rng)
         sentence = bytearray(protocol.encode_message(m))
         payload_end = sentence.rindex(b"*")
         idx = int(rng.integers(1, payload_end))

@@ -771,7 +771,8 @@ def test_readme_library_example_runs(capsys):
     assert f"underwater solution: ({x:.9g}, {y:.9g}, {z:.9g}) m" in out
 
 
-# numpy made unimportable: every command but `uwps verify` runs without it
+# numpy made unimportable: every command runs without it but `uwps verify`
+# and a noisy `uwps simulate`, which exit 1 with one line saying so
 _WITHOUT_NUMPY = """
 import sys
 sys.modules["numpy"] = None
@@ -782,12 +783,21 @@ sys.exit(main(sys.argv[1:]))
 
 
 @pytest.mark.parametrize("argv", [["simulate", "squaretest"], ["solve", "squaretest_frame0"],
-                                  ["schedule", "80", "640", "1"]], ids=lambda a: a[0])
+                                  ["schedule", "80", "640", "1"],
+                                  ["simulate", str(DATA / "moving.scn")], ["verify"]],
+                         ids=["simulate", "solve", "schedule", "simulate-noisy", "verify"])
 def test_runs_without_numpy(argv, tmp_path, capsys):
     if argv[0] == "simulate":
         argv = [*argv, "-o", str(tmp_path / "out.csv")]
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *argv],
                           capture_output=True, text=True)
+    if argv[0] == "verify" or argv[1].endswith("moving.scn"):
+        what = "uwps verify" if argv[0] == "verify" else f"{argv[1]}: timing noise"
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+        assert proc.stderr.startswith(f"error: {what}")
+        assert proc.stderr.endswith(" needs numpy\n") and proc.stderr.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+        return
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
     if argv[0] == "simulate":
         assert (tmp_path / "out.csv").read_bytes() == (DATA / "squaretest.csv").read_bytes()

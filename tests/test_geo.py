@@ -1,5 +1,6 @@
 """Coordinate-frame conversions against WGS-84 constants and inverses."""
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from uwps.errors import ZeroVector
 from uwps.geo import (
     WGS84_A,
     WGS84_B,
+    WGS84_E2,
     WGS84_F,
     GeodeticCoord,
     LocalFrame,
@@ -87,6 +89,54 @@ def test_round_trip_on_coordinate_grid():
                 back = ecef_to_geodetic(geodetic_to_ecef(g))
                 err = math.dist(geodetic_to_ecef(back), geodetic_to_ecef(g))
                 assert err < 1e-6, (lat, lon, h, err)
+
+
+def four_pass_ecef_to_geodetic(x, y, z):
+    """ecef_to_geodetic off the polar axis with all four fixed-point passes,
+    the reference for its early stop: (latitude, longitude, height) and
+    whether the last two passes disagree (an alternating iterate)."""
+    p = math.hypot(x, y)
+    lon = math.degrees(math.atan2(y, x))
+    lon = 180.0 if lon == -180.0 else lon
+    ep2 = (WGS84_A * WGS84_A - WGS84_B * WGS84_B) / (WGS84_B * WGS84_B)
+    beta = math.atan2(WGS84_A * z, WGS84_B * p)
+    lat = math.atan2(z + ep2 * WGS84_B * math.sin(beta) ** 3,
+                     p - WGS84_E2 * WGS84_A * math.cos(beta) ** 3)
+    iterates = [lat]
+    for _ in range(4):
+        beta = math.atan2((1.0 - WGS84_F) * math.sin(lat), math.cos(lat))
+        lat = math.atan2(z + ep2 * WGS84_B * math.sin(beta) ** 3,
+                         p - WGS84_E2 * WGS84_A * math.cos(beta) ** 3)
+        iterates.append(lat)
+    sl = math.sin(lat)
+    n = WGS84_A / math.sqrt(1.0 - WGS84_E2 * sl * sl)
+    if abs(lat) < math.radians(89.0):
+        h = p / math.cos(lat) - n
+    else:
+        h = z / sl - n * (1.0 - WGS84_E2)
+    return (math.degrees(lat), lon, h), iterates[-1] != iterates[-2]
+
+
+def test_ecef_to_geodetic_stops_at_its_fixed_point_bit_for_bit():
+    """check_geodetic_round_trip's distribution, points on the equatorial
+    plane at z = +0.0 and -0.0, and the points among them whose iterate
+    alternates: the early stop returns the four passes' result to the bit."""
+    rng = np.random.default_rng(8)
+    points = [geodetic_to_ecef(GeodeticCoord(lat, lon, h)) for lat, lon, h in zip(
+        rng.uniform(-90.0, 90.0, 20000), rng.uniform(-179.999, 180.0, 20000),
+        rng.uniform(-11000.0, 9000.0, 20000))]
+    equator = [geodetic_to_ecef(GeodeticCoord(0.0, lon, h)) for lon, h in zip(
+        rng.uniform(-179.999, 180.0, 100), rng.uniform(-11000.0, 9000.0, 100))]
+    points += [(x, y, z) for x, y, _ in equator for z in (0.0, -0.0)]
+    alternating = 0
+    for x, y, z in points:
+        if math.hypot(x, y) < 1e-9:
+            continue
+        want, alternates = four_pass_ecef_to_geodetic(x, y, z)
+        g = ecef_to_geodetic((x, y, z))
+        assert struct.pack("3d", g.latitude, g.longitude, g.height) == struct.pack("3d", *want)
+        alternating += alternates
+    assert alternating >= 5
 
 
 def test_enu_origin_maps_to_zero():

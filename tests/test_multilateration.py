@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import enu, unit_square
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from uwps import multilateration
@@ -177,6 +177,163 @@ def test_closed_form_matches_numpy_reference():
             assert abs(s - s_ref) <= 1e-9
             assert np.max(np.abs(np.array(pos) - pos_ref)) <= 1e-9
             assert index == index_ref
+
+
+def list_form_closed_form(diffs, cfg):
+    """kleusberg_solve as it was written over lists, generators and zip,
+    the reference for its written-out scalar form: the same operations in
+    the same order, so the results must agree bit for bit."""
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+    def cross(a, b):
+        return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                a[0] * b[1] - a[1] * b[0]]
+
+    d, b, e = diffs.d, diffs.b, diffs.e
+    den = [bi * bi - di * di for bi, di in zip(b, d)]
+    w = [bi / n for bi, n in zip(b, den)]
+    u = [di / n for di, n in zip(d, den)]
+    f1 = [w[0] * p - w[1] * q for p, q in zip(e[0], e[1])]
+    f2 = [w[1] * p - w[2] * q for p, q in zip(e[1], e[2])]
+    u1 = u[1] - u[0]
+    u2 = u[2] - u[1]
+    g = cross(f1, f2)
+    h = [u2 * p - u1 * q for p, q in zip(f1, f2)]
+    gg = dot(g, g)
+    disc = gg - dot(h, h)
+    f1_norm = math.sqrt(dot(f1, f1))
+    f2_norm = math.sqrt(dot(f2, f2))
+    b_max = max(b)
+    if math.sqrt(gg) <= 1e-12 * f1_norm * f2_norm:
+        if max(abs(di) for di in d) <= 1e-9 * b_max:
+            raise SingularDenominator(
+                "receiver direction underdetermined (symmetric-axis input)")
+        raise DegenerateGeometry("baseline directions are collinear")
+    if disc < 0.0:
+        raise NoRealSolution(
+            f"discriminant {disc:.3e} < 0: hyperboloid intersections do not meet")
+    root = math.sqrt(disc)
+    cross_gh = cross(g, h)
+    den_tol = 1e-9 * b_max
+    x0, y0, z0 = diffs.reference
+    results = []
+    for sign in (+1.0, -1.0):
+        evec = tuple((c + sign * gi * root) / gg for c, gi in zip(cross_gh, g))
+        dens = [di + bi * dot(ei, evec) for di, bi, ei in zip(d, b, e)]
+        best = max(range(3), key=lambda i: abs(dens[i]))
+        if abs(dens[best]) <= den_tol:
+            raise SingularDenominator(f"all range denominators below {den_tol:.3e} m")
+        s_all = [0.5 * n / dn for n, dn in zip(den, dens)]
+        s_best = s_all[best]
+        for i in range(3):
+            if i != best and abs(dens[i]) > den_tol:
+                if abs(s_all[i] - s_best) > cfg.consistency_tolerance:
+                    raise InconsistentRanges(
+                        f"range from baseline {i} differs by "
+                        f"{abs(s_all[i] - s_best):.3e} m (tolerance "
+                        f"{cfg.consistency_tolerance:.3e} m)")
+        pos = (x0 + evec[0] * s_best, y0 + evec[1] * s_best, z0 + evec[2] * s_best)
+        results.append((evec, s_best, pos, best))
+    (e1, s1, p1, i1), (e2, s2, p2, i2) = results
+    return CandidatePair(e_1=e1, e_2=e2, s_1=s1, s_2=s2, r_1=p1, r_2=p2,
+                         denominator_index_1=i1, denominator_index_2=i2,
+                         discriminant=disc)
+
+
+def closed_form_outcome(solve, diffs, cfg):
+    """The bytes of every CandidatePair field, or the error's class and
+    message: struct.pack tells -0.0 from 0.0, which == does not."""
+    try:
+        pair = solve(diffs, cfg)
+    except PositioningError as exc:
+        return type(exc), str(exc)
+    return CandidatePair, struct.pack(
+        "15d2i", *pair.e_1, *pair.e_2, pair.s_1, pair.s_2, *pair.r_1, *pair.r_2,
+        pair.discriminant, pair.denominator_index_1, pair.denominator_index_2)
+
+
+def test_closed_form_matches_list_form_bit_for_bit():
+    """Exact draws, noisy draws that trip InconsistentRanges or
+    NoRealSolution, and the collinear and symmetric-axis cases: the same
+    pair to the last bit, or the same error with the same message."""
+    rng = np.random.default_rng(15)
+    cases = [(sample_scenario(rng)[2], CFG) for _ in range(300)]
+    # three differences fix three unknowns, so noise alone leaves the ranges
+    # consistent: a tolerance at the rounding level trips the guard
+    for sigma, tolerance in ((1e-3, 1e-12), (0.1, 1.0), (10.0, 1.0)):
+        for _ in range(200):
+            _, _, diffs = sample_scenario(rng)
+            noisy = replace(diffs, d=np.add(diffs.d, rng.normal(0.0, sigma, 3)))
+            if all(abs(d) < b for d, b in zip(noisy.d, noisy.b)):
+                cases.append((noisy, SolverConfig(consistency_tolerance=tolerance)))
+    collinear = np.array([[0.0, 0.0, 0.0], [500.0, 0.0, 0.0],
+                          [1000.0, 0.0, 0.0], [1500.0, 0.0, 0.0]])
+    cases.append((oracle_diffs(collinear, np.array([200.0, 700.0, -150.0])), CFG))
+    axis = oracle_diffs(unit_square(1000.0), np.array([500.0, 500.0, -150.0]))
+    cases.append((replace(axis, d=(0.0, 0.0, 0.0)), CFG))
+    seen = []
+    for diffs, cfg in cases:
+        want = closed_form_outcome(list_form_closed_form, diffs, cfg)
+        assert closed_form_outcome(kleusberg_solve, diffs, cfg) == want
+        seen.append(want[0])
+    assert set(seen) == {CandidatePair, InconsistentRanges, NoRealSolution,
+                    DegenerateGeometry, SingularDenominator}
+
+
+def test_closed_form_rejects_a_difference_as_long_as_its_baseline():
+    """b_0i^2 - d_0i^2 = 0 divided by zero: now the differencing's error,
+    before any division."""
+    diffs = DiffSet(d=(1000.0, 10.0, 20.0),
+                    e=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                       (0.7071067811865476, 0.7071067811865476, 0.0)),
+                    b=(1000.0, 1000.0, 1414.2), reference=(0.0, 0.0, 0.0))
+    with pytest.raises(UnrealizableTDOA,
+                       match=r"^\|d\| = 1000\.000 m >= baseline 1000\.000 m for buoy 1$"):
+        kleusberg_solve(diffs, CFG)
+    with pytest.raises(UnrealizableTDOA, match="for buoy 3$"):
+        kleusberg_solve(replace(diffs, d=(10.0, -20.0, -1500.0)), CFG)
+    fix = solve_frame(diffs, CFG)
+    assert fix.pair is None and fix.analytic is None and fix.status == "UnrealizableTDOA"
+
+
+def _unit_rows():
+    axis = st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                            (-1.0, 0.0, 0.0), (0.6, 0.8, 0.0)])
+    drawn = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+        lambda v: math.hypot(*v) > 1e-3).map(lambda v: tuple(x / math.hypot(*v) for x in v))
+    return st.lists(st.one_of(axis, drawn), min_size=3, max_size=3)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_AXES = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(d=st.lists(_FINITE, min_size=3, max_size=3),
+       b=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                  min_size=3, max_size=3),
+       e=_unit_rows(), reference=st.tuples(_FINITE, _FINITE, _FINITE),
+       tolerance=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+# b_0i^2 - d_0i^2 underflows to zero
+@example(d=[0.0, 0.0, 0.0], b=[1e-170, 1.0, 1.0], e=_AXES, reference=(0.0, 0.0, 0.0),
+         tolerance=1e-6)
+# f1.f1 overflows while f2 = 0: g = 0 against a NaN collinearity bound
+@example(d=[0.0, 1e-140 * (1.0 - 2.0 ** -52), 1e-140 * (1.0 - 2.0 ** -52)],
+         b=[1.0, 1e-140, 1e-140], e=[_AXES[0], _AXES[1], _AXES[1]],
+         reference=(0.0, 0.0, 0.0), tolerance=1e-6)
+def test_closed_form_returns_a_pair_or_a_positioning_error(d, b, e, reference, tolerance):
+    """Any DiffSet the constructor accepts, realizable or not, at any scale:
+    a CandidatePair or a PositioningError, never anything else."""
+    try:
+        diffs = DiffSet(d=d, e=e, b=b, reference=reference)
+    except ValueError:
+        return   # a row the unit check rejects after the division's rounding
+    try:
+        pair = kleusberg_solve(diffs, SolverConfig(consistency_tolerance=tolerance))
+    except PositioningError:
+        return
+    assert isinstance(pair, CandidatePair)
 
 
 def test_candidate_positions_constructed_from_e_and_s():

@@ -1,4 +1,8 @@
 """Wire codec and TDMA schedule contracts."""
+import math
+import struct
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +18,7 @@ from uwps.geo import GeodeticCoord
 from uwps.protocol import (
     MAX_MESSAGE_BYTES,
     BuoyMessage,
+    _q,
     compute_schedule,
     decode_message,
     encode_message,
@@ -186,6 +191,47 @@ def test_message_quantizes_to_wire_resolution():
     assert m.gnss_time == 12.346
     assert m.position.latitude == 36.1234568
     assert m.position.height == 1.23
+
+
+def f_string_q(value, decimals):
+    """The wire's rounding as its text: the reference for _q."""
+    return float(f"{value:.{decimals}f}")
+
+
+def assert_same_float(got, want):
+    assert type(got) is float
+    assert struct.pack("d", got) == struct.pack("d", want) or (
+        math.isnan(got) and math.isnan(want))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(value=st.one_of(st.floats(), st.floats(-1e6, 1e6), st.integers(-10**6, 10**6),
+                       st.floats(-1e6, 1e6).map(np.float64)),
+       decimals=st.sampled_from([2, 3, 7]))
+def test_q_rounds_like_the_wire_text(value, decimals):
+    """round() and the f-string give the same float bit for bit, and a float
+    whatever the input's type: ints and np.float64 included."""
+    assert_same_float(_q(value, decimals), f_string_q(value, decimals))
+
+
+@pytest.mark.parametrize("value, decimals", [
+    (2.675, 2), (0.125, 2), (0.375, 2), (-2.675, 2), (0.0005, 3), (86399.9995, 3),
+    (-179.99999995, 7), (-0.0, 2), (0.0, 3), (-0.001, 2), (-1e-9, 7), (1e300, 2),
+    (-1e300, 7), (5e-324, 7), (math.inf, 3), (-math.inf, 2), (math.nan, 3),
+    (7, 3), (-0, 2), (True, 2), (np.float64(2.675), 2), (np.float64(-0.0), 7)])
+def test_q_rounds_ties_zeros_and_extremes_like_the_wire_text(value, decimals):
+    assert_same_float(_q(value, decimals), f_string_q(value, decimals))
+
+
+@settings(max_examples=300, deadline=None)
+@given(message_bytes=st.integers(1, 80), bit_rate=st.floats(640.0, 1e5),
+       guard=st.floats(0.0, 100.0), frame_index=st.integers(0, 10**6))
+def test_transmit_times_round_like_the_wire_text(message_bytes, bit_rate, guard,
+                                                 frame_index):
+    s = compute_schedule(message_bytes, bit_rate, guard)
+    base = frame_index * s.frame_period
+    for got, start in zip(transmit_times(s, frame_index), s.start_times):
+        assert_same_float(got, f_string_q(base + start, 3))
 
 
 def test_message_writes_minus_180_as_180():
