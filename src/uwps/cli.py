@@ -431,7 +431,7 @@ def cmd_simulate(args) -> int:
 def write_observation_file(path: Path, record, sound_speed: float) -> None:
     lines = [
         "# uwps observation file: receiver-clock time [s] and raw sentence",
-        f"sound_speed = {sound_speed:.9g}",
+        f"sound_speed = {sound_speed!r}",
         f"frame = {record.frame_index}",
     ]
     for event in record.events:

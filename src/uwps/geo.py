@@ -83,9 +83,12 @@ def ecef_to_geodetic(ecef) -> GeodeticCoord:
 
     ecef is an (x, y, z) sequence in meters. A wrong length or a non-finite
     entry raises ValueError (the GeodeticCoord result checks itself), and
-    the origin raises ZeroVector. Round-trip error is far below the 1e-6 m
-    contract for heights within [-11000, +9000] m. A point on the
-    antimeridian comes back at longitude 180, never -180.
+    the origin raises ZeroVector. A point within 43 km of the earth's
+    centre, near the ellipsoid's evolute, where p - e^2 a cos^3(beta) < 0
+    turns the latitude past a pole, raises ValueError too. Round-trip
+    error is far below the 1e-6 m contract for heights within
+    [-11000, +9000] m. A point on the antimeridian comes back at longitude
+    180, never -180.
 
     The fixed-point iteration stops at its fixed point: as soon as a pass
     returns the latitude it started from, after at most 4 passes. A
@@ -125,7 +128,11 @@ def ecef_to_geodetic(ecef) -> GeodeticCoord:
         h = p / math.cos(lat) - n
     else:
         h = z / sl - n * (1.0 - WGS84_E2)
-    return GeodeticCoord(math.degrees(lat), lon, h)
+    lat = math.degrees(lat)
+    if abs(lat) > 90.0:
+        raise ValueError(f"ECEF point {p:.6g} m from the polar axis is too near the "
+                         f"earth's centre: its latitude turned past a pole to {lat:.6g} deg")
+    return GeodeticCoord(lat, lon, h)
 
 
 def to_enu(ecef, frame: LocalFrame) -> tuple[float, float, float]:

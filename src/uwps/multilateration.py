@@ -7,8 +7,7 @@ position. Those are solved two ways:
 
 * a closed-form solution (two candidate positions on the same axis, the
   underwater one being the physical fix), exact on consistent data;
-* a safeguarded Gauss-Newton iteration on the residual system, for data a
-  closed form cannot digest (noise, receiver motion).
+* Gauss-Newton on the residual system, which polishes a fix from a start near it.
 
 solve_frame runs both on one frame, the way the CLI and the property suite
 do. Everything here, from the differencing to Gauss-Newton, is plain IEEE
@@ -626,12 +625,12 @@ def numerical_solve(
 
 @dataclass(frozen=True, eq=False)
 class FrameFix:
-    """One frame solved both ways.
+    """One frame's closed-form fix and its Gauss-Newton polish.
 
     pair is None when the closed form failed, analytic also when the
-    underwater selection failed, numerical when Gauss-Newton failed;
-    the fixes are (east, north, up) float tuples. status is "ok" or the
-    name of the first error raised.
+    underwater selection failed, numerical when Gauss-Newton failed or had
+    no start; the fixes are (east, north, up) float tuples. status is "ok"
+    or the name of the first error raised.
     analytic_residuals are residuals(analytic), None without an analytic fix.
     """
 
@@ -647,14 +646,13 @@ def solve_frame(
     cfg: SolverConfig,
     guess: tuple[float, float, float] | None = None,
 ) -> FrameFix:
-    """The closed form, its underwater pick, then Gauss-Newton.
+    """The closed form, its underwater pick, then Gauss-Newton to polish it.
 
-    Gauss-Newton starts from guess when given, else from the analytic fix,
-    else from the buoy centroid at half the longest baseline's depth.
-    Started from an analytic fix that already meets Gauss-Newton's first
-    exit test (half the squared residual norm below 1e-24 m^2), it would
-    return that start unchanged, so it is not run: numerical is then the
-    analytic fix itself, bit for bit.
+    Gauss-Newton starts from guess when given, else from the analytic fix;
+    without either the frame has no fix. Started from an analytic fix that
+    already meets its first exit test (half the squared residual norm
+    below 1e-24 m^2), it would return that start unchanged, so it is not
+    run: numerical is then the analytic fix itself, bit for bit.
 
     The closed form, the residuals and Gauss-Newton are plain float
     arithmetic, and the skip test computes the very cost of Gauss-Newton's
@@ -671,16 +669,10 @@ def solve_frame(
         status = type(exc).__name__
 
     if guess is None:
-        if res is not None and _cost(res) < _COST_FLOOR:
+        if analytic is None or _cost(res) < _COST_FLOOR:
             return FrameFix(pair=pair, analytic=analytic, numerical=analytic,
                             status=status, analytic_residuals=res)
         guess = analytic
-    if guess is None:
-        # east and north of the buoy centroid, summed buoys 1-3 then buoy 0
-        a = diffs.anchors
-        guess = (sum(a[i] for i in (3, 6, 9, 0)) / 4.0,
-                 sum(a[i] for i in (4, 7, 10, 1)) / 4.0,
-                 -0.5 * max(diffs.b))
 
     try:
         numerical = numerical_solve(diffs, initial=guess, cfg=cfg)

@@ -2,6 +2,7 @@
 import contextlib
 import errno
 import io
+import math
 import os
 import signal
 import subprocess
@@ -85,8 +86,8 @@ def test_simulate_bundled_squaretest(tmp_path, capsys):
 
 @pytest.mark.parametrize("name, scenario, expected_code", [
     ("squaretest", "squaretest", EXIT_OK),
-    # moving receiver, drifting buoys, timing noise: every status branch,
-    # the centroid fallback guess and a frame without a fix
+    # moving receiver, drifting buoys, timing noise: every solver status,
+    # and failed frames without a fix
     ("moving", str(DATA / "moving.scn"), EXIT_SOLVER),
 ], ids=["squaretest", "moving"])
 def test_simulate_matches_golden_output(name, scenario, expected_code, tmp_path, capsys):
@@ -138,9 +139,8 @@ def test_simulate_rejects_unknown_key(tmp_path, capsys):
 
 
 def test_simulate_fast_receiver_flags_bound(tmp_path, capsys):
-    """Every frame fails the closed form, and Gauss-Newton from the centroid
-    ends at the surface, where its buoy-plane compromise lies about 154 m
-    from the truth: no frame is solved, so the bound is not checked."""
+    """Every frame fails the closed form, so no frame has a start for
+    Gauss-Newton and none is solved: the bound is not checked."""
     scn = tmp_path / "fast.scn"
     scn.write_text(scenario_text(
         receiver_velocity="10.0 0.0 0.0",
@@ -249,8 +249,8 @@ def test_simulate_degenerate_symmetric_receiver(tmp_path, capsys):
     scn.write_text(scenario_text(receiver_position="499.99935 500.0008 -150.0"))
     code, _, err = run_cli("simulate", str(scn), "-o", str(tmp_path / "o.csv"),
                            capsys=capsys)
-    # receiver near the square's vertical axis: analytic fix degenerates but
-    # the numerical solver may still settle; either outcome is reported
+    # receiver near the square's vertical axis, where the closed form can
+    # degenerate: a solved frame or a named failure, either is reported
     if code != EXIT_OK:
         assert code == EXIT_SOLVER
         assert "frame" in err
@@ -585,6 +585,25 @@ def test_solve_bundled_frame_matches_simulate(tmp_path, capsys):
     coords = line.split("(")[1].split(")")[0].split(",")
     for got, want in zip(coords, row0[4:7]):
         assert float(got) == pytest.approx(float(want), abs=1e-9)
+
+
+def test_exported_sound_speed_keeps_the_solve_exact(tmp_path, capsys):
+    """An exported file carries the scenario's sound speed exactly, so
+    `uwps solve` on it reproduces the receiver to 1e-6 m: rounded to nine
+    digits, 1487.123456789 m/s would put the fix about 7e-6 m off."""
+    scn = tmp_path / "speed.scn"
+    scn.write_text(resolve_input("squaretest").read_text().replace(
+        "sound_speed = 1500.0", "sound_speed = 1487.123456789"))
+    code, _, _ = run_cli("simulate", str(scn), "-o", str(tmp_path / "o.csv"),
+                         "--export-obs", str(tmp_path / "obs"), capsys=capsys)
+    assert code == EXIT_OK
+    exported = tmp_path / "obs" / "frame_0000.obs"
+    assert "sound_speed = 1487.123456789\n" in exported.read_text()
+    code, out, _ = run_cli("solve", str(exported), capsys=capsys)
+    assert code == EXIT_OK
+    line = next(l for l in out.splitlines() if l.startswith("underwater solution"))
+    fix = [float(v) for v in line.split("(")[1].split(")")[0].split(",")]
+    assert math.dist(fix, (300.0, 400.0, -150.0)) < 1e-6
 
 
 def test_solve_reports_checksum_with_line_number(tmp_path, capsys):

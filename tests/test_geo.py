@@ -139,6 +139,28 @@ def test_ecef_to_geodetic_stops_at_its_fixed_point_bit_for_bit():
     assert alternating >= 5
 
 
+def test_ecef_to_geodetic_names_points_too_near_the_centre():
+    """Near the earth's centre the latitude can turn past a pole. Such a point
+    raises a ValueError that says so, and any other point returns the four
+    passes' result to the bit."""
+    for point in ((1000.0, 1000.0, 0.0), (30000.0, 0.0, 1.0), (30000.0, 0.0, -5000.0)):
+        with pytest.raises(ValueError, match="too near the earth's centre: its latitude"):
+            ecef_to_geodetic(point)
+    raised = 0
+    for p in np.linspace(100.0, 50000.0, 60):
+        for z in np.linspace(-50000.0, 50000.0, 61):
+            (lat, lon, h), _ = four_pass_ecef_to_geodetic(float(p), 0.0, float(z))
+            if abs(lat) > 90.0:
+                with pytest.raises(ValueError, match="turned past a pole"):
+                    ecef_to_geodetic((float(p), 0.0, float(z)))
+                raised += 1
+            else:
+                g = ecef_to_geodetic((float(p), 0.0, float(z)))
+                assert (struct.pack("3d", g.latitude, g.longitude, g.height)
+                        == struct.pack("3d", lat, lon, h))
+    assert 0 < raised < 60 * 61
+
+
 def test_enu_origin_maps_to_zero():
     frame = LocalFrame(MALAGA)
     v = to_enu(geodetic_to_ecef(MALAGA), frame)

@@ -802,9 +802,10 @@ def test_numerical_nonconvergence_reported():
 
 def test_solve_frame_runs_gauss_newton_only_where_it_can_move(monkeypatch):
     """numerical is what Gauss-Newton started at the analytic fix returns,
-    whether it ran or not. It is skipped only when the analytic fix meets its
-    first exit test, and always runs from a given guess. The skip test and
-    Gauss-Newton's first cost are the same kernel sum."""
+    whether it ran or not. It is skipped when the analytic fix meets its
+    first exit test or when there is no analytic fix, and always runs from a
+    given guess. The skip test and Gauss-Newton's first cost are the same
+    kernel sum."""
     calls = []
     costs = []
 
@@ -853,6 +854,21 @@ def test_solve_frame_runs_gauss_newton_only_where_it_can_move(monkeypatch):
     calls.clear()
     solve_frame(exact, CFG, guess=fix.analytic)
     assert len(calls) == 1
+
+    # without an analytic fix or a guess, Gauss-Newton has no start near the
+    # answer: the frame has no fix and the status names the closed form's error
+    for d, error in (((21.0, 1147.0, -641.0), NoRealSolution),
+                     ((588.0, 981.0, 289.0), NoUnderwaterSolution)):
+        failed = replace(exact, d=d)
+        with pytest.raises(error):
+            select_underwater(kleusberg_solve(failed, CFG), failed)
+        calls.clear()
+        fix = solve_frame(failed, CFG)
+        assert calls == []
+        assert fix.analytic is fix.numerical is fix.analytic_residuals is None
+        assert fix.status == error.__name__
+        solve_frame(failed, CFG, guess=enu(300.0, 400.0, -150.0))
+        assert len(calls) == 1
 
 
 def test_solver_config_validation():
