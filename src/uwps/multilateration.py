@@ -490,7 +490,9 @@ def numerical_solve(
     Returns the iterate when half its squared residual norm is below
     1e-24 m^2, when the gradient vanishes, when no step longer than the
     1e-9 m tolerance can improve the model, or after an accepted step
-    shorter than that tolerance. No returned fix lies at or above
+    shorter than that tolerance. The cost floor is also tested on the last
+    accepted iterate, whose residuals are already computed, before the
+    budget's NonConvergence is raised. No returned fix lies at or above
     SURFACE_UP. Raises ValueError for a non-finite start, and otherwise:
 
     * NonConvergence for a start at or above SURFACE_UP, or as soon as an
@@ -618,6 +620,8 @@ def numerical_solve(
         if pn < _STEP_TOL:
             return x, y, z
 
+    if _cost(kernel[2]) < _COST_FLOOR:
+        return x, y, z
     raise NonConvergence(
         f"step norm above {_STEP_TOL:.1e} m after "
         f"{cfg.max_iterations} iterations")

@@ -759,9 +759,12 @@ def test_verify_check_fails_when_no_scenario_can_be_drawn(monkeypatch):
 
 
 def test_verify_verdicts_stable_across_seeds(capsys):
+    """The same verdicts at both seeds, and each seed's whole report as its
+    golden: a detail line that moves fails here."""
     verdicts = {}
     for seed in ("20260808", "12345"):
         _, out, _ = run_cli("verify", "--seed", seed, capsys=capsys)
+        assert out == (DATA / f"verify_{seed}.stdout").read_text()
         verdicts[seed] = [l.split(":")[0] for l in out.splitlines()
                          if l.startswith(("PASS", "FAIL"))]
     assert verdicts["20260808"] == verdicts["12345"]

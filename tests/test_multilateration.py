@@ -76,6 +76,52 @@ def test_diffs_match_distance_oracle():
     assert np.allclose(got.e, want.e, atol=1e-12)
 
 
+def numpy_oracle_diffs(buoys, truth):
+    """oracle_diffs in numpy arrays, the reference for its float form."""
+    buoys = np.asarray(buoys, float)
+    ranges = np.linalg.norm(buoys - np.asarray(truth, float), axis=1)
+    baselines = buoys[1:] - buoys[0]
+    lengths = np.linalg.norm(baselines, axis=1)
+    return DiffSet(d=ranges[1:] - ranges[0], e=baselines / lengths[:, None], b=lengths,
+                   reference=buoys[0])
+
+
+def oracle_inputs():
+    """(buoys, truth) arrays: sample_scenario draws, the rotated and shifted
+    copies check_rigid_motion_equivariance builds, and unit_square cases."""
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        buoys, truth, _ = sample_scenario(rng)
+        yield buoys, truth
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        shift = rng.uniform(-5000.0, 5000.0, 3)
+        yield buoys @ q.T + shift, q @ truth + shift
+    for side, ups in ((1000.0, (0.0,) * 4), (800.0, (1.0, -0.5, 0.3, 0.8)),
+                      (1000.0, (1.0, -0.5, 0.3, 0.8)), (1000.0, (-300.0,) * 4)):
+        for truth in ((300.0, 400.0, -150.0), (500.0, 500.0, -150.0),
+                      (200.0, 700.0, -150.0), (2e5, 400.0, -1.5e5)):
+            yield unit_square(side, ups), np.array(truth)
+
+
+def test_oracle_diffs_matches_numpy_reference_bit_for_bit():
+    """The float form sums x*x + y*y + z*z left to right, as numpy's
+    norm(..., axis=1) does over rows of three: every entry keeps its bits,
+    from arrays and from lists."""
+    def bits(diffs):
+        return struct.pack("18d", *diffs.d, *(c for row in diffs.e for c in row),
+                           *diffs.b, *diffs.reference)
+
+    count = 0
+    for buoys, truth in oracle_inputs():
+        want = bits(numpy_oracle_diffs(buoys, truth))
+        assert bits(oracle_diffs(buoys, truth)) == want
+        assert bits(oracle_diffs(buoys.tolist(), truth.tolist())) == want
+        count += 1
+    assert count == 616
+
+
 def test_diffset_checks_its_entries_and_stores_float_tuples():
     good = oracle_diffs(unit_square(1000.0), np.array([300.0, 400.0, -150.0]))
     assert all(type(v) is float for v in (*good.d, *good.b, *good.e[0], *good.e[1], *good.e[2]))
@@ -653,6 +699,8 @@ def numpy_numerical_solve(diffs, initial, cfg):
                 f"({reach:.3g} m), at iteration {iteration + 1}")
         if np.linalg.norm(step) < multilateration._STEP_TOL:
             return x
+    if 0.5 * float(trial @ trial) < multilateration._COST_FLOOR:
+        return x
     raise NonConvergence(
         f"step norm above {multilateration._STEP_TOL:.1e} m after "
         f"{cfg.max_iterations} iterations")
@@ -796,6 +844,25 @@ def test_numerical_nonconvergence_reported():
     with pytest.raises(NonConvergence):
         numerical_solve(diffs, initial=enu(5000.0, -3000.0, -2000.0),
                         cfg=SolverConfig(max_iterations=1))
+
+
+def test_numerical_tests_the_cost_floor_before_the_budget_runs_out():
+    """Criterion 5's case 566 (0-based) at seed 12345, drawn as
+    check_numerical_agreement draws it: the 25th accepted step lands below
+    the cost floor, 7e-10 m from the analytic fix, and is returned, where
+    the budget's NonConvergence was raised without testing it."""
+    rng = np.random.default_rng(12345)
+    for _ in range(567):
+        buoys, truth, diffs = sample_scenario(rng)
+        azimuth = rng.uniform(0.0, 2.0 * np.pi)
+        tilt = math.radians(30.0) * math.sqrt(rng.uniform())
+    pick = select_underwater(kleusberg_solve(diffs, CFG), diffs)
+    guess = truth + 200.0 * np.array([math.cos(azimuth) * math.sin(tilt),
+                                      math.sin(azimuth) * math.sin(tilt), -math.cos(tilt)])
+    with pytest.raises(NonConvergence, match="after 24 iterations"):
+        numerical_solve(diffs, initial=enu(*guess), cfg=SolverConfig(max_iterations=24))
+    got = numerical_solve(diffs, initial=enu(*guess), cfg=SolverConfig(max_iterations=25))
+    assert math.dist(got, pick) < 1e-4
 
 
 # -- solve_frame -------------------------------------------------------

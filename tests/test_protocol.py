@@ -1,4 +1,5 @@
 """Wire codec and TDMA schedule contracts."""
+import dataclasses
 import math
 import struct
 
@@ -14,6 +15,7 @@ from uwps.errors import (
     MalformedSentence,
     PositioningError,
 )
+from uwps import protocol, verify
 from uwps.geo import GeodeticCoord
 from uwps.protocol import (
     MAX_MESSAGE_BYTES,
@@ -323,3 +325,51 @@ def test_transmit_times_at_wire_resolution(args):
         for t in transmit_times(s, k):
             assert t == float(f"{t:.3f}")
             assert BuoyMessage(1, t, GeodeticCoord(0.0, 0.0, 0.0)).gnss_time == t
+
+
+# -- the codec properties of `uwps verify` -------------------------------
+
+def test_corruption_detection_fails_when_the_checksum_skips_a_byte(monkeypatch):
+    """A checksum blind to the payload's last byte lets a digit swapped
+    there decode: the property must FAIL."""
+    checksum = protocol.checksum
+    monkeypatch.setattr(protocol, "checksum", lambda payload: checksum(payload[:-1]))
+    ok, detail = verify.check_corruption_detection(verify.DEFAULT_SEED)
+    assert not ok
+    assert detail.endswith("undetected")
+
+
+@pytest.mark.parametrize("field", ["gnss_time", "latitude", "longitude", "height"])
+def test_codec_round_trip_fails_when_decode_moves_a_field(monkeypatch, field):
+    """A decode that moves one field by one wire unit must FAIL the
+    round trip."""
+    decode = protocol.decode_message
+
+    def moved(raw):
+        m = decode(raw)
+        if field == "gnss_time":
+            return dataclasses.replace(m, gnss_time=m.gnss_time + 0.001)
+        unit = {"latitude": 1e-7, "longitude": 1e-7, "height": 0.01}[field]
+        return dataclasses.replace(m, position=dataclasses.replace(
+            m.position, **{field: getattr(m.position, field) + unit}))
+
+    monkeypatch.setattr(protocol, "decode_message", moved)
+    ok, detail = verify.check_codec_round_trip(verify.DEFAULT_SEED)
+    assert not ok
+    assert detail.startswith("round-trip mismatch")
+
+
+def test_corruption_reaches_every_payload_byte_and_changes_it():
+    """Position draws reach every byte from 1 to the one before '*', and the
+    255 replacement draws give the 255 values other than the byte there."""
+    sentence = encode_message(make_message(3, 86399.999, -89.9999999, -179.9999999, -99999.99))
+    end = sentence.rindex(b"*")
+    reached = set()
+    for position in [*range(3 * end), verify._POSITION_DRAWS - 1]:
+        idx, corrupted = verify._corrupt(sentence, position, 0)
+        reached.add(idx)
+        assert corrupted[:idx] + corrupted[idx + 1:] == sentence[:idx] + sentence[idx + 1:]
+    assert reached == set(range(1, end))
+    for idx in range(1, end):
+        values = {verify._corrupt(sentence, idx - 1, r)[1][idx] for r in range(255)}
+        assert values == set(range(256)) - {sentence[idx]}
