@@ -13,9 +13,13 @@ offset is applied. With the offset any multiple of that tick (integers in
 particular) and session times under 2^13 s, receive times are exact floats
 and the offset cancels bit-for-bit in the downstream differencing.
 
+Timing noise is part of the channel: a scenario with noise_sigma > 0 adds
+sigma * z_k to the k-th heard message's receive time as simulate builds its
+event, z_k the k-th draw of the seed's standard-normal stream.
+
 Everything is Python floats, and every working-frame position is an
 (east, north, up) float tuple; add_timing_noise alone imports an array
-library, for its seeded Gaussian generator, when it is called.
+library, for its seeded Gaussian generator, when a noisy run calls it.
 """
 from __future__ import annotations
 
@@ -54,10 +58,6 @@ class ReceiverTrack:
     initial: tuple[float, float, float]
     velocity: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
-    def position_at(self, t: float) -> tuple[float, float, float]:
-        (x, y, z), (vx, vy, vz) = self.initial, self.velocity
-        return x + vx * t, y + vy * t, z + vz * t
-
     def speed(self) -> float:
         return _norm(self.velocity)
 
@@ -68,6 +68,8 @@ class Scenario:
 
     Receiver coordinates are in the working ENU frame anchored at buoy 1's
     first reported position. clock_offset follows t_true = t_receiver + offset.
+    noise_sigma [s] is the standard deviation of the receiver's timestamp
+    noise, drawn from seed; 0 means no noise.
     """
 
     buoys: tuple[BuoyTrack, BuoyTrack, BuoyTrack, BuoyTrack]
@@ -77,6 +79,8 @@ class Scenario:
     schedule: FrameSchedule
     frames: int
     range_limit: float = math.inf
+    noise_sigma: float = 0.0
+    seed: int = 0
 
     def __post_init__(self):
         if len(self.buoys) != 4:
@@ -93,13 +97,13 @@ class Scenario:
             raise ValueError("frames must be >= 1")
         if self.receiver.initial[2] >= SURFACE_UP:
             raise ValueError("receiver must start below the surface (up < 0)")
-        if self.receiver.speed() > SPEED_CAP:
+        speed = self.receiver.speed()
+        if speed > SPEED_CAP:
             raise ValueError(
-                f"receiver speed {self.receiver.speed():.2f} m/s exceeds "
-                f"cap {SPEED_CAP:.2f} m/s")
-        if self.receiver.speed() >= self.sound_speed:
+                f"receiver speed {speed:.2f} m/s exceeds cap {SPEED_CAP:.2f} m/s")
+        if speed >= self.sound_speed:
             raise ValueError(
-                f"receiver speed {self.receiver.speed():.2f} m/s is not below "
+                f"receiver speed {speed:.2f} m/s is not below "
                 f"the sound speed {self.sound_speed:.2f} m/s")
         c, (vx, vy, vz) = self.sound_speed, self.receiver.velocity
         if not 0.0 < c * c - (vx * vx + vy * vy + vz * vz) < math.inf:
@@ -113,6 +117,10 @@ class Scenario:
                 raise ValueError(f"{name} must be at most {MAGNITUDE_CAP:g} in magnitude")
         if not self.range_limit > 0:   # NaN too; inf means unlimited
             raise ValueError(f"range_limit {self.range_limit} must be > 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise ValueError(f"noise_sigma {self.noise_sigma} must be finite and >= 0")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed {self.seed!r} must be an int >= 0")
         end = self.frames * self.schedule.frame_period
         if end >= 86400.0:
             raise ValueError(
@@ -164,45 +172,51 @@ def working_frame(scenario: Scenario) -> LocalFrame:
 
 
 def simulate(scenario: Scenario) -> list[FrameRecord]:
-    """Generate the reception events of every frame, in schedule order."""
+    """Generate the reception events of every frame, in schedule order.
+
+    A noisy scenario draws the timing noise of every message the run could
+    hear before its first frame; the k-th heard message takes the k-th.
+    """
     frame = working_frame(scenario)
-    c = scenario.sound_speed
-    rx = scenario.receiver
-    vx, vy, vz = rx.velocity
+    c, limit, offset = scenario.sound_speed, scenario.range_limit, scenario.clock_offset
+    (x0, y0, z0), (vx, vy, vz) = scenario.receiver.initial, scenario.receiver.velocity
     a = c * c - (vx * vx + vy * vy + vz * vz)   # > 0: the receiver is slower than sound
+    noise = None
+    if scenario.noise_sigma > 0.0:
+        noise = iter(add_timing_noise(4 * scenario.frames, scenario.noise_sigma,
+                                      scenario.seed))
 
     # buoy tracks in the working frame
-    buoy_enu0 = [geodetic_to_enu(b.initial, frame) for b in scenario.buoys]
+    tracks = [(geodetic_to_enu(b.initial, frame), b.drift) for b in scenario.buoys]
 
     records = []
     for k in range(scenario.frames):
         events = []
         for i, t_tx in enumerate(transmit_times(scenario.schedule, k)):
-            (e0, n0, u0), (dx, dy, dz) = buoy_enu0[i], scenario.buoys[i].drift
+            (e0, n0, u0), (dx, dy, dz) = tracks[i]
             reported = enu_to_geodetic((e0 + dx * t_tx, n0 + dy * t_tx, u0 + dz * t_tx), frame)
             message = BuoyMessage(i + 1, t_tx, reported)
             # the acoustic source is the reported point
             source = geodetic_to_enu(message.position, frame)
 
-            # |q + v*tau| = c*tau with q = p(t_tx) - source: the positive root
-            x, y, z = rx.position_at(t_tx)
-            qx, qy, qz = x - source[0], y - source[1], z - source[2]
+            # |q + v*tau| = c*tau with q = p(t_tx) - source, p(t) = initial + v*t:
+            # the positive root
+            qx = x0 + vx * t_tx - source[0]
+            qy = y0 + vy * t_tx - source[1]
+            qz = z0 + vz * t_tx - source[2]
             qv = qx * vx + qy * vy + qz * vz
             qq = qx * qx + qy * qy + qz * qz
             t_arr = t_tx + (qv + math.sqrt(qv * qv + a * qq)) / a
 
-            path_length = c * (t_arr - t_tx)
-            if path_length > scenario.range_limit:
+            if c * (t_arr - t_tx) > limit:
                 continue
+            receive_time = _quantize_tick(t_arr) - offset
+            if noise is not None:
+                receive_time += next(noise)
             events.append(ReceptionEvent(
-                frame_index=k,
-                message=message,
-                receive_time=_quantize_tick(t_arr) - scenario.clock_offset,
-                true_position=rx.position_at(t_arr),
-                source=source,
-                source_frame=frame,
-            ))
-        records.append(FrameRecord(frame_index=k, events=tuple(events)))
+                k, message, receive_time, (x0 + vx * t_arr, y0 + vy * t_arr, z0 + vz * t_arr),
+                source, frame))
+        records.append(FrameRecord(k, tuple(events)))
     return records
 
 
@@ -217,56 +231,48 @@ def assemble_observations(
     When no working frame is given it is derived from the reference
     buoy's reported position in these events (its first report, for a
     single-frame input). A simulated event already converted to the
-    requested frame is not converted again.
+    requested frame is not converted again. Events in buoy order, as
+    simulate and the wire give them, are taken as they are.
     """
     events = tuple(events)
     if len(events) != 4:
         raise IncompleteFrame(f"need four events, got {len(events)}")
-    ids = sorted(e.message.buoy_id for e in events)
-    if ids != [1, 2, 3, 4]:
-        raise IncompleteFrame(f"need buoys 1..4 exactly once, got {ids}")
-    frames_seen = {e.frame_index for e in events}
-    if len(frames_seen) != 1:
-        raise IncompleteFrame(f"events mix frames {sorted(frames_seen)}")
+    e1, e2, e3, e4 = events
+    if not (e1.message.buoy_id == 1 and e2.message.buoy_id == 2
+            and e3.message.buoy_id == 3 and e4.message.buoy_id == 4):
+        ids = sorted(e.message.buoy_id for e in events)
+        if ids != [1, 2, 3, 4]:
+            raise IncompleteFrame(f"need buoys 1..4 exactly once, got {ids}")
+        e1, e2, e3, e4 = sorted(events, key=lambda e: e.message.buoy_id)
+    if not e1.frame_index == e2.frame_index == e3.frame_index == e4.frame_index:
+        raise IncompleteFrame(f"events mix frames {sorted({e.frame_index for e in events})}")
 
-    by_id = {e.message.buoy_id: e for e in events}
     if frame is None:
-        frame = LocalFrame(by_id[1].message.position)
-    observations = tuple(
-        Observation(
-            buoy_id=wire_id - 1,
-            transmit_time=by_id[wire_id].message.gnss_time,
-            receive_time=by_id[wire_id].receive_time,
-            position=_enu_position(by_id[wire_id], frame),
-        )
-        for wire_id in (1, 2, 3, 4)
-    )
-    return ObservationSet(observations=observations, sound_speed=sound_speed)
+        frame = LocalFrame(e1.message.position)
+    return ObservationSet(
+        tuple(Observation(solver_id, e.message.gnss_time, e.receive_time,
+                          _enu_position(e, frame))
+              for solver_id, e in enumerate((e1, e2, e3, e4))),
+        sound_speed)
 
 
 def _enu_position(event: ReceptionEvent, frame: LocalFrame) -> tuple[float, float, float]:
     # a frame is computed from its origin alone
-    if event.source is not None and event.source_frame.origin == frame.origin:
+    if event.source is not None and (event.source_frame is frame
+                                     or event.source_frame.origin == frame.origin):
         return event.source
     return geodetic_to_enu(event.message.position, frame)
 
 
-def add_timing_noise(records, sigma: float, seed: int) -> list[FrameRecord]:
-    """Gaussian perturbation of receive timestamps, reproducible by seed.
+def add_timing_noise(count: int, sigma: float, seed: int) -> list[float]:
+    """The timing errors sigma * z of count receptions, reproducible by seed.
 
-    One standard-normal draw per event, in event order, all taken in one
-    call: the generator gives the same numbers as one draw per event.
+    One standard-normal draw per reception, all taken in one
+    default_rng(seed).standard_normal(count) call. The generator gives the
+    same numbers as one draw per reception, so the first k errors are
+    those of a call for k: a run that hears fewer than count messages
+    gives each heard one the draw it would have had.
     """
     import numpy as np   # only noisy runs pay for the import
 
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    records = list(records)
-    rng = np.random.default_rng(seed)
-    draws = iter(rng.standard_normal(sum(len(r.events) for r in records)).tolist())
-    return [
-        FrameRecord(record.frame_index, tuple(
-            ReceptionEvent(e.frame_index, e.message, e.receive_time + sigma * next(draws),
-                           e.true_position, e.source, e.source_frame)
-            for e in record.events))
-        for record in records]
+    return [sigma * z for z in np.random.default_rng(seed).standard_normal(count).tolist()]

@@ -18,10 +18,8 @@ from .channel import (
     ReceiverTrack,
     ReceptionEvent,
     Scenario,
-    add_timing_noise,
     assemble_observations,
     simulate,
-    working_frame,
 )
 from .errors import PositioningError
 from .geo import GeodeticCoord
@@ -64,7 +62,7 @@ def _fmt(value: float | None) -> str:
 # The scenario grammar: section -> key -> (how many numbers, integer or
 # not, default). A key without a default is required, and so is a section
 # with a required key. Only range_limit may be inf, and an integer must
-# be >= 0.
+# be >= 0. The [channel] keys are Scenario's fields of the same names.
 _BUOY_KEYS = {"position": (3, False, None), "drift": (3, False, (0.0, 0.0, 0.0))}
 _SCENARIO_KEYS = {
     **{f"buoy {i}": _BUOY_KEYS for i in (1, 2, 3, 4)},
@@ -77,40 +75,42 @@ _SCENARIO_KEYS = {
     "run": {"frames": (1, True, None)},
     "solver": {"consistency_tolerance": (1, False, SolverConfig.consistency_tolerance)},
 }
+_REQUIRED_SECTIONS = frozenset(
+    name for name, keys in _SCENARIO_KEYS.items()
+    if any(default is None for _, _, default in keys.values()))
 
 
 @dataclass
 class ScenarioFile:
-    """Parsed scenario file: the Scenario plus run/solver options."""
+    """Parsed scenario file: the Scenario plus the solver options."""
 
     scenario: Scenario
     solver: SolverConfig
-    noise_sigma: float = 0.0
-    seed: int = 0
 
 
 def _parse_sections(text: str, path: str):
     """Line-oriented `[section]` / `key = value` grammar with # comments."""
     sections: dict[str, dict[str, tuple[str, int]]] = {}
-    current = None
+    block = None   # the current section's keys
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             current = line[1:-1].strip().lower()
             if current in sections:
                 raise FileFormatError(f"{path}:{lineno}: duplicate section [{current}]")
-            sections[current] = {}
+            sections[current] = block = {}
             continue
-        if current is None:
+        if block is None:
             raise FileFormatError(f"{path}:{lineno}: key outside any section")
-        if "=" not in line:
+        key, equals, value = line.partition("=")
+        if not equals:
             raise FileFormatError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in sections[current]:
+        key = key.strip()
+        if key in block:
             raise FileFormatError(f"{path}:{lineno}: duplicate key {key!r}")
-        sections[current][key] = (value, lineno)
+        block[key] = (value.strip(), lineno)
     return sections
 
 
@@ -133,15 +133,22 @@ def _integer(text: str) -> int:
 def _numbers(value: str, count: int, integer: bool, path: Path, lineno: int,
              allow_inf: bool = False):
     """The value on a file line as count numbers, a tuple unless count is 1:
-    finite (or inf where allow_inf) and whole where integer."""
+    finite (or inf where allow_inf) and whole where integer. One loop reads
+    and checks the numbers; a non-numeric one is reported before a
+    non-finite one, and that before one that is not whole."""
     parts = value.split()
     if len(parts) != count:
         raise FileFormatError(f"{path}:{lineno}: expected {count} numbers, got {len(parts)}")
-    try:
-        numbers = [_number(p) for p in parts]
-    except ValueError:
-        raise FileFormatError(f"{path}:{lineno}: non-numeric value {value!r}") from None
-    if not all(math.isfinite(v) or (allow_inf and math.isinf(v)) for v in numbers):
+    numbers = []
+    finite = True
+    for part in parts:
+        try:
+            number = _number(part)
+        except ValueError:
+            raise FileFormatError(f"{path}:{lineno}: non-numeric value {value!r}") from None
+        finite = finite and (math.isfinite(number) or allow_inf and math.isinf(number))
+        numbers.append(number)
+    if not finite:
         raise FileFormatError(f"{path}:{lineno}: non-finite value {value!r}")
     if integer:
         whole = [int(v) for v in numbers]
@@ -170,7 +177,7 @@ def parse_scenario_file(path: Path) -> ScenarioFile:
     for name, keys in _SCENARIO_KEYS.items():
         block = sections.pop(name, None)
         if block is None:
-            if any(default is None for _, _, default in keys.values()):
+            if name in _REQUIRED_SECTIONS:
                 raise FileFormatError(f"{path}: missing section [{name}]")
             block = {}
         for key, (_, lineno) in block.items():
@@ -198,23 +205,20 @@ def parse_scenario_file(path: Path) -> ScenarioFile:
                                    drift=buoy["drift"]))
         except ValueError as exc:
             raise FileFormatError(f"{path}: [buoy {i}]: {exc}") from None
-    receiver, channel = values["receiver"], values["channel"]
+    receiver = values["receiver"]
     try:
         scenario = Scenario(
             buoys=tuple(buoys),
             receiver=ReceiverTrack(initial=receiver["position"],
                                    velocity=receiver["velocity"]),
-            sound_speed=channel["sound_speed"],
-            clock_offset=channel["clock_offset"],
             schedule=compute_schedule(**values["schedule"]),
             frames=values["run"]["frames"],
-            range_limit=channel["range_limit"],
+            **values["channel"],
         )
         solver = SolverConfig(**values["solver"])
     except (ValueError, PositioningError) as exc:
         raise FileFormatError(f"{path}: {exc}") from None
-    return ScenarioFile(scenario=scenario, solver=solver,
-                        noise_sigma=channel["noise_sigma"], seed=channel["seed"])
+    return ScenarioFile(scenario=scenario, solver=solver)
 
 
 # -- observation files ---------------------------------------------------
@@ -237,12 +241,13 @@ def parse_observation_file(path: Path) -> ObservationFile:
     line_numbers: list[int] = []
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, equals, value = line.partition("=")
+        if not equals:
             raise FileFormatError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, value = key.strip(), value.strip()
         if key in seen and key != "observation":
             raise FileFormatError(f"{path}:{lineno}: duplicate key {key!r}")
         seen.add(key)
@@ -314,7 +319,6 @@ def cmd_simulate(args) -> int:
     path = resolve_input(args.scenario)
     try:
         parsed = parse_scenario_file(path)
-        frame = working_frame(parsed.scenario)
         records = simulate(parsed.scenario)
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -323,12 +327,12 @@ def cmd_simulate(args) -> int:
         # a buoy report the wire cannot carry: BuoyMessage rejects it
         print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ModuleNotFoundError as exc:
+        # simulate draws the timing noise of a noisy scenario
+        return _needs_numpy(exc, f"{path}: timing noise (noise_sigma > 0)")
     scenario = parsed.scenario
-    if parsed.noise_sigma > 0.0:
-        try:
-            records = add_timing_noise(records, parsed.noise_sigma, parsed.seed)
-        except ModuleNotFoundError as exc:
-            return _needs_numpy(exc, f"{path}: timing noise (noise_sigma > 0)")
+    # the working frame simulate converted every event's source into
+    frame = next((e.source_frame for r in records for e in r.events), None)
 
     rows = []
     errors_analytic = []

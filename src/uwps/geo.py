@@ -21,6 +21,13 @@ WGS84_F = 1.0 / 298.257223563          # flattening
 WGS84_B = WGS84_A * (1.0 - WGS84_F)    # semi-minor axis [m]
 WGS84_E2 = WGS84_F * (2.0 - WGS84_F)   # first eccentricity squared
 
+# ecef_to_geodetic's constants, each the product its formula would form
+# first, so its results are bit for bit those of the written-out formula
+_EP2_B = (WGS84_A * WGS84_A - WGS84_B * WGS84_B) / (WGS84_B * WGS84_B) * WGS84_B
+_E2_A = WGS84_E2 * WGS84_A
+_B_RATIO = 1.0 - WGS84_F               # b / a
+_NEAR_POLE = math.radians(89.0)        # beyond it, the height comes from z
+
 
 @dataclass(frozen=True)
 class GeodeticCoord:
@@ -112,19 +119,17 @@ def ecef_to_geodetic(ecef) -> GeodeticCoord:
         return GeodeticCoord(lat, lon, abs(z) - WGS84_B)
 
     # Bowring's parametric-latitude start
-    ep2 = (WGS84_A * WGS84_A - WGS84_B * WGS84_B) / (WGS84_B * WGS84_B)
     beta = math.atan2(WGS84_A * z, WGS84_B * p)
-    lat = math.atan2(z + ep2 * WGS84_B * math.sin(beta) ** 3,
-                     p - WGS84_E2 * WGS84_A * math.cos(beta) ** 3)
+    lat = math.atan2(z + _EP2_B * math.sin(beta) ** 3, p - _E2_A * math.cos(beta) ** 3)
     for _ in range(4):
-        beta = math.atan2((1.0 - WGS84_F) * math.sin(lat), math.cos(lat))
-        lat, previous = math.atan2(z + ep2 * WGS84_B * math.sin(beta) ** 3,
-                                   p - WGS84_E2 * WGS84_A * math.cos(beta) ** 3), lat
+        beta = math.atan2(_B_RATIO * math.sin(lat), math.cos(lat))
+        lat, previous = math.atan2(z + _EP2_B * math.sin(beta) ** 3,
+                                   p - _E2_A * math.cos(beta) ** 3), lat
         if lat == previous:
             break
     sl = math.sin(lat)
     n = WGS84_A / math.sqrt(1.0 - WGS84_E2 * sl * sl)
-    if abs(lat) < math.radians(89.0):
+    if abs(lat) < _NEAR_POLE:
         h = p / math.cos(lat) - n
     else:
         h = z / sl - n * (1.0 - WGS84_E2)

@@ -100,22 +100,24 @@ class Observation:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Exactly four observations from one frame plus the sound speed."""
+    """Exactly four observations from one frame plus the sound speed,
+    stored as a tuple in buoy order; a tuple already in that order is kept."""
 
     observations: tuple[Observation, Observation, Observation, Observation]
     sound_speed: float
 
     def __post_init__(self):
-        if len(self.observations) != 4:
+        obs = self.observations
+        if len(obs) != 4:
             raise ValueError("exactly four observations required")
-        ids = sorted(o.buoy_id for o in self.observations)
-        if ids != [0, 1, 2, 3]:
-            raise ValueError(f"buoy ids must be 0..3 exactly once, got {ids}")
+        if not (type(obs) is tuple and obs[0].buoy_id == 0 and obs[1].buoy_id == 1
+                and obs[2].buoy_id == 2 and obs[3].buoy_id == 3):
+            ids = sorted(o.buoy_id for o in obs)
+            if ids != [0, 1, 2, 3]:
+                raise ValueError(f"buoy ids must be 0..3 exactly once, got {ids}")
+            object.__setattr__(self, "observations", tuple(sorted(obs, key=lambda o: o.buoy_id)))
         if not (math.isfinite(self.sound_speed) and self.sound_speed > 0):
             raise ValueError(f"sound_speed {self.sound_speed} must be finite and > 0")
-        object.__setattr__(
-            self, "observations",
-            tuple(sorted(self.observations, key=lambda o: o.buoy_id)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,12 +42,14 @@ def _q(value: float, decimals: int) -> float:
 class BuoyMessage:
     """One buoy broadcast: who, when (GNSS seconds-of-day), and where.
 
-    Fields are rounded to wire resolution (1 ms / 1e-7 deg / 1 cm) and the
-    stored values checked: buoy_id an int in 1..4, gnss_time in [0, 86400)
-    and the height within the field's [-99999.99, 999999.99] m. So
-    decode(encode(m)) == m holds for every constructible message. A
+    Fields are rounded to wire resolution (1 ms / 1e-7 deg / 1 cm), each
+    once, and the stored values checked: buoy_id an int in 1..4, gnss_time
+    in [0, 86400) and the height within the field's [-99999.99, 999999.99]
+    m. So decode(encode(m)) == m holds for every constructible message. A
     longitude that rounds to -180 is stored as 180, the same meridian
-    inside the (-180, 180] range.
+    inside the (-180, 180] range. A position of floats already on the wire
+    grid is kept as it is; any other is replaced by its quantization,
+    which is a valid GeodeticCoord because the given one was.
     """
 
     buoy_id: int
@@ -57,10 +59,7 @@ class BuoyMessage:
     def __post_init__(self):
         gnss_time = _q(self.gnss_time, 3)
         p = self.position
-        longitude = _q(p.longitude, 7)
-        if longitude == -180.0:
-            longitude = 180.0
-        height = _q(p.height, 2)
+        latitude, longitude, height = _q(p.latitude, 7), _q(p.longitude, 7), _q(p.height, 2)
         if type(self.buoy_id) is not int or not 1 <= self.buoy_id <= 4:
             raise ValueError(f"buoy_id {self.buoy_id} outside 1..4")
         if not (0.0 <= gnss_time < 86400.0):
@@ -69,8 +68,13 @@ class BuoyMessage:
             raise ValueError(
                 f"height {height} outside [{_HEIGHT_RANGE[0]}, {_HEIGHT_RANGE[1]}]")
         object.__setattr__(self, "gnss_time", gnss_time)
-        object.__setattr__(
-            self, "position", GeodeticCoord(_q(p.latitude, 7), longitude, height))
+        # rounding keeps a float's value only where it is on the grid; the
+        # given longitude is never -180, so one that rounds there is replaced
+        if not (latitude == p.latitude and longitude == p.longitude and height == p.height
+                and type(p.latitude) is type(p.longitude) is type(p.height) is float):
+            if longitude == -180.0:
+                longitude = 180.0
+            object.__setattr__(self, "position", GeodeticCoord(latitude, longitude, height))
 
 
 def checksum(payload: bytes) -> int:
@@ -132,7 +136,8 @@ def decode_message(raw: bytes) -> BuoyMessage:
         raise MalformedSentence(f"non-numeric field in {parts[1:]!r}") from None
     # BuoyMessage checks the ranges on the values it would store; the
     # GeodeticCoord is built first, so a -180 longitude is out of range
-    # before the message could write it as 180
+    # before the message could write it as 180. Its values are on the wire
+    # grid, so the message keeps it: one GeodeticCoord per sentence
     gnss_time, lat, lon, height = (float(t) for t in texts)
     try:
         message = BuoyMessage(buoy_id, gnss_time, GeodeticCoord(lat, lon, height))
@@ -200,8 +205,12 @@ def compute_schedule(
 
 def transmit_times(s: FrameSchedule, frame_index: int) -> tuple[float, float, float, float]:
     """Absolute transmit instants of the four buoys in a given frame, at the
-    wire's 1 ms resolution: each is the gnss_time its message carries."""
+    wire's 1 ms resolution: each is the gnss_time its message carries.
+    Written out in floats, with the arithmetic of frame_period and
+    start_times."""
     if frame_index < 0:
         raise ValueError("frame_index must be >= 0")
-    base = frame_index * s.frame_period
-    return tuple(_q(base + t, 3) for t in s.start_times)
+    slot = float(s.message_duration + s.guard_time)
+    base = float(frame_index) * (4.0 * slot)
+    return (round(base, 3), round(base + slot, 3), round(base + 2.0 * slot, 3),
+            round(base + 3.0 * slot, 3))

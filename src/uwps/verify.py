@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -467,8 +467,8 @@ def check_causality(seed: int) -> tuple[bool, str]:
 
 def check_simulation_determinism(seed: int) -> tuple[bool, str]:
     def run():
-        records = channel.simulate(make_scenario(_LAYOUT, _DRIFTS, frames=3))
-        noisy = channel.add_timing_noise(records, 1e-4, seed=seed)
+        scenario = make_scenario(_LAYOUT, _DRIFTS, frames=3)
+        noisy = channel.simulate(replace(scenario, noise_sigma=1e-4, seed=seed))
         return [(r.complete, e.message.buoy_id, e.receive_time, e.message, e.true_position)
                 for r in noisy for e in r.events]
     ok = repr(run()) == repr(run())   # float repr is exact, and tells -0.0 from 0.0

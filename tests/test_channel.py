@@ -8,7 +8,6 @@ from conftest import make_scenario
 
 from uwps.channel import (
     ReceiverTrack,
-    add_timing_noise,
     assemble_observations,
     simulate,
     working_frame,
@@ -82,15 +81,29 @@ def test_assemble_rejects_duplicate_ids():
     record = simulate(make_scenario(frames=1))[0]
     events = list(record.events)
     events[1] = events[0]
-    with pytest.raises(IncompleteFrame):
+    with pytest.raises(IncompleteFrame, match=r"exactly once, got \[1, 1, 3, 4\]$"):
         assemble_observations(events, 1500.0)
 
 
 def test_assemble_rejects_mixed_frames():
     records = simulate(make_scenario(frames=2))
     mixed = list(records[0].events[:3]) + [records[1].events[3]]
-    with pytest.raises(IncompleteFrame):
+    with pytest.raises(IncompleteFrame, match=r"events mix frames \[0, 1\]$"):
         assemble_observations(mixed, 1500.0)
+    # ids 1, 2, 2, 4 from two frames: the id check comes first
+    both = list(records[0].events[:2]) + [records[1].events[1], records[1].events[3]]
+    with pytest.raises(IncompleteFrame, match=r"exactly once, got \[1, 2, 2, 4\]$"):
+        assemble_observations(both, 1500.0)
+
+
+def test_assemble_takes_the_events_in_any_order():
+    """Events in buoy order are taken as they are; any other order is
+    sorted first, to the same observations."""
+    record = simulate(make_scenario(frames=1))[0]
+    ordered = assemble_observations(record.events, 1500.0)
+    assert assemble_observations(record.events[::-1], 1500.0) == ordered
+    assert assemble_observations(iter(record.events[1:] + record.events[:1]), 1500.0) == ordered
+    assert [o.buoy_id for o in ordered.observations] == [0, 1, 2, 3]
 
 
 def test_assemble_positions_in_working_frame():
@@ -115,17 +128,17 @@ def test_assemble_positions_in_working_frame():
 
 def test_timing_noise_zero_sigma_is_identity():
     records = simulate(make_scenario(frames=2))
-    noisy = add_timing_noise(records, 0.0, seed=42)
+    noisy = simulate(replace(make_scenario(frames=2), noise_sigma=0.0, seed=42))
     for rec_a, rec_b in zip(records, noisy):
         for ev_a, ev_b in zip(rec_a.events, rec_b.events):
             assert ev_a.receive_time == ev_b.receive_time
 
 
 def test_timing_noise_deterministic_under_seed():
-    records = simulate(make_scenario(frames=3))
-    first = add_timing_noise(records, 1e-4, seed=7)
-    second = add_timing_noise(records, 1e-4, seed=7)
-    other = add_timing_noise(records, 1e-4, seed=8)
+    scenario = make_scenario(frames=3)
+    first = simulate(replace(scenario, noise_sigma=1e-4, seed=7))
+    second = simulate(replace(scenario, noise_sigma=1e-4, seed=7))
+    other = simulate(replace(scenario, noise_sigma=1e-4, seed=8))
     flat = lambda runs: [e.receive_time.hex() for r in runs for e in r.events]
     assert flat(first) == flat(second)
     assert flat(first) != flat(other)
@@ -136,12 +149,51 @@ def test_timing_noise_pseudorange_sigma():
     over 10^4 receptions within 5%."""
     scenario = make_scenario(frames=2500)
     records = simulate(scenario)
-    noisy = add_timing_noise(records, 1e-4, seed=3)
+    noisy = simulate(replace(scenario, noise_sigma=1e-4, seed=3))
     clean_t = np.array([e.receive_time for r in records for e in r.events])
     noisy_t = np.array([e.receive_time for r in noisy for e in r.events])
     assert clean_t.size == 10000
     sigma_m = np.std(1500.0 * (noisy_t - clean_t))
     assert abs(sigma_m - 0.15) < 0.05 * 0.15
+
+
+def test_timing_noise_k_th_heard_message_takes_the_k_th_draw():
+    """A message the range limit drops takes no draw: each kept event's
+    receive time is the noiseless one plus sigma * z_k, z_k the k-th draw
+    of the seed's standard-normal stream counting kept events only."""
+    # moving east from the square's centre, the receiver falls out of range
+    # of buoys 1 and 4 mid-run
+    scenario = make_scenario(receiver=(500.0, 500.0, -100.0), velocity=(6.0, 0.0, 0.0),
+                             frames=12, range_limit=800.0)
+    clean = simulate(scenario)
+    kept = [e for r in clean for e in r.events]
+    heard = [len(r.events) for r in clean]
+    assert heard[0] == 4 and 0 < heard[-1] < 4   # all four heard at first, fewer later
+    sigma, seed = 1e-5, 11
+    noisy = simulate(replace(scenario, noise_sigma=sigma, seed=seed))
+    assert [len(r.events) for r in noisy] == heard
+    z = np.random.default_rng(seed).standard_normal(len(kept)).tolist()
+    for k, (ev_clean, ev_noisy) in enumerate(zip(kept, (e for r in noisy for e in r.events))):
+        assert ev_noisy.message == ev_clean.message
+        assert ev_noisy.receive_time == ev_clean.receive_time + sigma * z[k]
+
+
+def test_timing_noise_is_drawn_in_one_call(monkeypatch):
+    """add_timing_noise returns count errors sigma * z from one
+    default_rng(seed).standard_normal(count) call; a noiseless scenario
+    never calls it."""
+    from uwps import channel
+
+    calls = []
+    draw = channel.add_timing_noise
+    monkeypatch.setattr(channel, "add_timing_noise",
+                        lambda *args: calls.append(args) or draw(*args))
+    simulate(make_scenario(frames=2))
+    assert calls == []
+    simulate(replace(make_scenario(frames=2), noise_sigma=2e-5, seed=5))
+    assert calls == [(8, 2e-5, 5)]
+    z = np.random.default_rng(5).standard_normal(8).tolist()
+    assert draw(8, 2e-5, 5) == [2e-5 * v for v in z]
 
 
 def test_scenario_validation():
@@ -156,7 +208,9 @@ def test_scenario_validation():
         make_scenario(frames=11000)                  # crosses day rollover
     for bad in (dict(sound_speed=math.nan), dict(sound_speed=math.inf),
                 dict(sound_speed=0.0), dict(clock_offset=math.nan),
-                dict(clock_offset=math.inf), dict(range_limit=math.nan)):
+                dict(clock_offset=math.inf), dict(range_limit=math.nan),
+                dict(noise_sigma=-1e-5), dict(noise_sigma=math.nan),
+                dict(noise_sigma=math.inf), dict(seed=-1), dict(seed=1.0)):
         with pytest.raises(ValueError, match="must be"):
             replace(make_scenario(), **bad)
     for initial, velocity in (((math.nan, 400.0, -150.0), (0.0, 0.0, 0.0)),

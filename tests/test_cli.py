@@ -271,6 +271,19 @@ def test_simulate_rejects_magnitudes_that_overflow(old, new, tmp_path, capsys):
     assert err.startswith(f"error: {path}: ") and "must be at most 1e+09" in err
 
 
+def test_simulate_rejects_a_negative_noise_sigma(tmp_path, capsys):
+    """A negative noise_sigma is a file error, exit 1, not a noiseless run;
+    -0.0 is no noise, as 0.0 is."""
+    path = tmp_path / "noisy.scn"
+    path.write_text(SQUARETEST.read_text().replace("noise_sigma = 0.0", "noise_sigma = -1e-05"))
+    code, out, err = run_cli("simulate", str(path), capsys=capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {path}: noise_sigma -1e-05 must be finite and >= 0\n"
+    path.write_text(SQUARETEST.read_text().replace("noise_sigma = 0.0", "noise_sigma = -0.0"))
+    assert run_cli("simulate", str(path), capsys=capsys)[:2] == (
+        EXIT_OK, (DATA / "squaretest.csv").read_text() + (DATA / "squaretest.stdout").read_text())
+
+
 @pytest.mark.parametrize("buoy", [1, 2])
 @pytest.mark.parametrize("export", [False, True], ids=["csv", "export-obs"])
 def test_simulate_rejects_a_report_the_wire_cannot_carry(buoy, export, tmp_path, capsys):

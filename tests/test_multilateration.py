@@ -174,6 +174,19 @@ def test_sound_speed_must_be_finite_and_positive():
     assert ObservationSet(obs, sound_speed=300.0).sound_speed == 300.0
 
 
+def test_observation_set_stores_a_tuple_in_buoy_order():
+    """A tuple already in buoy order is kept; any other sequence is stored
+    as a sorted tuple; four ids 0..3 exactly once."""
+    obs = observation_set(unit_square(1000.0), np.array([300.0, 400.0, -150.0])).observations
+    assert ObservationSet(obs, 1500.0).observations is obs
+    for other in (obs[::-1], list(obs), list(obs[2:] + obs[:2])):
+        assert ObservationSet(other, 1500.0).observations == obs
+    with pytest.raises(ValueError, match=r"^exactly four observations required$"):
+        ObservationSet(obs[:3], 1500.0)
+    with pytest.raises(ValueError, match=r"exactly once, got \[0, 0, 2, 3\]$"):
+        ObservationSet((obs[0], obs[0], obs[2], obs[3]), 1500.0)
+
+
 # -- kleusberg_solve ---------------------------------------------------
 
 def test_square_reference_case_recovers_truth_exactly():

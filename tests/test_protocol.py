@@ -248,6 +248,65 @@ def test_message_writes_minus_180_as_180():
         -179.9999999)
 
 
+def test_message_keeps_a_position_on_the_wire_grid():
+    """A position of floats on the wire grid is quantized to itself: the
+    message keeps the given object, -0.0 and 180 included."""
+    for g in (GeodeticCoord(36.7201, -4.4203, 0.0), GeodeticCoord(-90.0, 180.0, -0.0),
+              GeodeticCoord(0.0000001, -179.9999999, 999999.99)):
+        m = BuoyMessage(1, 0.0, g)
+        assert m.position is g
+        assert str(m.position.height) == str(g.height)
+
+
+@pytest.mark.parametrize("g, stored", [
+    (GeodeticCoord(36.72010004, -4.4203, 0.0), (36.7201, -4.4203, 0.0)),        # off grid
+    (GeodeticCoord(36.7201, -4.4203, 0.004), (36.7201, -4.4203, 0.0)),
+    (GeodeticCoord(36, -4, 0), (36.0, -4.0, 0.0)),                              # ints
+    (GeodeticCoord(*np.array([36.7201, -4.4203, 0.5])), (36.7201, -4.4203, 0.5)),  # np.float64
+    (GeodeticCoord(0.0, -179.99999996, 0.0), (0.0, 180.0, 0.0)),                # rounds to -180
+], ids=["latitude", "height", "int", "numpy", "minus-180"])
+def test_message_replaces_a_position_off_the_grid(g, stored):
+    m = BuoyMessage(1, 0.0, g)
+    assert m.position is not g
+    assert [(type(v), v) for v in dataclasses.astuple(m.position)] == [
+        (float, v) for v in stored]
+
+
+@settings(max_examples=300, deadline=None)
+@given(buoy_id=st.integers(1, 4), t=st.floats(0.0, 86399.999),
+       lat=st.floats(-90.0, 90.0), lon=st.floats(-179.9999999, 180.0),
+       h=st.floats(-99999.99, 999999.99), on_grid=st.booleans())
+def test_message_equality_and_sentence_keep_the_wire_rule(buoy_id, t, lat, lon, h, on_grid):
+    """Kept or replaced, the stored position is the wire text's values, so
+    equality and the sentence are those of the always-quantizing rule."""
+    if on_grid:
+        lat, lon, h = f_string_q(lat, 7), f_string_q(lon, 7), f_string_q(h, 2)
+        lon = 180.0 if lon == -180.0 else lon
+    m = BuoyMessage(buoy_id, t, GeodeticCoord(lat, lon, h))
+    want = [f_string_q(lat, 7), f_string_q(lon, 7), f_string_q(h, 2)]
+    want[1] = 180.0 if want[1] == -180.0 else want[1]
+    assert m == BuoyMessage(buoy_id, t, GeodeticCoord(*want))
+    assert [struct.pack("d", v) for v in dataclasses.astuple(m.position)] == [
+        struct.pack("d", v) for v in want]
+    payload = (f"UWPS,{buoy_id},{f_string_q(t, 3):.3f},{want[0]:.7f},{want[1]:.7f},"
+               f"{want[2]:.2f}").encode("ascii")
+    assert encode_message(m) == frame_sentence(payload)
+
+
+def test_decode_builds_one_geodetic_coord_per_sentence(monkeypatch):
+    """The decoded values are on the wire grid, so the message keeps the
+    GeodeticCoord decode_message built: one checked coordinate per sentence
+    (counted with a wrapped GeodeticCoord.__post_init__)."""
+    built = []
+    check = GeodeticCoord.__post_init__
+    monkeypatch.setattr(GeodeticCoord, "__post_init__",
+                        lambda self: built.append(self) or check(self))
+    sentence = encode_message(make_message(3, 86399.999, -89.9999999, 179.9999999, -42.5))
+    built.clear()
+    decode_message(sentence)
+    assert len(built) == 1
+
+
 def test_message_validation():
     with pytest.raises(ValueError):
         BuoyMessage(0, 0.0, GeodeticCoord(0.0, 0.0, 0.0))
@@ -260,6 +319,12 @@ def test_message_validation():
     for buoy_id in (True, 1.0):
         with pytest.raises(ValueError, match="buoy_id"):
             BuoyMessage(buoy_id, 0.0, GeodeticCoord(0.0, 0.0, 0.0))
+    # the height is checked on the stored value too
+    for height, stored in ((1e7, "10000000.0"), (999999.996, "1000000.0"),
+                           (-99999.996, "-100000.0")):
+        with pytest.raises(ValueError,
+                           match=rf"^height {stored} outside \[-99999.99, 999999.99\]$"):
+            BuoyMessage(1, 0.0, GeodeticCoord(0.0, 0.0, height))
 
 
 @settings(max_examples=300, deadline=None)
