@@ -257,6 +257,8 @@ def parse_observation_file(path: Path) -> ObservationFile:
                 raise FileFormatError(f"{path}:{lineno}: sound_speed must be > 0")
         elif key == "frame":
             frame_index = _numbers(value, 1, True, path, lineno)
+            if frame_index < 0:
+                raise FileFormatError(f"{path}:{lineno}: frame must be >= 0")
         elif key == "observation":
             parts = value.split(None, 1)
             if len(parts) != 2:
@@ -289,11 +291,7 @@ def _decode_observation_events(obs_file: ObservationFile, path: Path):
         except PositioningError as exc:
             raise FileFormatError(
                 f"{path}:{lineno}: {type(exc).__name__}: {exc}") from None
-        events.append(ReceptionEvent(
-            frame_index=obs_file.frame_index,
-            message=message,
-            receive_time=receive_time,
-        ))
+        events.append(ReceptionEvent(obs_file.frame_index, message, receive_time))
     return events
 
 
@@ -561,6 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the property suite")
     p_ver.add_argument("--seed", type=_integer, default=None)
+    parser.commands = sub.choices   # command name -> that command's own parser
     return parser
 
 
@@ -572,8 +571,15 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a command's own parser reads the rest of argv, as the top-level one
+    # would hand it on; no arguments, -h or no command: the top-level parser
+    sub = _parser.commands.get(argv[0]) if argv else None
     try:
-        args = _parser.parse_args(argv)
+        args, extra = (_parser.parse_known_args(argv) if sub is None else
+                       sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])))
+        if extra:
+            _parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     # looked up at call time, so a patched command is the one that runs

@@ -10,6 +10,8 @@ between '$' and '*' exclusive.
 
 BuoyMessage states once what a sentence can carry, so encode_message
 cannot fail: the widest sentence is 57 bytes of the 80-byte message budget.
+_payload states once how each field is spelled: encode_message writes that
+spelling, and a sentence decodes only if it is spelled exactly so.
 transmit_times rounds the schedule's instants to the wire's 1 ms.
 """
 from __future__ import annotations
@@ -85,21 +87,26 @@ def checksum(payload: bytes) -> int:
     return total
 
 
+def _payload(buoy_id: int, gnss_time: float, lat: float, lon: float, height: float) -> bytes:
+    """The bytes between '$' and '*': each field's one canonical spelling."""
+    return f"{TALKER},{buoy_id},{gnss_time:.3f},{lat:.7f},{lon:.7f},{height:.2f}".encode("ascii")
+
+
 def encode_message(m: BuoyMessage) -> bytes:
-    """Render a BuoyMessage as one checksummed ASCII sentence; total, as
-    every stored message fits its fields."""
+    """Render a BuoyMessage as one checksummed ASCII sentence, each field
+    spelled by _payload; total, as every stored message fits its fields."""
     p = m.position
-    payload = (f"{TALKER},{m.buoy_id},{m.gnss_time:.3f},{p.latitude:.7f},"
-               f"{p.longitude:.7f},{p.height:.2f}").encode("ascii")
+    payload = _payload(m.buoy_id, m.gnss_time, p.latitude, p.longitude, p.height)
     return b"$" + payload + b"*" + f"{checksum(payload):02X}".encode("ascii") + b"\r\n"
 
 
 def decode_message(raw: bytes) -> BuoyMessage:
     """Parse and checksum-validate a sentence; total over byte inputs.
 
-    Every failure is a PositioningError. Only canonical sentences decode,
-    the ones encode_message writes, so every message it returns encodes
-    again to the same bytes.
+    Every failure is a PositioningError: a non-numeric field before a value
+    out of range at wire resolution, and that before a spelling other than
+    encode_message's. A sentence decodes only if it is spelled exactly as
+    encode_message renders its message, so it re-encodes to the same bytes.
     """
     if not isinstance(raw, (bytes, bytearray)):
         raise MalformedSentence("expected a byte sequence")
@@ -129,21 +136,20 @@ def decode_message(raw: bytes) -> BuoyMessage:
         raise MalformedSentence(f"unknown talker {parts[0]!r}")
     try:
         buoy_id = int(parts[1])
-        # each field rendered at wire resolution, as encode_message writes it
-        texts = [f"{float(p):.{decimals}f}"
-                 for p, decimals in zip(parts[2:6], (3, 7, 7, 2))]
+        gnss_time, lat, lon, height = map(float, parts[2:6])
     except ValueError:
         raise MalformedSentence(f"non-numeric field in {parts[1:]!r}") from None
-    # BuoyMessage checks the ranges on the values it would store; the
-    # GeodeticCoord is built first, so a -180 longitude is out of range
-    # before the message could write it as 180. Its values are on the wire
-    # grid, so the message keeps it: one GeodeticCoord per sentence
-    gnss_time, lat, lon, height = (float(t) for t in texts)
+    # a canonical payload's values are on the wire grid, so the message
+    # keeps their GeodeticCoord; others are range-checked on the grid, where
+    # a longitude that rounds to -180 is out of range, not written as 180
+    canonical = _payload(buoy_id, gnss_time, lat, lon, height) == payload
+    if not canonical:
+        lat, lon, height = _q(lat, 7), _q(lon, 7), _q(height, 2)
     try:
         message = BuoyMessage(buoy_id, gnss_time, GeodeticCoord(lat, lon, height))
     except ValueError as exc:
         raise FieldRange(str(exc)) from None
-    if parts[1] != str(buoy_id) or parts[2:6] != texts:
+    if not canonical:
         raise MalformedSentence(f"non-canonical field in {parts[1:]!r}")
     return message
 

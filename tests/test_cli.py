@@ -647,6 +647,31 @@ def test_solve_rejects_a_repeated_key(line, tmp_path, capsys):
     assert err == f"error: {path}:{lineno}: duplicate key {line.split()[0]!r}\n"
 
 
+def test_solve_rejects_a_negative_frame(tmp_path, capsys):
+    """A negative frame index is a file error naming its line, exit 1, as
+    a negative integer is in a scenario file."""
+    path = tmp_path / "negative.obs"
+    path.write_text(FRAME0.replace("frame = 0", "frame = -3"))
+    code, out, err = run_cli("solve", str(path), capsys=capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {path}:3: frame must be >= 0\n"
+
+
+def test_solve_never_encodes_a_message(monkeypatch, capsys):
+    """uwps solve decodes its sentences without rendering any through
+    encode_message, as the benchmark's traced receiver run requires."""
+    from uwps import protocol
+
+    def refuse(message):
+        raise AssertionError("encode_message called")
+
+    monkeypatch.setattr(protocol, "encode_message", refuse)
+    monkeypatch.setattr(cli, "encode_message", refuse)
+    code, out, err = run_cli("solve", "squaretest_frame0", capsys=capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert "underwater solution: (" in out
+
+
 def test_solve_reports_solver_taxonomy_name(tmp_path, capsys):
     """Solver failures surface their exact taxonomy name (greppable).
 
@@ -865,6 +890,42 @@ def test_main_builds_parser_once_and_runs_the_current_command(monkeypatch, capsy
     assert builds == [1]
     assert solved == ["squaretest_frame0"]
     capsys.readouterr()
+
+
+def reference_main(argv):
+    """main as it dispatched before: the top-level parser reads all of
+    argv, then the command runs. The reference for main's dispatch."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    return getattr(cli, f"cmd_{args.command}")(args)
+
+
+_F = "squaretest_frame0"   # the bundled observation file
+PARITY_ARGVS = [
+    ["simulate", "squaretest"], ["solve", _F], ["schedule", "80", "640", "1"],
+    ["verify", "--seed", "12345"],
+    [], ["-h"], ["--help"], ["nope"], ["--", "solve", _F], ["-h", "solve"],
+    ["solve"], ["solve", "-h"], ["solve", _F, "-h"], ["solve", _F, "--bogus"],
+    ["solve", _F, "-x"], ["solve", _F, "--consistency-tolerance"],
+    ["solve", _F, "--consist", "1e-3"], ["solve", _F, "--consistency-tolerance=2"],
+    ["solve", "--", _F], ["solve", _F, "--", "x"], ["schedule", "80", "-640", "1"],
+    ["schedule", "80"], ["verify", "--seed"], ["simulate"],
+    ["simulate", _F, "extra1", "extra2"],
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=lambda argv: " ".join(argv) or "none")
+def test_main_dispatches_as_the_top_level_parser(argv, capsys):
+    """main hands a command's arguments straight to that command's parser,
+    with the stdout, stderr and exit code of the top-level parser reading
+    all of argv, usage errors and help included."""
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    want_code = reference_main(list(argv))
+    want_out, want_err = capsys.readouterr()
+    assert (code, out, err) == (want_code, want_out, want_err)
 
 
 def test_usage_error_exit_code():

@@ -188,6 +188,114 @@ def test_decoded_sentence_reencodes_to_same_bytes(fields, edit_at, edit, lowerca
     assert encode_message(message) == sentence
 
 
+def reference_decode(raw: bytes) -> BuoyMessage:
+    """decode_message as it was written before it parsed each field once:
+    every field rendered at wire resolution, parsed back and compared with
+    its text. The reference its outcome must match."""
+    if not isinstance(raw, (bytes, bytearray)):
+        raise MalformedSentence("expected a byte sequence")
+    if not raw.startswith(b"$") or not raw.endswith(b"\r\n"):
+        raise MalformedSentence("missing sentence delimiters")
+    body = raw[1:-2]
+    star = body.rfind(b"*")
+    if star < 0 or len(body) - star != 3:
+        raise MalformedSentence("missing or misplaced checksum marker")
+    payload, given = body[:star], body[star + 1:]
+    actual = protocol.checksum(payload)
+    if given != b"%02X" % actual:
+        try:
+            given_sum = int(given.decode("ascii"), 16)
+        except (UnicodeDecodeError, ValueError):
+            raise MalformedSentence(f"unreadable checksum {given!r}") from None
+        if given_sum != actual:
+            raise ChecksumMismatch(f"checksum {given_sum:02X} != computed {actual:02X}")
+        raise MalformedSentence(f"checksum {given!r} is not written {actual:02X}")
+    try:
+        parts = payload.decode("ascii").split(",")
+    except UnicodeDecodeError:
+        raise MalformedSentence("payload is not ASCII") from None
+    if len(parts) != 6:
+        raise MalformedSentence(f"expected 6 fields, got {len(parts)}")
+    if parts[0] != protocol.TALKER:
+        raise MalformedSentence(f"unknown talker {parts[0]!r}")
+    try:
+        buoy_id = int(parts[1])
+        texts = [f"{float(p):.{decimals}f}"
+                 for p, decimals in zip(parts[2:6], (3, 7, 7, 2))]
+    except ValueError:
+        raise MalformedSentence(f"non-numeric field in {parts[1:]!r}") from None
+    gnss_time, lat, lon, height = (float(t) for t in texts)
+    try:
+        message = BuoyMessage(buoy_id, gnss_time, GeodeticCoord(lat, lon, height))
+    except ValueError as exc:
+        raise FieldRange(str(exc)) from None
+    if parts[1] != str(buoy_id) or parts[2:6] != texts:
+        raise MalformedSentence(f"non-canonical field in {parts[1:]!r}")
+    return message
+
+
+def decode_outcome(decode, sentence):
+    """The message's fields as packed bits (the sign of zero included) with
+    their types, or the exception's class and message."""
+    try:
+        m = decode(sentence)
+    except PositioningError as exc:
+        return type(exc), str(exc)
+    values = (m.gnss_time, m.position.latitude, m.position.longitude, m.position.height)
+    return (m.buoy_id, type(m.buoy_id), [struct.pack("<d", v) for v in values],
+            [type(v) for v in values])
+
+
+# single-field edits and replacements that reach field parsing: signs,
+# zeros, exponents, spaces, separators, specials, ids and the field ends
+_ORACLE_EDITS = _FIELD_EDITS + [
+    lambda t: "-" + t, lambda t: "00" + t, lambda t: t + "e0", lambda t: t + "E-0",
+    lambda t: t.replace(".", "", 1), lambda t: t + "5", lambda t: t + "49",
+    lambda t: t.rstrip("0"), lambda t: t.partition(".")[0],
+]
+_ORACLE_FIELDS = [
+    "nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400", "1e20", "-1e20",
+    "0", "5", "01", "-1", "+2", " 3", "4 ", "1_0", "-0", "0.0", "-0.0", "-0.000", "-0.0000000",
+    "-0.00", "-0.004", "-0.005", "-0.00000001", "180.0000000", "-180.0000000",
+    "+180.0000000", "180.00000001", "180.00000005", "-180.00000001", "-180.00000005",
+    "-179.99999995", "-179.99999996", "179.99999999", "90.0000000", "90.00000004",
+    "90.00000005", "-90.00000005", "86399.999", "86399.9995", "86399.9994", "86400.000",
+    "-0.0005", "-99999.99", "999999.99", "-99999.994", "-99999.995", "999999.994",
+    "999999.995", "-100000.00", "1000000.00", "1e5", "12.3456789", "1.23456785e1",
+]
+
+
+def assert_decodes_as_reference(fields):
+    payload = ",".join(["UWPS", *fields]).encode("ascii")
+    sentence = frame_sentence(payload)
+    assert decode_outcome(decode_message, sentence) == decode_outcome(reference_decode, sentence)
+
+
+def test_decode_matches_the_reference_decoder_on_each_field_edit():
+    """Every listed value in every field, each in a canonical sentence with
+    its checksum recomputed: the same message bit for bit, or the same
+    error. A longitude that rounds to -180 is out of range as it rounds."""
+    base = ["2", "43200.000", "36.7201000", "-4.4203000", "0.08"]
+    for at in range(5):
+        for value in _ORACLE_FIELDS:
+            assert_decodes_as_reference(base[:at] + [value] + base[at + 1:])
+    with pytest.raises(FieldRange, match=r"^longitude -180\.0 outside \(-180, 180\]$"):
+        decode_message(frame_sentence(b"UWPS,2,43200.000,36.7201000,-180.00000001,0.08"))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(fields=_CANONICAL_FIELDS, edit_at=st.integers(-1, 4), edit=st.one_of(
+    st.sampled_from(_ORACLE_EDITS),
+    st.sampled_from(_ORACLE_FIELDS).map(lambda value: lambda text: value)))
+def test_decode_matches_the_reference_decoder(fields, edit_at, edit):
+    """A drawn canonical sentence, or one with a single field edited and
+    the checksum recomputed, decodes as the reference decoder does."""
+    fields = list(fields)
+    if edit_at >= 0:
+        fields[edit_at] = edit(fields[edit_at])
+    assert_decodes_as_reference(fields)
+
+
 def test_message_quantizes_to_wire_resolution():
     m = BuoyMessage(2, 12.3456789, GeodeticCoord(36.123456789, -4.42, 1.23456))
     assert m.gnss_time == 12.346
