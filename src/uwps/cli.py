@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -299,16 +300,13 @@ def _decode_observation_events(obs_file: ObservationFile, path: Path):
 
 def resolve_input(name: str) -> Path:
     """An existing path as-is, else a bundled data file of that name."""
-    path = Path(name)
-    if path.exists():
-        return path
-    candidates = [name, f"{name}.scn", f"{name}.obs"]
-    for candidate in candidates:
-        bundle = resources.files("uwps.data").joinpath(candidate)
-        if bundle.is_file():
-            with resources.as_file(bundle) as concrete:
-                return Path(concrete)
-    return path
+    if not os.path.exists(name):
+        for candidate in (name, f"{name}.scn", f"{name}.obs"):
+            bundle = resources.files("uwps.data").joinpath(candidate)
+            if bundle.is_file():
+                with resources.as_file(bundle) as concrete:
+                    return Path(concrete)
+    return Path(name)
 
 
 # -- commands ------------------------------------------------------------
@@ -348,7 +346,7 @@ def cmd_simulate(args) -> int:
             diffs = pseudorange_diffs(obs)
         except PositioningError as exc:
             # timing noise can push a difference past its baseline
-            fix = FrameFix(pair=None, analytic=None, numerical=None,
+            fix = FrameFix(pair=None, branch=None, numerical=None,
                            status=type(exc).__name__)
         else:
             fix = solve_frame(diffs, parsed.solver)
@@ -373,12 +371,7 @@ def cmd_simulate(args) -> int:
             cells += [_fmt(v) for v in (p if p is not None else (None,) * 3)]
         cells += [_fmt(v) for v in errs + res]
         cells.append(_fmt(fix.pair.discriminant) if fix.pair is not None else "")
-        chosen = ""
-        if fix.analytic is not None:
-            for _, _, pos, idx in fix.pair.branches():
-                if pos == fix.analytic:
-                    chosen = str(idx)
-        cells.append(chosen)
+        cells.append(str(fix.branch.denominator_index) if fix.branch is not None else "")
         cells.append(fix.status)
         rows.append(",".join(cells))
 
@@ -472,18 +465,20 @@ def cmd_solve(args) -> int:
     except PositioningError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    for label, (evec, s, (x, y, z), idx) in zip(("1", "2"), pair.branches()):
-        res = _norm(residuals((x, y, z), diffs))
+    vectors = []   # each candidate's residuals, in branch order
+    for label, (_, s, (x, y, z), idx) in zip("12", pair.branches):
+        vectors.append(residuals((x, y, z), diffs))
         print(f"candidate {label}: ({x:.9g}, {y:.9g}, {z:.9g}) m, "
-              f"range {s:.9g} m, residual {res:.9g} m, range-eq baseline {idx}")
+              f"range {s:.9g} m, residual {_norm(vectors[-1]):.9g} m, range-eq baseline {idx}")
     print(f"discriminant = {pair.discriminant:.9g}")
     try:
         pick = select_underwater(pair, diffs)
     except PositioningError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    res = residuals(pick, diffs)
-    print(f"underwater solution: ({pick[0]:.9g}, {pick[1]:.9g}, {pick[2]:.9g}) m")
+    x, y, z = pick.position
+    res = vectors[pair.branches.index(pick)]
+    print(f"underwater solution: ({x:.9g}, {y:.9g}, {z:.9g}) m")
     print(f"residuals: ({res[0]:.9g}, {res[1]:.9g}, {res[2]:.9g}) m")
     return EXIT_OK
 

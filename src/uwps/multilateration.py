@@ -5,7 +5,7 @@ the same receiver cancels the offset, leaving three range differences d_0i
 relative to the reference buoy 0, held in a DiffSet with that buoy's
 position. Those are solved two ways:
 
-* a closed-form solution (two candidate positions on the same axis, the
+* a closed-form solution (two candidate Branches on the same axis, the
   underwater one being the physical fix), exact on consistent data;
 * Gauss-Newton on the residual system, which polishes a fix from a start near it.
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     DegenerateBaseline,
@@ -179,30 +180,25 @@ class DiffSet:
             x0 + ex2 * b2, y0 + ey2 * b2, z0 + ez2 * b2))
 
 
+class Branch(NamedTuple):
+    """One closed-form candidate: the unit direction from the reference buoy,
+    the range along it (negative, an unphysical range, before filtering),
+    the (east, north, up) position reference + direction * range, and which
+    baseline's range equation produced the range (0-based into DiffSet.b)."""
+
+    direction: tuple[float, float, float]
+    range: float
+    position: tuple[float, float, float]
+    denominator_index: int
+
+
 @dataclass(frozen=True, eq=False)
 class CandidatePair:
-    """Both closed-form candidates; selection happens downstream.
+    """Both closed-form candidates; selection happens downstream. The
+    discriminant is the closed form's, kept for diagnostics."""
 
-    e values are unit direction tuples, r values (east, north, up) float
-    tuples, and s values may be negative (unphysical range) before
-    filtering. The denominator indices record which baseline's range
-    equation produced each s (0-based into DiffSet.b). The discriminant is
-    the closed form's, kept for diagnostics.
-    """
-
-    e_1: tuple[float, float, float]
-    e_2: tuple[float, float, float]
-    s_1: float
-    s_2: float
-    r_1: tuple[float, float, float]
-    r_2: tuple[float, float, float]
-    denominator_index_1: int
-    denominator_index_2: int
+    branches: tuple[Branch, Branch]
     discriminant: float
-
-    def branches(self):
-        yield self.e_1, self.s_1, self.r_1, self.denominator_index_1
-        yield self.e_2, self.s_2, self.r_2, self.denominator_index_2
 
 
 @dataclass(frozen=True)
@@ -362,13 +358,9 @@ def kleusberg_solve(diffs: DiffSet, cfg: SolverConfig = SolverConfig()) -> Candi
                     raise InconsistentRanges(
                         f"range from baseline {i} differs by {gap:.3e} m "
                         f"(tolerance {tol:.3e} m)")
-        results.append(((v0, v1, v2), s_best,
-                        (x0 + v0 * s_best, y0 + v1 * s_best, z0 + v2 * s_best), best))
-
-    (e1, s1, p1, i1), (e2, s2, p2, i2) = results
-    return CandidatePair(e_1=e1, e_2=e2, s_1=s1, s_2=s2, r_1=p1, r_2=p2,
-                         denominator_index_1=i1, denominator_index_2=i2,
-                         discriminant=disc)
+        results.append(Branch((v0, v1, v2), s_best,
+                              (x0 + v0 * s_best, y0 + v1 * s_best, z0 + v2 * s_best), best))
+    return CandidatePair(branches=tuple(results), discriminant=disc)
 
 
 def _norm(v) -> float:
@@ -412,24 +404,22 @@ def residuals(position: tuple[float, float, float], diffs: DiffSet
     return _residual_kernel(x, y, z, diffs.anchors, diffs.d)[2]
 
 
-def select_underwater(pair: CandidatePair, diffs: DiffSet) -> tuple[float, float, float]:
-    """Pick the physical fix: nonnegative range and below SURFACE_UP.
+def select_underwater(pair: CandidatePair, diffs: DiffSet) -> Branch:
+    """Pick the physical candidate: nonnegative range and below SURFACE_UP.
 
     When both candidates qualify, the one that better reproduces the
     measured differences wins (phantom branches of the squared system
     carry large residuals); exact residual ties go to the deeper one.
     """
-    qualified = []
-    for evec, s, pos, _ in pair.branches():
-        if s >= 0.0 and pos[2] < SURFACE_UP:
-            qualified.append(pos)
+    qualified = [branch for branch in pair.branches
+                 if branch.range >= 0.0 and branch.position[2] < SURFACE_UP]
     if not qualified:
         raise NoUnderwaterSolution(
             "no candidate with nonnegative range below the surface plane")
     if len(qualified) == 1:
         return qualified[0]
-    qualified.sort(key=lambda p: (_norm(residuals(p, diffs)), p[2]))
-    return qualified[0]
+    return min(qualified, key=lambda branch: (_norm(residuals(branch.position, diffs)),
+                                              branch.position[2]))
 
 
 def _solve3(rows):
@@ -631,59 +621,50 @@ def numerical_solve(
 
 @dataclass(frozen=True, eq=False)
 class FrameFix:
-    """One frame's closed-form fix and its Gauss-Newton polish.
+    """One frame's closed-form pick and its Gauss-Newton polish.
 
-    pair is None when the closed form failed, analytic also when the
-    underwater selection failed, numerical when Gauss-Newton failed or had
-    no start; the fixes are (east, north, up) float tuples. status is "ok"
-    or the name of the first error raised.
-    analytic_residuals are residuals(analytic), None without an analytic fix.
+    pair is None when the closed form failed, branch (the underwater pick)
+    also when the underwater selection failed, numerical when Gauss-Newton
+    failed or had no start; numerical and analytic, the pick's position,
+    are (east, north, up) float tuples. status is "ok" or the name of the
+    first error raised. analytic_residuals are residuals(analytic), None
+    without a pick.
     """
 
     pair: CandidatePair | None
-    analytic: tuple[float, float, float] | None
+    branch: Branch | None
     numerical: tuple[float, float, float] | None
     status: str
     analytic_residuals: tuple[float, float, float] | None = None
 
+    @property
+    def analytic(self) -> tuple[float, float, float] | None:
+        return None if self.branch is None else self.branch.position
 
-def solve_frame(
-    diffs: DiffSet,
-    cfg: SolverConfig,
-    guess: tuple[float, float, float] | None = None,
-) -> FrameFix:
+
+def solve_frame(diffs: DiffSet, cfg: SolverConfig) -> FrameFix:
     """The closed form, its underwater pick, then Gauss-Newton to polish it.
 
-    Gauss-Newton starts from guess when given, else from the analytic fix;
-    without either the frame has no fix. Started from an analytic fix that
-    already meets its first exit test (half the squared residual norm
-    below 1e-24 m^2), it would return that start unchanged, so it is not
-    run: numerical is then the analytic fix itself, bit for bit.
+    Gauss-Newton starts from the analytic fix; without one the frame has no
+    fix. Started from an analytic fix that already meets its first exit
+    test (half the squared residual norm below 1e-24 m^2), it would return
+    that start unchanged, so it is not run: numerical is then the analytic
+    fix itself, bit for bit.
 
     The closed form, the residuals and Gauss-Newton are plain float
     arithmetic, and the skip test computes the very cost of Gauss-Newton's
     first exit test from the same residual kernel, so the two cannot
     disagree.
     """
-    pair = analytic = numerical = res = None
+    pair = branch = numerical = res = None
     status = "ok"
     try:
         pair = kleusberg_solve(diffs, cfg)
-        analytic = select_underwater(pair, diffs)
-        res = residuals(analytic, diffs)
+        branch = select_underwater(pair, diffs)
+        res = residuals(branch.position, diffs)
+        numerical = (branch.position if _cost(res) < _COST_FLOOR else
+                     numerical_solve(diffs, initial=branch.position, cfg=cfg))
     except PositioningError as exc:
         status = type(exc).__name__
-
-    if guess is None:
-        if analytic is None or _cost(res) < _COST_FLOOR:
-            return FrameFix(pair=pair, analytic=analytic, numerical=analytic,
-                            status=status, analytic_residuals=res)
-        guess = analytic
-
-    try:
-        numerical = numerical_solve(diffs, initial=guess, cfg=cfg)
-    except PositioningError as exc:
-        if status == "ok":
-            status = type(exc).__name__
-    return FrameFix(pair=pair, analytic=analytic, numerical=numerical, status=status,
+    return FrameFix(pair=pair, branch=branch, numerical=numerical, status=status,
                     analytic_residuals=res)

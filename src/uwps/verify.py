@@ -110,7 +110,7 @@ def sample_scenario(rng: np.random.Generator):
         except PositioningError:
             continue
         exact_under = [
-            p for _, s, p, _ in pair.branches()
+            p for _, s, p, _ in pair.branches
             if s >= 0.0 and p[2] < multilateration.SURFACE_UP
             and np.linalg.norm(multilateration.residuals(p, diffs)) < 1e-6
         ]
@@ -158,7 +158,7 @@ def _solve_records(scenario):
                                             frame=frame)
         diffs = multilateration.pseudorange_diffs(obs)
         pair = multilateration.kleusberg_solve(diffs, SolverConfig())
-        yield record, diffs, multilateration.select_underwater(pair, diffs)
+        yield record, diffs, multilateration.select_underwater(pair, diffs).position
 
 
 # -- geo properties ----------------------------------------------------
@@ -235,8 +235,8 @@ def check_unit_norm(seed: int, solve: Callable = multilateration.kleusberg_solve
     for _ in range(200):
         buoys, truth, diffs = sample_scenario(rng)
         pair = solve(diffs, SolverConfig())
-        worst = max(worst, abs(float(np.linalg.norm(pair.e_1)) - 1.0),
-                    abs(float(np.linalg.norm(pair.e_2)) - 1.0))
+        for branch in pair.branches:
+            worst = max(worst, abs(float(np.linalg.norm(branch.direction)) - 1.0))
     return worst < 1e-9, f"worst | |e|-1 | = {worst:.3e} (< 1e-9)"
 
 
@@ -246,7 +246,7 @@ def check_reconstruction_exactness(seed: int, cases: int = 1000) -> tuple[bool, 
     for _ in range(cases):
         buoys, truth, diffs = sample_scenario(rng)
         pair = multilateration.kleusberg_solve(diffs, SolverConfig())
-        pick = multilateration.select_underwater(pair, diffs)
+        pick = multilateration.select_underwater(pair, diffs).position
         worst = max(worst, float(np.linalg.norm(np.array(pick) - truth)))
     return worst < 1e-6, f"worst error {worst:.3e} m over {cases} cases (< 1e-6 m)"
 
@@ -263,7 +263,7 @@ def check_mirror_symmetry(seed: int) -> tuple[bool, str]:
         if min(map(abs, diffs.d)) < 0.5:
             continue
         pair = multilateration.kleusberg_solve(diffs, SolverConfig())
-        p1, p2 = np.array(pair.r_1), np.array(pair.r_2)
+        p1, p2 = (np.array(branch.position) for branch in pair.branches)
         worst = max(worst, float(np.max(np.abs(p1[:2] - p2[:2]))), abs(p1[2] + p2[2]))
     return worst < 1e-6, f"worst mirror defect {worst:.3e} m (< 1e-6 m)"
 
@@ -274,7 +274,7 @@ def check_residual_consistency(seed: int) -> tuple[bool, str]:
     for _ in range(200):
         buoys, truth, diffs = sample_scenario(rng)
         pair = multilateration.kleusberg_solve(diffs, SolverConfig())
-        for _, s, p, _ in pair.branches():
+        for _, s, p, _ in pair.branches:
             if s >= 0.0:  # negative-range branches are unphysical by design
                 worst = max(worst, float(np.linalg.norm(
                     multilateration.residuals(p, diffs))))
@@ -294,7 +294,7 @@ def check_numerical_agreement(seed: int, cases: int = 200) -> tuple[bool, str]:
     for _ in range(cases):
         buoys, truth, diffs = sample_scenario(rng)
         pair = multilateration.kleusberg_solve(diffs, SolverConfig())
-        pick = multilateration.select_underwater(pair, diffs)
+        pick = multilateration.select_underwater(pair, diffs).position
         azimuth = rng.uniform(0.0, 2.0 * np.pi)
         tilt = math.radians(30.0) * math.sqrt(rng.uniform())
         guess = truth + 200.0 * np.array([
@@ -317,10 +317,9 @@ def check_rigid_motion_equivariance(seed: int) -> tuple[bool, str]:
         shift = rng.uniform(-5000.0, 5000.0, 3)
         moved = multilateration.kleusberg_solve(
             oracle_diffs(buoys @ q.T + shift, q @ truth + shift), SolverConfig())
-        worst = max(
-            worst,
-            float(np.linalg.norm(np.array(moved.r_1) - (q @ np.array(base.r_1) + shift))),
-            float(np.linalg.norm(np.array(moved.r_2) - (q @ np.array(base.r_2) + shift))))
+        for got, want in zip(moved.branches, base.branches):
+            worst = max(worst, float(np.linalg.norm(
+                np.array(got.position) - (q @ np.array(want.position) + shift))))
     return worst < 1e-6, f"worst equivariance defect {worst:.3e} m (< 1e-6 m)"
 
 
@@ -331,7 +330,7 @@ def check_range_consistency(seed: int) -> tuple[bool, str]:
         buoys, truth, diffs = sample_scenario(rng)
         pair = multilateration.kleusberg_solve(diffs, SolverConfig())
         d, e, b = np.array(diffs.d), np.array(diffs.e), np.array(diffs.b)
-        for evec, _, _, _ in pair.branches():
+        for evec, _, _, _ in pair.branches:
             dens = d + b * (e @ np.array(evec))
             usable = np.abs(dens) > 1e-9 * float(np.max(b))
             s_all = 0.5 * (b ** 2 - d ** 2) / dens
@@ -499,6 +498,12 @@ def check_motion_bound(seed: int, trajectories: int = 100) -> tuple[bool, str]:
     that unmodelled motion in the solved position. Kept as stated so the
     exceedance is measured, not hidden: a frame without a fix counts as
     not meeting the bound.
+
+    A trajectory's first frame is solved by solve_frame. A later frame is
+    chained: Gauss-Newton starts from the previous frame's fix, while that
+    fix lies within five longest baselines of the working frame's origin,
+    and the frame's closed form is not run; a Gauss-Newton error leaves the
+    frame without a fix.
     """
     rng = np.random.default_rng(seed)
     ratios = []
@@ -521,7 +526,13 @@ def check_motion_bound(seed: int, trajectories: int = 100) -> tuple[bool, str]:
                 obs = channel.assemble_observations(record.events, scenario.sound_speed,
                                                     frame=frame)
                 diffs = multilateration.pseudorange_diffs(obs)
-                fix = multilateration.solve_frame(diffs, cfg, previous).numerical
+                if previous is None:
+                    fix = multilateration.solve_frame(diffs, cfg).numerical
+                else:
+                    try:
+                        fix = multilateration.numerical_solve(diffs, initial=previous, cfg=cfg)
+                    except PositioningError:
+                        fix = None
                 total += 1
                 if fix is None:
                     unsolved += 1

@@ -27,7 +27,7 @@ CFG = SolverConfig()
 def underwater_fix(record, scenario, frame=None):
     obs = assemble_observations(record.events, scenario.sound_speed, frame=frame)
     diffs = pseudorange_diffs(obs)
-    return select_underwater(kleusberg_solve(diffs, CFG), diffs)
+    return select_underwater(kleusberg_solve(diffs, CFG), diffs).position
 
 
 def test_one_second_at_1500m_slant_range():

@@ -672,6 +672,51 @@ def test_solve_never_encodes_a_message(monkeypatch, capsys):
     assert "underwater solution: (" in out
 
 
+@pytest.mark.parametrize("exported", [False, True], ids=["bundled", "unpolished-pick"])
+def test_solve_never_runs_gauss_newton(exported, monkeypatch, tmp_path, capsys):
+    """uwps solve reports the closed form's pick without calling
+    numerical_solve, as the benchmark's traced receiver run requires: also
+    on an exported frame whose pick solve_frame polishes (half its squared
+    residual norm is at least 1e-24 m^2)."""
+    from uwps import multilateration
+    from uwps.channel import assemble_observations
+    from uwps.multilateration import SolverConfig, pseudorange_diffs, solve_frame
+
+    calls = []
+    numerical_solve = multilateration.numerical_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return numerical_solve(*args, **kwargs)
+
+    monkeypatch.setattr(multilateration, "numerical_solve", counted)
+    path = resolve_input("squaretest_frame0")
+    if exported:
+        scn = tmp_path / "polished.scn"
+        scn.write_text(scenario_text(receiver_position="900.0 50.0 -60.0", frames="1"))
+        code, _, _ = run_cli("simulate", str(scn), "--export-obs", str(tmp_path / "obs"),
+                             capsys=capsys)
+        assert code == EXIT_OK
+        path = tmp_path / "obs" / "frame_0000.obs"
+    heard = cli.parse_observation_file(path)
+    events = cli._decode_observation_events(heard, path)
+    diffs = pseudorange_diffs(assemble_observations(events, heard.sound_speed))
+    calls.clear()
+    fix = solve_frame(diffs, SolverConfig())
+    assert len(calls) == int(exported)
+    assert (multilateration._cost(fix.analytic_residuals) >= 1e-24) == exported
+
+    calls.clear()
+    code, out, err = run_cli("solve", str(path), capsys=capsys)
+    assert (code, err, calls) == (EXIT_OK, "", [])
+    x, y, z = fix.analytic
+    r1, r2, r3 = fix.analytic_residuals
+    assert out.endswith(f"underwater solution: ({x:.9g}, {y:.9g}, {z:.9g}) m\n"
+                        f"residuals: ({r1:.9g}, {r2:.9g}, {r3:.9g}) m\n")
+    # the two frames pick different branches: the second, then the first
+    assert fix.branch is fix.pair.branches[0 if exported else 1]
+
+
 def test_solve_reports_solver_taxonomy_name(tmp_path, capsys):
     """Solver failures surface their exact taxonomy name (greppable).
 
@@ -735,7 +780,7 @@ def test_verify_unit_norm_catches_injected_sign_bug():
     import numpy as np
 
     from uwps import verify
-    from uwps.multilateration import CandidatePair
+    from uwps.multilateration import Branch, CandidatePair
 
     def buggy_solve(diffs, cfg):
         d, e, b = np.array(diffs.d), np.array(diffs.e), np.array(diffs.b)
@@ -755,12 +800,8 @@ def test_verify_unit_norm_catches_injected_sign_bug():
             dens = d + b * (e @ evec)
             i = int(np.argmax(np.abs(dens)))
             s = float(0.5 * (b[i] ** 2 - d[i] ** 2) / dens[i])
-            out.append((evec, s, r0 + evec * s, i))
-        return CandidatePair(
-            e_1=tuple(out[0][0]), e_2=tuple(out[1][0]), s_1=out[0][1], s_2=out[1][1],
-            r_1=tuple(out[0][2].tolist()), r_2=tuple(out[1][2].tolist()),
-            denominator_index_1=out[0][3], denominator_index_2=out[1][3],
-            discriminant=disc)
+            out.append(Branch(tuple(evec.tolist()), s, tuple((r0 + evec * s).tolist()), i))
+        return CandidatePair(branches=tuple(out), discriminant=disc)
 
     ok, detail = verify.check_unit_norm(verify.DEFAULT_SEED, solve=buggy_solve)
     assert not ok, detail

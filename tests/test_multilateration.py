@@ -24,6 +24,7 @@ from uwps.errors import (
 )
 from uwps.geo import GeodeticCoord
 from uwps.multilateration import (
+    Branch,
     CandidatePair,
     DiffSet,
     Observation,
@@ -193,7 +194,7 @@ def test_square_reference_case_recovers_truth_exactly():
     buoys = unit_square(1000.0)
     truth = np.array([300.0, 400.0, -150.0])
     pair = kleusberg_solve(oracle_diffs(buoys, truth), CFG)
-    positions = sorted((pair.r_1, pair.r_2), key=lambda p: p[2])
+    positions = sorted((branch.position for branch in pair.branches), key=lambda p: p[2])
     assert positions[0] == pytest.approx([300.0, 400.0, -150.0], abs=1e-6)
     assert positions[1] == pytest.approx([300.0, 400.0, 150.0], abs=1e-6)
     assert pair.discriminant >= 0.0
@@ -231,7 +232,7 @@ def test_closed_form_matches_numpy_reference():
         pair = kleusberg_solve(diffs, CFG)
         assert abs(pair.discriminant - disc) <= 1e-12 * gg
         for (evec, s, pos, index), (e_ref, s_ref, pos_ref, index_ref) in zip(
-                pair.branches(), branches):
+                pair.branches, branches):
             assert np.max(np.abs(np.array(evec) - e_ref)) <= 1e-12
             assert abs(s - s_ref) <= 1e-9
             assert np.max(np.abs(np.array(pos) - pos_ref)) <= 1e-9
@@ -293,11 +294,8 @@ def list_form_closed_form(diffs, cfg):
                         f"{abs(s_all[i] - s_best):.3e} m (tolerance "
                         f"{cfg.consistency_tolerance:.3e} m)")
         pos = (x0 + evec[0] * s_best, y0 + evec[1] * s_best, z0 + evec[2] * s_best)
-        results.append((evec, s_best, pos, best))
-    (e1, s1, p1, i1), (e2, s2, p2, i2) = results
-    return CandidatePair(e_1=e1, e_2=e2, s_1=s1, s_2=s2, r_1=p1, r_2=p2,
-                         denominator_index_1=i1, denominator_index_2=i2,
-                         discriminant=disc)
+        results.append(Branch(evec, s_best, pos, best))
+    return CandidatePair(branches=tuple(results), discriminant=disc)
 
 
 def closed_form_outcome(solve, diffs, cfg):
@@ -307,9 +305,10 @@ def closed_form_outcome(solve, diffs, cfg):
         pair = solve(diffs, cfg)
     except PositioningError as exc:
         return type(exc), str(exc)
-    return CandidatePair, struct.pack(
-        "15d2i", *pair.e_1, *pair.e_2, pair.s_1, pair.s_2, *pair.r_1, *pair.r_2,
-        pair.discriminant, pair.denominator_index_1, pair.denominator_index_2)
+    return CandidatePair, b"".join(
+        struct.pack("7di", *branch.direction, branch.range, *branch.position,
+                    branch.denominator_index) for branch in pair.branches
+    ) + struct.pack("d", pair.discriminant)
 
 
 def test_closed_form_matches_list_form_bit_for_bit():
@@ -401,7 +400,7 @@ def test_candidate_positions_constructed_from_e_and_s():
     diffs = oracle_diffs(buoys, truth)
     pair = kleusberg_solve(diffs, CFG)
     r0 = diffs.reference
-    for evec, s, pos, _ in pair.branches():
+    for evec, s, pos, _ in pair.branches:
         assert pos == tuple(r + ei * s for r, ei in zip(r0, evec))
 
 
@@ -466,11 +465,9 @@ def test_inconsistent_ranges_guard():
 # -- select_underwater -------------------------------------------------
 
 def fake_pair(up1, up2, s1=500.0, s2=500.0):
-    return CandidatePair(
-        e_1=(0.0, 0.0, 1.0), e_2=(0.0, 0.0, -1.0),
-        s_1=s1, s_2=s2,
-        r_1=enu(0.0, 0.0, up1), r_2=enu(0.0, 0.0, up2),
-        denominator_index_1=0, denominator_index_2=0, discriminant=1.0)
+    return CandidatePair(branches=(Branch((0.0, 0.0, 1.0), s1, enu(0.0, 0.0, up1), 0),
+                                   Branch((0.0, 0.0, -1.0), s2, enu(0.0, 0.0, up2), 0)),
+                         discriminant=1.0)
 
 
 # any differences do: a single qualifying candidate needs no residual check
@@ -478,8 +475,8 @@ SQUARE_DIFFS = oracle_diffs(unit_square(1000.0), np.array([300.0, 400.0, -150.0]
 
 
 def test_select_prefers_candidate_below_surface():
-    pick = select_underwater(fake_pair(-100.0, 100.0), SQUARE_DIFFS)
-    assert pick[2] == -100.0
+    pair = fake_pair(-100.0, 100.0)
+    assert select_underwater(pair, SQUARE_DIFFS) is pair.branches[0]
 
 
 def test_select_rejects_candidates_above_surface():
@@ -498,7 +495,7 @@ def test_select_resolves_mirror_pair_to_oracle_truth():
     diffs = oracle_diffs(buoys, truth)
     pair = kleusberg_solve(diffs, CFG)
     pick = select_underwater(pair, diffs)
-    assert pick == pytest.approx(truth, abs=1e-6)
+    assert pick.position == pytest.approx(truth, abs=1e-6)
 
 
 def test_select_residual_tiebreak_when_both_below_plane():
@@ -514,12 +511,12 @@ def test_select_residual_tiebreak_when_both_below_plane():
     loose = SolverConfig(consistency_tolerance=1.0)
     nudged = replace(clean, d=np.add(clean.d, [0.05, -0.03, 0.02]))
     pair = kleusberg_solve(nudged, loose)
-    assert all(s >= 0 and p[2] < SURFACE_UP for _, s, p, _ in pair.branches())
-    pick = select_underwater(pair, nudged)
+    assert all(s >= 0 and p[2] < SURFACE_UP for _, s, p, _ in pair.branches)
+    pick = select_underwater(pair, nudged).position
     norms = {float(np.linalg.norm(residuals(p, nudged))): p
-             for _, _, p, _ in pair.branches()}
+             for _, _, p, _ in pair.branches}
     assert pick == norms[min(norms)]
-    assert pick[2] == min(p[2] for _, _, p, _ in pair.branches())
+    assert pick[2] == min(p[2] for _, _, p, _ in pair.branches)
 
 
 # -- residuals ---------------------------------------------------------
@@ -869,7 +866,7 @@ def test_numerical_tests_the_cost_floor_before_the_budget_runs_out():
         buoys, truth, diffs = sample_scenario(rng)
         azimuth = rng.uniform(0.0, 2.0 * np.pi)
         tilt = math.radians(30.0) * math.sqrt(rng.uniform())
-    pick = select_underwater(kleusberg_solve(diffs, CFG), diffs)
+    pick = select_underwater(kleusberg_solve(diffs, CFG), diffs).position
     guess = truth + 200.0 * np.array([math.cos(azimuth) * math.sin(tilt),
                                       math.sin(azimuth) * math.sin(tilt), -math.cos(tilt)])
     with pytest.raises(NonConvergence, match="after 24 iterations"):
@@ -883,9 +880,8 @@ def test_numerical_tests_the_cost_floor_before_the_budget_runs_out():
 def test_solve_frame_runs_gauss_newton_only_where_it_can_move(monkeypatch):
     """numerical is what Gauss-Newton started at the analytic fix returns,
     whether it ran or not. It is skipped when the analytic fix meets its
-    first exit test or when there is no analytic fix, and always runs from a
-    given guess. The skip test and Gauss-Newton's first cost are the same
-    kernel sum."""
+    first exit test or when there is no analytic fix. The skip test and
+    Gauss-Newton's first cost are the same kernel sum."""
     calls = []
     costs = []
 
@@ -929,14 +925,9 @@ def test_solve_frame_runs_gauss_newton_only_where_it_can_move(monkeypatch):
     # rounding leaves some noiseless analytic fixes above the cost floor
     assert skipped > 100 and ran > 0
 
+    # without an analytic fix, Gauss-Newton has no start near the answer:
+    # the frame has no fix and the status names the closed form's error
     exact = oracle_diffs(buoys, np.array([300.0, 400.0, -150.0]))
-    fix = solve_frame(exact, CFG)
-    calls.clear()
-    solve_frame(exact, CFG, guess=fix.analytic)
-    assert len(calls) == 1
-
-    # without an analytic fix or a guess, Gauss-Newton has no start near the
-    # answer: the frame has no fix and the status names the closed form's error
     for d, error in (((21.0, 1147.0, -641.0), NoRealSolution),
                      ((588.0, 981.0, 289.0), NoUnderwaterSolution)):
         failed = replace(exact, d=d)
@@ -945,10 +936,82 @@ def test_solve_frame_runs_gauss_newton_only_where_it_can_move(monkeypatch):
         calls.clear()
         fix = solve_frame(failed, CFG)
         assert calls == []
-        assert fix.analytic is fix.numerical is fix.analytic_residuals is None
+        assert fix.branch is fix.analytic is fix.numerical is fix.analytic_residuals is None
         assert fix.status == error.__name__
-        solve_frame(failed, CFG, guess=enu(300.0, 400.0, -150.0))
-        assert len(calls) == 1
+
+
+def test_solve_frame_names_the_picked_branch():
+    """The record carries the pick itself: here the second branch, whose
+    range equation differs from the first branch's.
+
+    In exact arithmetic the three range equations agree on either branch,
+    so both branches take the largest denominator from the same baseline,
+    unless two tie. Buoys 1 and 3 here share their baseline length and
+    difference, so their denominators tie and rounding breaks the tie one
+    way on each branch."""
+    def unit(x, y, z):
+        norm = math.sqrt(x * x + y * y + z * z)
+        return x / norm, y / norm, z / norm
+
+    diffs = DiffSet(d=(-145.0, -639.0, -145.0),
+                    e=(unit(1000.0, -97.0, 5.0), unit(1000.0, 1000.0, -6.0),
+                       unit(13.0, 1000.0, -9.0)),
+                    b=(1000.0, 1000.0, 1000.0), reference=(0.0, 0.0, 0.0))
+    fix = solve_frame(diffs, CFG)
+    first, second = fix.pair.branches
+    assert fix.status == "ok"
+    assert fix.branch is second and fix.analytic is second.position
+    assert (first.denominator_index, second.denominator_index) == (2, 0)
+    assert first.range >= 0.0 and first.position[2] >= SURFACE_UP
+
+
+def test_motion_bound_chains_gauss_newton_from_the_previous_fix(monkeypatch):
+    """check_motion_bound solves a trajectory's first frame with
+    solve_frame and starts the next frame's Gauss-Newton at that fix,
+    without a closed form; a Gauss-Newton error there leaves the frame
+    without a fix."""
+    from uwps import verify
+
+    calls = []   # ("frame", fix) per solve_frame, ("chained", start) per chained start
+    framing = []
+    solve, iterate = solve_frame, numerical_solve
+
+    def framed(diffs, cfg):
+        framing.append(True)
+        try:
+            fix = solve(diffs, cfg)
+        finally:
+            framing.pop()
+        calls.append(("frame", fix.numerical))
+        return fix
+
+    def chained(diffs, *, initial, cfg):
+        if not framing:
+            calls.append(("chained", initial))
+            if failing:
+                raise NonConvergence("refused")
+        return iterate(diffs, initial=initial, cfg=cfg)
+
+    monkeypatch.setattr(multilateration, "solve_frame", framed)
+    monkeypatch.setattr(multilateration, "numerical_solve", chained)
+    for failing in (False, True):
+        calls.clear()
+        ok, detail = verify.check_motion_bound(verify.DEFAULT_SEED, trajectories=2)
+        # three speeds, two trajectories each, two frames per trajectory
+        assert len(calls) == 12
+        first, second = calls[0::2], calls[1::2]
+        assert {kind for kind, _ in first} == {"frame"}
+        assert [kind for kind, _ in second] == [
+            "frame" if fix is None else "chained" for _, fix in first]
+        assert all(start is fix for (kind, start), (_, fix) in zip(second, first)
+                   if kind == "chained")
+        unsolved = sum(fix is None for kind, fix in calls if kind == "frame")
+        if failing:
+            unsolved += sum(kind == "chained" for kind, _ in second)
+        assert not ok and f"({unsolved} unsolved)" in detail
+    # this seed has frames of both kinds and frames the closed form leaves unsolved
+    assert {kind for kind, _ in second} == {"frame", "chained"}
+    assert any(fix is None for _, fix in first)
 
 
 def test_solver_config_validation():
