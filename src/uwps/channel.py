@@ -24,10 +24,10 @@ library, for its seeded Gaussian generator, when a noisy run calls it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import IncompleteFrame
-from .geo import GeodeticCoord, LocalFrame, enu_to_geodetic, geodetic_to_enu
+from .geo import GeodeticCoord, LocalFrame, _Checked, enu_to_geodetic, geodetic_to_enu
 from .multilateration import SURFACE_UP, Observation, ObservationSet, _norm
 from .protocol import BuoyMessage, FrameSchedule, transmit_times
 
@@ -43,16 +43,14 @@ def _quantize_tick(t: float) -> float:
     return round(t / RX_CLOCK_TICK) * RX_CLOCK_TICK
 
 
-@dataclass(frozen=True)
-class BuoyTrack:
+class BuoyTrack(NamedTuple):
     """Surface buoy: initial geodetic fix plus a constant ENU drift."""
 
     initial: GeodeticCoord
     drift: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class ReceiverTrack:
+class ReceiverTrack(NamedTuple):
     """Receiver: initial working-frame ENU position plus constant velocity."""
 
     initial: tuple[float, float, float]
@@ -62,8 +60,19 @@ class ReceiverTrack:
         return _norm(self.velocity)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class _Scenario(NamedTuple):
+    buoys: tuple[BuoyTrack, BuoyTrack, BuoyTrack, BuoyTrack]
+    receiver: ReceiverTrack
+    sound_speed: float
+    clock_offset: float
+    schedule: FrameSchedule
+    frames: int
+    range_limit: float
+    noise_sigma: float
+    seed: int
+
+
+class Scenario(_Checked, _Scenario):
     """World state for one simulation run.
 
     Receiver coordinates are in the working ENU frame anchored at buoy 1's
@@ -72,83 +81,76 @@ class Scenario:
     noise, drawn from seed; 0 means no noise.
     """
 
-    buoys: tuple[BuoyTrack, BuoyTrack, BuoyTrack, BuoyTrack]
-    receiver: ReceiverTrack
-    sound_speed: float
-    clock_offset: float
-    schedule: FrameSchedule
-    frames: int
-    range_limit: float = math.inf
-    noise_sigma: float = 0.0
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.buoys) != 4:
+    def __new__(cls, buoys, receiver, sound_speed, clock_offset, schedule, frames,
+                range_limit=math.inf, noise_sigma=0.0, seed=0):
+        if len(buoys) != 4:
             raise ValueError("exactly four buoys required")
-        if not all(map(math.isfinite, (*self.receiver.initial, *self.receiver.velocity))):
+        if not all(map(math.isfinite, (*receiver.initial, *receiver.velocity))):
             raise ValueError("receiver position and velocity must be finite")
-        if not all(math.isfinite(v) for b in self.buoys for v in b.drift):
+        if not all(math.isfinite(v) for b in buoys for v in b.drift):
             raise ValueError("buoy drifts must be finite")
-        if not (math.isfinite(self.sound_speed) and self.sound_speed > 0):
-            raise ValueError(f"sound_speed {self.sound_speed} must be finite and > 0")
-        if not math.isfinite(self.clock_offset):
-            raise ValueError(f"clock_offset {self.clock_offset} must be finite")
-        if self.frames < 1:
+        if not (math.isfinite(sound_speed) and sound_speed > 0):
+            raise ValueError(f"sound_speed {sound_speed} must be finite and > 0")
+        if not math.isfinite(clock_offset):
+            raise ValueError(f"clock_offset {clock_offset} must be finite")
+        if frames < 1:
             raise ValueError("frames must be >= 1")
-        if self.receiver.initial[2] >= SURFACE_UP:
+        if receiver.initial[2] >= SURFACE_UP:
             raise ValueError("receiver must start below the surface (up < 0)")
-        speed = self.receiver.speed()
+        speed = receiver.speed()
         if speed > SPEED_CAP:
             raise ValueError(
                 f"receiver speed {speed:.2f} m/s exceeds cap {SPEED_CAP:.2f} m/s")
-        if speed >= self.sound_speed:
+        if speed >= sound_speed:
             raise ValueError(
                 f"receiver speed {speed:.2f} m/s is not below "
-                f"the sound speed {self.sound_speed:.2f} m/s")
-        c, (vx, vy, vz) = self.sound_speed, self.receiver.velocity
+                f"the sound speed {sound_speed:.2f} m/s")
+        c, (vx, vy, vz) = sound_speed, receiver.velocity
         if not 0.0 < c * c - (vx * vx + vy * vy + vz * vz) < math.inf:
             # simulate's arrival time divides by c^2 - |v|^2
             raise ValueError(f"sound_speed {c} m/s squared is out of float range")
-        for name, values in (("receiver position", self.receiver.initial),
-                             ("buoy heights", [b.initial.height for b in self.buoys]),
-                             ("buoy drifts", [v for b in self.buoys for v in b.drift]),
+        for name, values in (("receiver position", receiver.initial),
+                             ("buoy heights", [b.initial.height for b in buoys]),
+                             ("buoy drifts", [v for b in buoys for v in b.drift]),
                              ("sound_speed", (c,))):
             if any(abs(v) > MAGNITUDE_CAP for v in values):
                 raise ValueError(f"{name} must be at most {MAGNITUDE_CAP:g} in magnitude")
-        if not self.range_limit > 0:   # NaN too; inf means unlimited
-            raise ValueError(f"range_limit {self.range_limit} must be > 0")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
-            raise ValueError(f"noise_sigma {self.noise_sigma} must be finite and >= 0")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"seed {self.seed!r} must be an int >= 0")
-        end = self.frames * self.schedule.frame_period
+        if not range_limit > 0:   # NaN too; inf means unlimited
+            raise ValueError(f"range_limit {range_limit} must be > 0")
+        if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
+            raise ValueError(f"noise_sigma {noise_sigma} must be finite and >= 0")
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"seed {seed!r} must be an int >= 0")
+        end = frames * schedule.frame_period
         if end >= 86400.0:
             raise ValueError(
                 f"run of {end:.0f} s crosses the seconds-of-day rollover")
+        return tuple.__new__(cls, (buoys, receiver, sound_speed, clock_offset, schedule, frames,
+                                   range_limit, noise_sigma, seed))
 
 
-@dataclass(frozen=True)
-class ReceptionEvent:
+class ReceptionEvent(NamedTuple):
     """One message heard by the receiver.
 
     true_position is ground truth (receiver location at the arrival
     instant, an (east, north, up) float tuple in the working ENU frame) and
     is withheld from the solvers. source is the reported position converted
     into source_frame, an (east, north, up) float tuple as the simulator
-    computed it, and takes no part in comparisons. All three are None for
-    events read from the wire. The buoy is message.buoy_id.
+    computed it; like every field, both take part in comparisons. All three
+    are None for events read from the wire. The buoy is message.buoy_id.
     """
 
     frame_index: int
     message: BuoyMessage
     receive_time: float               # receiver clock [s]
     true_position: tuple[float, float, float] | None = None
-    source: tuple[float, float, float] | None = field(default=None, compare=False)
-    source_frame: LocalFrame | None = field(default=None, compare=False)
+    source: tuple[float, float, float] | None = None
+    source_frame: LocalFrame | None = None
 
 
-@dataclass(frozen=True)
-class FrameRecord:
+class FrameRecord(NamedTuple):
     """All receptions of one frame."""
 
     frame_index: int

@@ -10,9 +10,9 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .channel import (
     BuoyTrack,
@@ -64,6 +64,7 @@ def _fmt(value: float | None) -> str:
 # not, default). A key without a default is required, and so is a section
 # with a required key. Only range_limit may be inf, and an integer must
 # be >= 0. The [channel] keys are Scenario's fields of the same names.
+_DEFAULT_TOLERANCE = SolverConfig().consistency_tolerance
 _BUOY_KEYS = {"position": (3, False, None), "drift": (3, False, (0.0, 0.0, 0.0))}
 _SCENARIO_KEYS = {
     **{f"buoy {i}": _BUOY_KEYS for i in (1, 2, 3, 4)},
@@ -74,15 +75,14 @@ _SCENARIO_KEYS = {
     "schedule": {"message_bytes": (1, True, 80), "bit_rate": (1, False, 640.0),
                  "guard": (1, False, 1.0)},
     "run": {"frames": (1, True, None)},
-    "solver": {"consistency_tolerance": (1, False, SolverConfig.consistency_tolerance)},
+    "solver": {"consistency_tolerance": (1, False, _DEFAULT_TOLERANCE)},
 }
 _REQUIRED_SECTIONS = frozenset(
     name for name, keys in _SCENARIO_KEYS.items()
     if any(default is None for _, _, default in keys.values()))
 
 
-@dataclass
-class ScenarioFile:
+class ScenarioFile(NamedTuple):
     """Parsed scenario file: the Scenario plus the solver options."""
 
     scenario: Scenario
@@ -202,16 +202,14 @@ def parse_scenario_file(path: Path) -> ScenarioFile:
     for i in (1, 2, 3, 4):
         buoy = values[f"buoy {i}"]
         try:
-            buoys.append(BuoyTrack(initial=GeodeticCoord(*buoy["position"]),
-                                   drift=buoy["drift"]))
+            buoys.append(BuoyTrack(GeodeticCoord(*buoy["position"]), buoy["drift"]))
         except ValueError as exc:
             raise FileFormatError(f"{path}: [buoy {i}]: {exc}") from None
     receiver = values["receiver"]
     try:
         scenario = Scenario(
             buoys=tuple(buoys),
-            receiver=ReceiverTrack(initial=receiver["position"],
-                                   velocity=receiver["velocity"]),
+            receiver=ReceiverTrack(receiver["position"], receiver["velocity"]),
             schedule=compute_schedule(**values["schedule"]),
             frames=values["run"]["frames"],
             **values["channel"],
@@ -224,8 +222,7 @@ def parse_scenario_file(path: Path) -> ScenarioFile:
 
 # -- observation files ---------------------------------------------------
 
-@dataclass
-class ObservationFile:
+class ObservationFile(NamedTuple):
     sound_speed: float
     frame_index: int
     receive_times: list[float]
@@ -277,9 +274,7 @@ def parse_observation_file(path: Path) -> ObservationFile:
         raise FileFormatError(f"{path}: missing sound_speed")
     if len(sentences) != 4:
         raise FileFormatError(f"{path}: expected 4 observation lines, got {len(sentences)}")
-    return ObservationFile(sound_speed=sound_speed, frame_index=frame_index,
-                           receive_times=receive_times, sentences=sentences,
-                           line_numbers=line_numbers)
+    return ObservationFile(sound_speed, frame_index, receive_times, sentences, line_numbers)
 
 
 def _decode_observation_events(obs_file: ObservationFile, path: Path):
@@ -543,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one observation file")
     p_solve.add_argument("observations", help="observation file path or bundled name")
-    p_solve.add_argument("--consistency-tolerance", type=_number, default=1e-6)
+    p_solve.add_argument("--consistency-tolerance", type=_number, default=_DEFAULT_TOLERANCE)
 
     p_sched = sub.add_parser("schedule", help="print a TDMA schedule")
     p_sched.add_argument("message_bytes", type=_integer)

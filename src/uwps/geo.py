@@ -4,14 +4,15 @@ All positioning math downstream runs in a local east-north-up frame whose
 origin is the reference buoy's first reported position; this module supplies
 the conversions that get GNSS geodetic fixes into and out of that frame.
 Every position, ECEF or ENU, is a plain tuple of three floats, checked
-where it enters the program; only GeodeticCoord checks itself. Each
-conversion is written out once in floats, so it rounds the same wherever
-it runs.
+where it enters the program; only GeodeticCoord checks itself. Like every
+record it is an immutable NamedTuple, so a tuple of three floats too, yet
+never an ENU position. Each conversion is written out once in floats, so
+it rounds the same wherever it runs.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ZeroVector
 
@@ -29,21 +30,34 @@ _B_RATIO = 1.0 - WGS84_F               # b / a
 _NEAR_POLE = math.radians(89.0)        # beyond it, the height comes from z
 
 
-@dataclass(frozen=True)
-class GeodeticCoord:
-    """Latitude/longitude in degrees, height in meters above the ellipsoid."""
+class _Checked:
+    """Base of a checked record: its _replace calls __new__ (namedtuple's skips it)."""
 
+    __slots__ = ()
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self.__getnewargs__()), **changes))
+
+
+class _GeodeticCoord(NamedTuple):
     latitude: float
     longitude: float
     height: float
 
-    def __post_init__(self):
-        if not (-90.0 <= self.latitude <= 90.0):
-            raise ValueError(f"latitude {self.latitude} outside [-90, 90]")
-        if not (-180.0 < self.longitude <= 180.0):
-            raise ValueError(f"longitude {self.longitude} outside (-180, 180]")
-        if not math.isfinite(self.height):
+
+class GeodeticCoord(_Checked, _GeodeticCoord):
+    """Latitude/longitude in degrees, height in meters above the ellipsoid."""
+
+    __slots__ = ()
+
+    def __new__(cls, latitude, longitude, height):
+        if not (-90.0 <= latitude <= 90.0):
+            raise ValueError(f"latitude {latitude} outside [-90, 90]")
+        if not (-180.0 < longitude <= 180.0):
+            raise ValueError(f"longitude {longitude} outside (-180, 180]")
+        if not math.isfinite(height):
             raise ValueError("height must be finite")
+        return tuple.__new__(cls, (latitude, longitude, height))
 
 
 class LocalFrame:

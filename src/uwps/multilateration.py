@@ -23,7 +23,6 @@ reference, and baselines e_0i * b_0i point from the reference to buoy i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import (
@@ -38,6 +37,7 @@ from .errors import (
     SingularJacobian,
     UnrealizableTDOA,
 )
+from .geo import GeodeticCoord, _Checked
 
 MIN_BASELINE = 1.0    # coincident-buoy threshold [m]
 SURFACE_UP = 0.0      # the sea surface: a receiver or fix is underwater below it [m]
@@ -60,11 +60,13 @@ _REACH = 100.0
 
 
 def _enu_point(value, what: str) -> tuple[float, float, float]:
-    """value as an (east, north, up) float tuple: three finite numbers, else
-    ValueError. A tuple of three floats is returned as it is."""
+    """value as an (east, north, up) float tuple: three finite numbers, not
+    a GeodeticCoord, else ValueError. A tuple of three floats is kept."""
     try:
         x, y, z = value
         if not (type(value) is tuple and type(x) is type(y) is type(z) is float):
+            if isinstance(value, GeodeticCoord):
+                raise TypeError
             value = x, y, z = float(x), float(y), float(z)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{what} must be three numbers (east, north, up) in the "
@@ -74,8 +76,14 @@ def _enu_point(value, what: str) -> tuple[float, float, float]:
     return value
 
 
-@dataclass(frozen=True)
-class Observation:
+class _Observation(NamedTuple):
+    buoy_id: int
+    transmit_time: float
+    receive_time: float
+    position: tuple[float, float, float]
+
+
+class Observation(_Checked, _Observation):
     """One buoy's broadcast as seen by the receiver.
 
     transmit_time is GNSS seconds; receive_time is the receiver's own
@@ -84,31 +92,30 @@ class Observation:
     tuple of floats.
     """
 
-    buoy_id: int
-    transmit_time: float
-    receive_time: float
-    position: tuple[float, float, float]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.buoy_id <= 3:
-            raise ValueError(f"buoy_id {self.buoy_id} outside 0..3")
-        if not (math.isfinite(self.transmit_time) and math.isfinite(self.receive_time)):
+    def __new__(cls, buoy_id, transmit_time, receive_time, position):
+        if not 0 <= buoy_id <= 3:
+            raise ValueError(f"buoy_id {buoy_id} outside 0..3")
+        if not (math.isfinite(transmit_time) and math.isfinite(receive_time)):
             raise ValueError("times must be finite")
-        position = _enu_point(self.position, "observation position")
-        if position is not self.position:
-            object.__setattr__(self, "position", position)
+        return tuple.__new__(cls, (buoy_id, transmit_time, receive_time,
+                                   _enu_point(position, "observation position")))
 
 
-@dataclass(frozen=True)
-class ObservationSet:
-    """Exactly four observations from one frame plus the sound speed,
-    stored as a tuple in buoy order; a tuple already in that order is kept."""
-
+class _ObservationSet(NamedTuple):
     observations: tuple[Observation, Observation, Observation, Observation]
     sound_speed: float
 
-    def __post_init__(self):
-        obs = self.observations
+
+class ObservationSet(_Checked, _ObservationSet):
+    """Exactly four observations from one frame plus the sound speed,
+    stored as a tuple in buoy order; a tuple already in that order is kept."""
+
+    __slots__ = ()
+
+    def __new__(cls, observations, sound_speed):
+        obs = observations
         if len(obs) != 4:
             raise ValueError("exactly four observations required")
         if not (type(obs) is tuple and obs[0].buoy_id == 0 and obs[1].buoy_id == 1
@@ -116,13 +123,21 @@ class ObservationSet:
             ids = sorted(o.buoy_id for o in obs)
             if ids != [0, 1, 2, 3]:
                 raise ValueError(f"buoy ids must be 0..3 exactly once, got {ids}")
-            object.__setattr__(self, "observations", tuple(sorted(obs, key=lambda o: o.buoy_id)))
-        if not (math.isfinite(self.sound_speed) and self.sound_speed > 0):
-            raise ValueError(f"sound_speed {self.sound_speed} must be finite and > 0")
+            obs = tuple(sorted(obs, key=lambda o: o.buoy_id))
+        if not (math.isfinite(sound_speed) and sound_speed > 0):
+            raise ValueError(f"sound_speed {sound_speed} must be finite and > 0")
+        return tuple.__new__(cls, (obs, sound_speed))
 
 
-@dataclass(frozen=True, eq=False)
-class DiffSet:
+class _DiffSet(NamedTuple):
+    d: tuple[float, float, float]     # pseudorange differences [m]
+    e: tuple[tuple[float, float, float], ...]   # unit baseline directions
+    b: tuple[float, float, float]     # baseline lengths [m]
+    reference: tuple[float, float, float]   # buoy 0, working ENU frame [m]
+    anchors: tuple[float, ...]        # derived, not a constructor argument
+
+
+class DiffSet(_Checked, _DiffSet):
     """Three pseudorange differences with their baselines and reference buoy.
 
     d[i], e[i], b[i] refer to buoy i + 1; e rows are unit vectors from the
@@ -138,16 +153,12 @@ class DiffSet:
     raises UnrealizableTDOA for the others.
     """
 
-    d: tuple[float, float, float]     # pseudorange differences [m]
-    e: tuple[tuple[float, float, float], ...]   # unit baseline directions
-    b: tuple[float, float, float]     # baseline lengths [m]
-    reference: tuple[float, float, float]   # buoy 0, working ENU frame [m]
-    anchors: tuple[float, ...] = field(init=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, d, e, b, reference):
         try:
-            (d0, d1, d2), (b0, b1, b2) = self.d, self.b
-            (ex0, ey0, ez0), (ex1, ey1, ez1), (ex2, ey2, ez2) = self.e
+            (d0, d1, d2), (b0, b1, b2) = d, b
+            (ex0, ey0, ez0), (ex1, ey1, ez1), (ex2, ey2, ez2) = e
         except ValueError:
             raise ValueError(
                 "DiffSet needs three d, three e rows of three and three b") from None
@@ -167,24 +178,26 @@ class DiffSet:
                 or abs(math.sqrt(ex1 * ex1 + ey1 * ey1 + ez1 * ez1) - 1.0) > 1e-12
                 or abs(math.sqrt(ex2 * ex2 + ey2 * ey2 + ez2 * ez2) - 1.0) > 1e-12):
             raise ValueError("baseline directions must be unit vectors")
-        reference = _enu_point(self.reference, "the reference")
+        reference = _enu_point(reference, "the reference")
         x0, y0, z0 = reference
-        object.__setattr__(self, "d", (d0, d1, d2))
-        object.__setattr__(self, "e", ((ex0, ey0, ez0), (ex1, ey1, ez1), (ex2, ey2, ez2)))
-        object.__setattr__(self, "b", (b0, b1, b2))
-        object.__setattr__(self, "reference", reference)
-        object.__setattr__(self, "anchors", (
-            x0, y0, z0,
-            x0 + ex0 * b0, y0 + ey0 * b0, z0 + ez0 * b0,
-            x0 + ex1 * b1, y0 + ey1 * b1, z0 + ez1 * b1,
-            x0 + ex2 * b2, y0 + ey2 * b2, z0 + ez2 * b2))
+        return tuple.__new__(cls, (
+            (d0, d1, d2), ((ex0, ey0, ez0), (ex1, ey1, ez1), (ex2, ey2, ez2)),
+            (b0, b1, b2), reference,
+            (x0, y0, z0,
+             x0 + ex0 * b0, y0 + ey0 * b0, z0 + ez0 * b0,
+             x0 + ex1 * b1, y0 + ey1 * b1, z0 + ez1 * b1,
+             x0 + ex2 * b2, y0 + ey2 * b2, z0 + ez2 * b2)))
+
+    def __getnewargs__(self):
+        return self[:4]   # the constructor's arguments: the anchors are derived
 
 
 class Branch(NamedTuple):
     """One closed-form candidate: the unit direction from the reference buoy,
     the range along it (negative, an unphysical range, before filtering),
-    the (east, north, up) position reference + direction * range, and which
-    baseline's range equation produced the range (0-based into DiffSet.b)."""
+    the (east, north, up) position reference + direction * range, and the
+    baseline whose range equation gave the range (0-based into DiffSet.b):
+    the one with the largest b_0i^2 - d_0i^2, on both branches bar an exact tie."""
 
     direction: tuple[float, float, float]
     range: float
@@ -192,8 +205,7 @@ class Branch(NamedTuple):
     denominator_index: int
 
 
-@dataclass(frozen=True, eq=False)
-class CandidatePair:
+class CandidatePair(NamedTuple):
     """Both closed-form candidates; selection happens downstream. The
     discriminant is the closed form's, kept for diagnostics."""
 
@@ -201,24 +213,28 @@ class CandidatePair:
     discriminant: float
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class _SolverConfig(NamedTuple):
+    max_iterations: int              # Gauss-Newton iteration budget
+    consistency_tolerance: float     # cross-baseline range agreement [m]
+
+
+class SolverConfig(_Checked, _SolverConfig):
     """The settings of the analytic and iterative solvers.
 
     consistency_tolerance is meaningful for noiseless stationary data at
     its default; widen it for noisy or moving-receiver inputs.
     """
 
-    max_iterations: int = 50              # Gauss-Newton iteration budget
-    consistency_tolerance: float = 1e-6   # cross-baseline range agreement [m]
+    __slots__ = ()
 
-    def __post_init__(self):
-        value = self.consistency_tolerance
+    def __new__(cls, max_iterations=50, consistency_tolerance=1e-6):
+        value = consistency_tolerance
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"consistency_tolerance {value} must be finite and > 0")
-        n = self.max_iterations
+        n = max_iterations
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"max_iterations {n!r} must be an integer >= 1")
+        return tuple.__new__(cls, (n, value))
 
 
 def pseudorange_diffs(obs: ObservationSet) -> DiffSet:
@@ -619,8 +635,7 @@ def numerical_solve(
         f"{cfg.max_iterations} iterations")
 
 
-@dataclass(frozen=True, eq=False)
-class FrameFix:
+class FrameFix(NamedTuple):
     """One frame's closed-form pick and its Gauss-Newton polish.
 
     pair is None when the closed form failed, branch (the underwater pick)
@@ -666,5 +681,4 @@ def solve_frame(diffs: DiffSet, cfg: SolverConfig) -> FrameFix:
                      numerical_solve(diffs, initial=branch.position, cfg=cfg))
     except PositioningError as exc:
         status = type(exc).__name__
-    return FrameFix(pair=pair, branch=branch, numerical=numerical, status=status,
-                    analytic_residuals=res)
+    return FrameFix(pair, branch, numerical, status, res)

@@ -17,10 +17,10 @@ transmit_times rounds the schedule's instants to the wire's 1 ms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, ChecksumMismatch, FieldRange, MalformedSentence
-from .geo import GeodeticCoord
+from .geo import GeodeticCoord, _Checked
 
 TALKER = "UWPS"
 MAX_MESSAGE_BYTES = 80
@@ -40,8 +40,13 @@ def _q(value: float, decimals: int) -> float:
     return round(float(value), decimals)
 
 
-@dataclass(frozen=True)
-class BuoyMessage:
+class _BuoyMessage(NamedTuple):
+    buoy_id: int
+    gnss_time: float
+    position: GeodeticCoord
+
+
+class BuoyMessage(_Checked, _BuoyMessage):
     """One buoy broadcast: who, when (GNSS seconds-of-day), and where.
 
     Fields are rounded to wire resolution (1 ms / 1e-7 deg / 1 cm), each
@@ -54,29 +59,27 @@ class BuoyMessage:
     which is a valid GeodeticCoord because the given one was.
     """
 
-    buoy_id: int
-    gnss_time: float
-    position: GeodeticCoord
+    __slots__ = ()
 
-    def __post_init__(self):
-        gnss_time = _q(self.gnss_time, 3)
-        p = self.position
+    def __new__(cls, buoy_id, gnss_time, position):
+        gnss_time = _q(gnss_time, 3)
+        p = position
         latitude, longitude, height = _q(p.latitude, 7), _q(p.longitude, 7), _q(p.height, 2)
-        if type(self.buoy_id) is not int or not 1 <= self.buoy_id <= 4:
-            raise ValueError(f"buoy_id {self.buoy_id} outside 1..4")
+        if type(buoy_id) is not int or not 1 <= buoy_id <= 4:
+            raise ValueError(f"buoy_id {buoy_id} outside 1..4")
         if not (0.0 <= gnss_time < 86400.0):
             raise ValueError(f"gnss_time {gnss_time} outside [0, 86400)")
         if not (_HEIGHT_RANGE[0] <= height <= _HEIGHT_RANGE[1]):
             raise ValueError(
                 f"height {height} outside [{_HEIGHT_RANGE[0]}, {_HEIGHT_RANGE[1]}]")
-        object.__setattr__(self, "gnss_time", gnss_time)
         # rounding keeps a float's value only where it is on the grid; the
         # given longitude is never -180, so one that rounds there is replaced
         if not (latitude == p.latitude and longitude == p.longitude and height == p.height
                 and type(p.latitude) is type(p.longitude) is type(p.height) is float):
             if longitude == -180.0:
                 longitude = 180.0
-            object.__setattr__(self, "position", GeodeticCoord(latitude, longitude, height))
+            position = GeodeticCoord(latitude, longitude, height)
+        return tuple.__new__(cls, (buoy_id, gnss_time, position))
 
 
 def checksum(payload: bytes) -> int:
@@ -95,8 +98,7 @@ def _payload(buoy_id: int, gnss_time: float, lat: float, lon: float, height: flo
 def encode_message(m: BuoyMessage) -> bytes:
     """Render a BuoyMessage as one checksummed ASCII sentence, each field
     spelled by _payload; total, as every stored message fits its fields."""
-    p = m.position
-    payload = _payload(m.buoy_id, m.gnss_time, p.latitude, p.longitude, p.height)
+    payload = _payload(m.buoy_id, m.gnss_time, *m.position)
     return b"$" + payload + b"*" + f"{checksum(payload):02X}".encode("ascii") + b"\r\n"
 
 
@@ -154,18 +156,22 @@ def decode_message(raw: bytes) -> BuoyMessage:
     return message
 
 
-@dataclass(frozen=True)
-class FrameSchedule:
-    """Slot layout of one TDMA frame: four transmissions plus guards."""
-
+class _FrameSchedule(NamedTuple):
     message_duration: float            # t_m [s]
     guard_time: float                  # g [s]
 
-    def __post_init__(self):
-        if self.message_duration <= 0.0:
+
+class FrameSchedule(_Checked, _FrameSchedule):
+    """Slot layout of one TDMA frame: four transmissions plus guards."""
+
+    __slots__ = ()
+
+    def __new__(cls, message_duration, guard_time):
+        if message_duration <= 0.0:
             raise ValueError("message_duration must be > 0")
-        if self.guard_time < 0.0:
+        if guard_time < 0.0:
             raise ValueError("guard_time must be >= 0")
+        return tuple.__new__(cls, (message_duration, guard_time))
 
     @property
     def frame_period(self) -> float:

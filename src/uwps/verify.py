@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,8 +39,7 @@ DEFAULT_SEED = 20260808
 MALAGA = GeodeticCoord(36.7201, -4.4203, 0.0)
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(NamedTuple):
     name: str
     ok: bool
     detail: str
@@ -467,7 +465,7 @@ def check_causality(seed: int) -> tuple[bool, str]:
 def check_simulation_determinism(seed: int) -> tuple[bool, str]:
     def run():
         scenario = make_scenario(_LAYOUT, _DRIFTS, frames=3)
-        noisy = channel.simulate(replace(scenario, noise_sigma=1e-4, seed=seed))
+        noisy = channel.simulate(scenario._replace(noise_sigma=1e-4, seed=seed))
         return [(r.complete, e.message.buoy_id, e.receive_time, e.message, e.true_position)
                 for r in noisy for e in r.events]
     ok = repr(run()) == repr(run())   # float repr is exact, and tells -0.0 from 0.0

@@ -1,6 +1,5 @@
 """Simulator contracts: kinematics, clock offsets, noise, assembly."""
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,7 +127,7 @@ def test_assemble_positions_in_working_frame():
 
 def test_timing_noise_zero_sigma_is_identity():
     records = simulate(make_scenario(frames=2))
-    noisy = simulate(replace(make_scenario(frames=2), noise_sigma=0.0, seed=42))
+    noisy = simulate(make_scenario(frames=2)._replace(noise_sigma=0.0, seed=42))
     for rec_a, rec_b in zip(records, noisy):
         for ev_a, ev_b in zip(rec_a.events, rec_b.events):
             assert ev_a.receive_time == ev_b.receive_time
@@ -136,9 +135,9 @@ def test_timing_noise_zero_sigma_is_identity():
 
 def test_timing_noise_deterministic_under_seed():
     scenario = make_scenario(frames=3)
-    first = simulate(replace(scenario, noise_sigma=1e-4, seed=7))
-    second = simulate(replace(scenario, noise_sigma=1e-4, seed=7))
-    other = simulate(replace(scenario, noise_sigma=1e-4, seed=8))
+    first = simulate(scenario._replace(noise_sigma=1e-4, seed=7))
+    second = simulate(scenario._replace(noise_sigma=1e-4, seed=7))
+    other = simulate(scenario._replace(noise_sigma=1e-4, seed=8))
     flat = lambda runs: [e.receive_time.hex() for r in runs for e in r.events]
     assert flat(first) == flat(second)
     assert flat(first) != flat(other)
@@ -149,7 +148,7 @@ def test_timing_noise_pseudorange_sigma():
     over 10^4 receptions within 5%."""
     scenario = make_scenario(frames=2500)
     records = simulate(scenario)
-    noisy = simulate(replace(scenario, noise_sigma=1e-4, seed=3))
+    noisy = simulate(scenario._replace(noise_sigma=1e-4, seed=3))
     clean_t = np.array([e.receive_time for r in records for e in r.events])
     noisy_t = np.array([e.receive_time for r in noisy for e in r.events])
     assert clean_t.size == 10000
@@ -170,7 +169,7 @@ def test_timing_noise_k_th_heard_message_takes_the_k_th_draw():
     heard = [len(r.events) for r in clean]
     assert heard[0] == 4 and 0 < heard[-1] < 4   # all four heard at first, fewer later
     sigma, seed = 1e-5, 11
-    noisy = simulate(replace(scenario, noise_sigma=sigma, seed=seed))
+    noisy = simulate(scenario._replace(noise_sigma=sigma, seed=seed))
     assert [len(r.events) for r in noisy] == heard
     z = np.random.default_rng(seed).standard_normal(len(kept)).tolist()
     for k, (ev_clean, ev_noisy) in enumerate(zip(kept, (e for r in noisy for e in r.events))):
@@ -190,7 +189,7 @@ def test_timing_noise_is_drawn_in_one_call(monkeypatch):
                         lambda *args: calls.append(args) or draw(*args))
     simulate(make_scenario(frames=2))
     assert calls == []
-    simulate(replace(make_scenario(frames=2), noise_sigma=2e-5, seed=5))
+    simulate(make_scenario(frames=2)._replace(noise_sigma=2e-5, seed=5))
     assert calls == [(8, 2e-5, 5)]
     z = np.random.default_rng(5).standard_normal(8).tolist()
     assert draw(8, 2e-5, 5) == [2e-5 * v for v in z]
@@ -203,7 +202,7 @@ def test_scenario_validation():
         make_scenario(velocity=(20.0, 0.0, 0.0))     # beyond the speed cap
     sonic = ReceiverTrack(initial=(300.0, 400.0, -150.0), velocity=(8.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="not below the sound speed"):   # under the cap
-        replace(make_scenario(), receiver=sonic, sound_speed=5.0)
+        make_scenario()._replace(receiver=sonic, sound_speed=5.0)
     with pytest.raises(ValueError):
         make_scenario(frames=11000)                  # crosses day rollover
     for bad in (dict(sound_speed=math.nan), dict(sound_speed=math.inf),
@@ -212,7 +211,7 @@ def test_scenario_validation():
                 dict(noise_sigma=-1e-5), dict(noise_sigma=math.nan),
                 dict(noise_sigma=math.inf), dict(seed=-1), dict(seed=1.0)):
         with pytest.raises(ValueError, match="must be"):
-            replace(make_scenario(), **bad)
+            make_scenario()._replace(**bad)
     for initial, velocity in (((math.nan, 400.0, -150.0), (0.0, 0.0, 0.0)),
                               ((300.0, -math.inf, -150.0), (0.0, 0.0, 0.0)),
                               ((300.0, 400.0, -150.0), (math.nan, 0.0, 0.0)),
@@ -220,23 +219,23 @@ def test_scenario_validation():
         with pytest.raises(ValueError, match="receiver position and velocity must be finite"):
             make_scenario(receiver=initial, velocity=velocity)
     buoys = make_scenario().buoys
-    drifting = (replace(buoys[0], drift=(0.0, math.nan, 0.0)), *buoys[1:])
+    drifting = (buoys[0]._replace(drift=(0.0, math.nan, 0.0)), *buoys[1:])
     with pytest.raises(ValueError, match="buoy drifts must be finite"):
-        replace(make_scenario(), buoys=drifting)
-    assert replace(make_scenario(), range_limit=math.inf).range_limit == math.inf
+        make_scenario()._replace(buoys=drifting)
+    assert make_scenario()._replace(range_limit=math.inf).range_limit == math.inf
     # c^2 underflows to 0 or overflows: simulate could not time an arrival
     for sound_speed in (1e-200, 1e200):
         with pytest.raises(ValueError, match="squared is out of float range"):
-            replace(make_scenario(), sound_speed=sound_speed)
+            make_scenario()._replace(sound_speed=sound_speed)
     # finite squares, but an arrival time or squared range would overflow
     with pytest.raises(ValueError, match="sound_speed must be at most 1e"):
-        replace(make_scenario(), sound_speed=1e153)
+        make_scenario()._replace(sound_speed=1e153)
     with pytest.raises(ValueError, match="receiver position must be at most 1e"):
         make_scenario(receiver=(1e160, 400.0, -150.0))
-    moved = (replace(buoys[1], initial=replace(buoys[1].initial, height=-1e160)), *buoys[1:])
+    moved = (buoys[1]._replace(initial=buoys[1].initial._replace(height=-1e160)), *buoys[1:])
     with pytest.raises(ValueError, match="buoy heights must be at most 1e"):
-        replace(make_scenario(), buoys=moved)
-    drifting = (replace(buoys[0], drift=(1e160, 0.0, 0.0)), *buoys[1:])
+        make_scenario()._replace(buoys=moved)
+    drifting = (buoys[0]._replace(drift=(1e160, 0.0, 0.0)), *buoys[1:])
     with pytest.raises(ValueError, match="buoy drifts must be at most 1e"):
-        replace(make_scenario(), buoys=drifting)
-    assert replace(make_scenario(), sound_speed=1e9).sound_speed == 1e9
+        make_scenario()._replace(buoys=drifting)
+    assert make_scenario()._replace(sound_speed=1e9).sound_speed == 1e9

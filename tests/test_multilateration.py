@@ -1,7 +1,6 @@
 """Solver core: differencing, closed form, selection, residuals, iteration."""
 import math
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,9 +132,9 @@ def test_diffset_checks_its_entries_and_stores_float_tuples():
                 dict(reference=GeodeticCoord(0.0, 0.0, 0.0)),
                 dict(reference=(0.0, math.inf, 0.0)), dict(reference=(0.0, 0.0))):
         with pytest.raises(ValueError):
-            replace(good, **bad)
+            good._replace(**bad)
     # the reference is stored as a float tuple, whatever sequence it came in
-    moved = replace(good, reference=np.array([1, 2, 3]))
+    moved = good._replace(reference=np.array([1, 2, 3]))
     assert moved.reference == (1.0, 2.0, 3.0)
     assert all(type(v) is float for v in moved.reference)
 
@@ -147,7 +146,7 @@ def test_observation_checks_its_position():
     for bad in (GeodeticCoord(1.0, 2.0, -3.0), (1.0, math.nan, -3.0),
                 (1.0, 2.0), (1.0, 2.0, -3.0, 4.0), "abc"):
         with pytest.raises(ValueError, match="observation position"):
-            replace(good, position=bad)
+            good._replace(position=bad)
 
 
 def test_coincident_buoys_rejected():
@@ -322,14 +321,14 @@ def test_closed_form_matches_list_form_bit_for_bit():
     for sigma, tolerance in ((1e-3, 1e-12), (0.1, 1.0), (10.0, 1.0)):
         for _ in range(200):
             _, _, diffs = sample_scenario(rng)
-            noisy = replace(diffs, d=np.add(diffs.d, rng.normal(0.0, sigma, 3)))
+            noisy = diffs._replace(d=np.add(diffs.d, rng.normal(0.0, sigma, 3)))
             if all(abs(d) < b for d, b in zip(noisy.d, noisy.b)):
                 cases.append((noisy, SolverConfig(consistency_tolerance=tolerance)))
     collinear = np.array([[0.0, 0.0, 0.0], [500.0, 0.0, 0.0],
                           [1000.0, 0.0, 0.0], [1500.0, 0.0, 0.0]])
     cases.append((oracle_diffs(collinear, np.array([200.0, 700.0, -150.0])), CFG))
     axis = oracle_diffs(unit_square(1000.0), np.array([500.0, 500.0, -150.0]))
-    cases.append((replace(axis, d=(0.0, 0.0, 0.0)), CFG))
+    cases.append((axis._replace(d=(0.0, 0.0, 0.0)), CFG))
     seen = []
     for diffs, cfg in cases:
         want = closed_form_outcome(list_form_closed_form, diffs, cfg)
@@ -350,7 +349,7 @@ def test_closed_form_rejects_a_difference_as_long_as_its_baseline():
                        match=r"^\|d\| = 1000\.000 m >= baseline 1000\.000 m for buoy 1$"):
         kleusberg_solve(diffs, CFG)
     with pytest.raises(UnrealizableTDOA, match="for buoy 3$"):
-        kleusberg_solve(replace(diffs, d=(10.0, -20.0, -1500.0)), CFG)
+        kleusberg_solve(diffs._replace(d=(10.0, -20.0, -1500.0)), CFG)
     fix = solve_frame(diffs, CFG)
     assert fix.pair is None and fix.analytic is None and fix.status == "UnrealizableTDOA"
 
@@ -415,7 +414,7 @@ def test_discriminant_scan_to_no_real_solution():
     scale, raised = 0.5, False
     loose = SolverConfig(consistency_tolerance=1e9)
     while scale < 600.0:
-        perturbed = replace(clean, d=np.add(clean.d, scale * direction))
+        perturbed = clean._replace(d=np.add(clean.d, scale * direction))
         if not all(abs(d) < b for d, b in zip(perturbed.d, perturbed.b)):
             break
         try:
@@ -444,7 +443,7 @@ def test_symmetric_axis_singular_denominator():
     # receiver on the square's vertical axis: every difference is zero
     diffs = oracle_diffs(unit_square(1000.0), np.array([500.0, 500.0, -150.0]))
     assert diffs.d == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
-    exact_zero = replace(diffs, d=(0.0, 0.0, 0.0))
+    exact_zero = diffs._replace(d=(0.0, 0.0, 0.0))
     with pytest.raises(SingularDenominator):
         kleusberg_solve(exact_zero, CFG)
 
@@ -509,7 +508,7 @@ def test_select_residual_tiebreak_when_both_below_plane():
     truth = np.array([300.0, 400.0, -450.0])
     clean = oracle_diffs(buoys, truth)
     loose = SolverConfig(consistency_tolerance=1.0)
-    nudged = replace(clean, d=np.add(clean.d, [0.05, -0.03, 0.02]))
+    nudged = clean._replace(d=np.add(clean.d, [0.05, -0.03, 0.02]))
     pair = kleusberg_solve(nudged, loose)
     assert all(s >= 0 and p[2] < SURFACE_UP for _, s, p, _ in pair.branches)
     pick = select_underwater(pair, nudged).position
@@ -558,7 +557,7 @@ def test_numerical_on_noisy_data_beats_truth_residual():
     buoys = unit_square(1000.0)
     truth = np.array([300.0, 400.0, -150.0])
     clean = oracle_diffs(buoys, truth)
-    noisy = replace(clean, d=np.add(clean.d, rng.normal(0.0, 0.1, 3)))
+    noisy = clean._replace(d=np.add(clean.d, rng.normal(0.0, 0.1, 3)))
     got = numerical_solve(noisy, initial=enu(*truth), cfg=CFG)
     assert (np.linalg.norm(residuals(got, noisy))
             <= np.linalg.norm(residuals(enu(*truth), noisy)) + 1e-12)
@@ -584,7 +583,7 @@ def test_numerical_stops_at_the_surface():
     for up in (SURFACE_UP, 5.0):
         with pytest.raises(NonConvergence, match="start at up = .* not below the surface"):
             numerical_solve(diffs, initial=enu(300.0, 400.0, up), cfg=CFG)
-    noisy = replace(diffs, d=(301.0, 409.0, 178.0))
+    noisy = diffs._replace(d=(301.0, 409.0, 178.0))
     with pytest.raises(NonConvergence,
                        match=r"reached the surface \(up = 27.3 m\) at iteration 7"):
         numerical_solve(noisy, initial=enu(500.0, 500.0, -707.0), cfg=CFG)
@@ -601,14 +600,14 @@ def test_numerical_stops_beyond_reach():
     the iteration. A start out there, such as a closed-form fix 250 km
     away, is no error: it returns as it is, or polished out there."""
     square = unit_square(1000.0)
-    diffs = replace(oracle_diffs(square, np.array([300.0, 400.0, -150.0])),
-                    d=(252.0, 408.0, 140.0))
+    diffs = oracle_diffs(square, np.array([300.0, 400.0, -150.0]))._replace(
+        d=(252.0, 408.0, 140.0))
     with pytest.raises(NonConvergence, match=r"from buoy 0, beyond reach \(1.41e\+05 m\)"):
         numerical_solve(diffs, initial=enu(500.0, 500.0, -707.0), cfg=CFG)
     far = np.array([2e5, 400.0, -1.5e5])
     exact = oracle_diffs(square, far)
     assert numerical_solve(exact, initial=enu(*far), cfg=CFG) == tuple(far)
-    nudged = replace(exact, d=(exact.d[0] + 1e-6, *exact.d[1:]))
+    nudged = exact._replace(d=(exact.d[0] + 1e-6, *exact.d[1:]))
     got = numerical_solve(nudged, initial=enu(*far), cfg=CFG)
     assert np.linalg.norm(got) > 100.0 * max(exact.b)
     assert np.linalg.norm(residuals(got, nudged)) < np.linalg.norm(residuals(enu(*far), nudged))
@@ -617,7 +616,7 @@ def test_numerical_stops_beyond_reach():
 def unrealizable_diffs():
     """The square's differences with |d_01| half a meter past its baseline."""
     clean = oracle_diffs(unit_square(1000.0), np.array([300.0, 400.0, -150.0]))
-    return replace(clean, d=(clean.b[0] + 0.5, *clean.d[1:]))
+    return clean._replace(d=(clean.b[0] + 0.5, *clean.d[1:]))
 
 
 def numpy_numerical_solve(diffs, initial, cfg):
@@ -731,7 +730,7 @@ def numerical_cases():
         yield diffs, enu(*start), cfg
     for _ in range(100):
         buoys, truth, clean = sample_scenario(rng)
-        noisy = replace(clean, d=np.add(clean.d, rng.normal(0.0, 0.1, 3)))
+        noisy = clean._replace(d=np.add(clean.d, rng.normal(0.0, 0.1, 3)))
         start = truth + rng.normal(0.0, 50.0, 3)
         yield noisy, enu(*start), CFG
     yield unrealizable_diffs(), enu(300.0, 400.0, -150.0), CFG
@@ -930,7 +929,7 @@ def test_solve_frame_runs_gauss_newton_only_where_it_can_move(monkeypatch):
     exact = oracle_diffs(buoys, np.array([300.0, 400.0, -150.0]))
     for d, error in (((21.0, 1147.0, -641.0), NoRealSolution),
                      ((588.0, 981.0, 289.0), NoUnderwaterSolution)):
-        failed = replace(exact, d=d)
+        failed = exact._replace(d=d)
         with pytest.raises(error):
             select_underwater(kleusberg_solve(failed, CFG), failed)
         calls.clear()

@@ -1,5 +1,4 @@
 """Wire codec and TDMA schedule contracts."""
-import dataclasses
 import math
 import struct
 
@@ -376,7 +375,7 @@ def test_message_keeps_a_position_on_the_wire_grid():
 def test_message_replaces_a_position_off_the_grid(g, stored):
     m = BuoyMessage(1, 0.0, g)
     assert m.position is not g
-    assert [(type(v), v) for v in dataclasses.astuple(m.position)] == [
+    assert [(type(v), v) for v in tuple(m.position)] == [
         (float, v) for v in stored]
 
 
@@ -394,7 +393,7 @@ def test_message_equality_and_sentence_keep_the_wire_rule(buoy_id, t, lat, lon, 
     want = [f_string_q(lat, 7), f_string_q(lon, 7), f_string_q(h, 2)]
     want[1] = 180.0 if want[1] == -180.0 else want[1]
     assert m == BuoyMessage(buoy_id, t, GeodeticCoord(*want))
-    assert [struct.pack("d", v) for v in dataclasses.astuple(m.position)] == [
+    assert [struct.pack("d", v) for v in tuple(m.position)] == [
         struct.pack("d", v) for v in want]
     payload = (f"UWPS,{buoy_id},{f_string_q(t, 3):.3f},{want[0]:.7f},{want[1]:.7f},"
                f"{want[2]:.2f}").encode("ascii")
@@ -404,11 +403,11 @@ def test_message_equality_and_sentence_keep_the_wire_rule(buoy_id, t, lat, lon, 
 def test_decode_builds_one_geodetic_coord_per_sentence(monkeypatch):
     """The decoded values are on the wire grid, so the message keeps the
     GeodeticCoord decode_message built: one checked coordinate per sentence
-    (counted with a wrapped GeodeticCoord.__post_init__)."""
+    (counted with a wrapped GeodeticCoord.__new__)."""
     built = []
-    check = GeodeticCoord.__post_init__
-    monkeypatch.setattr(GeodeticCoord, "__post_init__",
-                        lambda self: built.append(self) or check(self))
+    new = GeodeticCoord.__new__
+    monkeypatch.setattr(GeodeticCoord, "__new__",
+                        staticmethod(lambda cls, *args: built.append(args) or new(cls, *args)))
     sentence = encode_message(make_message(3, 86399.999, -89.9999999, 179.9999999, -42.5))
     built.clear()
     decode_message(sentence)
@@ -521,10 +520,10 @@ def test_codec_round_trip_fails_when_decode_moves_a_field(monkeypatch, field):
     def moved(raw):
         m = decode(raw)
         if field == "gnss_time":
-            return dataclasses.replace(m, gnss_time=m.gnss_time + 0.001)
+            return m._replace(gnss_time=m.gnss_time + 0.001)
         unit = {"latitude": 1e-7, "longitude": 1e-7, "height": 0.01}[field]
-        return dataclasses.replace(m, position=dataclasses.replace(
-            m.position, **{field: getattr(m.position, field) + unit}))
+        return m._replace(position=m.position._replace(
+            **{field: getattr(m.position, field) + unit}))
 
     monkeypatch.setattr(protocol, "decode_message", moved)
     ok, detail = verify.check_codec_round_trip(verify.DEFAULT_SEED)
