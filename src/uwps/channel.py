@@ -6,7 +6,9 @@ the schedule instants at the 1 ms wire resolution, BuoyMessage rounds
 positions to the 1e-7 deg / 1 cm wire resolution, and the acoustic path
 starts at the reported point). Noiseless runs therefore reproduce the
 receiver position to well below 1e-6 m. A report the wire cannot carry is
-BuoyMessage's ValueError.
+BuoyMessage's ValueError. Each value is checked once, where it enters: the
+Scenario, each report (rounded once) and assemble_observations' receive
+times and sound speed; a record of checked values is built unchecked.
 
 The receiver timestamps arrivals on a dyadic 2^-40 s grid before its clock
 offset is applied. With the offset any multiple of that tick (integers in
@@ -28,8 +30,8 @@ from typing import NamedTuple
 
 from .errors import IncompleteFrame
 from .geo import GeodeticCoord, LocalFrame, _Checked, enu_to_geodetic, geodetic_to_enu
-from .multilateration import SURFACE_UP, Observation, ObservationSet, _norm
-from .protocol import BuoyMessage, FrameSchedule, transmit_times
+from .multilateration import SURFACE_UP, Observation, ObservationSet, _finite, _norm, _sound_speed
+from .protocol import BuoyMessage, FrameSchedule, _quantized, transmit_times
 
 RX_CLOCK_TICK = 2.0 ** -40          # receiver timestamp resolution [s]
 SPEED_CAP = 10.0                    # receiver speed sanity cap [m/s]
@@ -168,9 +170,7 @@ def working_frame(scenario: Scenario) -> LocalFrame:
     Buoy 1 transmits at t = 0, so its first report is its initial position
     as the wire carries it.
     """
-    first = scenario.buoys[0].initial
-    msg = BuoyMessage(1, 0.0, first)
-    return LocalFrame(msg.position)
+    return LocalFrame(BuoyMessage(1, 0.0, scenario.buoys[0].initial).position)
 
 
 def simulate(scenario: Scenario) -> list[FrameRecord]:
@@ -197,7 +197,7 @@ def simulate(scenario: Scenario) -> list[FrameRecord]:
         for i, t_tx in enumerate(transmit_times(scenario.schedule, k)):
             (e0, n0, u0), (dx, dy, dz) = tracks[i]
             reported = enu_to_geodetic((e0 + dx * t_tx, n0 + dy * t_tx, u0 + dz * t_tx), frame)
-            message = BuoyMessage(i + 1, t_tx, reported)
+            message = _quantized(i + 1, t_tx, reported)
             # the acoustic source is the reported point
             source = geodetic_to_enu(message.position, frame)
 
@@ -233,8 +233,9 @@ def assemble_observations(
     When no working frame is given it is derived from the reference
     buoy's reported position in these events (its first report, for a
     single-frame input). A simulated event already converted to the
-    requested frame is not converted again. Events in buoy order, as
-    simulate and the wire give them, are taken as they are.
+    requested frame, or one of the same origin, is not converted again.
+    Events in buoy order, as simulate and the wire give them, are taken
+    as they are. The receive times and the sound speed alone are checked.
     """
     events = tuple(events)
     if len(events) != 4:
@@ -251,19 +252,15 @@ def assemble_observations(
 
     if frame is None:
         frame = LocalFrame(e1.message.position)
-    return ObservationSet(
-        tuple(Observation(solver_id, e.message.gnss_time, e.receive_time,
-                          _enu_position(e, frame))
-              for solver_id, e in enumerate((e1, e2, e3, e4))),
-        sound_speed)
-
-
-def _enu_position(event: ReceptionEvent, frame: LocalFrame) -> tuple[float, float, float]:
-    # a frame is computed from its origin alone
-    if event.source is not None and (event.source_frame is frame
-                                     or event.source_frame.origin == frame.origin):
-        return event.source
-    return geodetic_to_enu(event.message.position, frame)
+    observations = []
+    for solver_id, e in enumerate((e1, e2, e3, e4)):
+        position = e.source
+        if position is None or e.source_frame.origin != frame.origin:
+            position = geodetic_to_enu(e.message.position, frame)
+        _finite("times", e.receive_time)
+        observations.append(tuple.__new__(
+            Observation, (solver_id, e.message.gnss_time, float(e.receive_time), position)))
+    return tuple.__new__(ObservationSet, (tuple(observations), _sound_speed(sound_speed)))
 
 
 def add_timing_noise(count: int, sigma: float, seed: int) -> list[float]:

@@ -447,26 +447,17 @@ def cmd_solve(args) -> int:
     try:
         obs = assemble_observations(events, obs_file.sound_speed)
         diffs = pseudorange_diffs(obs)
-    except PositioningError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-
-    print(f"reference buoy: wire id 1 at ENU origin, c = {obs_file.sound_speed:.9g} m/s")
-    for i, (d, b, (ex, ey, ez)) in enumerate(zip(diffs.d, diffs.b, diffs.e), start=1):
-        print(f"d_0{i} = {d:.9g} m   b_0{i} = {b:.9g} m   "
-              f"e_0{i} = ({ex:.9g}, {ey:.9g}, {ez:.9g})")
-    try:
+        print(f"reference buoy: wire id 1 at ENU origin, c = {obs_file.sound_speed:.9g} m/s")
+        for i, (d, b, (ex, ey, ez)) in enumerate(zip(diffs.d, diffs.b, diffs.e), start=1):
+            print(f"d_0{i} = {d:.9g} m   b_0{i} = {b:.9g} m   "
+                  f"e_0{i} = ({ex:.9g}, {ey:.9g}, {ez:.9g})")
         pair = kleusberg_solve(diffs, cfg)
-    except PositioningError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    vectors = []   # each candidate's residuals, in branch order
-    for label, (_, s, (x, y, z), idx) in zip("12", pair.branches):
-        vectors.append(residuals((x, y, z), diffs))
-        print(f"candidate {label}: ({x:.9g}, {y:.9g}, {z:.9g}) m, "
-              f"range {s:.9g} m, residual {_norm(vectors[-1]):.9g} m, range-eq baseline {idx}")
-    print(f"discriminant = {pair.discriminant:.9g}")
-    try:
+        vectors = []   # each candidate's residuals, in branch order
+        for label, (_, s, (x, y, z), idx) in zip("12", pair.branches):
+            vectors.append(residuals((x, y, z), diffs))
+            print(f"candidate {label}: ({x:.9g}, {y:.9g}, {z:.9g}) m, range {s:.9g} m, "
+                  f"residual {_norm(vectors[-1]):.9g} m, range-eq baseline {idx}")
+        print(f"discriminant = {pair.discriminant:.9g}")
         pick = select_underwater(pair, diffs)
     except PositioningError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

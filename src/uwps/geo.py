@@ -102,14 +102,14 @@ def geodetic_to_ecef(g: GeodeticCoord) -> tuple[float, float, float]:
 def ecef_to_geodetic(ecef) -> GeodeticCoord:
     """Inverse of geodetic_to_ecef (Bowring start, then fixed-point).
 
-    ecef is an (x, y, z) sequence in meters. A wrong length or a non-finite
-    entry raises ValueError (the GeodeticCoord result checks itself), and
-    the origin raises ZeroVector. A point within 43 km of the earth's
-    centre, near the ellipsoid's evolute, where p - e^2 a cos^3(beta) < 0
-    turns the latitude past a pole, raises ValueError too. Round-trip
-    error is far below the 1e-6 m contract for heights within
-    [-11000, +9000] m. A point on the antimeridian comes back at longitude
-    180, never -180.
+    ecef is an (x, y, z) sequence in meters. A GeodeticCoord raises
+    TypeError, a wrong length or a non-finite entry ValueError (the
+    GeodeticCoord result checks itself), and the origin ZeroVector. A
+    point within 43 km of the earth's centre, near the ellipsoid's evolute,
+    where p - e^2 a cos^3(beta) < 0 turns the latitude past a pole, raises
+    ValueError too. Round-trip error is far below the 1e-6 m contract for
+    heights within [-11000, +9000] m. A point on the antimeridian comes
+    back at longitude 180, never -180.
 
     The fixed-point iteration stops at its fixed point: as soon as a pass
     returns the latitude it started from, after at most 4 passes. A
@@ -117,6 +117,8 @@ def ecef_to_geodetic(ecef) -> GeodeticCoord:
     that of 4 passes bit for bit, because each pass is the same function of
     the latitude, and the sign of z fixes the sign of a zero latitude.
     """
+    if isinstance(ecef, GeodeticCoord):
+        raise TypeError("ecef_to_geodetic takes an (x, y, z) ECEF point, not a GeodeticCoord")
     x, y, z = ecef
     p = math.hypot(x, y)
     if p == 0.0 and z == 0.0:
@@ -155,8 +157,8 @@ def ecef_to_geodetic(ecef) -> GeodeticCoord:
 
 
 def to_enu(ecef, frame: LocalFrame) -> tuple[float, float, float]:
-    """An ECEF (x, y, z) position to an (east, north, up) float tuple in
-    frame. Not checked: the program builds each from a GeodeticCoord."""
+    """An ECEF (x, y, z) point, not a GeodeticCoord, to an (east, north, up)
+    float tuple in frame. Not checked: the program builds each point itself."""
     (ex, ey, ez), (nx, ny, nz), (ux, uy, uz) = frame.rotation
     ox, oy, oz = frame.origin_ecef
     x, y, z = ecef
@@ -166,8 +168,8 @@ def to_enu(ecef, frame: LocalFrame) -> tuple[float, float, float]:
 
 
 def from_enu(enu, frame: LocalFrame) -> tuple[float, float, float]:
-    """An (east, north, up) position in frame back to an ECEF (x, y, z)
-    float tuple. The position is not checked, as in to_enu."""
+    """An (east, north, up) position in frame, not a GeodeticCoord, back to
+    an ECEF (x, y, z) float tuple. Not checked, as in to_enu."""
     (ex, ey, ez), (nx, ny, nz), (ux, uy, uz) = frame.rotation
     ox, oy, oz = frame.origin_ecef
     e, n, u = enu

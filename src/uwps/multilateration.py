@@ -14,8 +14,9 @@ do. Everything here, from the differencing to Gauss-Newton, is plain IEEE
 double arithmetic on Python floats and tuples of them: on 3-vectors an array
 library's per-call overhead costs more than the maths, and written-out float
 arithmetic rounds the same on every host. A position is an (east, north, up)
-float tuple in the working ENU frame. The public constructors, Observation
-and DiffSet, check the positions they are given; the solvers trust them.
+float tuple in the working ENU frame. The public constructors check what
+they are given and store floats; a record of checked values, such as
+pseudorange_diffs' DiffSet, is built unchecked with tuple.__new__.
 
 Conventions: d_0i = P_i - P_0 is the range to buoy i minus the range to the
 reference, and baselines e_0i * b_0i point from the reference to buoy i.
@@ -71,9 +72,14 @@ def _enu_point(value, what: str) -> tuple[float, float, float]:
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{what} must be three numbers (east, north, up) in the "
                          "working ENU frame") from None
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise ValueError(f"{what} must be finite")
+    _finite(what, x, y, z)
     return value
+
+
+def _finite(what: str, *values) -> None:
+    """The check that values are finite, else ValueError naming what."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} must be finite")
 
 
 class _Observation(NamedTuple):
@@ -88,8 +94,8 @@ class Observation(_Checked, _Observation):
 
     transmit_time is GNSS seconds; receive_time is the receiver's own
     (offset, unsynchronized) clock. position is the buoy's (east, north,
-    up) in the working ENU frame [m]: any three finite numbers, stored as a
-    tuple of floats.
+    up) in the working ENU frame [m]: any three finite numbers. All are
+    stored as floats, the position as a tuple of them.
     """
 
     __slots__ = ()
@@ -97,10 +103,16 @@ class Observation(_Checked, _Observation):
     def __new__(cls, buoy_id, transmit_time, receive_time, position):
         if not 0 <= buoy_id <= 3:
             raise ValueError(f"buoy_id {buoy_id} outside 0..3")
-        if not (math.isfinite(transmit_time) and math.isfinite(receive_time)):
-            raise ValueError("times must be finite")
-        return tuple.__new__(cls, (buoy_id, transmit_time, receive_time,
+        _finite("times", transmit_time, receive_time)
+        return tuple.__new__(cls, (buoy_id, float(transmit_time), float(receive_time),
                                    _enu_point(position, "observation position")))
+
+
+def _sound_speed(sound_speed) -> float:
+    """An ObservationSet's sound speed as a float, checked: finite and > 0."""
+    if not (math.isfinite(sound_speed) and sound_speed > 0):
+        raise ValueError(f"sound_speed {sound_speed} must be finite and > 0")
+    return float(sound_speed)
 
 
 class _ObservationSet(NamedTuple):
@@ -109,8 +121,8 @@ class _ObservationSet(NamedTuple):
 
 
 class ObservationSet(_Checked, _ObservationSet):
-    """Exactly four observations from one frame plus the sound speed,
-    stored as a tuple in buoy order; a tuple already in that order is kept."""
+    """Exactly four observations from one frame, stored as a tuple in buoy
+    order (a tuple already in that order is kept), and the sound speed as a float."""
 
     __slots__ = ()
 
@@ -124,9 +136,7 @@ class ObservationSet(_Checked, _ObservationSet):
             if ids != [0, 1, 2, 3]:
                 raise ValueError(f"buoy ids must be 0..3 exactly once, got {ids}")
             obs = tuple(sorted(obs, key=lambda o: o.buoy_id))
-        if not (math.isfinite(sound_speed) and sound_speed > 0):
-            raise ValueError(f"sound_speed {sound_speed} must be finite and > 0")
-        return tuple.__new__(cls, (obs, sound_speed))
+        return tuple.__new__(cls, (obs, _sound_speed(sound_speed)))
 
 
 class _DiffSet(NamedTuple):
@@ -166,30 +176,28 @@ class DiffSet(_Checked, _DiffSet):
         ex0, ey0, ez0 = float(ex0), float(ey0), float(ez0)
         ex1, ey1, ez1 = float(ex1), float(ey1), float(ez1)
         ex2, ey2, ez2 = float(ex2), float(ey2), float(ez2)
-        isfinite = math.isfinite
-        if not (isfinite(d0) and isfinite(d1) and isfinite(d2) and isfinite(b0)
-                and isfinite(b1) and isfinite(b2) and isfinite(ex0) and isfinite(ey0)
-                and isfinite(ez0) and isfinite(ex1) and isfinite(ey1) and isfinite(ez1)
-                and isfinite(ex2) and isfinite(ey2) and isfinite(ez2)):
-            raise ValueError("DiffSet entries must be finite")
+        _finite("DiffSet entries", d0, d1, d2, b0, b1, b2, ex0, ey0, ez0, ex1, ey1, ez1,
+                ex2, ey2, ez2)
         if b0 <= 0.0 or b1 <= 0.0 or b2 <= 0.0:
             raise ValueError("baseline lengths must be positive")
         if (abs(math.sqrt(ex0 * ex0 + ey0 * ey0 + ez0 * ez0) - 1.0) > 1e-12
                 or abs(math.sqrt(ex1 * ex1 + ey1 * ey1 + ez1 * ez1) - 1.0) > 1e-12
                 or abs(math.sqrt(ex2 * ex2 + ey2 * ey2 + ez2 * ez2) - 1.0) > 1e-12):
             raise ValueError("baseline directions must be unit vectors")
-        reference = _enu_point(reference, "the reference")
-        x0, y0, z0 = reference
-        return tuple.__new__(cls, (
-            (d0, d1, d2), ((ex0, ey0, ez0), (ex1, ey1, ez1), (ex2, ey2, ez2)),
-            (b0, b1, b2), reference,
-            (x0, y0, z0,
-             x0 + ex0 * b0, y0 + ey0 * b0, z0 + ez0 * b0,
-             x0 + ex1 * b1, y0 + ey1 * b1, z0 + ez1 * b1,
-             x0 + ex2 * b2, y0 + ey2 * b2, z0 + ez2 * b2)))
+        return _diffset((d0, d1, d2), ((ex0, ey0, ez0), (ex1, ey1, ez1), (ex2, ey2, ez2)),
+                        (b0, b1, b2), _enu_point(reference, "the reference"))
 
     def __getnewargs__(self):
         return self[:4]   # the constructor's arguments: the anchors are derived
+
+
+def _diffset(d, e, b, reference) -> DiffSet:
+    """The DiffSet of checked float tuples and its anchors, built unchecked."""
+    (x0, y0, z0), (b0, b1, b2) = reference, b
+    (ex0, ey0, ez0), (ex1, ey1, ez1), (ex2, ey2, ez2) = e
+    return tuple.__new__(DiffSet, (d, e, b, reference, (
+        x0, y0, z0, x0 + ex0 * b0, y0 + ey0 * b0, z0 + ez0 * b0,
+        x0 + ex1 * b1, y0 + ey1 * b1, z0 + ez1 * b1, x0 + ex2 * b2, y0 + ey2 * b2, z0 + ez2 * b2)))
 
 
 class Branch(NamedTuple):
@@ -242,7 +250,8 @@ def pseudorange_diffs(obs: ObservationSet) -> DiffSet:
 
     The receiver clock offset cancels exactly: the arithmetic groups the
     receiver-clock times first, so a common shift of every receive_time
-    leaves the result bit-identical.
+    leaves the result bit-identical. obs holds checked values, so the DiffSet
+    is built unchecked; an overflow to inf raises DiffSet's ValueError.
     """
     ref, *others = obs.observations
     c = obs.sound_speed
@@ -263,7 +272,8 @@ def pseudorange_diffs(obs: ObservationSet) -> DiffSet:
         d.append(diff)
         e.append((bx / length, by / length, bz / length))
         b.append(length)
-    return DiffSet(d=d, e=e, b=b, reference=ref.position)
+    _finite("DiffSet entries", *d, *b)   # an e row is finite where its b is
+    return _diffset(tuple(d), tuple(e), tuple(b), ref.position)
 
 
 def _unrealizable(diff: float, length: float, buoy_id: int) -> UnrealizableTDOA:

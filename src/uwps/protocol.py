@@ -62,24 +62,33 @@ class BuoyMessage(_Checked, _BuoyMessage):
     __slots__ = ()
 
     def __new__(cls, buoy_id, gnss_time, position):
-        gnss_time = _q(gnss_time, 3)
-        p = position
-        latitude, longitude, height = _q(p.latitude, 7), _q(p.longitude, 7), _q(p.height, 2)
-        if type(buoy_id) is not int or not 1 <= buoy_id <= 4:
-            raise ValueError(f"buoy_id {buoy_id} outside 1..4")
-        if not (0.0 <= gnss_time < 86400.0):
-            raise ValueError(f"gnss_time {gnss_time} outside [0, 86400)")
-        if not (_HEIGHT_RANGE[0] <= height <= _HEIGHT_RANGE[1]):
-            raise ValueError(
-                f"height {height} outside [{_HEIGHT_RANGE[0]}, {_HEIGHT_RANGE[1]}]")
-        # rounding keeps a float's value only where it is on the grid; the
-        # given longitude is never -180, so one that rounds there is replaced
-        if not (latitude == p.latitude and longitude == p.longitude and height == p.height
-                and type(p.latitude) is type(p.longitude) is type(p.height) is float):
-            if longitude == -180.0:
-                longitude = 180.0
-            position = GeodeticCoord(latitude, longitude, height)
-        return tuple.__new__(cls, (buoy_id, gnss_time, position))
+        return _quantized(buoy_id, _q(gnss_time, 3), position)
+
+
+def _check(buoy_id, gnss_time, height) -> None:
+    """BuoyMessage's checks of values on the wire grid, in their order."""
+    if type(buoy_id) is not int or not 1 <= buoy_id <= 4:
+        raise ValueError(f"buoy_id {buoy_id} outside 1..4")
+    if not (0.0 <= gnss_time < 86400.0):
+        raise ValueError(f"gnss_time {gnss_time} outside [0, 86400)")
+    if not (_HEIGHT_RANGE[0] <= height <= _HEIGHT_RANGE[1]):
+        raise ValueError(f"height {height} outside [{_HEIGHT_RANGE[0]}, {_HEIGHT_RANGE[1]}]")
+
+
+def _quantized(buoy_id, gnss_time, position: GeodeticCoord) -> BuoyMessage:
+    """BuoyMessage(buoy_id, gnss_time, position) for a time on the 1 ms grid."""
+    p = position
+    latitude, longitude, height = _q(p.latitude, 7), _q(p.longitude, 7), _q(p.height, 2)
+    _check(buoy_id, gnss_time, height)
+    # rounding keeps a float's value only where it is on the grid; the given
+    # longitude is never -180, so one that rounds there is replaced: the
+    # quantization of a checked GeodeticCoord is valid, so it is built unchecked
+    if not (latitude == p.latitude and longitude == p.longitude and height == p.height
+            and type(p.latitude) is type(p.longitude) is type(p.height) is float):
+        if longitude == -180.0:
+            longitude = 180.0
+        position = tuple.__new__(GeodeticCoord, (latitude, longitude, height))
+    return tuple.__new__(BuoyMessage, (buoy_id, gnss_time, position))
 
 
 def checksum(payload: bytes) -> int:
@@ -141,19 +150,20 @@ def decode_message(raw: bytes) -> BuoyMessage:
         gnss_time, lat, lon, height = map(float, parts[2:6])
     except ValueError:
         raise MalformedSentence(f"non-numeric field in {parts[1:]!r}") from None
-    # a canonical payload's values are on the wire grid, so the message
-    # keeps their GeodeticCoord; others are range-checked on the grid, where
-    # a longitude that rounds to -180 is out of range, not written as 180
+    # a canonical payload's values are on the wire grid, so BuoyMessage's
+    # checks pass them as they are; others are checked on the grid, where a
+    # longitude that rounds to -180 is out of range, not written as 180
     canonical = _payload(buoy_id, gnss_time, lat, lon, height) == payload
     if not canonical:
-        lat, lon, height = _q(lat, 7), _q(lon, 7), _q(height, 2)
+        gnss_time, lat, lon, height = _q(gnss_time, 3), _q(lat, 7), _q(lon, 7), _q(height, 2)
     try:
-        message = BuoyMessage(buoy_id, gnss_time, GeodeticCoord(lat, lon, height))
+        position = GeodeticCoord(lat, lon, height)
+        _check(buoy_id, gnss_time, height)
     except ValueError as exc:
         raise FieldRange(str(exc)) from None
     if not canonical:
         raise MalformedSentence(f"non-canonical field in {parts[1:]!r}")
-    return message
+    return tuple.__new__(BuoyMessage, (buoy_id, gnss_time, position))
 
 
 class _FrameSchedule(NamedTuple):

@@ -69,6 +69,14 @@ def test_zero_vector_rejected():
         ecef_to_geodetic((0.0, 0.0, 0.0))
 
 
+def test_ecef_to_geodetic_refuses_a_geodetic_coord():
+    """A GeodeticCoord is a tuple of three floats, yet no ECEF point: the
+    error names it, where the arithmetic would raise an unrelated one."""
+    with pytest.raises(TypeError, match=r"not a GeodeticCoord$"):
+        ecef_to_geodetic(MALAGA)
+    assert tuple(ecef_to_geodetic(geodetic_to_ecef(MALAGA))) == pytest.approx(MALAGA, abs=1e-6)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     lat=st.floats(-90.0, 90.0),
