@@ -500,17 +500,18 @@ def _needs_numpy(exc: ModuleNotFoundError, what: str) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        print(f"error: --seed {args.seed} must be an integer >= 0", file=sys.stderr)
+        return EXIT_USAGE
     try:
         from . import verify   # loaded here: no other command needs the property suite
     except ModuleNotFoundError as exc:
         return _needs_numpy(exc, "uwps verify")
 
     results = verify.run_all(verify.DEFAULT_SEED if args.seed is None else args.seed)
-    failed = 0
     for result in results:
         print(f"{'PASS' if result.ok else 'FAIL'} {result.name}: {result.detail}")
-        if not result.ok:
-            failed += 1
+    failed = sum(not result.ok for result in results)
     print(f"{len(results) - failed}/{len(results)} properties passed")
     return EXIT_OK if failed == 0 else EXIT_PROPERTY
 

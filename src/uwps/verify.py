@@ -14,12 +14,13 @@ The fixtures the checks draw on (the Malaga anchor, the distance oracle,
 the scenario sampler and the scenario builder) are shared with the test
 suite.
 
-The two codec checks draw their cases a block of _BLOCK at a time, one
-array per random field, and build each message just before it is used:
-numpy's fixed cost per call, not the draw, dominates a scalar draw, and
-the block bounds the memory the drawn fields hold. Every other check keeps
-its scalar draws, so the criterion families and every value the suite
-prints stay the cases they were.
+numpy's fixed cost per call, not the draw or the arithmetic, dominates a
+per-case numpy call, so the scenario sampler draws one block of uniforms
+per attempt from the same stream and the check bodies compute in floats.
+numpy remains for the seeded generator (the other checks' scalar draws;
+the codec checks' blocks of _BLOCK cases, one array per field, which bound
+the memory the fields hold), the rigid-motion check's rotation and the
+range-consistency check's arrays. Every case and printed value is as it was.
 """
 from __future__ import annotations
 
@@ -49,14 +50,14 @@ def oracle_diffs(buoys, truth) -> DiffSet:
     """Pseudorange differences from ground truth by brute-force distances.
 
     buoys is 4x3 with row 0 the reference; d_0i = |X - R_i| - |X - R_0|.
-    Arrays and nested lists alike. Independent of every solver code path.
+    Nested tuples or lists, or arrays. Independent of every solver code path.
 
     Written in floats: each distance is sqrt(x*x + y*y + z*z), summed left
     to right, the order of numpy's norm(..., axis=1) over rows of three, so
     the DiffSet is bit for bit the one the array form builds.
     """
-    (x0, y0, z0), *others = np.asarray(buoys, float).tolist()
-    tx, ty, tz = np.asarray(truth, float).tolist()
+    (x0, y0, z0), *others = buoys
+    tx, ty, tz = truth
     u, v, w = x0 - tx, y0 - ty, z0 - tz
     r0 = math.sqrt(u * u + v * v + w * w)
     d, e, b = [], [], []
@@ -70,12 +71,25 @@ def oracle_diffs(buoys, truth) -> DiffSet:
     return DiffSet(d=d, e=e, b=b, reference=(x0, y0, z0))
 
 
-def _quadrilateral_corners(rng: np.random.Generator):
-    """A square of side 200-2000 m with every corner moved by up to 20 %."""
-    length = rng.uniform(200.0, 2000.0)
-    corners = np.array([[0.0, 0.0], [length, 0.0], [length, length], [0.0, length]])
-    corners += rng.uniform(-0.2 * length, 0.2 * length, (4, 2))
-    return corners, length
+def _square_case(rng: np.random.Generator, ups: bool):
+    """(buoys, truth) as float tuples: a square of side 200-2000 m with each
+    corner moved by up to 20 %, ups within +/-2 m (0.0 without ups), and a
+    receiver 5-1000 m deep over the middle of the array.
+
+    One block of uniforms: the side, each corner's east and north jitter,
+    the ups, the receiver's east, north and depth. Each value is
+    Generator.uniform's low + (high - low) * u, so the case and the stream
+    are those of one uniform call per value in this order.
+    """
+    u = rng.random(16 if ups else 12).tolist()
+    length = 200.0 + (2000.0 - 200.0) * u[0]
+    low = -0.2 * length
+    x0, y0, x1, y1, x2, y2, x3, y3 = [low + (0.2 * length - low) * v for v in u[1:9]]
+    z0, z1, z2, z3 = [-2.0 + (2.0 - -2.0) * v for v in u[9:13]] if ups else (0.0,) * 4
+    return (((x0, y0, z0), (length + x1, y1, z1), (length + x2, length + y2, z2),
+             (x3, length + y3, z3)),
+            ((0.2 + (0.8 - 0.2) * u[-3]) * length, (0.2 + (0.8 - 0.2) * u[-2]) * length,
+             -(5.0 + (1000.0 - 5.0) * u[-1])))
 
 
 # draws sample_scenario makes for one case before it gives up: no case of
@@ -92,14 +106,10 @@ def sample_scenario(rng: np.random.Generator):
     below 0.5 m) and data admitting two exact underwater solutions (the
     position is then unidentifiable from one frame's differences). Raises
     RuntimeError when SAMPLE_DRAWS draws in a row are excluded, as when the
-    closed form fails on every one.
+    closed form fails on every one. Each draw is one _square_case block.
     """
     for _ in range(SAMPLE_DRAWS):
-        corners, length = _quadrilateral_corners(rng)
-        buoys = np.column_stack([corners, rng.uniform(-2.0, 2.0, 4)])
-        truth = np.array([rng.uniform(0.2, 0.8) * length,
-                          rng.uniform(0.2, 0.8) * length,
-                          -rng.uniform(5.0, 1000.0)])
+        buoys, truth = _square_case(rng, ups=True)
         diffs = oracle_diffs(buoys, truth)
         if min(map(abs, diffs.d)) < 0.5:
             continue
@@ -110,7 +120,7 @@ def sample_scenario(rng: np.random.Generator):
         exact_under = [
             p for _, s, p, _ in pair.branches
             if s >= 0.0 and p[2] < multilateration.SURFACE_UP
-            and np.linalg.norm(multilateration.residuals(p, diffs)) < 1e-6
+            and multilateration._norm(multilateration.residuals(p, diffs)) < 1e-6
         ]
         if len(exact_under) != 1:
             continue
@@ -176,11 +186,11 @@ def check_geodetic_round_trip(seed: int) -> tuple[bool, str]:
 def check_enu_isometry(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     frame = LocalFrame(MALAGA)
-    origin = np.array(frame.origin_ecef)
+    ox, oy, oz = frame.origin_ecef
     worst = 0.0
     for _ in range(200):
-        a = tuple((origin + rng.uniform(-5e3, 5e3, 3)).tolist())
-        b = tuple((origin + rng.uniform(-5e3, 5e3, 3)).tolist())
+        ax, ay, az, bx, by, bz = rng.uniform(-5e3, 5e3, 6).tolist()
+        a, b = (ox + ax, oy + ay, oz + az), (ox + bx, oy + by, oz + bz)
         d_ecef = math.dist(a, b)
         d_enu = math.dist(geo.to_enu(a, frame), geo.to_enu(b, frame))
         worst = max(worst, abs(d_enu - d_ecef) / max(d_ecef, 1.0))
@@ -194,9 +204,9 @@ def check_enu_up_axis(seed: int) -> tuple[bool, str]:
         g = GeodeticCoord(rng.uniform(-89.0, 89.0), rng.uniform(-179.0, 180.0), 0.0)
         frame = LocalFrame(g)
         lat, lon = math.radians(g.latitude), math.radians(g.longitude)
-        normal = np.array([math.cos(lat) * math.cos(lon),
-                           math.cos(lat) * math.sin(lon), math.sin(lat)])
-        worst = min(worst, float(np.array(frame.rotation[2]) @ normal))
+        ux, uy, uz = frame.rotation[2]
+        worst = min(worst, ux * (math.cos(lat) * math.cos(lon))
+                    + uy * (math.cos(lat) * math.sin(lon)) + uz * math.sin(lat))
     return worst > 1.0 - 1e-12, f"min up.normal dot {worst:.15f} (> 1 - 1e-12)"
 
 
@@ -210,7 +220,7 @@ def check_clock_offset_invariance(seed: int) -> tuple[bool, str]:
         base_obs = []
         for i, b in enumerate(buoys):
             t_tx = float(f"{10.0 + 2.0 * i:.3f}")
-            t_arr = t_tx + float(np.linalg.norm(truth - b)) / 1500.0
+            t_arr = t_tx + math.dist(truth, b) / 1500.0
             base_obs.append(multilateration.Observation(
                 i, t_tx, round(t_arr / tick) * tick, b))
         base = multilateration.pseudorange_diffs(
@@ -234,7 +244,7 @@ def check_unit_norm(seed: int, solve: Callable = multilateration.kleusberg_solve
         buoys, truth, diffs = sample_scenario(rng)
         pair = solve(diffs, SolverConfig())
         for branch in pair.branches:
-            worst = max(worst, abs(float(np.linalg.norm(branch.direction)) - 1.0))
+            worst = max(worst, abs(multilateration._norm(branch.direction) - 1.0))
     return worst < 1e-9, f"worst | |e|-1 | = {worst:.3e} (< 1e-9)"
 
 
@@ -245,7 +255,7 @@ def check_reconstruction_exactness(seed: int, cases: int = 1000) -> tuple[bool, 
         buoys, truth, diffs = sample_scenario(rng)
         pair = multilateration.kleusberg_solve(diffs, SolverConfig())
         pick = multilateration.select_underwater(pair, diffs).position
-        worst = max(worst, float(np.linalg.norm(np.array(pick) - truth)))
+        worst = max(worst, math.dist(pick, truth))
     return worst < 1e-6, f"worst error {worst:.3e} m over {cases} cases (< 1e-6 m)"
 
 
@@ -253,16 +263,12 @@ def check_mirror_symmetry(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(100):
-        corners, length = _quadrilateral_corners(rng)
-        buoys = np.column_stack([corners, np.zeros(4)])  # exactly coplanar
-        truth = np.array([rng.uniform(0.2, 0.8) * length,
-                          rng.uniform(0.2, 0.8) * length, -rng.uniform(5.0, 1000.0)])
-        diffs = oracle_diffs(buoys, truth)
+        diffs = oracle_diffs(*_square_case(rng, ups=False))  # exactly coplanar
         if min(map(abs, diffs.d)) < 0.5:
             continue
         pair = multilateration.kleusberg_solve(diffs, SolverConfig())
-        p1, p2 = (np.array(branch.position) for branch in pair.branches)
-        worst = max(worst, float(np.max(np.abs(p1[:2] - p2[:2]))), abs(p1[2] + p2[2]))
+        (x1, y1, z1), (x2, y2, z2) = (branch.position for branch in pair.branches)
+        worst = max(worst, abs(x1 - x2), abs(y1 - y2), abs(z1 + z2))
     return worst < 1e-6, f"worst mirror defect {worst:.3e} m (< 1e-6 m)"
 
 
@@ -274,8 +280,7 @@ def check_residual_consistency(seed: int) -> tuple[bool, str]:
         pair = multilateration.kleusberg_solve(diffs, SolverConfig())
         for _, s, p, _ in pair.branches:
             if s >= 0.0:  # negative-range branches are unphysical by design
-                worst = max(worst, float(np.linalg.norm(
-                    multilateration.residuals(p, diffs))))
+                worst = max(worst, multilateration._norm(multilateration.residuals(p, diffs)))
     return worst < 1e-6, f"worst physical-candidate residual {worst:.3e} m (< 1e-6 m)"
 
 
@@ -293,13 +298,13 @@ def check_numerical_agreement(seed: int, cases: int = 200) -> tuple[bool, str]:
         buoys, truth, diffs = sample_scenario(rng)
         pair = multilateration.kleusberg_solve(diffs, SolverConfig())
         pick = multilateration.select_underwater(pair, diffs).position
-        azimuth = rng.uniform(0.0, 2.0 * np.pi)
+        azimuth = rng.uniform(0.0, 2.0 * math.pi)
         tilt = math.radians(30.0) * math.sqrt(rng.uniform())
-        guess = truth + 200.0 * np.array([
-            math.cos(azimuth) * math.sin(tilt),
-            math.sin(azimuth) * math.sin(tilt), -math.cos(tilt)])
-        got = multilateration.numerical_solve(diffs, initial=tuple(guess.tolist()), cfg=cfg)
-        worst = max(worst, float(np.linalg.norm(np.array(got) - np.array(pick))))
+        step = (math.cos(azimuth) * math.sin(tilt), math.sin(azimuth) * math.sin(tilt),
+                -math.cos(tilt))
+        guess = tuple(t + 200.0 * c for t, c in zip(truth, step))
+        got = multilateration.numerical_solve(diffs, initial=guess, cfg=cfg)
+        worst = max(worst, math.dist(got, pick))
     return worst < 1e-4, f"worst disagreement {worst:.3e} m over {cases} cases (< 1e-4 m)"
 
 
@@ -313,11 +318,10 @@ def check_rigid_motion_equivariance(seed: int) -> tuple[bool, str]:
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
         shift = rng.uniform(-5000.0, 5000.0, 3)
-        moved = multilateration.kleusberg_solve(
-            oracle_diffs(buoys @ q.T + shift, q @ truth + shift), SolverConfig())
+        moved = multilateration.kleusberg_solve(oracle_diffs(
+            (np.array(buoys) @ q.T + shift).tolist(), (q @ truth + shift).tolist()))
         for got, want in zip(moved.branches, base.branches):
-            worst = max(worst, float(np.linalg.norm(
-                np.array(got.position) - (q @ np.array(want.position) + shift))))
+            worst = max(worst, math.dist(got.position, (q @ want.position + shift).tolist()))
     return worst < 1e-6, f"worst equivariance defect {worst:.3e} m (< 1e-6 m)"
 
 
@@ -436,8 +440,7 @@ def check_end_to_end_exactness(seed: int) -> tuple[bool, str]:
     for offset in (-100.0, 0.0, 3.7, 100.0):
         scenario = make_scenario(_LAYOUT, _DRIFTS, clock_offset=offset, frames=4)
         for record, _, pick in _solve_records(scenario):
-            truth = np.array(record.events[-1].true_position)
-            worst = max(worst, float(np.linalg.norm(np.array(pick) - truth)))
+            worst = max(worst, math.dist(pick, record.events[-1].true_position))
     return worst < 1e-6, f"worst stationary error {worst:.3e} m (< 1e-6 m)"
 
 
@@ -482,9 +485,8 @@ def check_motion_displacement(seed: int) -> tuple[bool, str]:
             scenario = make_scenario(_LAYOUT, velocity=vel, frames=2)
             period = scenario.schedule.frame_period
             for record in channel.simulate(scenario):
-                first = np.array(record.events[0].true_position)
-                last = np.array(record.events[-1].true_position)
-                worst = max(worst, float(np.linalg.norm(last - first)) / (speed * period))
+                first, last = record.events[0].true_position, record.events[-1].true_position
+                worst = max(worst, math.dist(last, first) / (speed * period))
     return worst <= 1.0, f"worst displacement / (v*T_f) = {worst:.3f} (<= 1)"
 
 
@@ -536,12 +538,8 @@ def check_motion_bound(seed: int, trajectories: int = 100) -> tuple[bool, str]:
                     unsolved += 1
                     continue
                 # chain the fix only while it stays plausibly near the array
-                if float(np.linalg.norm(fix)) < 5.0 * float(np.max(diffs.b)):
-                    previous = fix
-                else:
-                    previous = None
-                truth = np.array(record.events[-1].true_position)
-                error = float(np.linalg.norm(np.array(fix) - truth))
+                previous = fix if multilateration._norm(fix) < 5.0 * max(diffs.b) else None
+                error = math.dist(fix, record.events[-1].true_position)
                 ratios.append(error / (speed * span))
                 if error > speed * span:
                     violations += 1

@@ -552,6 +552,7 @@ FLAG_CASES = [
     ("schedule", "80", "640", "1", "--cap", "inf"),
     ("schedule", "80", "640", "1", "--cap", "0"),
     ("schedule", "80", "640", "1", "--cap", "-1"),
+    ("verify", "--seed", "-1"),
 ]
 
 
@@ -838,15 +839,15 @@ def test_verify_check_fails_when_no_scenario_can_be_drawn(monkeypatch):
 
 
 def test_verify_verdicts_stable_across_seeds(capsys):
-    """The same verdicts at both seeds, and each seed's whole report as its
+    """The same verdicts at every seed, and each seed's whole report as its
     golden: a detail line that moves fails here."""
     verdicts = {}
-    for seed in ("20260808", "12345"):
+    for seed in ("20260808", "12345", "1", "7"):
         _, out, _ = run_cli("verify", "--seed", seed, capsys=capsys)
         assert out == (DATA / f"verify_{seed}.stdout").read_text()
         verdicts[seed] = [l.split(":")[0] for l in out.splitlines()
                          if l.startswith(("PASS", "FAIL"))]
-    assert verdicts["20260808"] == verdicts["12345"]
+    assert verdicts["12345"] == verdicts["1"] == verdicts["7"] == verdicts["20260808"]
 
 
 def test_readme_library_example_runs(capsys):

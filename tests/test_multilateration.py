@@ -92,6 +92,7 @@ def oracle_inputs():
     rng = np.random.default_rng(17)
     for _ in range(300):
         buoys, truth, _ = sample_scenario(rng)
+        buoys, truth = np.asarray(buoys), np.asarray(truth)
         yield buoys, truth
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         if np.linalg.det(q) < 0:
@@ -227,7 +228,7 @@ def test_closed_form_matches_numpy_reference():
     rng = np.random.default_rng(11)
     for _ in range(300):
         buoys, truth, diffs = sample_scenario(rng)
-        gg, disc, branches = numpy_closed_form(diffs, buoys[0])
+        gg, disc, branches = numpy_closed_form(diffs, np.asarray(buoys[0]))
         pair = kleusberg_solve(diffs, CFG)
         assert abs(pair.discriminant - disc) <= 1e-12 * gg
         for (evec, s, pos, index), (e_ref, s_ref, pos_ref, index_ref) in zip(
@@ -724,14 +725,14 @@ def numerical_cases():
         buoys, truth, diffs = sample_scenario(rng)
         azimuth = rng.uniform(0.0, 2.0 * np.pi)
         tilt = np.deg2rad(30.0) * np.sqrt(rng.uniform())
-        start = truth + 200.0 * np.array([np.cos(azimuth) * np.sin(tilt),
-                                          np.sin(azimuth) * np.sin(tilt),
-                                          -np.cos(tilt)])
+        start = np.asarray(truth) + 200.0 * np.array([np.cos(azimuth) * np.sin(tilt),
+                                                      np.sin(azimuth) * np.sin(tilt),
+                                                      -np.cos(tilt)])
         yield diffs, enu(*start), cfg
     for _ in range(100):
         buoys, truth, clean = sample_scenario(rng)
         noisy = clean._replace(d=np.add(clean.d, rng.normal(0.0, 0.1, 3)))
-        start = truth + rng.normal(0.0, 50.0, 3)
+        start = np.asarray(truth) + rng.normal(0.0, 50.0, 3)
         yield noisy, enu(*start), CFG
     yield unrealizable_diffs(), enu(300.0, 400.0, -150.0), CFG
 
@@ -866,8 +867,9 @@ def test_numerical_tests_the_cost_floor_before_the_budget_runs_out():
         azimuth = rng.uniform(0.0, 2.0 * np.pi)
         tilt = math.radians(30.0) * math.sqrt(rng.uniform())
     pick = select_underwater(kleusberg_solve(diffs, CFG), diffs).position
-    guess = truth + 200.0 * np.array([math.cos(azimuth) * math.sin(tilt),
-                                      math.sin(azimuth) * math.sin(tilt), -math.cos(tilt)])
+    guess = np.asarray(truth) + 200.0 * np.array([math.cos(azimuth) * math.sin(tilt),
+                                                  math.sin(azimuth) * math.sin(tilt),
+                                                  -math.cos(tilt)])
     with pytest.raises(NonConvergence, match="after 24 iterations"):
         numerical_solve(diffs, initial=enu(*guess), cfg=SolverConfig(max_iterations=24))
     got = numerical_solve(diffs, initial=enu(*guess), cfg=SolverConfig(max_iterations=25))

@@ -1,0 +1,105 @@
+"""The property suite's scenario draws against their numpy form.
+
+verify's sampler draws one block of uniforms per attempt and forms each
+value in floats. The numpy sampler below is the form it replaced, kept as
+the reference: for every case the two give the same bits, and leave the
+generator in the same state, so the criterion families and the suite's
+report stay the cases they were.
+"""
+import struct
+
+import numpy as np
+import pytest
+
+from uwps import multilateration, verify
+from uwps.errors import PositioningError
+from uwps.multilateration import SolverConfig
+
+# (seed, cases): the suite's two seeds at criterion 1's case count, and
+# three more seeds
+SEEDS = [(20260808, 1000), (12345, 1000), (1, 300), (7, 300), (99, 300)]
+
+
+def numpy_quadrilateral_corners(rng):
+    """A square of side 200-2000 m with every corner moved by up to 20 %."""
+    length = rng.uniform(200.0, 2000.0)
+    corners = np.array([[0.0, 0.0], [length, 0.0], [length, length], [0.0, length]])
+    corners += rng.uniform(-0.2 * length, 0.2 * length, (4, 2))
+    return corners, length
+
+
+def numpy_sample_scenario(rng):
+    """sample_scenario in numpy arrays and scalar draws."""
+    for _ in range(verify.SAMPLE_DRAWS):
+        corners, length = numpy_quadrilateral_corners(rng)
+        buoys = np.column_stack([corners, rng.uniform(-2.0, 2.0, 4)])
+        truth = np.array([rng.uniform(0.2, 0.8) * length,
+                          rng.uniform(0.2, 0.8) * length,
+                          -rng.uniform(5.0, 1000.0)])
+        diffs = verify.oracle_diffs(buoys, truth)
+        if min(map(abs, diffs.d)) < 0.5:
+            continue
+        try:
+            pair = multilateration.kleusberg_solve(diffs, SolverConfig())
+        except PositioningError:
+            continue
+        exact_under = [
+            p for _, s, p, _ in pair.branches
+            if s >= 0.0 and p[2] < multilateration.SURFACE_UP
+            and np.linalg.norm(multilateration.residuals(p, diffs)) < 1e-6
+        ]
+        if len(exact_under) != 1:
+            continue
+        return buoys, truth, diffs
+    raise RuntimeError(f"no usable scenario in {verify.SAMPLE_DRAWS} draws")
+
+
+def numpy_mirror_case(rng):
+    """check_mirror_symmetry's draw in numpy: the square with every up 0."""
+    corners, length = numpy_quadrilateral_corners(rng)
+    buoys = np.column_stack([corners, np.zeros(4)])
+    truth = np.array([rng.uniform(0.2, 0.8) * length,
+                      rng.uniform(0.2, 0.8) * length, -rng.uniform(5.0, 1000.0)])
+    return buoys, truth
+
+
+def bits(buoys, truth, diffs=None):
+    """The case's bytes: 12 buoy and 3 receiver coordinates, and the
+    DiffSet's d, e, b, reference and anchors."""
+    values = [*np.ravel(buoys).tolist(), *np.ravel(truth).tolist()]
+    if diffs is not None:
+        values += [*diffs.d, *(c for row in diffs.e for c in row), *diffs.b,
+                   *diffs.reference, *diffs.anchors]
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def is_float_tuple(points):
+    return type(points) is tuple and all(type(v) is float for v in points)
+
+
+@pytest.mark.parametrize("seed,cases", SEEDS)
+def test_sampler_matches_numpy_reference_bit_for_bit(seed, cases):
+    """The same buoys, receiver and DiffSet to the last bit, as float
+    tuples, and the same generator state after every case."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for case in range(cases):
+        buoys, truth, diffs = verify.sample_scenario(rng)
+        want = bits(*numpy_sample_scenario(ref))
+        assert bits(buoys, truth, diffs) == want, f"case {case}"
+        assert rng.bit_generator.state == ref.bit_generator.state, f"case {case}"
+        assert type(buoys) is tuple and len(buoys) == 4
+        assert all(is_float_tuple(b) and len(b) == 3 for b in buoys)
+        assert is_float_tuple(truth) and len(truth) == 3
+
+
+@pytest.mark.parametrize("seed,cases", SEEDS)
+def test_mirror_draw_matches_numpy_reference_bit_for_bit(seed, cases):
+    """check_mirror_symmetry's coplanar draw: the same bits, every up +0.0,
+    and the same generator state after every case."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for case in range(cases):
+        buoys, truth = verify._square_case(rng, ups=False)
+        assert bits(buoys, truth) == bits(*numpy_mirror_case(ref)), f"case {case}"
+        assert rng.bit_generator.state == ref.bit_generator.state, f"case {case}"
+        assert all(is_float_tuple(b) and b[2] == 0.0 for b in buoys)
+        assert is_float_tuple(truth)
