@@ -162,7 +162,8 @@ def _numbers(value: str, count: int, integer: bool, path: Path, lineno: int,
 def _read_text(path: Path) -> str:
     """The file's UTF-8 text; an unreadable or undecodable file is a FileFormatError."""
     try:
-        data = path.read_bytes()
+        with open(path, "rb", buffering=0) as file:
+            data = file.read()
         return data.decode("utf-8")
     except OSError as exc:
         raise FileFormatError(f"{path}: {exc.strerror or exc}") from None
@@ -246,7 +247,27 @@ def parse_observation_file(path: Path) -> ObservationFile:
         if not equals:
             raise FileFormatError(f"{path}:{lineno}: expected 'key = value'")
         key, value = key.strip(), value.strip()
-        if key in seen and key != "observation":
+        if key == "observation":   # the one key that repeats
+            parts = value.split(None, 1)
+            if len(parts) != 2:
+                raise FileFormatError(
+                    f"{path}:{lineno}: observation needs '<receive_time> <sentence>'")
+            # _numbers(parts[0], 1, ...) written out: the same reading and errors
+            try:
+                receive_time = _number(parts[0])
+            except ValueError:
+                raise FileFormatError(
+                    f"{path}:{lineno}: non-numeric value {parts[0]!r}") from None
+            if not math.isfinite(receive_time):
+                raise FileFormatError(f"{path}:{lineno}: non-finite value {parts[0]!r}")
+            receive_times.append(receive_time)
+            sentence = parts[1]   # value was stripped, so split() left no blank
+            if not sentence.isascii():
+                raise FileFormatError(f"{path}:{lineno}: sentence is not ASCII")
+            sentences.append((sentence + "\r\n").encode("ascii"))
+            line_numbers.append(lineno)
+            continue
+        if key in seen:
             raise FileFormatError(f"{path}:{lineno}: duplicate key {key!r}")
         seen.add(key)
         if key == "sound_speed":
@@ -257,17 +278,6 @@ def parse_observation_file(path: Path) -> ObservationFile:
             frame_index = _numbers(value, 1, True, path, lineno)
             if frame_index < 0:
                 raise FileFormatError(f"{path}:{lineno}: frame must be >= 0")
-        elif key == "observation":
-            parts = value.split(None, 1)
-            if len(parts) != 2:
-                raise FileFormatError(
-                    f"{path}:{lineno}: observation needs '<receive_time> <sentence>'")
-            receive_times.append(_numbers(parts[0], 1, False, path, lineno))
-            sentence = parts[1].strip()
-            if not sentence.isascii():
-                raise FileFormatError(f"{path}:{lineno}: sentence is not ASCII")
-            sentences.append((sentence + "\r\n").encode("ascii"))
-            line_numbers.append(lineno)
         else:
             raise FileFormatError(f"{path}:{lineno}: unknown key {key!r}")
     if sound_speed is None:
@@ -278,7 +288,8 @@ def parse_observation_file(path: Path) -> ObservationFile:
 
 
 def _decode_observation_events(obs_file: ObservationFile, path: Path):
-    """Decode the four sentences into reception events; line-accurate errors."""
+    """Decode the four sentences into reception events; line-accurate errors.
+    ReceptionEvent checks nothing, so each is built as its tuple."""
     events = []
     for sentence, receive_time, lineno in zip(
             obs_file.sentences, obs_file.receive_times, obs_file.line_numbers):
@@ -287,7 +298,8 @@ def _decode_observation_events(obs_file: ObservationFile, path: Path):
         except PositioningError as exc:
             raise FileFormatError(
                 f"{path}:{lineno}: {type(exc).__name__}: {exc}") from None
-        events.append(ReceptionEvent(obs_file.frame_index, message, receive_time))
+        events.append(tuple.__new__(ReceptionEvent, (
+            obs_file.frame_index, message, receive_time, None, None, None)))
     return events
 
 
@@ -444,28 +456,33 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    # the report's lines, written at once; the lines a solver error cuts
+    # short are written before the error
+    lines = []
     try:
         obs = assemble_observations(events, obs_file.sound_speed)
         diffs = pseudorange_diffs(obs)
-        print(f"reference buoy: wire id 1 at ENU origin, c = {obs_file.sound_speed:.9g} m/s")
+        lines.append("reference buoy: wire id 1 at ENU origin, c = %.9g m/s\n"
+                     % obs_file.sound_speed)
         for i, (d, b, (ex, ey, ez)) in enumerate(zip(diffs.d, diffs.b, diffs.e), start=1):
-            print(f"d_0{i} = {d:.9g} m   b_0{i} = {b:.9g} m   "
-                  f"e_0{i} = ({ex:.9g}, {ey:.9g}, {ez:.9g})")
+            lines.append("d_0%d = %.9g m   b_0%d = %.9g m   e_0%d = (%.9g, %.9g, %.9g)\n"
+                         % (i, d, i, b, i, ex, ey, ez))
         pair = kleusberg_solve(diffs, cfg)
         vectors = []   # each candidate's residuals, in branch order
         for label, (_, s, (x, y, z), idx) in zip("12", pair.branches):
             vectors.append(residuals((x, y, z), diffs))
-            print(f"candidate {label}: ({x:.9g}, {y:.9g}, {z:.9g}) m, range {s:.9g} m, "
-                  f"residual {_norm(vectors[-1]):.9g} m, range-eq baseline {idx}")
-        print(f"discriminant = {pair.discriminant:.9g}")
+            lines.append("candidate %s: (%.9g, %.9g, %.9g) m, range %.9g m, residual %.9g m, "
+                         "range-eq baseline %s\n" % (label, x, y, z, s, _norm(vectors[-1]), idx))
+        lines.append("discriminant = %.9g\n" % pair.discriminant)
         pick = select_underwater(pair, diffs)
     except PositioningError as exc:
+        sys.stdout.write("".join(lines))
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    x, y, z = pick.position
     res = vectors[pair.branches.index(pick)]
-    print(f"underwater solution: ({x:.9g}, {y:.9g}, {z:.9g}) m")
-    print(f"residuals: ({res[0]:.9g}, {res[1]:.9g}, {res[2]:.9g}) m")
+    lines.append("underwater solution: (%.9g, %.9g, %.9g) m\nresiduals: (%.9g, %.9g, %.9g) m\n"
+                 % (*pick.position, *res))
+    sys.stdout.write("".join(lines))
     return EXIT_OK
 
 

@@ -99,16 +99,24 @@ def checksum(payload: bytes) -> int:
     return total
 
 
+_PAYLOAD = TALKER.encode("ascii") + b",%d,%.3f,%.7f,%.7f,%.2f"
+
+
 def _payload(buoy_id: int, gnss_time: float, lat: float, lon: float, height: float) -> bytes:
-    """The bytes between '$' and '*': each field's one canonical spelling."""
-    return f"{TALKER},{buoy_id},{gnss_time:.3f},{lat:.7f},{lon:.7f},{height:.2f}".encode("ascii")
+    """The bytes between '$' and '*': each field's one canonical spelling.
+
+    A bytes %-format renders a float with the same digits as the f-string
+    spelling f"{gnss_time:.3f}" (both call PyOS_double_to_string), in one
+    step and without encoding a str.
+    """
+    return _PAYLOAD % (buoy_id, gnss_time, lat, lon, height)
 
 
 def encode_message(m: BuoyMessage) -> bytes:
     """Render a BuoyMessage as one checksummed ASCII sentence, each field
     spelled by _payload; total, as every stored message fits its fields."""
     payload = _payload(m.buoy_id, m.gnss_time, *m.position)
-    return b"$" + payload + b"*" + f"{checksum(payload):02X}".encode("ascii") + b"\r\n"
+    return b"$%s*%02X\r\n" % (payload, checksum(payload))
 
 
 def decode_message(raw: bytes) -> BuoyMessage:

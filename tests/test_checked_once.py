@@ -149,6 +149,23 @@ def test_the_bundled_observation_file_builds_what_the_constructors_build():
     assert bits(diffs) == bits(diffs_by_constructor(diffs))
 
 
+def test_decoded_events_are_the_constructors_events(tmp_path, capsys):
+    """_decode_observation_events builds each ReceptionEvent as its tuple:
+    equal, types and bits included, to ReceptionEvent of the same values,
+    on the bundled frame and on every frame exported from the moving
+    scenario, whose frame indices are not 0."""
+    cli.main(["simulate", str(DATA / "moving.scn"), "-o", str(tmp_path / "out.csv"),
+              "--export-obs", str(tmp_path / "obs")])
+    paths = [cli.resolve_input("squaretest_frame0"), *sorted((tmp_path / "obs").glob("*.obs"))]
+    assert len(paths) > 2
+    for path in paths:
+        heard = cli.parse_observation_file(path)
+        events = decoded_events(path)
+        assert [bits(e) for e in events] == [
+            bits(ReceptionEvent(heard.frame_index, e.message, t))
+            for e, t in zip(events, heard.receive_times)]
+
+
 # -- error parity ---------------------------------------------------------
 
 def test_a_hand_built_event_with_a_nan_receive_time_raises_as_before():

@@ -99,6 +99,31 @@ def test_simulate_matches_golden_output(name, scenario, expected_code, tmp_path,
     assert err == (DATA / f"{name}.stderr").read_text()
 
 
+SOLVE_GOLDENS = [
+    ("squaretest_frame0", "squaretest_frame0", EXIT_OK),
+    # buoy 1's receive time moved: the closed form fails after the d_0i
+    # lines, the underwater selection after the discriminant line
+    ("no_real_solution", str(DATA / "solve_no_real_solution.obs"), EXIT_SOLVER),
+    ("no_underwater_solution", str(DATA / "solve_no_underwater_solution.obs"), EXIT_SOLVER),
+]
+
+
+@pytest.mark.parametrize("name, observations, expected_code", SOLVE_GOLDENS,
+                         ids=[name for name, _, _ in SOLVE_GOLDENS])
+def test_solve_matches_golden_output(name, observations, expected_code, capsys):
+    """uwps solve's report byte for byte. A report that a solver error cuts
+    short keeps the lines before the error on stdout, and they are written
+    before the error line goes to stderr."""
+    stdout = (DATA / f"solve_{name}.stdout").read_bytes()
+    stderr = (DATA / f"solve_{name}.stderr").read_bytes() if expected_code else b""
+    code, out, err = run_cli("solve", observations, capsys=capsys)
+    assert (code, out.encode(), err.encode()) == (expected_code, stdout, stderr)
+    both = io.StringIO()
+    with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+        assert main(["solve", observations]) == expected_code
+    assert both.getvalue().encode() == stdout + stderr
+
+
 def test_simulate_csv_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli("simulate", "squaretest", "-o", str(a), capsys=capsys)[0] == EXIT_OK
@@ -553,6 +578,12 @@ FLAG_CASES = [
     ("schedule", "80", "640", "1", "--cap", "0"),
     ("schedule", "80", "640", "1", "--cap", "-1"),
     ("verify", "--seed", "-1"),
+    # exponent form: argparse takes a bare -1e0 for an option, so it is
+    # given with `=` or after `--`, and is then range-checked
+    ("verify", "--seed=-1e0"),
+    ("schedule", "80", "640", "--", "-1e0"),
+    ("schedule", "80", "640", "1", "--cap=-1e0"),
+    ("solve", "squaretest_frame0", "--consistency-tolerance=-1e0"),
 ]
 
 

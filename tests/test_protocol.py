@@ -137,6 +137,8 @@ def test_out_of_range_fields_rejected():
     b"UWPS,1,10.000 ,36.7201000,-4.4203000,0.00",      # trailing space
     b"UWPS,01,43200.000,36.7201000,-4.4203000,0.00",   # leading zero
     b"UWPS,+1,43200.000,36.7201000,-4.4203000,0.00",   # explicit sign
+    b"UWPS,1,01.000,36.7201000,-4.4203000,0.00",       # leading zero in a float
+    b"UWPS,1,+1.000,36.7201000,-4.4203000,0.00",       # explicit sign on a float
     b"UWPS,1,43200.0,36.7201000,-4.4203000,0.00",      # too few decimals
     b"UWPS,1,43200.000,36.72010000,-4.4203000,0.00",   # too many decimals
     b"UWPS,1,43200.000,36.7201000,-4.4203000,1e1",     # exponent
@@ -447,6 +449,56 @@ def test_round_trip_property(buoy_id, t, lat, lon, h):
     sentence = encode_message(m)
     assert len(sentence) <= MAX_MESSAGE_BYTES
     assert decode_message(sentence) == m
+
+
+# -- spelling parity ------------------------------------------------------
+
+def fstring_payload(buoy_id, gnss_time, lat, lon, height) -> bytes:
+    """protocol._payload as it was written before it became one bytes
+    %-format: an f-string, encoded. The spelling the wire must keep."""
+    return (f"{protocol.TALKER},{buoy_id},{gnss_time:.3f},{lat:.7f},{lon:.7f},"
+            f"{height:.2f}").encode("ascii")
+
+
+def fstring_sentence(m: BuoyMessage) -> bytes:
+    """encode_message as it was written before: the payload above, framed
+    by concatenation with an f-string checksum."""
+    payload = fstring_payload(m.buoy_id, m.gnss_time, *m.position)
+    return b"$" + payload + b"*" + f"{xor_oracle(payload):02X}".encode("ascii") + b"\r\n"
+
+
+def assert_spelled_as_the_fstring_reference(m: BuoyMessage):
+    sentence = encode_message(m)
+    assert protocol._payload(m.buoy_id, m.gnss_time, *m.position) == fstring_payload(
+        m.buoy_id, m.gnss_time, *m.position)
+    assert sentence == fstring_sentence(m)
+    assert decode_message(sentence) == m
+    # bit for bit, the sign of a zero included
+    assert decode_outcome(decode_message, sentence) == decode_outcome(lambda _: m, sentence)
+
+
+@pytest.mark.parametrize("buoy_id, t, lat, lon, h", [
+    (1, 43200.0, 36.7201, -4.4203, -0.0),     # a height of -0.0 writes -0.00
+    (2, 0.0, 0.0, 180.0, 0.0),                # longitude 180, time 0.000
+    (3, 86399.999, -90.0, -179.9999999, -99999.99),
+    (4, 86399.999, 90.0, 180.0, 999999.99),
+    (4, 0.0, -0.0, -0.0, 999999.99),
+], ids=["height -0.0", "lon 180, t 0", "t 86399.999, h -99999.99",
+        "h 999999.99", "signed zeros"])
+def test_spelling_matches_the_fstring_reference_at_the_edges(buoy_id, t, lat, lon, h):
+    """encode_message writes the bytes the f-string spelling wrote, and
+    decode gives back the message, the sign of a zero included."""
+    assert_spelled_as_the_fstring_reference(
+        BuoyMessage(buoy_id, t, GeodeticCoord(lat, lon, h)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(buoy_id=st.integers(1, 4), t=st.floats(0.0, 86399.999),
+       lat=st.floats(-90.0, 90.0), lon=st.floats(-179.9999999, 180.0),
+       h=st.floats(-99999.99, 999999.99))
+def test_spelling_matches_the_fstring_reference(buoy_id, t, lat, lon, h):
+    """Drawn over every field's whole range, endpoints included."""
+    assert_spelled_as_the_fstring_reference(BuoyMessage(buoy_id, t, GeodeticCoord(lat, lon, h)))
 
 
 def test_reference_schedule():
