@@ -215,10 +215,10 @@ def simulate(scenario: Scenario) -> list[FrameRecord]:
             receive_time = _quantize_tick(t_arr) - offset
             if noise is not None:
                 receive_time += next(noise)
-            events.append(ReceptionEvent(
+            events.append(tuple.__new__(ReceptionEvent, (
                 k, message, receive_time, (x0 + vx * t_arr, y0 + vy * t_arr, z0 + vz * t_arr),
-                source, frame))
-        records.append(FrameRecord(k, tuple(events)))
+                source, frame)))
+        records.append(tuple.__new__(FrameRecord, (k, tuple(events))))
     return records
 
 

@@ -52,10 +52,55 @@ class FileFormatError(Exception):
     """Input file violates its grammar; message carries the line number."""
 
 
-def _fmt(value: float | None) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
-    return f"{value:.9g}"
+# The result CSV's rows, by how far the frame got: every number is spelled
+# %.9g and an absent one is an empty cell. A NoFix frame has no reception
+# set to score, so its truth cells are empty too; a frame whose closed form
+# failed has only its truth, one whose underwater pick failed adds the
+# discriminant, and one whose Gauss-Newton polish failed has every cell but
+# the numerical fix's.
+_ROW_NO_FIX = "%d" + "," * 16 + "NoFix\n"
+_ROW_NO_PAIR = "%d,%.9g,%.9g,%.9g" + "," * 13 + "%s\n"
+_ROW_NO_PICK = "%d,%.9g,%.9g,%.9g" + "," * 11 + "%.9g,,%s\n"
+_ROW_NO_POLISH = "%d" + ",%.9g" * 6 + ",,,,%.9g,,%.9g,,%.9g,%d,%s\n"
+_ROW = "%d," + ",".join(["%.9g"] * 14) + ",%d,%s\n"
+
+
+def _csv_row(frame_index: int, truth, fix: FrameFix | None, diffs):
+    """One frame's result CSV row, newline included, and the analytic and
+    numerical fixes' errors [m], None where there is no such fix. truth
+    and fix are None for a NoFix frame; diffs gives the residuals of a
+    polished fix. The norms are written out in _norm's arithmetic."""
+    if fix is None:
+        return _ROW_NO_FIX % frame_index, None, None
+    tx, ty, tz = truth
+    branch = fix.branch
+    if branch is None:
+        if fix.pair is None:
+            return _ROW_NO_PAIR % (frame_index, tx, ty, tz, fix.status), None, None
+        return (_ROW_NO_PICK % (frame_index, tx, ty, tz, fix.pair.discriminant, fix.status),
+                None, None)
+    analytic = ax, ay, az = branch.position
+    dx, dy, dz = ax - tx, ay - ty, az - tz
+    error = math.sqrt(dx * dx + dy * dy + dz * dz)
+    r0, r1, r2 = fix.analytic_residuals
+    residual = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
+    numerical = fix.numerical
+    if numerical is None:
+        return (_ROW_NO_POLISH % (frame_index, tx, ty, tz, ax, ay, az, error, residual,
+                                  fix.pair.discriminant, branch.denominator_index, fix.status),
+                error, None)
+    if numerical is analytic:
+        nx, ny, nz = analytic
+        error_n, residual_n = error, residual
+    else:
+        nx, ny, nz = numerical
+        dx, dy, dz = nx - tx, ny - ty, nz - tz
+        error_n = math.sqrt(dx * dx + dy * dy + dz * dz)
+        r0, r1, r2 = residuals(numerical, diffs)
+        residual_n = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
+    return (_ROW % (frame_index, tx, ty, tz, ax, ay, az, nx, ny, nz, error, error_n, residual,
+                    residual_n, fix.pair.discriminant, branch.denominator_index, fix.status),
+            error, error_n)
 
 
 # -- scenario files ------------------------------------------------------
@@ -337,52 +382,36 @@ def cmd_simulate(args) -> int:
     # the working frame simulate converted every event's source into
     frame = next((e.source_frame for r in records for e in r.events), None)
 
-    rows = []
+    rows = [CSV_HEADER + "\n"]
     errors_analytic = []
     errors_numerical = []
     failures = []
     complete_frames = 0
     for record in records:
         if not record.complete:
-            rows.append(f"{record.frame_index}," + "," * 14 + ",NoFix")
+            rows.append(_csv_row(record.frame_index, None, None, None)[0])
             continue
         complete_frames += 1
-        truth = record.events[-1].true_position
         obs = assemble_observations(record.events, scenario.sound_speed, frame=frame)
         try:
             diffs = pseudorange_diffs(obs)
         except PositioningError as exc:
             # timing noise can push a difference past its baseline
-            fix = FrameFix(pair=None, branch=None, numerical=None,
-                           status=type(exc).__name__)
+            diffs, fix = None, FrameFix(pair=None, branch=None, numerical=None,
+                                        status=type(exc).__name__)
         else:
             fix = solve_frame(diffs, parsed.solver)
-        solved = (fix.analytic, fix.numerical)
-        errs = [_norm((p[0] - truth[0], p[1] - truth[1], p[2] - truth[2]))
-                if p is not None else None for p in solved]
-        res = [None, None]
-        if fix.analytic is not None:
-            res[0] = _norm(fix.analytic_residuals)
-        if fix.numerical is fix.analytic:
-            res[1] = res[0]
-        elif fix.numerical is not None:
-            res[1] = _norm(residuals(fix.numerical, diffs))
-        for err, errors in zip(errs, (errors_analytic, errors_numerical)):
-            if err is not None:
-                errors.append(err)
-        if errs == [None, None]:
+        row, error, error_n = _csv_row(
+            record.frame_index, record.events[-1].true_position, fix, diffs)
+        rows.append(row)
+        if error is None:
             failures.append((record.frame_index, fix.status))
-        cells = [str(record.frame_index)]
-        cells += [_fmt(v) for v in truth]
-        for p in solved:
-            cells += [_fmt(v) for v in (p if p is not None else (None,) * 3)]
-        cells += [_fmt(v) for v in errs + res]
-        cells.append(_fmt(fix.pair.discriminant) if fix.pair is not None else "")
-        cells.append(str(fix.branch.denominator_index) if fix.branch is not None else "")
-        cells.append(fix.status)
-        rows.append(",".join(cells))
+        else:
+            errors_analytic.append(error)
+            if error_n is not None:
+                errors_numerical.append(error_n)
 
-    csv_text = CSV_HEADER + "\n" + "\n".join(rows) + "\n"
+    csv_text = "".join(rows)
     target = None   # the path being written, named if the write fails
     try:
         if args.export_obs is not None and complete_frames:
@@ -398,27 +427,30 @@ def cmd_simulate(args) -> int:
     except OSError as exc:
         print(f"error: {target}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.output is None:
-        sys.stdout.write(csv_text)
 
-    print(f"frames: {len(records)} ({complete_frames} complete)")
+    # the summary after the CSV (on stdout without -o), in one write
+    report = [csv_text] if args.output is None else []
+    report.append("frames: %d (%d complete)\n" % (len(records), complete_frames))
     if errors_analytic:
-        print(f"analytic error: max {max(errors_analytic):.9g} m, "
-              f"mean {sum(errors_analytic) / len(errors_analytic):.9g} m")
+        report.append("analytic error: max %.9g m, mean %.9g m\n"
+                      % (max(errors_analytic), sum(errors_analytic) / len(errors_analytic)))
     if errors_numerical:
-        print(f"numerical error: max {max(errors_numerical):.9g} m, "
-              f"mean {sum(errors_numerical) / len(errors_numerical):.9g} m")
+        report.append("numerical error: max %.9g m, mean %.9g m\n"
+                      % (max(errors_numerical), sum(errors_numerical) / len(errors_numerical)))
     speed = scenario.receiver.speed()
     if speed > 0.0:
         span = scenario.schedule.start_times[3] - scenario.schedule.start_times[0]
         bound = speed * span
-        print(f"motion bound v*S = {bound:.9g} m (v = {speed:.9g} m/s, S = {span:.9g} s)")
+        report.append("motion bound v*S = %.9g m (v = %.9g m/s, S = %.9g s)\n"
+                      % (bound, speed, span))
         scored = errors_numerical or errors_analytic
         if scored:
             verdict = "within" if max(scored) <= bound else "exceeds"
-            print(f"max solved error {max(scored):.9g} m {verdict} the motion bound")
+            report.append("max solved error %.9g m %s the motion bound\n"
+                          % (max(scored), verdict))
         else:
-            print("no frame was solved: the motion bound was not checked")
+            report.append("no frame was solved: the motion bound was not checked\n")
+    sys.stdout.write("".join(report))
 
     if complete_frames == 0:
         print("error: NoFix in every frame", file=sys.stderr)

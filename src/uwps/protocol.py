@@ -78,7 +78,10 @@ def _check(buoy_id, gnss_time, height) -> None:
 def _quantized(buoy_id, gnss_time, position: GeodeticCoord) -> BuoyMessage:
     """BuoyMessage(buoy_id, gnss_time, position) for a time on the 1 ms grid."""
     p = position
-    latitude, longitude, height = _q(p.latitude, 7), _q(p.longitude, 7), _q(p.height, 2)
+    # _q written out: the three roundings of every report
+    latitude = round(float(p.latitude), 7)
+    longitude = round(float(p.longitude), 7)
+    height = round(float(p.height), 2)
     _check(buoy_id, gnss_time, height)
     # rounding keeps a float's value only where it is on the grid; the given
     # longitude is never -180, so one that rounds there is replaced: the

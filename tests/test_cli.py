@@ -89,7 +89,9 @@ def test_simulate_bundled_squaretest(tmp_path, capsys):
     # moving receiver, drifting buoys, timing noise: every solver status,
     # and failed frames without a fix
     ("moving", str(DATA / "moving.scn"), EXIT_SOLVER),
-], ids=["squaretest", "moving"])
+    # every row shape a closed-form run writes, a polished fix among them
+    ("shapes", str(DATA / "shapes.scn"), EXIT_SOLVER),
+], ids=["squaretest", "moving", "shapes"])
 def test_simulate_matches_golden_output(name, scenario, expected_code, tmp_path, capsys):
     out_csv = tmp_path / "out.csv"
     code, out, err = run_cli("simulate", scenario, "-o", str(out_csv), capsys=capsys)
@@ -97,6 +99,148 @@ def test_simulate_matches_golden_output(name, scenario, expected_code, tmp_path,
     assert out_csv.read_bytes() == (DATA / f"{name}.csv").read_bytes()
     assert out == (DATA / f"{name}.stdout").read_text()
     assert err == (DATA / f"{name}.stderr").read_text()
+
+
+@pytest.mark.parametrize("name", ["moving", "shapes"])
+def test_simulate_writes_the_csv_then_the_summary_to_stdout(name, capsys):
+    """Without -o, as the benchmark runs it: stdout is the golden CSV and
+    then the golden summary, byte for byte, and it comes before the error
+    line on stderr."""
+    scenario = str(DATA / f"{name}.scn")
+    stdout = (DATA / f"{name}.csv").read_bytes() + (DATA / f"{name}.stdout").read_bytes()
+    stderr = (DATA / f"{name}.stderr").read_bytes()
+    code, out, err = run_cli("simulate", scenario, capsys=capsys)
+    assert (code, out.encode(), err.encode()) == (EXIT_SOLVER, stdout, stderr)
+    both = io.StringIO()
+    with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+        assert main(["simulate", scenario]) == EXIT_SOLVER
+    assert both.getvalue().encode() == stdout + stderr
+
+
+def reference_fmt(value) -> str:
+    """A CSV cell as each was once spelled on its own, the reference for
+    the row templates: empty for an absent value (or a NaN), else
+    f"{value:.9g}"."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
+        return ""
+    return f"{value:.9g}"
+
+
+def reference_row(frame_index, truth, fix, diffs):
+    """A frame's row as cmd_simulate spelled it cell by cell before the row
+    templates: the row's values (None where absent) and the row."""
+    from uwps.multilateration import _norm, residuals
+
+    if fix is None:
+        values = [frame_index] + [None] * 15 + ["NoFix"]
+    else:
+        solved = (fix.analytic, fix.numerical)
+        errs = [_norm((p[0] - truth[0], p[1] - truth[1], p[2] - truth[2]))
+                if p is not None else None for p in solved]
+        res = [None, None]
+        if fix.analytic is not None:
+            res[0] = _norm(fix.analytic_residuals)
+        if fix.numerical is fix.analytic:
+            res[1] = res[0]
+        elif fix.numerical is not None:
+            res[1] = _norm(residuals(fix.numerical, diffs))
+        values = [frame_index, *truth]
+        for p in solved:
+            values += p if p is not None else (None,) * 3
+        values += errs + res
+        values.append(fix.pair.discriminant if fix.pair is not None else None)
+        values.append(fix.branch.denominator_index if fix.branch is not None else None)
+        values.append(fix.status)
+    cells = [str(values[0])] + [reference_fmt(v) for v in values[1:15]]
+    cells += ["" if values[15] is None else str(values[15]), values[16]]
+    return values, ",".join(cells) + "\n"
+
+
+def assert_row_matches_the_reference(frame_index, truth, fix, diffs):
+    values, expected = reference_row(frame_index, truth, fix, diffs)
+    assert cli._csv_row(frame_index, truth, fix, diffs) == (expected, values[10], values[11])
+
+
+def shapes_frames():
+    """(frame index, truth, fix, diffs) of each shapes.scn frame, as
+    uwps simulate solves it."""
+    from uwps.channel import assemble_observations, simulate
+    from uwps.errors import PositioningError
+    from uwps.multilateration import FrameFix, pseudorange_diffs, solve_frame
+
+    parsed = parse_scenario_file(DATA / "shapes.scn")
+    records = simulate(parsed.scenario)
+    frame = records[0].events[0].source_frame
+    for record in records:
+        if not record.complete:
+            yield record.frame_index, None, None, None
+            continue
+        obs = assemble_observations(record.events, parsed.scenario.sound_speed, frame=frame)
+        try:
+            diffs = pseudorange_diffs(obs)
+        except PositioningError as exc:
+            diffs, fix = None, FrameFix(None, None, None, type(exc).__name__)
+        else:
+            fix = solve_frame(diffs, parsed.solver)
+        yield record.frame_index, record.events[-1].true_position, fix, diffs
+
+
+def test_row_templates_match_the_cell_by_cell_spelling():
+    """Every row shape is spelled as the per-cell reference spells it: ok
+    unpolished and polished, NoFix, the three closed-form failures and a
+    Gauss-Newton NonConvergence (built from the polished frame's fix)."""
+    shapes = {}
+    for frame_index, truth, fix, diffs in shapes_frames():
+        assert_row_matches_the_reference(frame_index, truth, fix, diffs)
+        if fix is None:
+            shapes["NoFix"] = frame_index
+        elif fix.numerical is not None and fix.numerical is not fix.analytic:
+            shapes["ok, polished"] = frame_index
+            failed = fix._replace(numerical=None, status="NonConvergence")
+            assert_row_matches_the_reference(frame_index, truth, failed, diffs)
+            cells = cli._csv_row(frame_index, truth, failed, diffs)[0].split(",")
+            # the numerical fix, its error and its residual are empty
+            assert [i for i, cell in enumerate(cells) if not cell] == [7, 8, 9, 11, 13]
+        else:
+            shapes[fix.status] = frame_index
+    assert set(shapes) == {"ok", "ok, polished", "NoFix", "NoRealSolution",
+                           "NoUnderwaterSolution", "UnrealizableTDOA"}
+
+
+# cell values: any float but NaN, the edges drawn often
+_CELLS = st.one_of(st.floats(allow_nan=False),
+                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                    1e300, -1e300, math.inf, -math.inf]))
+_POINTS = st.tuples(_CELLS, _CELLS, _CELLS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame_index=st.integers(0, 10**6), truth=_POINTS, analytic=_POINTS,
+       polish=st.sampled_from(["none", "skipped", "moved"]), numerical=_POINTS,
+       res=_POINTS, discriminant=_CELLS, index=st.integers(0, 2),
+       branch_failed=st.booleans())
+def test_row_templates_match_the_cell_by_cell_spelling_on_any_values(
+        frame_index, truth, analytic, polish, numerical, res, discriminant, index,
+        branch_failed):
+    """%.9g and f"{x:.9g}" spell the same digits, -0.0, subnormals, 1e300
+    and inf included. Drawn values that make a NaN cell (inf - inf in an
+    error or a residual) are left out: no scenario gets simulate there."""
+    from hypothesis import assume
+
+    from uwps.multilateration import Branch, CandidatePair, FrameFix
+
+    diffs = next(d for _, _, fix, d in shapes_frames() if fix and fix.status == "ok")
+    branch = Branch((0.0, 0.0, -1.0), 1.0, analytic, index)
+    pair = CandidatePair((branch, branch), discriminant)
+    if branch_failed:
+        fix = FrameFix(pair, None, None, "NoUnderwaterSolution")
+    elif polish == "none":
+        fix = FrameFix(pair, branch, None, "NonConvergence", res)
+    else:
+        fix = FrameFix(pair, branch, analytic if polish == "skipped" else numerical, "ok", res)
+    values, _ = reference_row(frame_index, truth, fix, diffs)
+    assume(not any(isinstance(v, float) and math.isnan(v) for v in values))
+    assert_row_matches_the_reference(frame_index, truth, fix, diffs)
 
 
 SOLVE_GOLDENS = [
@@ -466,13 +610,16 @@ def scenario_files(draw):
 @given(text=scenario_files())
 def test_simulate_fuzzed_scenario_files(text):
     """uwps simulate on any scenario file exits 0, 1 or 2 without a
-    traceback, and a rejected file is reported as `error: <path>...`."""
+    traceback, a rejected file is reported as `error: <path>...`, and no
+    CSV cell is a NaN."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "fuzz.scn"
+        path, csv = Path(tmp) / "fuzz.scn", Path(tmp) / "out.csv"
         path.write_text(text, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["simulate", str(path), "-o", str(Path(tmp) / "out.csv")])
+            code = main(["simulate", str(path), "-o", str(csv)])
+        assert "nan" not in (csv.read_text().replace("\n", ",").split(",")
+                             if csv.exists() else [])
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_SOLVER)
     assert "Traceback" not in err.getvalue()
     if code == EXIT_USAGE:
