@@ -36,8 +36,8 @@ from .protocol import BuoyMessage, FrameSchedule, _quantized, transmit_times
 RX_CLOCK_TICK = 2.0 ** -40          # receiver timestamp resolution [s]
 SPEED_CAP = 10.0                    # receiver speed sanity cap [m/s]
 # bound on the magnitude of receiver coordinates and buoy heights [m], buoy
-# drifts and the sound speed [m/s]: every range, squared range and arrival
-# time simulate computes then stays well within float range
+# drifts, the sound speed [m/s] and noise_sigma [s]: every range, squared
+# range and arrival time simulate computes then stays well within float range
 MAGNITUDE_CAP = 1e9
 
 
@@ -123,6 +123,8 @@ class Scenario(_Checked, _Scenario):
             raise ValueError(f"range_limit {range_limit} must be > 0")
         if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
             raise ValueError(f"noise_sigma {noise_sigma} must be finite and >= 0")
+        if noise_sigma > MAGNITUDE_CAP:
+            raise ValueError(f"noise_sigma {noise_sigma} must be at most {MAGNITUDE_CAP:g}")
         if type(seed) is not int or seed < 0:
             raise ValueError(f"seed {seed!r} must be an int >= 0")
         end = frames * schedule.frame_period

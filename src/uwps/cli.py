@@ -109,7 +109,6 @@ def _csv_row(frame_index: int, truth, fix: FrameFix | None, diffs):
 # not, default). A key without a default is required, and so is a section
 # with a required key. Only range_limit may be inf, and an integer must
 # be >= 0. The [channel] keys are Scenario's fields of the same names.
-_DEFAULT_TOLERANCE = SolverConfig().consistency_tolerance
 _BUOY_KEYS = {"position": (3, False, None), "drift": (3, False, (0.0, 0.0, 0.0))}
 _SCENARIO_KEYS = {
     **{f"buoy {i}": _BUOY_KEYS for i in (1, 2, 3, 4)},
@@ -120,7 +119,7 @@ _SCENARIO_KEYS = {
     "schedule": {"message_bytes": (1, True, 80), "bit_rate": (1, False, 640.0),
                  "guard": (1, False, 1.0)},
     "run": {"frames": (1, True, None)},
-    "solver": {"consistency_tolerance": (1, False, _DEFAULT_TOLERANCE)},
+    "solver": {"consistency_tolerance": (1, False, SolverConfig().consistency_tolerance)},
 }
 _REQUIRED_SECTIONS = frozenset(
     name for name, keys in _SCENARIO_KEYS.items()
@@ -475,11 +474,6 @@ def write_observation_file(path: Path, record, sound_speed: float) -> None:
 
 
 def cmd_solve(args) -> int:
-    try:
-        cfg = SolverConfig(consistency_tolerance=args.consistency_tolerance)
-    except ValueError as exc:
-        print(f"error: --consistency-tolerance: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     path = resolve_input(args.observations)
     try:
         obs_file = parse_observation_file(path)
@@ -499,7 +493,7 @@ def cmd_solve(args) -> int:
         for i, (d, b, (ex, ey, ez)) in enumerate(zip(diffs.d, diffs.b, diffs.e), start=1):
             lines.append("d_0%d = %.9g m   b_0%d = %.9g m   e_0%d = (%.9g, %.9g, %.9g)\n"
                          % (i, d, i, b, i, ex, ey, ez))
-        pair = kleusberg_solve(diffs, cfg)
+        pair = kleusberg_solve(diffs)
         vectors = []   # each candidate's residuals, in branch order
         for label, (_, s, (x, y, z), idx) in zip("12", pair.branches):
             vectors.append(residuals((x, y, z), diffs))
@@ -579,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one observation file")
     p_solve.add_argument("observations", help="observation file path or bundled name")
-    p_solve.add_argument("--consistency-tolerance", type=_number, default=_DEFAULT_TOLERANCE)
 
     p_sched = sub.add_parser("schedule", help="print a TDMA schedule")
     p_sched.add_argument("message_bytes", type=_integer)

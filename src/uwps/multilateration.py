@@ -425,9 +425,14 @@ def _residual_kernel(x: float, y: float, z: float, anchors, d):
 def residuals(position: tuple[float, float, float], diffs: DiffSet
               ) -> tuple[float, float, float]:
     """Range-difference residuals (|X-R_i| - |X-R_0|) - d_0i at the
-    (east, north, up) position X, in meters."""
+    (east, north, up) position X, in meters. A residual that is not finite,
+    as where X is so far out that its squared ranges overflow, raises
+    ValueError."""
     x, y, z = position
-    return _residual_kernel(x, y, z, diffs.anchors, diffs.d)[2]
+    res = r0, r1, r2 = _residual_kernel(x, y, z, diffs.anchors, diffs.d)[2]
+    if not (math.isfinite(r0) and math.isfinite(r1) and math.isfinite(r2)):
+        raise ValueError(f"residuals {res} at {position} are not finite")
+    return res
 
 
 def select_underwater(pair: CandidatePair, diffs: DiffSet) -> Branch:

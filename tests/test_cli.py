@@ -4,6 +4,7 @@ import errno
 import io
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -224,7 +225,8 @@ def test_row_templates_match_the_cell_by_cell_spelling_on_any_values(
         branch_failed):
     """%.9g and f"{x:.9g}" spell the same digits, -0.0, subnormals, 1e300
     and inf included. Drawn values that make a NaN cell (inf - inf in an
-    error or a residual) are left out: no scenario gets simulate there."""
+    error) or a residual that is not finite (which residuals() raises on)
+    are left out: no scenario gets simulate there."""
     from hypothesis import assume
 
     from uwps.multilateration import Branch, CandidatePair, FrameFix
@@ -238,7 +240,10 @@ def test_row_templates_match_the_cell_by_cell_spelling_on_any_values(
         fix = FrameFix(pair, branch, None, "NonConvergence", res)
     else:
         fix = FrameFix(pair, branch, analytic if polish == "skipped" else numerical, "ok", res)
-    values, _ = reference_row(frame_index, truth, fix, diffs)
+    try:
+        values, _ = reference_row(frame_index, truth, fix, diffs)
+    except ValueError:
+        assume(False)
     assume(not any(isinstance(v, float) and math.isnan(v) for v in values))
     assert_row_matches_the_reference(frame_index, truth, fix, diffs)
 
@@ -428,7 +433,8 @@ def test_simulate_degenerate_symmetric_receiver(tmp_path, capsys):
 @pytest.mark.parametrize("old, new", [
     ("sound_speed = 1500.0", "sound_speed = 1e153"),
     ("position = 300.0 400.0 -150.0", "position = 1e160 400.0 -150.0"),
-], ids=["sound_speed", "receiver position"])
+    ("noise_sigma = 0.0", "noise_sigma = 1e308"),
+], ids=["sound_speed", "receiver position", "noise_sigma"])
 def test_simulate_rejects_magnitudes_that_overflow(old, new, tmp_path, capsys):
     """Values whose arrival times would overflow are a file error, exit 1,
     not a traceback from the simulator."""
@@ -713,10 +719,6 @@ def test_solve_fuzzed_observation_files(text):
 
 
 FLAG_CASES = [
-    ("solve", "squaretest_frame0", "--consistency-tolerance", "-1"),
-    ("solve", "squaretest_frame0", "--consistency-tolerance", "0"),
-    ("solve", "squaretest_frame0", "--consistency-tolerance", "nan"),
-    ("solve", "squaretest_frame0", "--consistency-tolerance", "inf"),
     ("schedule", "80", "nan", "1"),
     ("schedule", "80", "640", "nan"),
     ("schedule", "80", "640", "inf"),
@@ -730,7 +732,6 @@ FLAG_CASES = [
     ("verify", "--seed=-1e0"),
     ("schedule", "80", "640", "--", "-1e0"),
     ("schedule", "80", "640", "1", "--cap=-1e0"),
-    ("solve", "squaretest_frame0", "--consistency-tolerance=-1e0"),
 ]
 
 
@@ -750,8 +751,6 @@ SPELLING_CASES = [
     ("schedule", "80", "6_40", "1"),
     ("schedule", "80", "640", "\uff11"),
     ("schedule", "80", "640", "1", "--cap", "1_0"),
-    ("solve", "squaretest_frame0", "--consistency-tolerance", "1_0"),
-    ("solve", "squaretest_frame0", "--consistency-tolerance", "\uff11"),
     ("verify", "--seed", "1_0"),
     ("verify", "--seed", "\u0661"),
 ]
@@ -765,6 +764,15 @@ def test_cli_numbers_follow_the_file_grammar(argv, capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert "invalid" in err and "Traceback" not in err
+
+
+def test_solve_takes_no_tolerance_option(capsys):
+    """uwps solve solves at the default tolerance: --consistency-tolerance
+    is an unrecognized argument, exit 1, nothing on stdout."""
+    code, out, err = run_cli("solve", "squaretest_frame0", "--consistency-tolerance", "1e-3",
+                             capsys=capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "unrecognized arguments: --consistency-tolerance 1e-3" in err
 
 
 def test_solve_bundled_frame_matches_simulate(tmp_path, capsys):
@@ -1132,7 +1140,7 @@ PARITY_ARGVS = [
     ["solve", _F, "--consist", "1e-3"], ["solve", _F, "--consistency-tolerance=2"],
     ["solve", "--", _F], ["solve", _F, "--", "x"], ["schedule", "80", "-640", "1"],
     ["schedule", "80"], ["verify", "--seed"], ["simulate"],
-    ["simulate", _F, "extra1", "extra2"],
+    ["simulate", _F, "extra1", "extra2"], ["verify", "--se", "1"],
 ]
 
 
@@ -1173,6 +1181,25 @@ def test_file_formats_doc_lists_the_scenario_keys():
         section.split()[0]: {key: (count, integer, default is not None)
                              for key, (count, integer, default) in keys.items()}
         for section, keys in cli._SCENARIO_KEYS.items()}
+
+
+def test_docs_name_the_options_the_parser_has():
+    """README's CLI block lists each command's options, -h aside, and
+    every --option docs/file-formats.md names is an option of a command."""
+    root = Path(__file__).parent.parent
+    readme = (root / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    option = r"(?<![\w-])--?[a-z][a-z-]*"
+    listed = {line.split()[1]: re.findall(option, line) for line in block.splitlines()}
+    commands = cli.build_parser().commands
+    assert listed.keys() == commands.keys()
+    for name, parser in commands.items():
+        want = {action for action in parser._actions
+                if action.option_strings and action.dest != "help"}
+        assert {parser._option_string_actions.get(o) for o in listed[name]} == want, name
+    doc = (root / "docs" / "file-formats.md").read_text()
+    known = {o for parser in commands.values() for o in parser._option_string_actions}
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", doc)) - known == set()
 
 
 def test_scenario_parser_units_and_defaults(tmp_path):

@@ -91,7 +91,7 @@ def oracle_inputs():
     copies check_rigid_motion_equivariance builds, and unit_square cases."""
     rng = np.random.default_rng(17)
     for _ in range(300):
-        buoys, truth, _ = sample_scenario(rng)
+        buoys, truth, _, _ = sample_scenario(rng)
         buoys, truth = np.asarray(buoys), np.asarray(truth)
         yield buoys, truth
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -227,7 +227,7 @@ def test_closed_form_matches_numpy_reference():
     to 1e-9 m, the discriminant to 1e-12 of g.g (its cancellation scale)."""
     rng = np.random.default_rng(11)
     for _ in range(300):
-        buoys, truth, diffs = sample_scenario(rng)
+        buoys, truth, diffs, _ = sample_scenario(rng)
         gg, disc, branches = numpy_closed_form(diffs, np.asarray(buoys[0]))
         pair = kleusberg_solve(diffs, CFG)
         assert abs(pair.discriminant - disc) <= 1e-12 * gg
@@ -321,7 +321,7 @@ def test_closed_form_matches_list_form_bit_for_bit():
     # consistent: a tolerance at the rounding level trips the guard
     for sigma, tolerance in ((1e-3, 1e-12), (0.1, 1.0), (10.0, 1.0)):
         for _ in range(200):
-            _, _, diffs = sample_scenario(rng)
+            diffs = sample_scenario(rng)[2]
             noisy = diffs._replace(d=np.add(diffs.d, rng.normal(0.0, sigma, 3)))
             if all(abs(d) < b for d, b in zip(noisy.d, noisy.b)):
                 cases.append((noisy, SolverConfig(consistency_tolerance=tolerance)))
@@ -543,6 +543,15 @@ def test_residuals_zero_on_symmetry_axis_with_zero_diffs():
     assert np.linalg.norm(on_axis) < 1e-9
 
 
+def test_residuals_raise_where_the_ranges_overflow():
+    """At 1e160 m the squared ranges overflow and the residuals would be
+    NaN: a ValueError instead. At 1e150 m they are finite."""
+    diffs = oracle_diffs(unit_square(1000.0), np.array([300.0, 400.0, -150.0]))
+    with pytest.raises(ValueError, match="not finite"):
+        residuals((1e160, 0.0, -1.0), diffs)
+    assert all(map(math.isfinite, residuals((1e150, 0.0, -1.0), diffs)))
+
+
 # -- numerical_solve ---------------------------------------------------
 
 def test_numerical_from_truth_converges_immediately():
@@ -722,7 +731,7 @@ def numerical_cases():
     rng = np.random.default_rng(31)
     cfg = SolverConfig(max_iterations=25)
     for _ in range(100):
-        buoys, truth, diffs = sample_scenario(rng)
+        buoys, truth, diffs, _ = sample_scenario(rng)
         azimuth = rng.uniform(0.0, 2.0 * np.pi)
         tilt = np.deg2rad(30.0) * np.sqrt(rng.uniform())
         start = np.asarray(truth) + 200.0 * np.array([np.cos(azimuth) * np.sin(tilt),
@@ -730,7 +739,7 @@ def numerical_cases():
                                                       -np.cos(tilt)])
         yield diffs, enu(*start), cfg
     for _ in range(100):
-        buoys, truth, clean = sample_scenario(rng)
+        buoys, truth, clean, _ = sample_scenario(rng)
         noisy = clean._replace(d=np.add(clean.d, rng.normal(0.0, 0.1, 3)))
         start = np.asarray(truth) + rng.normal(0.0, 50.0, 3)
         yield noisy, enu(*start), CFG
@@ -863,7 +872,7 @@ def test_numerical_tests_the_cost_floor_before_the_budget_runs_out():
     the budget's NonConvergence was raised without testing it."""
     rng = np.random.default_rng(12345)
     for _ in range(567):
-        buoys, truth, diffs = sample_scenario(rng)
+        buoys, truth, diffs, _ = sample_scenario(rng)
         azimuth = rng.uniform(0.0, 2.0 * np.pi)
         tilt = math.radians(30.0) * math.sqrt(rng.uniform())
     pick = select_underwater(kleusberg_solve(diffs, CFG), diffs).position
@@ -975,6 +984,7 @@ def test_motion_bound_chains_gauss_newton_from_the_previous_fix(monkeypatch):
 
     calls = []   # ("frame", fix) per solve_frame, ("chained", start) per chained start
     framing = []
+    lost = []    # the starts of chained Gauss-Newton runs that raised on their own
     solve, iterate = solve_frame, numerical_solve
 
     def framed(diffs, cfg):
@@ -987,28 +997,36 @@ def test_motion_bound_chains_gauss_newton_from_the_previous_fix(monkeypatch):
         return fix
 
     def chained(diffs, *, initial, cfg):
-        if not framing:
-            calls.append(("chained", initial))
-            if failing:
-                raise NonConvergence("refused")
-        return iterate(diffs, initial=initial, cfg=cfg)
+        if framing:
+            return iterate(diffs, initial=initial, cfg=cfg)
+        calls.append(("chained", initial))
+        if failing:
+            raise NonConvergence("refused")
+        try:
+            return iterate(diffs, initial=initial, cfg=cfg)
+        except PositioningError:
+            lost.append(initial)
+            raise
 
     monkeypatch.setattr(multilateration, "solve_frame", framed)
     monkeypatch.setattr(multilateration, "numerical_solve", chained)
     for failing in (False, True):
         calls.clear()
-        ok, detail = verify.check_motion_bound(verify.DEFAULT_SEED, trajectories=2)
-        # three speeds, two trajectories each, two frames per trajectory
-        assert len(calls) == 12
+        lost.clear()
+        ok, detail = verify.check_motion_bound(verify.DEFAULT_SEED)
+        # three speeds, 100 trajectories each, two frames per trajectory
+        assert len(calls) == 600
         first, second = calls[0::2], calls[1::2]
         assert {kind for kind, _ in first} == {"frame"}
         assert [kind for kind, _ in second] == [
             "frame" if fix is None else "chained" for _, fix in first]
         assert all(start is fix for (kind, start), (_, fix) in zip(second, first)
                    if kind == "chained")
-        unsolved = sum(fix is None for kind, fix in calls if kind == "frame")
+        unsolved = sum(fix is None for kind, fix in calls if kind == "frame") + len(lost)
         if failing:
             unsolved += sum(kind == "chained" for kind, _ in second)
+        else:
+            assert lost   # this seed has chained runs that Gauss-Newton cannot finish
         assert not ok and f"({unsolved} unsolved)" in detail
     # this seed has frames of both kinds and frames the closed form leaves unsolved
     assert {kind for kind, _ in second} == {"frame", "chained"}

@@ -4,7 +4,9 @@ verify's sampler draws one block of uniforms per attempt and forms each
 value in floats. The numpy sampler below is the form it replaced, kept as
 the reference: for every case the two give the same bits, and leave the
 generator in the same state, so the criterion families and the suite's
-report stay the cases they were.
+report stay the cases they were. The sampler hands each case's closed
+form to the checks, bit for bit the one a fresh solve gives, so the checks
+solve no case again.
 """
 import struct
 
@@ -83,7 +85,7 @@ def test_sampler_matches_numpy_reference_bit_for_bit(seed, cases):
     tuples, and the same generator state after every case."""
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for case in range(cases):
-        buoys, truth, diffs = verify.sample_scenario(rng)
+        buoys, truth, diffs, _ = verify.sample_scenario(rng)
         want = bits(*numpy_sample_scenario(ref))
         assert bits(buoys, truth, diffs) == want, f"case {case}"
         assert rng.bit_generator.state == ref.bit_generator.state, f"case {case}"
@@ -103,3 +105,42 @@ def test_mirror_draw_matches_numpy_reference_bit_for_bit(seed, cases):
         assert rng.bit_generator.state == ref.bit_generator.state, f"case {case}"
         assert all(is_float_tuple(b) and b[2] == 0.0 for b in buoys)
         assert is_float_tuple(truth)
+
+
+def pair_bits(pair):
+    """The pair's bytes: each branch's direction, range, position and
+    baseline index, then the discriminant."""
+    values = [v for e, s, p, _ in pair.branches for v in (*e, s, *p)]
+    return (struct.pack(f"{len(values) + 1}d", *values, pair.discriminant)
+            + bytes(branch.denominator_index for branch in pair.branches))
+
+
+@pytest.mark.parametrize("seed,cases", SEEDS)
+def test_sampler_returns_the_pair_a_fresh_solve_gives(seed, cases):
+    """The pair the sampler hands on is, to the last bit, the closed form
+    of its DiffSet at SolverConfig()."""
+    rng = np.random.default_rng(seed)
+    for case in range(cases):
+        _, _, diffs, pair = verify.sample_scenario(rng)
+        fresh = multilateration.kleusberg_solve(diffs, SolverConfig())
+        assert pair_bits(pair) == pair_bits(fresh), f"case {case}"
+
+
+def test_reconstruction_check_solves_each_case_once(monkeypatch):
+    """check_reconstruction_exactness makes no closed-form solve of its
+    own: every kleusberg_solve call is one the sampler makes, as many as
+    the sampler makes for the same draws."""
+    solve, calls = multilateration.kleusberg_solve, [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(multilateration, "kleusberg_solve", counting)
+    rng = np.random.default_rng(verify.DEFAULT_SEED)
+    for _ in range(1000):
+        verify.sample_scenario(rng)
+    sampled, calls[0] = calls[0], 0
+    ok, _ = verify.check_reconstruction_exactness(verify.DEFAULT_SEED)
+    assert ok and calls[0] == sampled
+    assert sampled >= 1000
