@@ -13,7 +13,6 @@ from .geo import LocalFrame, geodetic_to_enu
 from .multilateration import (
     Observation,
     ObservationSet,
-    SolverConfig,
     pseudorange_diffs,
     solve_frame,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "LocalFrame",
     "Observation",
     "ObservationSet",
-    "SolverConfig",
     "decode_message",
     "geodetic_to_enu",
     "pseudorange_diffs",

@@ -140,10 +140,10 @@ class ReceptionEvent(NamedTuple):
 
     true_position is ground truth (receiver location at the arrival
     instant, an (east, north, up) float tuple in the working ENU frame) and
-    is withheld from the solvers. source is the reported position converted
-    into source_frame, an (east, north, up) float tuple as the simulator
-    computed it; like every field, both take part in comparisons. All three
-    are None for events read from the wire. The buoy is message.buoy_id.
+    is withheld from the solvers. source is the reported position in the
+    run's working frame, an (east, north, up) float tuple as the simulator
+    computed it. Both are None for events read from the wire. The buoy is
+    message.buoy_id.
     """
 
     frame_index: int
@@ -151,7 +151,6 @@ class ReceptionEvent(NamedTuple):
     receive_time: float               # receiver clock [s]
     true_position: tuple[float, float, float] | None = None
     source: tuple[float, float, float] | None = None
-    source_frame: LocalFrame | None = None
 
 
 class FrameRecord(NamedTuple):
@@ -219,25 +218,21 @@ def simulate(scenario: Scenario) -> list[FrameRecord]:
                 receive_time += next(noise)
             events.append(tuple.__new__(ReceptionEvent, (
                 k, message, receive_time, (x0 + vx * t_arr, y0 + vy * t_arr, z0 + vz * t_arr),
-                source, frame)))
+                source)))
         records.append(tuple.__new__(FrameRecord, (k, tuple(events))))
     return records
 
 
-def assemble_observations(
-    events,
-    sound_speed: float,
-    frame: LocalFrame | None = None,
-) -> ObservationSet:
+def assemble_observations(events, sound_speed: float) -> ObservationSet:
     """Turn one frame's receptions into solver observations.
 
     Wire buoy ids 1..4 map to solver ids 0..3; buoy 1 is the reference.
-    When no working frame is given it is derived from the reference
-    buoy's reported position in these events (its first report, for a
-    single-frame input). A simulated event already converted to the
-    requested frame, or one of the same origin, is not converted again.
-    Events in buoy order, as simulate and the wire give them, are taken
-    as they are. The receive times and the sound speed alone are checked.
+    Simulated events give their source, already in the run's working frame.
+    Wire events, without a source, are converted into the frame anchored at
+    the reference buoy's report in these events. A frame that mixes the two
+    raises IncompleteFrame. Events in buoy order, as simulate and the wire
+    give them, are taken as they are. The receive times and the sound speed
+    alone are checked.
     """
     events = tuple(events)
     if len(events) != 4:
@@ -252,13 +247,15 @@ def assemble_observations(
     if not e1.frame_index == e2.frame_index == e3.frame_index == e4.frame_index:
         raise IncompleteFrame(f"events mix frames {sorted({e.frame_index for e in events})}")
 
-    if frame is None:
+    events = e1, e2, e3, e4
+    positions = e1.source, e2.source, e3.source, e4.source
+    if None in positions:
+        if positions.count(None) != 4:
+            raise IncompleteFrame("events mix simulated and wire reports")
         frame = LocalFrame(e1.message.position)
+        positions = [geodetic_to_enu(e.message.position, frame) for e in events]
     observations = []
-    for solver_id, e in enumerate((e1, e2, e3, e4)):
-        position = e.source
-        if position is None or e.source_frame.origin != frame.origin:
-            position = geodetic_to_enu(e.message.position, frame)
+    for solver_id, e, position in zip(range(4), events, positions):
         _finite("times", e.receive_time)
         observations.append(tuple.__new__(
             Observation, (solver_id, e.message.gnss_time, float(e.receive_time), position)))

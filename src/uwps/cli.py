@@ -25,8 +25,9 @@ from .channel import (
 from .errors import PositioningError
 from .geo import GeodeticCoord
 from .multilateration import (
+    CONSISTENCY_TOLERANCE,
     FrameFix,
-    SolverConfig,
+    _consistency_tolerance,
     _norm,
     kleusberg_solve,
     pseudorange_diffs,
@@ -119,7 +120,7 @@ _SCENARIO_KEYS = {
     "schedule": {"message_bytes": (1, True, 80), "bit_rate": (1, False, 640.0),
                  "guard": (1, False, 1.0)},
     "run": {"frames": (1, True, None)},
-    "solver": {"consistency_tolerance": (1, False, SolverConfig().consistency_tolerance)},
+    "solver": {"consistency_tolerance": (1, False, CONSISTENCY_TOLERANCE)},
 }
 _REQUIRED_SECTIONS = frozenset(
     name for name, keys in _SCENARIO_KEYS.items()
@@ -127,10 +128,10 @@ _REQUIRED_SECTIONS = frozenset(
 
 
 class ScenarioFile(NamedTuple):
-    """Parsed scenario file: the Scenario plus the solver options."""
+    """Parsed scenario file: the Scenario plus the closed form's tolerance."""
 
     scenario: Scenario
-    solver: SolverConfig
+    consistency_tolerance: float
 
 
 def _parse_sections(text: str, path: str):
@@ -259,10 +260,10 @@ def parse_scenario_file(path: Path) -> ScenarioFile:
             frames=values["run"]["frames"],
             **values["channel"],
         )
-        solver = SolverConfig(**values["solver"])
+        tolerance = _consistency_tolerance(values["solver"]["consistency_tolerance"])
     except (ValueError, PositioningError) as exc:
         raise FileFormatError(f"{path}: {exc}") from None
-    return ScenarioFile(scenario=scenario, solver=solver)
+    return ScenarioFile(scenario=scenario, consistency_tolerance=tolerance)
 
 
 # -- observation files ---------------------------------------------------
@@ -343,7 +344,7 @@ def _decode_observation_events(obs_file: ObservationFile, path: Path):
             raise FileFormatError(
                 f"{path}:{lineno}: {type(exc).__name__}: {exc}") from None
         events.append(tuple.__new__(ReceptionEvent, (
-            obs_file.frame_index, message, receive_time, None, None, None)))
+            obs_file.frame_index, message, receive_time, None, None)))
     return events
 
 
@@ -378,8 +379,6 @@ def cmd_simulate(args) -> int:
         # simulate draws the timing noise of a noisy scenario
         return _needs_numpy(exc, f"{path}: timing noise (noise_sigma > 0)")
     scenario = parsed.scenario
-    # the working frame simulate converted every event's source into
-    frame = next((e.source_frame for r in records for e in r.events), None)
 
     rows = [CSV_HEADER + "\n"]
     errors_analytic = []
@@ -391,7 +390,7 @@ def cmd_simulate(args) -> int:
             rows.append(_csv_row(record.frame_index, None, None, None)[0])
             continue
         complete_frames += 1
-        obs = assemble_observations(record.events, scenario.sound_speed, frame=frame)
+        obs = assemble_observations(record.events, scenario.sound_speed)
         try:
             diffs = pseudorange_diffs(obs)
         except PositioningError as exc:
@@ -399,7 +398,7 @@ def cmd_simulate(args) -> int:
             diffs, fix = None, FrameFix(pair=None, branch=None, numerical=None,
                                         status=type(exc).__name__)
         else:
-            fix = solve_frame(diffs, parsed.solver)
+            fix = solve_frame(diffs, parsed.consistency_tolerance)
         row, error, error_n = _csv_row(
             record.frame_index, record.events[-1].true_position, fix, diffs)
         rows.append(row)

@@ -42,6 +42,8 @@ from .geo import GeodeticCoord, _Checked
 
 MIN_BASELINE = 1.0    # coincident-buoy threshold [m]
 SURFACE_UP = 0.0      # the sea surface: a receiver or fix is underwater below it [m]
+# the closed form's default cross-baseline range agreement [m]
+CONSISTENCY_TOLERANCE = 1e-6
 
 # relative thresholds: direction collinearity and range-denominator collapse
 _COLLINEAR_RTOL = 1e-12
@@ -113,6 +115,13 @@ def _sound_speed(sound_speed) -> float:
     if not (math.isfinite(sound_speed) and sound_speed > 0):
         raise ValueError(f"sound_speed {sound_speed} must be finite and > 0")
     return float(sound_speed)
+
+
+def _consistency_tolerance(value) -> float:
+    """A closed-form consistency tolerance as a float, checked: finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"consistency_tolerance {value} must be finite and > 0")
+    return float(value)
 
 
 class _ObservationSet(NamedTuple):
@@ -221,30 +230,6 @@ class CandidatePair(NamedTuple):
     discriminant: float
 
 
-class _SolverConfig(NamedTuple):
-    max_iterations: int              # Gauss-Newton iteration budget
-    consistency_tolerance: float     # cross-baseline range agreement [m]
-
-
-class SolverConfig(_Checked, _SolverConfig):
-    """The settings of the analytic and iterative solvers.
-
-    consistency_tolerance is meaningful for noiseless stationary data at
-    its default; widen it for noisy or moving-receiver inputs.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, max_iterations=50, consistency_tolerance=1e-6):
-        value = consistency_tolerance
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"consistency_tolerance {value} must be finite and > 0")
-        n = max_iterations
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError(f"max_iterations {n!r} must be an integer >= 1")
-        return tuple.__new__(cls, (n, value))
-
-
 def pseudorange_diffs(obs: ObservationSet) -> DiffSet:
     """Difference the four pseudoranges against the reference buoy 0.
 
@@ -283,7 +268,8 @@ def _unrealizable(diff: float, length: float, buoy_id: int) -> UnrealizableTDOA:
         f"|d| = {abs(diff):.3f} m >= baseline {length:.3f} m for buoy {buoy_id}")
 
 
-def kleusberg_solve(diffs: DiffSet, cfg: SolverConfig = SolverConfig()) -> CandidatePair:
+def kleusberg_solve(diffs: DiffSet,
+                    consistency_tolerance: float = CONSISTENCY_TOLERANCE) -> CandidatePair:
     """Closed-form two-candidate solution of the range-difference system.
 
     Works entirely from the three baselines: directions from paired
@@ -292,8 +278,9 @@ def kleusberg_solve(diffs: DiffSet, cfg: SolverConfig = SolverConfig()) -> Candi
 
     Written out in float scalars, with the operations of the vector form
     in the same order (every sum left to right), so its results are those
-    of the vector form bit for bit. Any DiffSet gives a CandidatePair or a
-    PositioningError; the errors, in the order they are tested:
+    of the vector form bit for bit. A consistency_tolerance that is not
+    finite and > 0 raises ValueError. Any DiffSet gives a CandidatePair or
+    a PositioningError; the errors, in the order they are tested:
 
     * UnrealizableTDOA for a difference with |d_0i| >= b_0i, before
       anything is divided: no point produces it;
@@ -306,8 +293,9 @@ def kleusberg_solve(diffs: DiffSet, cfg: SolverConfig = SolverConfig()) -> Candi
     * per branch, SingularDenominator when every range denominator is
       below 1e-9 of the longest baseline, and InconsistentRanges when the
       other usable range equations disagree by more than
-      cfg.consistency_tolerance.
+      consistency_tolerance.
     """
+    tol = _consistency_tolerance(consistency_tolerance)
     d0, d1, d2 = diffs.d
     b0, b1, b2 = diffs.b
     (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = diffs.e
@@ -354,7 +342,6 @@ def kleusberg_solve(diffs: DiffSet, cfg: SolverConfig = SolverConfig()) -> Candi
     root = math.sqrt(disc)
     c0, c1, c2 = g1 * h2 - g2 * h1, g2 * h0 - g0 * h2, g0 * h1 - g1 * h0
     den_tol = _DENOMINATOR_RTOL * b_max
-    tol = cfg.consistency_tolerance
     x0, y0, z0 = diffs.reference
     nums = (n0, n1, n2)
 
@@ -493,7 +480,7 @@ def numerical_solve(
     diffs: DiffSet,
     *,
     initial: tuple[float, float, float],
-    cfg: SolverConfig = SolverConfig(),
+    max_iterations: int = 50,
 ) -> tuple[float, float, float]:
     """Gauss-Newton least squares on the residual system.
 
@@ -516,7 +503,8 @@ def numerical_solve(
     shorter than that tolerance. The cost floor is also tested on the last
     accepted iterate, whose residuals are already computed, before the
     budget's NonConvergence is raised. No returned fix lies at or above
-    SURFACE_UP. Raises ValueError for a non-finite start, and otherwise:
+    SURFACE_UP. Raises ValueError for a max_iterations that is not an
+    integer >= 1 or a non-finite start, and otherwise:
 
     * NonConvergence for a start at or above SURFACE_UP, or as soon as an
       accepted step lands there: on the plane of a near-coplanar array a
@@ -529,6 +517,9 @@ def numerical_solve(
     * SingularJacobian when the iterate coincides with a buoy, or the
       normal equations are non-finite or rank-deficient even when damped.
     """
+    n = max_iterations
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"max_iterations {n!r} must be an integer >= 1")
     x, y, z = initial
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError("initial guess must be finite")
@@ -541,7 +532,7 @@ def numerical_solve(
         # a start out there, such as a closed-form fix, is polished: only an
         # iterate that runs off from within reach is given up on
         reach = math.inf
-    for iteration in range(cfg.max_iterations):
+    for iteration in range(max_iterations):
         offsets, ranges, res = kernel
         if 0.0 in ranges:
             raise SingularJacobian("iterate coincides with a buoy position")
@@ -647,7 +638,7 @@ def numerical_solve(
         return x, y, z
     raise NonConvergence(
         f"step norm above {_STEP_TOL:.1e} m after "
-        f"{cfg.max_iterations} iterations")
+        f"{max_iterations} iterations")
 
 
 class FrameFix(NamedTuple):
@@ -672,14 +663,15 @@ class FrameFix(NamedTuple):
         return None if self.branch is None else self.branch.position
 
 
-def solve_frame(diffs: DiffSet, cfg: SolverConfig) -> FrameFix:
+def solve_frame(diffs: DiffSet,
+                consistency_tolerance: float = CONSISTENCY_TOLERANCE) -> FrameFix:
     """The closed form, its underwater pick, then Gauss-Newton to polish it.
 
-    Gauss-Newton starts from the analytic fix; without one the frame has no
-    fix. Started from an analytic fix that already meets its first exit
-    test (half the squared residual norm below 1e-24 m^2), it would return
-    that start unchanged, so it is not run: numerical is then the analytic
-    fix itself, bit for bit.
+    consistency_tolerance is the closed form's. Gauss-Newton starts from the
+    analytic fix; without one the frame has no fix. Started from an analytic
+    fix that already meets its first exit test (half the squared residual
+    norm below 1e-24 m^2), it would return that start unchanged, so it is
+    not run: numerical is then the analytic fix itself, bit for bit.
 
     The closed form, the residuals and Gauss-Newton are plain float
     arithmetic, and the skip test computes the very cost of Gauss-Newton's
@@ -689,11 +681,11 @@ def solve_frame(diffs: DiffSet, cfg: SolverConfig) -> FrameFix:
     pair = branch = numerical = res = None
     status = "ok"
     try:
-        pair = kleusberg_solve(diffs, cfg)
+        pair = kleusberg_solve(diffs, consistency_tolerance)
         branch = select_underwater(pair, diffs)
         res = residuals(branch.position, diffs)
         numerical = (branch.position if _cost(res) < _COST_FLOOR else
-                     numerical_solve(diffs, initial=branch.position, cfg=cfg))
+                     numerical_solve(diffs, initial=branch.position))
     except PositioningError as exc:
         status = type(exc).__name__
     return FrameFix(pair, branch, numerical, status, res)

@@ -21,8 +21,9 @@ per-case numpy call, so the scenario sampler draws one block of uniforms
 per attempt from the same stream and the check bodies compute in floats.
 numpy remains for the seeded generator (the other checks' scalar draws;
 the codec checks' blocks of _BLOCK cases, one array per field, which bound
-the memory the fields hold), the rigid-motion check's rotation and the
-range-consistency check's arrays. Every case and printed value is as it was.
+the memory the fields hold) and the rigid-motion check's rotation. Every
+other value is summed in floats, left to right, so it is the same on every
+host.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ import numpy as np
 from . import channel, geo, multilateration, protocol
 from .errors import PositioningError
 from .geo import GeodeticCoord, LocalFrame
-from .multilateration import DiffSet, SolverConfig
+from .multilateration import DiffSet
 
 DEFAULT_SEED = 20260808
 
@@ -118,7 +119,7 @@ def sample_scenario(rng: np.random.Generator):
         if min(map(abs, diffs.d)) < 0.5:
             continue
         try:
-            pair = multilateration.kleusberg_solve(diffs, SolverConfig())
+            pair = multilateration.kleusberg_solve(diffs)
         except PositioningError:
             continue
         exact_under = [
@@ -162,14 +163,12 @@ _DRIFTS = [(0.03, 0.04, 0.0), (-0.02, 0.05, 0.0), (0.05, -0.01, 0.0), (0.01, 0.0
 
 def _solve_records(scenario):
     """(record, diffs, underwater fix) of each complete frame, closed form only."""
-    frame = channel.working_frame(scenario)
     for record in channel.simulate(scenario):
         if not record.complete:
             continue
-        obs = channel.assemble_observations(record.events, scenario.sound_speed,
-                                            frame=frame)
+        obs = channel.assemble_observations(record.events, scenario.sound_speed)
         diffs = multilateration.pseudorange_diffs(obs)
-        pair = multilateration.kleusberg_solve(diffs, SolverConfig())
+        pair = multilateration.kleusberg_solve(diffs)
         yield record, diffs, multilateration.select_underwater(pair, diffs).position
 
 
@@ -254,7 +253,7 @@ def check_unit_norm(seed: int, solve: Callable = multilateration.kleusberg_solve
     worst = 0.0
     for _ in range(200):
         diffs = sample_scenario(rng)[2]
-        pair = solve(diffs, SolverConfig())   # the solve under test, not the sampler's
+        pair = solve(diffs)   # the solve under test, not the sampler's
         for branch in pair.branches:
             worst = max(worst, abs(multilateration._norm(branch.direction) - 1.0))
     return worst < 1e-9, f"worst | |e|-1 | = {worst:.3e} (< 1e-9)"
@@ -277,7 +276,7 @@ def check_mirror_symmetry(seed: int) -> tuple[bool, str]:
         diffs = oracle_diffs(*_square_case(rng, ups=False))  # exactly coplanar
         if min(map(abs, diffs.d)) < 0.5:
             continue
-        pair = multilateration.kleusberg_solve(diffs, SolverConfig())
+        pair = multilateration.kleusberg_solve(diffs)
         (x1, y1, z1), (x2, y2, z2) = (branch.position for branch in pair.branches)
         worst = max(worst, abs(x1 - x2), abs(y1 - y2), abs(z1 + z2))
     return worst < 1e-6, f"worst mirror defect {worst:.3e} m (< 1e-6 m)"
@@ -303,7 +302,6 @@ def check_numerical_agreement(seed: int, cases: int = 200) -> tuple[bool, str]:
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
-    cfg = SolverConfig(max_iterations=25)  # criterion 5's iteration budget
     for _ in range(cases):
         _, truth, diffs, pair = sample_scenario(rng)
         pick = multilateration.select_underwater(pair, diffs).position
@@ -312,7 +310,8 @@ def check_numerical_agreement(seed: int, cases: int = 200) -> tuple[bool, str]:
         step = (math.cos(azimuth) * math.sin(tilt), math.sin(azimuth) * math.sin(tilt),
                 -math.cos(tilt))
         guess = tuple(t + 200.0 * c for t, c in zip(truth, step))
-        got = multilateration.numerical_solve(diffs, initial=guess, cfg=cfg)
+        # criterion 5's iteration budget
+        got = multilateration.numerical_solve(diffs, initial=guess, max_iterations=25)
         worst = max(worst, math.dist(got, pick))
     return worst < 1e-4, f"worst disagreement {worst:.3e} m over {cases} cases (< 1e-4 m)"
 
@@ -338,12 +337,14 @@ def check_range_consistency(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(200):
         _, _, diffs, pair = sample_scenario(rng)
-        d, e, b = np.array(diffs.d), np.array(diffs.e), np.array(diffs.b)
-        for evec, _, _, _ in pair.branches:
-            dens = d + b * (e @ np.array(evec))
-            usable = np.abs(dens) > 1e-9 * float(np.max(b))
-            s_all = 0.5 * (b ** 2 - d ** 2) / dens
-            worst = max(worst, float(np.ptp(s_all[usable])))
+        den_tol = 1e-9 * max(diffs.b)
+        for (vx, vy, vz), _, _, _ in pair.branches:
+            ranges = []   # from each baseline whose denominator is usable
+            for d, b, (ex, ey, ez) in zip(diffs.d, diffs.b, diffs.e):
+                den = d + b * (ex * vx + ey * vy + ez * vz)
+                if abs(den) > den_tol:
+                    ranges.append(0.5 * (b * b - d * d) / den)
+            worst = max(worst, max(ranges) - min(ranges))
     return worst < 1e-6, f"worst cross-baseline range spread {worst:.3e} m (< 1e-6 m)"
 
 
@@ -517,7 +518,6 @@ def check_motion_bound(seed: int) -> tuple[bool, str]:
     violations = 0
     unsolved = 0
     total = 0
-    cfg = SolverConfig(consistency_tolerance=500.0)
     for speed in (1.0, 2.5, 5.0):
         for _ in range(100):
             azimuth = rng.uniform(0.0, 2.0 * np.pi)
@@ -527,17 +527,16 @@ def check_motion_bound(seed: int) -> tuple[bool, str]:
             scenario = make_scenario(_LAYOUT, velocity=vel, receiver=start, frames=2)
             starts = scenario.schedule.start_times
             span = starts[3] - starts[0]   # first-to-last transmit separation
-            frame = channel.working_frame(scenario)
             previous = None
             for record in channel.simulate(scenario):
-                obs = channel.assemble_observations(record.events, scenario.sound_speed,
-                                                    frame=frame)
+                obs = channel.assemble_observations(record.events, scenario.sound_speed)
                 diffs = multilateration.pseudorange_diffs(obs)
                 if previous is None:
-                    fix = multilateration.solve_frame(diffs, cfg).numerical
+                    fix = multilateration.solve_frame(
+                        diffs, consistency_tolerance=500.0).numerical
                 else:
                     try:
-                        fix = multilateration.numerical_solve(diffs, initial=previous, cfg=cfg)
+                        fix = multilateration.numerical_solve(diffs, initial=previous)
                     except PositioningError:
                         fix = None
                 total += 1

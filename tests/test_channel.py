@@ -12,21 +12,14 @@ from uwps.channel import (
     working_frame,
 )
 from uwps.errors import IncompleteFrame
-from uwps.geo import GeodeticCoord, LocalFrame, geodetic_to_enu
-from uwps.multilateration import (
-    SolverConfig,
-    kleusberg_solve,
-    pseudorange_diffs,
-    select_underwater,
-)
-
-CFG = SolverConfig()
+from uwps.geo import geodetic_to_enu
+from uwps.multilateration import kleusberg_solve, pseudorange_diffs, select_underwater
 
 
-def underwater_fix(record, scenario, frame=None):
-    obs = assemble_observations(record.events, scenario.sound_speed, frame=frame)
+def underwater_fix(record, scenario):
+    obs = assemble_observations(record.events, scenario.sound_speed)
     diffs = pseudorange_diffs(obs)
-    return select_underwater(kleusberg_solve(diffs, CFG), diffs).position
+    return select_underwater(kleusberg_solve(diffs), diffs).position
 
 
 def test_one_second_at_1500m_slant_range():
@@ -109,7 +102,7 @@ def test_assemble_positions_in_working_frame():
     scenario = make_scenario(frames=1)
     record = simulate(scenario)[0]
     frame = working_frame(scenario)
-    obs = assemble_observations(record.events, scenario.sound_speed, frame=frame)
+    obs = assemble_observations(record.events, scenario.sound_speed)
     for event in record.events:
         got = obs.observations[event.message.buoy_id - 1].position
         want = geodetic_to_enu(event.message.position, frame)
@@ -117,12 +110,21 @@ def test_assemble_positions_in_working_frame():
         assert got is event.source   # the simulator's conversion, not a second one
     # the reference buoy anchors the frame, so it sits at the origin
     assert obs.observations[0].position == pytest.approx((0.0, 0.0, 0.0), abs=1e-9)
-    # in any other frame each report is converted afresh
-    other = LocalFrame(GeodeticCoord(36.73, -4.41, 0.0))
-    obs = assemble_observations(record.events, scenario.sound_speed, frame=other)
-    for event in record.events:
-        got = obs.observations[event.message.buoy_id - 1].position
-        assert got == geodetic_to_enu(event.message.position, other)
+
+
+def test_assemble_rejects_simulated_and_wire_events_in_one_frame():
+    """A wire event has no source; a frame that mixes it with simulated
+    events is refused, whichever buoy it is."""
+    record = simulate(make_scenario(frames=1))[0]
+    for k in range(4):
+        mixed = [e._replace(source=None) if i == k else e
+                 for i, e in enumerate(record.events)]
+        with pytest.raises(IncompleteFrame, match="events mix simulated and wire reports$"):
+            assemble_observations(mixed, 1500.0)
+    # all four as the wire gives them: converted into the reference's frame
+    wire = [e._replace(source=None) for e in record.events]
+    obs = assemble_observations(wire, 1500.0)
+    assert obs == assemble_observations(record.events, 1500.0)
 
 
 def test_timing_noise_zero_sigma_is_identity():

@@ -125,9 +125,11 @@ def test_assembly_and_differencing_build_what_the_constructors_build(name):
             continue
         wire = [ReceptionEvent(e.frame_index, decode_message(encode_message(e.message)),
                                e.receive_time) for e in record.events]
-        for events, given in ((record.events, frame), (wire, None)):
-            obs = assemble_observations(events, scenario.sound_speed, given)
-            want = LocalFrame(wire[0].message.position) if given is None else frame
+        # simulated events are in the working frame, wire events in the
+        # frame anchored at their reference buoy's report
+        for events, want in ((record.events, frame),
+                             (wire, LocalFrame(wire[0].message.position))):
+            obs = assemble_observations(events, scenario.sound_speed)
             assert bits(obs) == bits(observations_by_constructors(
                 events, scenario.sound_speed, want))
             try:

@@ -171,18 +171,17 @@ def shapes_frames():
 
     parsed = parse_scenario_file(DATA / "shapes.scn")
     records = simulate(parsed.scenario)
-    frame = records[0].events[0].source_frame
     for record in records:
         if not record.complete:
             yield record.frame_index, None, None, None
             continue
-        obs = assemble_observations(record.events, parsed.scenario.sound_speed, frame=frame)
+        obs = assemble_observations(record.events, parsed.scenario.sound_speed)
         try:
             diffs = pseudorange_diffs(obs)
         except PositioningError as exc:
             diffs, fix = None, FrameFix(None, None, None, type(exc).__name__)
         else:
-            fix = solve_frame(diffs, parsed.solver)
+            fix = solve_frame(diffs, parsed.consistency_tolerance)
         yield record.frame_index, record.events[-1].true_position, fix, diffs
 
 
@@ -457,6 +456,18 @@ def test_simulate_rejects_a_negative_noise_sigma(tmp_path, capsys):
     path.write_text(SQUARETEST.read_text().replace("noise_sigma = 0.0", "noise_sigma = -0.0"))
     assert run_cli("simulate", str(path), capsys=capsys)[:2] == (
         EXIT_OK, (DATA / "squaretest.csv").read_text() + (DATA / "squaretest.stdout").read_text())
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_simulate_rejects_a_consistency_tolerance_not_above_zero(value, tmp_path, capsys):
+    """A [solver] tolerance of 0 or below is a file error when the file is
+    parsed: exit 1, nothing on stdout."""
+    path = tmp_path / "tolerance.scn"
+    path.write_text(scenario_text(solver=f"[solver]\nconsistency_tolerance = {value}\n"))
+    code, out, err = run_cli("simulate", str(path), capsys=capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"error: {path}: consistency_tolerance {float(value)} "
+                   "must be finite and > 0\n")
 
 
 @pytest.mark.parametrize("buoy", [1, 2])
@@ -867,7 +878,7 @@ def test_solve_never_runs_gauss_newton(exported, monkeypatch, tmp_path, capsys):
     residual norm is at least 1e-24 m^2)."""
     from uwps import multilateration
     from uwps.channel import assemble_observations
-    from uwps.multilateration import SolverConfig, pseudorange_diffs, solve_frame
+    from uwps.multilateration import pseudorange_diffs, solve_frame
 
     calls = []
     numerical_solve = multilateration.numerical_solve
@@ -889,7 +900,7 @@ def test_solve_never_runs_gauss_newton(exported, monkeypatch, tmp_path, capsys):
     events = cli._decode_observation_events(heard, path)
     diffs = pseudorange_diffs(assemble_observations(events, heard.sound_speed))
     calls.clear()
-    fix = solve_frame(diffs, SolverConfig())
+    fix = solve_frame(diffs)
     assert len(calls) == int(exported)
     assert (multilateration._cost(fix.analytic_residuals) >= 1e-24) == exported
 
@@ -969,7 +980,7 @@ def test_verify_unit_norm_catches_injected_sign_bug():
     from uwps import verify
     from uwps.multilateration import Branch, CandidatePair
 
-    def buggy_solve(diffs, cfg):
+    def buggy_solve(diffs):
         d, e, b = np.array(diffs.d), np.array(diffs.e), np.array(diffs.b)
         r0 = np.array(diffs.reference)
         w = b / (b * b - d * d)
@@ -1036,22 +1047,33 @@ def test_verify_verdicts_stable_across_seeds(capsys):
     assert verdicts["12345"] == verdicts["1"] == verdicts["7"] == verdicts["20260808"]
 
 
-def test_readme_library_example_runs(capsys):
-    """The README's library example solves the bundled frame as `uwps solve`
-    does, and imports exactly the names the package re-exports."""
+def readme_library_example() -> str:
+    """The code of the README's library example."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    return code.split("```", 1)[0]
+
+
+def test_readme_library_example_imports_exactly_the_package_exports():
+    """The example's `from uwps import` names each of uwps.__all__ once,
+    and every one exists: an export added or removed takes the README
+    with it."""
     import ast
 
     import uwps
 
-    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-    code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
-    code = code.split("```", 1)[0]
-    imported = {alias.name for node in ast.walk(ast.parse(code))
+    imported = [alias.name for node in ast.walk(ast.parse(readme_library_example()))
                 if isinstance(node, ast.ImportFrom) and node.module == "uwps"
-                for alias in node.names}
-    assert imported == set(uwps.__all__)
+                for alias in node.names]
+    assert sorted(imported) == sorted(set(uwps.__all__)) == sorted(uwps.__all__)
+    assert all(hasattr(uwps, name) for name in uwps.__all__)
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's library example solves the bundled frame as `uwps solve`
+    does."""
     namespace = {}
-    exec(compile(code, "README.md", "exec"), namespace)
+    exec(compile(readme_library_example(), "README.md", "exec"), namespace)
     fix = namespace["fix"]
     assert fix.status == "ok"
     x, y, z = fix.analytic
@@ -1209,6 +1231,6 @@ def test_scenario_parser_units_and_defaults(tmp_path):
     assert parsed.scenario.sound_speed == 1500.0
     assert parsed.scenario.schedule.frame_period == pytest.approx(8.0)
     assert parsed.scenario.range_limit == float("inf")
-    assert parsed.solver.max_iterations == 50
+    assert parsed.consistency_tolerance == 1e-6
     with pytest.raises(FileFormatError):
         parse_scenario_file(tmp_path / "missing.scn")

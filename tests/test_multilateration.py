@@ -1,5 +1,6 @@
 """Solver core: differencing, closed form, selection, residuals, iteration."""
 import math
+import re
 import struct
 
 import numpy as np
@@ -28,8 +29,8 @@ from uwps.multilateration import (
     DiffSet,
     Observation,
     ObservationSet,
+    CONSISTENCY_TOLERANCE,
     SURFACE_UP,
-    SolverConfig,
     kleusberg_solve,
     numerical_solve,
     pseudorange_diffs,
@@ -38,8 +39,6 @@ from uwps.multilateration import (
     solve_frame,
 )
 from uwps.verify import oracle_diffs, sample_scenario
-
-CFG = SolverConfig()
 
 
 def observation_set(buoys, truth, c=1500.0, clock_offset=0.0, t0=10.0):
@@ -193,7 +192,7 @@ def test_observation_set_stores_a_tuple_in_buoy_order():
 def test_square_reference_case_recovers_truth_exactly():
     buoys = unit_square(1000.0)
     truth = np.array([300.0, 400.0, -150.0])
-    pair = kleusberg_solve(oracle_diffs(buoys, truth), CFG)
+    pair = kleusberg_solve(oracle_diffs(buoys, truth))
     positions = sorted((branch.position for branch in pair.branches), key=lambda p: p[2])
     assert positions[0] == pytest.approx([300.0, 400.0, -150.0], abs=1e-6)
     assert positions[1] == pytest.approx([300.0, 400.0, 150.0], abs=1e-6)
@@ -229,7 +228,7 @@ def test_closed_form_matches_numpy_reference():
     for _ in range(300):
         buoys, truth, diffs, _ = sample_scenario(rng)
         gg, disc, branches = numpy_closed_form(diffs, np.asarray(buoys[0]))
-        pair = kleusberg_solve(diffs, CFG)
+        pair = kleusberg_solve(diffs)
         assert abs(pair.discriminant - disc) <= 1e-12 * gg
         for (evec, s, pos, index), (e_ref, s_ref, pos_ref, index_ref) in zip(
                 pair.branches, branches):
@@ -239,7 +238,7 @@ def test_closed_form_matches_numpy_reference():
             assert index == index_ref
 
 
-def list_form_closed_form(diffs, cfg):
+def list_form_closed_form(diffs, tolerance):
     """kleusberg_solve as it was written over lists, generators and zip,
     the reference for its written-out scalar form: the same operations in
     the same order, so the results must agree bit for bit."""
@@ -288,21 +287,21 @@ def list_form_closed_form(diffs, cfg):
         s_best = s_all[best]
         for i in range(3):
             if i != best and abs(dens[i]) > den_tol:
-                if abs(s_all[i] - s_best) > cfg.consistency_tolerance:
+                if abs(s_all[i] - s_best) > tolerance:
                     raise InconsistentRanges(
                         f"range from baseline {i} differs by "
                         f"{abs(s_all[i] - s_best):.3e} m (tolerance "
-                        f"{cfg.consistency_tolerance:.3e} m)")
+                        f"{tolerance:.3e} m)")
         pos = (x0 + evec[0] * s_best, y0 + evec[1] * s_best, z0 + evec[2] * s_best)
         results.append(Branch(evec, s_best, pos, best))
     return CandidatePair(branches=tuple(results), discriminant=disc)
 
 
-def closed_form_outcome(solve, diffs, cfg):
+def closed_form_outcome(solve, diffs, tolerance):
     """The bytes of every CandidatePair field, or the error's class and
     message: struct.pack tells -0.0 from 0.0, which == does not."""
     try:
-        pair = solve(diffs, cfg)
+        pair = solve(diffs, tolerance)
     except PositioningError as exc:
         return type(exc), str(exc)
     return CandidatePair, b"".join(
@@ -316,7 +315,7 @@ def test_closed_form_matches_list_form_bit_for_bit():
     NoRealSolution, and the collinear and symmetric-axis cases: the same
     pair to the last bit, or the same error with the same message."""
     rng = np.random.default_rng(15)
-    cases = [(sample_scenario(rng)[2], CFG) for _ in range(300)]
+    cases = [(sample_scenario(rng)[2], CONSISTENCY_TOLERANCE) for _ in range(300)]
     # three differences fix three unknowns, so noise alone leaves the ranges
     # consistent: a tolerance at the rounding level trips the guard
     for sigma, tolerance in ((1e-3, 1e-12), (0.1, 1.0), (10.0, 1.0)):
@@ -324,16 +323,17 @@ def test_closed_form_matches_list_form_bit_for_bit():
             diffs = sample_scenario(rng)[2]
             noisy = diffs._replace(d=np.add(diffs.d, rng.normal(0.0, sigma, 3)))
             if all(abs(d) < b for d, b in zip(noisy.d, noisy.b)):
-                cases.append((noisy, SolverConfig(consistency_tolerance=tolerance)))
+                cases.append((noisy, tolerance))
     collinear = np.array([[0.0, 0.0, 0.0], [500.0, 0.0, 0.0],
                           [1000.0, 0.0, 0.0], [1500.0, 0.0, 0.0]])
-    cases.append((oracle_diffs(collinear, np.array([200.0, 700.0, -150.0])), CFG))
+    cases.append((oracle_diffs(collinear, np.array([200.0, 700.0, -150.0])),
+                  CONSISTENCY_TOLERANCE))
     axis = oracle_diffs(unit_square(1000.0), np.array([500.0, 500.0, -150.0]))
-    cases.append((axis._replace(d=(0.0, 0.0, 0.0)), CFG))
+    cases.append((axis._replace(d=(0.0, 0.0, 0.0)), CONSISTENCY_TOLERANCE))
     seen = []
-    for diffs, cfg in cases:
-        want = closed_form_outcome(list_form_closed_form, diffs, cfg)
-        assert closed_form_outcome(kleusberg_solve, diffs, cfg) == want
+    for diffs, tolerance in cases:
+        want = closed_form_outcome(list_form_closed_form, diffs, tolerance)
+        assert closed_form_outcome(kleusberg_solve, diffs, tolerance) == want
         seen.append(want[0])
     assert set(seen) == {CandidatePair, InconsistentRanges, NoRealSolution,
                     DegenerateGeometry, SingularDenominator}
@@ -348,10 +348,10 @@ def test_closed_form_rejects_a_difference_as_long_as_its_baseline():
                     b=(1000.0, 1000.0, 1414.2), reference=(0.0, 0.0, 0.0))
     with pytest.raises(UnrealizableTDOA,
                        match=r"^\|d\| = 1000\.000 m >= baseline 1000\.000 m for buoy 1$"):
-        kleusberg_solve(diffs, CFG)
+        kleusberg_solve(diffs)
     with pytest.raises(UnrealizableTDOA, match="for buoy 3$"):
-        kleusberg_solve(diffs._replace(d=(10.0, -20.0, -1500.0)), CFG)
-    fix = solve_frame(diffs, CFG)
+        kleusberg_solve(diffs._replace(d=(10.0, -20.0, -1500.0)))
+    fix = solve_frame(diffs)
     assert fix.pair is None and fix.analytic is None and fix.status == "UnrealizableTDOA"
 
 
@@ -388,7 +388,7 @@ def test_closed_form_returns_a_pair_or_a_positioning_error(d, b, e, reference, t
     except ValueError:
         return   # a row the unit check rejects after the division's rounding
     try:
-        pair = kleusberg_solve(diffs, SolverConfig(consistency_tolerance=tolerance))
+        pair = kleusberg_solve(diffs, tolerance)
     except PositioningError:
         return
     assert isinstance(pair, CandidatePair)
@@ -398,7 +398,7 @@ def test_candidate_positions_constructed_from_e_and_s():
     buoys = unit_square(800.0, ups=(1.0, -0.5, 0.3, 0.8))
     truth = np.array([250.0, 330.0, -90.0])
     diffs = oracle_diffs(buoys, truth)
-    pair = kleusberg_solve(diffs, CFG)
+    pair = kleusberg_solve(diffs)
     r0 = diffs.reference
     for evec, s, pos, _ in pair.branches:
         assert pos == tuple(r + ei * s for r, ei in zip(r0, evec))
@@ -411,15 +411,14 @@ def test_discriminant_scan_to_no_real_solution():
     truth = np.array([300.0, 400.0, -150.0])
     clean = oracle_diffs(buoys, truth)
     direction = np.array([1.0, -1.0, 1.0])
-    last_disc = kleusberg_solve(clean, CFG).discriminant
+    last_disc = kleusberg_solve(clean).discriminant
     scale, raised = 0.5, False
-    loose = SolverConfig(consistency_tolerance=1e9)
     while scale < 600.0:
         perturbed = clean._replace(d=np.add(clean.d, scale * direction))
         if not all(abs(d) < b for d, b in zip(perturbed.d, perturbed.b)):
             break
         try:
-            last_disc = kleusberg_solve(perturbed, loose).discriminant
+            last_disc = kleusberg_solve(perturbed, consistency_tolerance=1e9).discriminant
             assert last_disc >= 0.0
         except NoRealSolution:
             raised = True
@@ -437,7 +436,7 @@ def test_collinear_buoys_degenerate_geometry():
     ])
     truth = np.array([200.0, 700.0, -150.0])
     with pytest.raises(DegenerateGeometry):
-        kleusberg_solve(oracle_diffs(buoys, truth), CFG)
+        kleusberg_solve(oracle_diffs(buoys, truth))
 
 
 def test_symmetric_axis_singular_denominator():
@@ -446,7 +445,7 @@ def test_symmetric_axis_singular_denominator():
     assert diffs.d == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
     exact_zero = diffs._replace(d=(0.0, 0.0, 0.0))
     with pytest.raises(SingularDenominator):
-        kleusberg_solve(exact_zero, CFG)
+        kleusberg_solve(exact_zero)
 
 
 def test_inconsistent_ranges_guard():
@@ -457,8 +456,8 @@ def test_inconsistent_ranges_guard():
     truth = np.array([300.0, 400.0, -150.0])
     diffs = oracle_diffs(buoys, truth)
     with pytest.raises(InconsistentRanges):
-        kleusberg_solve(diffs, SolverConfig(consistency_tolerance=1e-18))
-    pair = kleusberg_solve(diffs, CFG)
+        kleusberg_solve(diffs, consistency_tolerance=1e-18)
+    pair = kleusberg_solve(diffs)
     assert isinstance(pair, CandidatePair)
 
 
@@ -493,7 +492,7 @@ def test_select_resolves_mirror_pair_to_oracle_truth():
     buoys = unit_square(1000.0)
     truth = np.array([300.0, 400.0, -150.0])
     diffs = oracle_diffs(buoys, truth)
-    pair = kleusberg_solve(diffs, CFG)
+    pair = kleusberg_solve(diffs)
     pick = select_underwater(pair, diffs)
     assert pick.position == pytest.approx(truth, abs=1e-6)
 
@@ -508,9 +507,8 @@ def test_select_residual_tiebreak_when_both_below_plane():
     buoys = unit_square(1000.0, ups=(-300.0,) * 4)
     truth = np.array([300.0, 400.0, -450.0])
     clean = oracle_diffs(buoys, truth)
-    loose = SolverConfig(consistency_tolerance=1.0)
     nudged = clean._replace(d=np.add(clean.d, [0.05, -0.03, 0.02]))
-    pair = kleusberg_solve(nudged, loose)
+    pair = kleusberg_solve(nudged, consistency_tolerance=1.0)
     assert all(s >= 0 and p[2] < SURFACE_UP for _, s, p, _ in pair.branches)
     pick = select_underwater(pair, nudged).position
     norms = {float(np.linalg.norm(residuals(p, nudged))): p
@@ -558,7 +556,7 @@ def test_numerical_from_truth_converges_immediately():
     buoys = unit_square(1000.0)
     truth = np.array([300.0, 400.0, -150.0])
     diffs = oracle_diffs(buoys, truth)
-    got = numerical_solve(diffs, initial=enu(*truth), cfg=CFG)
+    got = numerical_solve(diffs, initial=enu(*truth))
     assert got == pytest.approx(truth, abs=1e-9)
 
 
@@ -568,7 +566,7 @@ def test_numerical_on_noisy_data_beats_truth_residual():
     truth = np.array([300.0, 400.0, -150.0])
     clean = oracle_diffs(buoys, truth)
     noisy = clean._replace(d=np.add(clean.d, rng.normal(0.0, 0.1, 3)))
-    got = numerical_solve(noisy, initial=enu(*truth), cfg=CFG)
+    got = numerical_solve(noisy, initial=enu(*truth))
     assert (np.linalg.norm(residuals(got, noisy))
             <= np.linalg.norm(residuals(enu(*truth), noisy)) + 1e-12)
 
@@ -582,7 +580,7 @@ def test_numerical_accepts_unrealizable_differences():
     assert not all(abs(d) < b for d, b in zip(wild.d, wild.b))
     for up in (-150.0, -1.0, -1000.0):
         with pytest.raises(NonConvergence, match="reached the surface"):
-            numerical_solve(wild, initial=enu(300.0, 400.0, up), cfg=CFG)
+            numerical_solve(wild, initial=enu(300.0, 400.0, up))
 
 
 def test_numerical_stops_at_the_surface():
@@ -592,14 +590,14 @@ def test_numerical_stops_at_the_surface():
     diffs = oracle_diffs(unit_square(1000.0), np.array([300.0, 400.0, -150.0]))
     for up in (SURFACE_UP, 5.0):
         with pytest.raises(NonConvergence, match="start at up = .* not below the surface"):
-            numerical_solve(diffs, initial=enu(300.0, 400.0, up), cfg=CFG)
+            numerical_solve(diffs, initial=enu(300.0, 400.0, up))
     noisy = diffs._replace(d=(301.0, 409.0, 178.0))
     with pytest.raises(NonConvergence,
                        match=r"reached the surface \(up = 27.3 m\) at iteration 7"):
-        numerical_solve(noisy, initial=enu(500.0, 500.0, -707.0), cfg=CFG)
-    for case, start, cfg in numerical_cases():
+        numerical_solve(noisy, initial=enu(500.0, 500.0, -707.0))
+    for case, start, max_iterations in numerical_cases():
         try:
-            got = numerical_solve(case, initial=start, cfg=cfg)
+            got = numerical_solve(case, initial=start, max_iterations=max_iterations)
         except PositioningError:
             continue
         assert got[2] < SURFACE_UP
@@ -613,12 +611,12 @@ def test_numerical_stops_beyond_reach():
     diffs = oracle_diffs(square, np.array([300.0, 400.0, -150.0]))._replace(
         d=(252.0, 408.0, 140.0))
     with pytest.raises(NonConvergence, match=r"from buoy 0, beyond reach \(1.41e\+05 m\)"):
-        numerical_solve(diffs, initial=enu(500.0, 500.0, -707.0), cfg=CFG)
+        numerical_solve(diffs, initial=enu(500.0, 500.0, -707.0))
     far = np.array([2e5, 400.0, -1.5e5])
     exact = oracle_diffs(square, far)
-    assert numerical_solve(exact, initial=enu(*far), cfg=CFG) == tuple(far)
+    assert numerical_solve(exact, initial=enu(*far)) == tuple(far)
     nudged = exact._replace(d=(exact.d[0] + 1e-6, *exact.d[1:]))
-    got = numerical_solve(nudged, initial=enu(*far), cfg=CFG)
+    got = numerical_solve(nudged, initial=enu(*far))
     assert np.linalg.norm(got) > 100.0 * max(exact.b)
     assert np.linalg.norm(residuals(got, nudged)) < np.linalg.norm(residuals(enu(*far), nudged))
 
@@ -629,7 +627,7 @@ def unrealizable_diffs():
     return clean._replace(d=(clean.b[0] + 0.5, *clean.d[1:]))
 
 
-def numpy_numerical_solve(diffs, initial, cfg):
+def numpy_numerical_solve(diffs, initial, max_iterations):
     """Gauss-Newton in numpy arrays, the reference for numerical_solve's
     float arithmetic: the same dogleg, exits and messages."""
     x = np.array(initial)
@@ -644,7 +642,7 @@ def numpy_numerical_solve(diffs, initial, cfg):
         return (np.linalg.norm(p - buoys, axis=1) - np.linalg.norm(p - r0)) - d
 
     radius = multilateration._TRUST_RADIUS_0
-    for iteration in range(cfg.max_iterations):
+    for iteration in range(max_iterations):
         range_ref = np.linalg.norm(x - r0)
         range_i = np.linalg.norm(x - buoys, axis=1)
         if range_ref == 0.0 or np.any(range_i == 0.0):
@@ -722,14 +720,14 @@ def numpy_numerical_solve(diffs, initial, cfg):
         return x
     raise NonConvergence(
         f"step norm above {multilateration._STEP_TOL:.1e} m after "
-        f"{cfg.max_iterations} iterations")
+        f"{max_iterations} iterations")
 
 
 def numerical_cases():
-    """(diffs, start, cfg): the criterion-1 family from 200 m-off
-    starts, noisy differences (sigma 0.1 m) and the unrealizable case."""
+    """(diffs, start, max_iterations): the criterion-1 family from 200 m-off
+    starts at criterion 5's budget of 25, noisy differences (sigma 0.1 m)
+    and the unrealizable case at the default 50."""
     rng = np.random.default_rng(31)
-    cfg = SolverConfig(max_iterations=25)
     for _ in range(100):
         buoys, truth, diffs, _ = sample_scenario(rng)
         azimuth = rng.uniform(0.0, 2.0 * np.pi)
@@ -737,13 +735,13 @@ def numerical_cases():
         start = np.asarray(truth) + 200.0 * np.array([np.cos(azimuth) * np.sin(tilt),
                                                       np.sin(azimuth) * np.sin(tilt),
                                                       -np.cos(tilt)])
-        yield diffs, enu(*start), cfg
+        yield diffs, enu(*start), 25
     for _ in range(100):
         buoys, truth, clean, _ = sample_scenario(rng)
         noisy = clean._replace(d=np.add(clean.d, rng.normal(0.0, 0.1, 3)))
         start = np.asarray(truth) + rng.normal(0.0, 50.0, 3)
-        yield noisy, enu(*start), CFG
-    yield unrealizable_diffs(), enu(300.0, 400.0, -150.0), CFG
+        yield noisy, enu(*start), 50
+    yield unrealizable_diffs(), enu(300.0, 400.0, -150.0), 50
 
 
 def test_numerical_solve_matches_numpy_reference():
@@ -753,14 +751,14 @@ def test_numerical_solve_matches_numpy_reference():
     1e-4 m of height; there the fixes agree within 1e-4 m and their
     residual norms within 1e-12 m."""
     agreed = near_plane = 0
-    for diffs, start, cfg in numerical_cases():
+    for diffs, start, max_iterations in numerical_cases():
         try:
-            want = numpy_numerical_solve(diffs, start, cfg)
+            want = numpy_numerical_solve(diffs, start, max_iterations)
         except PositioningError as exc:
             with pytest.raises(type(exc)):
-                numerical_solve(diffs, initial=start, cfg=cfg)
+                numerical_solve(diffs, initial=start, max_iterations=max_iterations)
             continue
-        got = numerical_solve(diffs, initial=start, cfg=cfg)
+        got = numerical_solve(diffs, initial=start, max_iterations=max_iterations)
         deviation = np.max(np.abs(np.array(got) - want))
         if abs(want[2]) >= 10.0:
             assert deviation <= 1e-9
@@ -818,7 +816,7 @@ def test_numerical_takes_damped_rescue_in_plane_of_coplanar_buoys(monkeypatch):
     monkeypatch.setattr(multilateration, "_solve3", recorded)
     diffs = oracle_diffs(unit_square(1000.0, ups=(-20.0,) * 4),
                          np.array([300.0, 400.0, -150.0]))
-    got = numerical_solve(diffs, initial=enu(250.0, 450.0, -20.0), cfg=CFG)
+    got = numerical_solve(diffs, initial=enu(250.0, 450.0, -20.0))
     assert solves[0] is None and solves[1] is not None
     assert got[2] == -20.0 and np.all(np.isfinite(got))
     assert np.linalg.norm(residuals(got, diffs)) < np.linalg.norm(
@@ -842,7 +840,7 @@ def test_numerical_returns_finite_fix_or_positioning_error(directions, lengths, 
     diffs = DiffSet(d=np.array(ratios) * b, e=e / norms[:, None], b=b,
                     reference=enu(0.0, 0.0, 0.0))
     try:
-        got = numerical_solve(diffs, initial=enu(*start), cfg=CFG)
+        got = numerical_solve(diffs, initial=enu(*start))
     except PositioningError:
         return
     assert type(got) is tuple and all(type(v) is float and math.isfinite(v) for v in got)
@@ -853,7 +851,7 @@ def test_numerical_singular_jacobian_at_buoy_position():
     buoys = unit_square(1000.0)
     diffs = oracle_diffs(buoys, np.array([300.0, 400.0, -150.0]))
     with pytest.raises(SingularJacobian):
-        numerical_solve(diffs, initial=enu(*buoys[2]), cfg=CFG)
+        numerical_solve(diffs, initial=enu(*buoys[2]))
 
 
 def test_numerical_nonconvergence_reported():
@@ -862,7 +860,7 @@ def test_numerical_nonconvergence_reported():
     diffs = oracle_diffs(buoys, truth)
     with pytest.raises(NonConvergence):
         numerical_solve(diffs, initial=enu(5000.0, -3000.0, -2000.0),
-                        cfg=SolverConfig(max_iterations=1))
+                        max_iterations=1)
 
 
 def test_numerical_tests_the_cost_floor_before_the_budget_runs_out():
@@ -875,13 +873,13 @@ def test_numerical_tests_the_cost_floor_before_the_budget_runs_out():
         buoys, truth, diffs, _ = sample_scenario(rng)
         azimuth = rng.uniform(0.0, 2.0 * np.pi)
         tilt = math.radians(30.0) * math.sqrt(rng.uniform())
-    pick = select_underwater(kleusberg_solve(diffs, CFG), diffs).position
+    pick = select_underwater(kleusberg_solve(diffs), diffs).position
     guess = np.asarray(truth) + 200.0 * np.array([math.cos(azimuth) * math.sin(tilt),
                                                   math.sin(azimuth) * math.sin(tilt),
                                                   -math.cos(tilt)])
     with pytest.raises(NonConvergence, match="after 24 iterations"):
-        numerical_solve(diffs, initial=enu(*guess), cfg=SolverConfig(max_iterations=24))
-    got = numerical_solve(diffs, initial=enu(*guess), cfg=SolverConfig(max_iterations=25))
+        numerical_solve(diffs, initial=enu(*guess), max_iterations=24)
+    got = numerical_solve(diffs, initial=enu(*guess), max_iterations=25)
     assert math.dist(got, pick) < 1e-4
 
 
@@ -915,13 +913,13 @@ def test_solve_frame_runs_gauss_newton_only_where_it_can_move(monkeypatch):
         diffs = oracle_diffs(buoys, truth)
         calls.clear()
         costs.clear()
-        fix = solve_frame(diffs, CFG)
+        fix = solve_frame(diffs)
         assert fix.status == "ok"
         res = residuals(fix.analytic, diffs)
         assert struct.pack("3d", *fix.analytic_residuals) == struct.pack("3d", *res)
         assert costs[0] == cost(res)    # the skip test
         costs.clear()
-        assert fix.numerical == numerical_solve(diffs, initial=fix.analytic, cfg=CFG)
+        assert fix.numerical == numerical_solve(diffs, initial=fix.analytic)
         assert costs[0] == cost(res)    # Gauss-Newton's first exit test
         if cost(res) < 1e-24:
             assert calls == [] and fix.numerical is fix.analytic
@@ -942,9 +940,9 @@ def test_solve_frame_runs_gauss_newton_only_where_it_can_move(monkeypatch):
                      ((588.0, 981.0, 289.0), NoUnderwaterSolution)):
         failed = exact._replace(d=d)
         with pytest.raises(error):
-            select_underwater(kleusberg_solve(failed, CFG), failed)
+            select_underwater(kleusberg_solve(failed), failed)
         calls.clear()
-        fix = solve_frame(failed, CFG)
+        fix = solve_frame(failed)
         assert calls == []
         assert fix.branch is fix.analytic is fix.numerical is fix.analytic_residuals is None
         assert fix.status == error.__name__
@@ -967,7 +965,7 @@ def test_solve_frame_names_the_picked_branch():
                     e=(unit(1000.0, -97.0, 5.0), unit(1000.0, 1000.0, -6.0),
                        unit(13.0, 1000.0, -9.0)),
                     b=(1000.0, 1000.0, 1000.0), reference=(0.0, 0.0, 0.0))
-    fix = solve_frame(diffs, CFG)
+    fix = solve_frame(diffs)
     first, second = fix.pair.branches
     assert fix.status == "ok"
     assert fix.branch is second and fix.analytic is second.position
@@ -987,23 +985,23 @@ def test_motion_bound_chains_gauss_newton_from_the_previous_fix(monkeypatch):
     lost = []    # the starts of chained Gauss-Newton runs that raised on their own
     solve, iterate = solve_frame, numerical_solve
 
-    def framed(diffs, cfg):
+    def framed(diffs, consistency_tolerance):
         framing.append(True)
         try:
-            fix = solve(diffs, cfg)
+            fix = solve(diffs, consistency_tolerance)
         finally:
             framing.pop()
         calls.append(("frame", fix.numerical))
         return fix
 
-    def chained(diffs, *, initial, cfg):
+    def chained(diffs, *, initial):
         if framing:
-            return iterate(diffs, initial=initial, cfg=cfg)
+            return iterate(diffs, initial=initial)
         calls.append(("chained", initial))
         if failing:
             raise NonConvergence("refused")
         try:
-            return iterate(diffs, initial=initial, cfg=cfg)
+            return iterate(diffs, initial=initial)
         except PositioningError:
             lost.append(initial)
             raise
@@ -1033,11 +1031,25 @@ def test_motion_bound_chains_gauss_newton_from_the_previous_fix(monkeypatch):
     assert any(fix is None for _, fix in first)
 
 
-def test_solver_config_validation():
-    for bad in (0, -1, 2.5, 25.0, True, "25", None):
-        with pytest.raises(ValueError, match="max_iterations"):
-            SolverConfig(max_iterations=bad)
-    for bad in (0.0, -1e-6, math.nan, math.inf):
-        with pytest.raises(ValueError, match="consistency_tolerance"):
-            SolverConfig(consistency_tolerance=bad)
-    assert SolverConfig(max_iterations=1).max_iterations == 1
+@pytest.mark.parametrize("solve", [kleusberg_solve, solve_frame],
+                         ids=["kleusberg_solve", "solve_frame"])
+@pytest.mark.parametrize("bad", [0, -1, math.nan, math.inf])
+def test_bad_consistency_tolerance_raises(solve, bad):
+    """A tolerance that is not finite and > 0 is the caller's error, a
+    ValueError naming the setting, before any frame is solved: solve_frame
+    turns only PositioningErrors into a status."""
+    diffs = oracle_diffs(unit_square(1000.0), np.array([300.0, 400.0, -150.0]))
+    with pytest.raises(ValueError, match=f"^consistency_tolerance {bad} must be finite and > 0$"):
+        solve(diffs, consistency_tolerance=bad)
+    with pytest.raises(ValueError, match="^consistency_tolerance "):
+        solve(diffs._replace(d=(2000.0, 0.0, 0.0)), bad)   # before UnrealizableTDOA
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.0, 2.5, 25.0, True, "25", None])
+def test_bad_max_iterations_raises(bad):
+    """The iteration budget is an int >= 1; a bool, a float or anything
+    else is a ValueError naming the setting, before the start is read."""
+    diffs = oracle_diffs(unit_square(1000.0), np.array([300.0, 400.0, -150.0]))
+    with pytest.raises(ValueError, match=f"^max_iterations {re.escape(repr(bad))} must be an "
+                                         "integer >= 1$"):
+        numerical_solve(diffs, initial=(math.nan,) * 3, max_iterations=bad)

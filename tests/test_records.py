@@ -16,9 +16,9 @@ import pytest
 from conftest import make_scenario, unit_square
 
 import uwps
-from uwps.channel import Scenario
+from uwps.channel import ReceiverTrack, Scenario
 from uwps.geo import GeodeticCoord
-from uwps.multilateration import DiffSet, Observation, ObservationSet, SolverConfig
+from uwps.multilateration import DiffSet, Observation, ObservationSet
 from uwps.protocol import BuoyMessage, FrameSchedule
 from uwps.verify import MALAGA, oracle_diffs
 
@@ -35,7 +35,6 @@ CHECKED = {
     "Observation": lambda: Observation(0, 1.0, 2.0, (1.0, 2.0, -3.0)),
     "ObservationSet": lambda: ObservationSet(_observations(), 1500.0),
     "DiffSet": lambda: oracle_diffs(unit_square(1000.0), (300.0, 400.0, -150.0)),
-    "SolverConfig": lambda: SolverConfig(),
     "Scenario": lambda: make_scenario(),
 }
 
@@ -65,11 +64,11 @@ BAD_FIELDS = [
     ("DiffSet", "b", (1000.0, 0.0, 1000.0)),
     ("DiffSet", "reference", GeodeticCoord(1.0, 2.0, 3.0)),
     ("DiffSet", "reference", (0.0, 0.0, math.inf)),
-    ("SolverConfig", "max_iterations", 0),
-    ("SolverConfig", "max_iterations", True),
-    ("SolverConfig", "max_iterations", 2.0),
-    ("SolverConfig", "consistency_tolerance", 0.0),
-    ("SolverConfig", "consistency_tolerance", math.nan),
+    ("Scenario", "receiver", ReceiverTrack((300.0, 400.0, 0.0))),
+    ("Scenario", "receiver", ReceiverTrack((300.0, 400.0, -150.0), (10.5, 0.0, 0.0))),
+    ("Scenario", "sound_speed", 2e9),
+    ("Scenario", "noise_sigma", 2e9),
+    ("Scenario", "seed", 2.0),
     ("Scenario", "buoys", make_scenario().buoys[:3]),
     ("Scenario", "sound_speed", -1500.0),
     ("Scenario", "clock_offset", math.nan),

@@ -15,7 +15,6 @@ import pytest
 
 from uwps import multilateration, verify
 from uwps.errors import PositioningError
-from uwps.multilateration import SolverConfig
 
 # (seed, cases): the suite's two seeds at criterion 1's case count, and
 # three more seeds
@@ -42,7 +41,7 @@ def numpy_sample_scenario(rng):
         if min(map(abs, diffs.d)) < 0.5:
             continue
         try:
-            pair = multilateration.kleusberg_solve(diffs, SolverConfig())
+            pair = multilateration.kleusberg_solve(diffs)
         except PositioningError:
             continue
         exact_under = [
@@ -118,11 +117,11 @@ def pair_bits(pair):
 @pytest.mark.parametrize("seed,cases", SEEDS)
 def test_sampler_returns_the_pair_a_fresh_solve_gives(seed, cases):
     """The pair the sampler hands on is, to the last bit, the closed form
-    of its DiffSet at SolverConfig()."""
+    of its DiffSet at the default tolerance."""
     rng = np.random.default_rng(seed)
     for case in range(cases):
         _, _, diffs, pair = verify.sample_scenario(rng)
-        fresh = multilateration.kleusberg_solve(diffs, SolverConfig())
+        fresh = multilateration.kleusberg_solve(diffs)
         assert pair_bits(pair) == pair_bits(fresh), f"case {case}"
 
 
