@@ -1,5 +1,13 @@
 """Scenario simulator: scheduled buoy broadcasts heard by a submerged receiver.
 
+The simulator has the system's two halves. broadcast is what the buoys
+send: each frame's reports and their points in the working frame, which
+depend only on the buoys, the schedule and the frame count. simulate is
+what one receiver hears of a broadcast: the arrival times, the receiver's
+clock and the timing noise. A caller that simulates several receivers
+under one array builds the broadcast once and passes it to each simulate
+call; every other caller lets simulate build it.
+
 The simulated world keeps the broadcast content authoritative: a buoy
 transmits exactly when and from where its message says (transmit_times gives
 the schedule instants at the 1 ms wire resolution, BuoyMessage rounds
@@ -174,13 +182,63 @@ def working_frame(scenario: Scenario) -> LocalFrame:
     return LocalFrame(BuoyMessage(1, 0.0, scenario.buoys[0].initial).position)
 
 
-def simulate(scenario: Scenario) -> list[FrameRecord]:
+class _Broadcast(NamedTuple):
+    buoys: tuple[BuoyTrack, BuoyTrack, BuoyTrack, BuoyTrack]
+    schedule: FrameSchedule
+    frames: int
+    # per frame, each buoy's (t_tx, message, source) in buoy order
+    sent: tuple[tuple[tuple[float, BuoyMessage, tuple[float, float, float]], ...], ...]
+
+
+def broadcast(scenario: Scenario) -> _Broadcast:
+    """What the buoys send: the buoys' half of simulate.
+
+    It holds, for each frame, each buoy's transmit time, message and
+    acoustic source (the reported point in the working frame). It reads
+    only the scenario's buoys, schedule and frame count, and records them:
+    every scenario equal to this one in those three hears the same
+    broadcast, whatever its receiver, sound speed, clock offset, range
+    limit and noise.
+    """
+    frame = working_frame(scenario)
+    # buoy tracks in the working frame
+    tracks = [(geodetic_to_enu(b.initial, frame), b.drift) for b in scenario.buoys]
+    sent = []
+    for k in range(scenario.frames):
+        transmissions = []
+        for i, t_tx in enumerate(transmit_times(scenario.schedule, k)):
+            (e0, n0, u0), (dx, dy, dz) = tracks[i]
+            reported = enu_to_geodetic((e0 + dx * t_tx, n0 + dy * t_tx, u0 + dz * t_tx), frame)
+            message = _quantized(i + 1, t_tx, reported)
+            # the acoustic source is the reported point
+            transmissions.append((t_tx, message, geodetic_to_enu(message.position, frame)))
+        sent.append(tuple(transmissions))
+    return tuple.__new__(_Broadcast, (scenario.buoys, scenario.schedule, scenario.frames,
+                                      tuple(sent)))
+
+
+_broadcast = broadcast   # simulate's parameter of the same name hides it there
+
+
+def simulate(scenario: Scenario, broadcast: _Broadcast | None = None) -> list[FrameRecord]:
     """Generate the reception events of every frame, in schedule order.
+
+    Two halves: what the buoys send (broadcast(scenario), built here when
+    none is given) and what this scenario's receiver hears of it. A
+    broadcast is shared by scenarios that differ only in the receiver's
+    half (receiver, sound speed, clock offset, range limit, noise and
+    seed); one built for other buoys, another schedule or another frame
+    count raises ValueError. Either way the events are the same, bit for
+    bit.
 
     A noisy scenario draws the timing noise of every message the run could
     hear before its first frame; the k-th heard message takes the k-th.
     """
-    frame = working_frame(scenario)
+    if broadcast is None:
+        broadcast = _broadcast(scenario)
+    elif ((broadcast.buoys, broadcast.schedule, broadcast.frames)
+          != (scenario.buoys, scenario.schedule, scenario.frames)):
+        raise ValueError("broadcast was built for other buoys, schedule or frame count")
     c, limit, offset = scenario.sound_speed, scenario.range_limit, scenario.clock_offset
     (x0, y0, z0), (vx, vy, vz) = scenario.receiver.initial, scenario.receiver.velocity
     a = c * c - (vx * vx + vy * vy + vz * vz)   # > 0: the receiver is slower than sound
@@ -189,19 +247,10 @@ def simulate(scenario: Scenario) -> list[FrameRecord]:
         noise = iter(add_timing_noise(4 * scenario.frames, scenario.noise_sigma,
                                       scenario.seed))
 
-    # buoy tracks in the working frame
-    tracks = [(geodetic_to_enu(b.initial, frame), b.drift) for b in scenario.buoys]
-
     records = []
-    for k in range(scenario.frames):
+    for k, transmissions in enumerate(broadcast.sent):
         events = []
-        for i, t_tx in enumerate(transmit_times(scenario.schedule, k)):
-            (e0, n0, u0), (dx, dy, dz) = tracks[i]
-            reported = enu_to_geodetic((e0 + dx * t_tx, n0 + dy * t_tx, u0 + dz * t_tx), frame)
-            message = _quantized(i + 1, t_tx, reported)
-            # the acoustic source is the reported point
-            source = geodetic_to_enu(message.position, frame)
-
+        for t_tx, message, source in transmissions:
             # |q + v*tau| = c*tau with q = p(t_tx) - source, p(t) = initial + v*t:
             # the positive root
             qx = x0 + vx * t_tx - source[0]

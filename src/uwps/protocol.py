@@ -94,12 +94,27 @@ def _quantized(buoy_id, gnss_time, position: GeodeticCoord) -> BuoyMessage:
     return tuple.__new__(BuoyMessage, (buoy_id, gnss_time, position))
 
 
+_FOLD = (1 << 512) - 1
+
+
 def checksum(payload: bytes) -> int:
-    """XOR of all payload bytes (NMEA 0183 style)."""
-    total = 0
-    for b in payload:
-        total ^= b
-    return total
+    """XOR of all payload bytes (NMEA 0183 style).
+
+    Computed on the payload read as one integer, not byte by byte: each
+    step XORs a byte-aligned upper part onto the lower, which keeps the XOR
+    of all bytes. 64-byte chunks fold down to 512 bits, then six halvings
+    bring the XOR into the lowest byte.
+    """
+    x = int.from_bytes(payload, "little")
+    while x >> 512:
+        x = (x >> 512) ^ (x & _FOLD)
+    x ^= x >> 256
+    x ^= x >> 128
+    x ^= x >> 64
+    x ^= x >> 32
+    x ^= x >> 16
+    x ^= x >> 8
+    return x & 0xFF
 
 
 _PAYLOAD = TALKER.encode("ascii") + b",%d,%.3f,%.7f,%.7f,%.2f"

@@ -17,13 +17,17 @@ the scenario sampler and the scenario builder) are shared with the test
 suite.
 
 numpy's fixed cost per call, not the draw or the arithmetic, dominates a
-per-case numpy call, so the scenario sampler draws one block of uniforms
-per attempt from the same stream and the check bodies compute in floats.
-numpy remains for the seeded generator (the other checks' scalar draws;
-the codec checks' blocks of _BLOCK cases, one array per field, which bound
-the memory the fields hold) and the rigid-motion check's rotation. Every
-other value is summed in floats, left to right, so it is the same on every
-host.
+per-case numpy call, so each case draws its uniforms as one block from the
+same stream (a value low + (high - low) * u, as Generator.uniform computes
+it) and the check bodies compute in floats. numpy remains for the seeded
+generator (the cases' blocks; the codec checks' blocks of _BLOCK cases,
+one array per field, which bound the memory the fields hold) and the
+rigid-motion check's rotation. Every other value is summed in floats, left
+to right, so it is the same on every host.
+
+The two motion checks simulate many receivers under one buoy array, so
+each builds that array's channel.broadcast once per call and simulates
+every trajectory against it.
 """
 from __future__ import annotations
 
@@ -187,8 +191,10 @@ def check_geodetic_round_trip(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     holds, worst = True, 0.0
     for _ in range(500):
+        u, v, w = rng.random(3).tolist()
         ok, err = geodetic_round_trip(GeodeticCoord(
-            rng.uniform(-90, 90), rng.uniform(-179.999, 180.0), rng.uniform(-11000.0, 9000.0)))
+            -90.0 + (90.0 - -90.0) * u, -179.999 + (180.0 - -179.999) * v,
+            -11000.0 + (9000.0 - -11000.0) * w))
         holds = holds and ok
         worst = max(worst, err)
     return holds, f"worst round-trip {worst:.3e} m (< 1e-6 m)"
@@ -212,7 +218,8 @@ def check_enu_up_axis(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     worst = 2.0
     for _ in range(50):
-        g = GeodeticCoord(rng.uniform(-89.0, 89.0), rng.uniform(-179.0, 180.0), 0.0)
+        u, v = rng.random(2).tolist()
+        g = GeodeticCoord(-89.0 + (89.0 - -89.0) * u, -179.0 + (180.0 - -179.0) * v, 0.0)
         frame = LocalFrame(g)
         lat, lon = math.radians(g.latitude), math.radians(g.longitude)
         ux, uy, uz = frame.rotation[2]
@@ -305,8 +312,9 @@ def check_numerical_agreement(seed: int, cases: int = 200) -> tuple[bool, str]:
     for _ in range(cases):
         _, truth, diffs, pair = sample_scenario(rng)
         pick = multilateration.select_underwater(pair, diffs).position
-        azimuth = rng.uniform(0.0, 2.0 * math.pi)
-        tilt = math.radians(30.0) * math.sqrt(rng.uniform())
+        u, v = rng.random(2).tolist()
+        azimuth = 2.0 * math.pi * u
+        tilt = math.radians(30.0) * math.sqrt(v)
         step = (math.cos(azimuth) * math.sin(tilt), math.sin(azimuth) * math.sin(tilt),
                 -math.cos(tilt))
         guess = tuple(t + 200.0 * c for t, c in zip(truth, step))
@@ -485,14 +493,16 @@ def check_simulation_determinism(seed: int) -> tuple[bool, str]:
 
 def check_motion_displacement(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
+    base = make_scenario(_LAYOUT, frames=2)
+    sent = channel.broadcast(base)   # every trajectory hears the one array
+    period = base.schedule.frame_period
     worst = 0.0
     for speed in (1.0, 2.5, 5.0):
         for _ in range(20):
-            azimuth = rng.uniform(0.0, 2.0 * np.pi)
+            azimuth = 2.0 * math.pi * rng.random()
             vel = (speed * math.cos(azimuth), speed * math.sin(azimuth), 0.0)
-            scenario = make_scenario(_LAYOUT, velocity=vel, frames=2)
-            period = scenario.schedule.frame_period
-            for record in channel.simulate(scenario):
+            scenario = base._replace(receiver=channel.ReceiverTrack(base.receiver.initial, vel))
+            for record in channel.simulate(scenario, sent):
                 first, last = record.events[0].true_position, record.events[-1].true_position
                 worst = max(worst, math.dist(last, first) / (speed * period))
     return worst <= 1.0, f"worst displacement / (v*T_f) = {worst:.3f} (<= 1)"
@@ -514,21 +524,24 @@ def check_motion_bound(seed: int) -> tuple[bool, str]:
     frame without a fix.
     """
     rng = np.random.default_rng(seed)
+    base = make_scenario(_LAYOUT, frames=2)
+    sent = channel.broadcast(base)   # every trajectory hears the one array
+    starts = base.schedule.start_times
+    span = starts[3] - starts[0]   # first-to-last transmit separation
     ratios = []
     violations = 0
     unsolved = 0
     total = 0
     for speed in (1.0, 2.5, 5.0):
         for _ in range(100):
-            azimuth = rng.uniform(0.0, 2.0 * np.pi)
+            u, e, n, d = rng.random(4).tolist()
+            azimuth = 2.0 * math.pi * u
             vel = (speed * math.cos(azimuth), speed * math.sin(azimuth), 0.0)
-            start = (rng.uniform(200.0, 800.0), rng.uniform(200.0, 800.0),
-                     -rng.uniform(100.0, 500.0))
-            scenario = make_scenario(_LAYOUT, velocity=vel, receiver=start, frames=2)
-            starts = scenario.schedule.start_times
-            span = starts[3] - starts[0]   # first-to-last transmit separation
+            start = (200.0 + (800.0 - 200.0) * e, 200.0 + (800.0 - 200.0) * n,
+                     -(100.0 + (500.0 - 100.0) * d))
+            scenario = base._replace(receiver=channel.ReceiverTrack(start, vel))
             previous = None
-            for record in channel.simulate(scenario):
+            for record in channel.simulate(scenario, sent):
                 obs = channel.assemble_observations(record.events, scenario.sound_speed)
                 diffs = multilateration.pseudorange_diffs(obs)
                 if previous is None:

@@ -6,14 +6,18 @@ import pytest
 from conftest import make_scenario
 
 from uwps.channel import (
+    BuoyTrack,
     ReceiverTrack,
     assemble_observations,
+    broadcast,
     simulate,
     working_frame,
 )
 from uwps.errors import IncompleteFrame
 from uwps.geo import geodetic_to_enu
 from uwps.multilateration import kleusberg_solve, pseudorange_diffs, select_underwater
+from uwps.protocol import compute_schedule
+from uwps.verify import _DRIFTS
 
 
 def underwater_fix(record, scenario):
@@ -41,6 +45,41 @@ def test_one_second_at_1500m_slant_range():
             assert path / moving.sound_speed == pytest.approx(flight, abs=1e-12)
     # closing on buoy 1 at 2.8 m/s, it hears the first message early
     assert records[0].events[0].receive_time + moving.clock_offset < 1.0 - 1e-3
+
+
+@pytest.mark.parametrize("receiver, velocity, clock_offset, range_limit, noise", [
+    ((300.0, 400.0, -150.0), (0.0, 0.0, 0.0), 0.0, math.inf, (0.0, 0)),
+    ((0.0, 900.0, -1200.0), (3.0, -4.0, 0.5), 2.0, math.inf, (0.0, 0)),
+    ((850.0, 120.0, -40.0), (-2.5, 0.0, 0.0), -100.0, math.inf, (1e-4, 7)),
+    ((0.0, 0.0, -500.0), (1.0, 1.0, 0.0), 3.7, 700.0, (0.0, 0)),
+    ((200.0, 300.0, -300.0), (0.0, 5.0, -0.2), 100.0, 700.0, (2e-5, 11)),
+])
+def test_a_shared_broadcast_simulates_what_simulate_builds(
+        receiver, velocity, clock_offset, range_limit, noise):
+    """Receivers under one array hear, from the broadcast built for another
+    receiver, the events simulate builds for them alone, bit for bit."""
+    base = make_scenario(_DRIFTS, frames=3)
+    sigma, seed = noise
+    scenario = base._replace(receiver=ReceiverTrack(receiver, velocity),
+                             clock_offset=clock_offset, range_limit=range_limit,
+                             noise_sigma=sigma, seed=seed)
+    alone = simulate(scenario)
+    # float repr is exact, and tells -0.0 from 0.0
+    assert repr(simulate(scenario, broadcast(base))) == repr(alone)
+    if range_limit < math.inf:
+        assert not all(record.complete for record in alone)
+
+
+def test_simulate_rejects_a_broadcast_of_another_array():
+    scenario = make_scenario(frames=2)
+    moved = scenario.buoys[:3] + (BuoyTrack(scenario.buoys[3].initial, (0.1, 0.0, 0.0)),)
+    for other in (scenario._replace(buoys=moved),
+                  scenario._replace(schedule=compute_schedule(80, 640.0, 0.5)),
+                  scenario._replace(frames=3)):
+        with pytest.raises(ValueError, match="^broadcast was built for other buoys"):
+            simulate(scenario, broadcast(other))
+        with pytest.raises(ValueError, match="^broadcast was built for other buoys"):
+            simulate(other, broadcast(scenario))
 
 
 def test_clock_offset_shifts_receiver_times_only():

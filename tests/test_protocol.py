@@ -52,6 +52,17 @@ def test_reference_payload_checksum_matches_oracle():
     assert sentence == b"$" + payload + f"*{xor_oracle(payload):02X}".encode() + b"\r\n"
 
 
+def test_checksum_is_the_xor_of_every_byte():
+    """The integer fold gives the byte-wise XOR at every length, across the
+    64-byte chunk boundary too."""
+    for byte in range(256):
+        assert protocol.checksum(bytes([byte])) == byte
+    rng = np.random.default_rng(29)
+    for length in [*range(0, 301), 64, 65, 128, 129]:
+        payload = rng.integers(0, 256, length, dtype=np.uint8).tobytes()
+        assert protocol.checksum(payload) == xor_oracle(payload), length
+
+
 def test_round_trip_identity():
     m = make_message(3, 86399.999, -89.9999999, 179.9999999, -42.5)
     assert decode_message(encode_message(m)) == m

@@ -38,44 +38,52 @@ CHECKED = {
     "Scenario": lambda: make_scenario(),
 }
 
+# each row's id is written out, so deleting a row renames no other test
 BAD_FIELDS = [
-    ("GeodeticCoord", "latitude", 90.5),
-    ("GeodeticCoord", "longitude", -180.0),
-    ("GeodeticCoord", "height", math.nan),
-    ("BuoyMessage", "buoy_id", 5),
-    ("BuoyMessage", "buoy_id", True),
-    ("BuoyMessage", "gnss_time", 86399.9996),
-    ("BuoyMessage", "position", GeodeticCoord(0.0, 0.0, 1e6)),
-    ("FrameSchedule", "message_duration", 0.0),
-    ("FrameSchedule", "guard_time", -1.0),
-    ("Observation", "buoy_id", 4),
-    ("Observation", "transmit_time", math.inf),
-    ("Observation", "receive_time", math.nan),
-    ("Observation", "position", (1.0, 2.0)),
-    ("Observation", "position", (1.0, math.nan, 2.0)),
-    ("Observation", "position", GeodeticCoord(1.0, 2.0, 3.0)),
-    ("ObservationSet", "observations", _observations()[:3]),
-    ("ObservationSet", "observations", (_observations()[0],) * 4),
-    ("ObservationSet", "sound_speed", 0.0),
-    ("ObservationSet", "sound_speed", math.nan),
-    ("DiffSet", "d", (1.0, 2.0)),
-    ("DiffSet", "d", (1.0, math.inf, 2.0)),
-    ("DiffSet", "e", ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 2.0))),
-    ("DiffSet", "b", (1000.0, 0.0, 1000.0)),
-    ("DiffSet", "reference", GeodeticCoord(1.0, 2.0, 3.0)),
-    ("DiffSet", "reference", (0.0, 0.0, math.inf)),
-    ("Scenario", "receiver", ReceiverTrack((300.0, 400.0, 0.0))),
-    ("Scenario", "receiver", ReceiverTrack((300.0, 400.0, -150.0), (10.5, 0.0, 0.0))),
-    ("Scenario", "sound_speed", 2e9),
-    ("Scenario", "noise_sigma", 2e9),
-    ("Scenario", "seed", 2.0),
-    ("Scenario", "buoys", make_scenario().buoys[:3]),
-    ("Scenario", "sound_speed", -1500.0),
-    ("Scenario", "clock_offset", math.nan),
-    ("Scenario", "frames", 0),
-    ("Scenario", "range_limit", 0.0),
-    ("Scenario", "noise_sigma", -1e-5),
-    ("Scenario", "seed", -1),
+    pytest.param("GeodeticCoord", "latitude", 90.5, id="GeodeticCoord.latitude-0"),
+    pytest.param("GeodeticCoord", "longitude", -180.0, id="GeodeticCoord.longitude-1"),
+    pytest.param("GeodeticCoord", "height", math.nan, id="GeodeticCoord.height-2"),
+    pytest.param("BuoyMessage", "buoy_id", 5, id="BuoyMessage.buoy_id-3"),
+    pytest.param("BuoyMessage", "buoy_id", True, id="BuoyMessage.buoy_id-4"),
+    pytest.param("BuoyMessage", "gnss_time", 86399.9996, id="BuoyMessage.gnss_time-5"),
+    pytest.param("BuoyMessage", "position", GeodeticCoord(0.0, 0.0, 1e6),
+                 id="BuoyMessage.position-6"),
+    pytest.param("FrameSchedule", "message_duration", 0.0, id="FrameSchedule.message_duration-7"),
+    pytest.param("FrameSchedule", "guard_time", -1.0, id="FrameSchedule.guard_time-8"),
+    pytest.param("Observation", "buoy_id", 4, id="Observation.buoy_id-9"),
+    pytest.param("Observation", "transmit_time", math.inf, id="Observation.transmit_time-10"),
+    pytest.param("Observation", "receive_time", math.nan, id="Observation.receive_time-11"),
+    pytest.param("Observation", "position", (1.0, 2.0), id="Observation.position-12"),
+    pytest.param("Observation", "position", (1.0, math.nan, 2.0), id="Observation.position-13"),
+    pytest.param("Observation", "position", GeodeticCoord(1.0, 2.0, 3.0),
+                 id="Observation.position-14"),
+    pytest.param("ObservationSet", "observations", _observations()[:3],
+                 id="ObservationSet.observations-15"),
+    pytest.param("ObservationSet", "observations", (_observations()[0],) * 4,
+                 id="ObservationSet.observations-16"),
+    pytest.param("ObservationSet", "sound_speed", 0.0, id="ObservationSet.sound_speed-17"),
+    pytest.param("ObservationSet", "sound_speed", math.nan, id="ObservationSet.sound_speed-18"),
+    pytest.param("DiffSet", "d", (1.0, 2.0), id="DiffSet.d-19"),
+    pytest.param("DiffSet", "d", (1.0, math.inf, 2.0), id="DiffSet.d-20"),
+    pytest.param("DiffSet", "e", ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 2.0)),
+                 id="DiffSet.e-21"),
+    pytest.param("DiffSet", "b", (1000.0, 0.0, 1000.0), id="DiffSet.b-22"),
+    pytest.param("DiffSet", "reference", GeodeticCoord(1.0, 2.0, 3.0), id="DiffSet.reference-23"),
+    pytest.param("DiffSet", "reference", (0.0, 0.0, math.inf), id="DiffSet.reference-24"),
+    pytest.param("Scenario", "receiver", ReceiverTrack((300.0, 400.0, 0.0)),
+                 id="Scenario.receiver-25"),
+    pytest.param("Scenario", "receiver", ReceiverTrack((300.0, 400.0, -150.0), (10.5, 0.0, 0.0)),
+                 id="Scenario.receiver-26"),
+    pytest.param("Scenario", "sound_speed", 2e9, id="Scenario.sound_speed-27"),
+    pytest.param("Scenario", "noise_sigma", 2e9, id="Scenario.noise_sigma-28"),
+    pytest.param("Scenario", "seed", 2.0, id="Scenario.seed-29"),
+    pytest.param("Scenario", "buoys", make_scenario().buoys[:3], id="Scenario.buoys-30"),
+    pytest.param("Scenario", "sound_speed", -1500.0, id="Scenario.sound_speed-31"),
+    pytest.param("Scenario", "clock_offset", math.nan, id="Scenario.clock_offset-32"),
+    pytest.param("Scenario", "frames", 0, id="Scenario.frames-33"),
+    pytest.param("Scenario", "range_limit", 0.0, id="Scenario.range_limit-34"),
+    pytest.param("Scenario", "noise_sigma", -1e-5, id="Scenario.noise_sigma-35"),
+    pytest.param("Scenario", "seed", -1, id="Scenario.seed-36"),
 ]
 
 
@@ -84,8 +92,7 @@ def _arguments(record) -> dict:
     return dict(zip(record._fields, record.__getnewargs__()))
 
 
-@pytest.mark.parametrize("name, field, bad", BAD_FIELDS,
-                         ids=[f"{n}.{f}-{i}" for i, (n, f, _) in enumerate(BAD_FIELDS)])
+@pytest.mark.parametrize("name, field, bad", BAD_FIELDS)
 def test_replace_raises_what_the_constructor_raises(name, field, bad):
     good = CHECKED[name]()
     with pytest.raises(ValueError) as built:
