@@ -39,7 +39,7 @@ from typing import NamedTuple
 from .errors import IncompleteFrame
 from .geo import GeodeticCoord, LocalFrame, _Checked, enu_to_geodetic, geodetic_to_enu
 from .multilateration import SURFACE_UP, Observation, ObservationSet, _finite, _norm, _sound_speed
-from .protocol import BuoyMessage, FrameSchedule, _quantized, transmit_times
+from .protocol import SECONDS_PER_DAY, BuoyMessage, FrameSchedule, _quantized, transmit_times
 
 RX_CLOCK_TICK = 2.0 ** -40          # receiver timestamp resolution [s]
 SPEED_CAP = 10.0                    # receiver speed sanity cap [m/s]
@@ -101,8 +101,7 @@ class Scenario(_Checked, _Scenario):
             raise ValueError("receiver position and velocity must be finite")
         if not all(math.isfinite(v) for b in buoys for v in b.drift):
             raise ValueError("buoy drifts must be finite")
-        if not (math.isfinite(sound_speed) and sound_speed > 0):
-            raise ValueError(f"sound_speed {sound_speed} must be finite and > 0")
+        sound_speed = _sound_speed(sound_speed)
         if not math.isfinite(clock_offset):
             raise ValueError(f"clock_offset {clock_offset} must be finite")
         if frames < 1:
@@ -136,7 +135,7 @@ class Scenario(_Checked, _Scenario):
         if type(seed) is not int or seed < 0:
             raise ValueError(f"seed {seed!r} must be an int >= 0")
         end = frames * schedule.frame_period
-        if end >= 86400.0:
+        if end >= SECONDS_PER_DAY:
             raise ValueError(
                 f"run of {end:.0f} s crosses the seconds-of-day rollover")
         return tuple.__new__(cls, (buoys, receiver, sound_speed, clock_offset, schedule, frames,

@@ -35,7 +35,7 @@ from .multilateration import (
     select_underwater,
     solve_frame,
 )
-from .protocol import compute_schedule, decode_message, encode_message
+from .protocol import FRAME_BUDGET, compute_schedule, decode_message, encode_message
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -513,8 +513,7 @@ def cmd_solve(args) -> int:
 
 def cmd_schedule(args) -> int:
     try:
-        schedule = compute_schedule(args.message_bytes, args.bit_rate, args.guard,
-                                    max_message_duration=args.cap)
+        schedule = compute_schedule(args.message_bytes, args.bit_rate, args.guard)
     except PositioningError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -527,8 +526,8 @@ def cmd_schedule(args) -> int:
     for i, start in enumerate(schedule.start_times, start=1):
         end = start + schedule.message_duration
         print(f"buoy {i}: transmits {start:.9g} .. {end:.9g} s")
-    verdict = "within" if schedule.frame_period < 10.0 else "exceeds"
-    print(f"duty cycle {schedule.frame_period:.9g} s {verdict} the 10 s budget")
+    verdict = "within" if schedule.frame_period < FRAME_BUDGET else "exceeds"
+    print(f"duty cycle {schedule.frame_period:.9g} s {verdict} the {FRAME_BUDGET:g} s budget")
     return EXIT_OK
 
 
@@ -577,8 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument("message_bytes", type=_integer)
     p_sched.add_argument("bit_rate", type=_number)
     p_sched.add_argument("guard", type=_number)
-    p_sched.add_argument("--cap", type=_number, default=1.0,
-                         help="max message duration in seconds")
 
     p_ver = sub.add_parser("verify", help="run the property suite")
     p_ver.add_argument("--seed", type=_integer, default=None)

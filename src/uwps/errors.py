@@ -73,7 +73,7 @@ class FieldRange(PositioningError):
 
 
 class BudgetExceeded(PositioningError):
-    """Message duration exceeds the configured transmission-time cap."""
+    """Message duration exceeds the fixed 1 s transmission-time cap."""
 
 
 # -- channel -----------------------------------------------------------

@@ -12,7 +12,9 @@ BuoyMessage states once what a sentence can carry, so encode_message
 cannot fail: the widest sentence is 57 bytes of the 80-byte message budget.
 _payload states once how each field is spelled: encode_message writes that
 spelling, and a sentence decodes only if it is spelled exactly so.
-transmit_times rounds the schedule's instants to the wire's 1 ms.
+transmit_times rounds the schedule's instants to the wire's 1 ms. A
+message takes at most MAX_MESSAGE_DURATION, the fixed 1 s slot cap, and a
+frame of four slots must close inside FRAME_BUDGET, 10 s.
 """
 from __future__ import annotations
 
@@ -24,6 +26,9 @@ from .geo import GeodeticCoord, _Checked
 
 TALKER = "UWPS"
 MAX_MESSAGE_BYTES = 80
+MAX_MESSAGE_DURATION = 1.0       # cap on one message's transmission time t_m [s]
+FRAME_BUDGET = 10.0              # a frame's duty-cycle budget [s]
+SECONDS_PER_DAY = 86400.0        # gnss_time is seconds of day, in [0, SECONDS_PER_DAY)
 
 _HEIGHT_RANGE = (-99999.99, 999999.99)   # the heights that fit the 9-character field
 
@@ -69,8 +74,8 @@ def _check(buoy_id, gnss_time, height) -> None:
     """BuoyMessage's checks of values on the wire grid, in their order."""
     if type(buoy_id) is not int or not 1 <= buoy_id <= 4:
         raise ValueError(f"buoy_id {buoy_id} outside 1..4")
-    if not (0.0 <= gnss_time < 86400.0):
-        raise ValueError(f"gnss_time {gnss_time} outside [0, 86400)")
+    if not (0.0 <= gnss_time < SECONDS_PER_DAY):
+        raise ValueError(f"gnss_time {gnss_time} outside [0, {SECONDS_PER_DAY:g})")
     if not (_HEIGHT_RANGE[0] <= height <= _HEIGHT_RANGE[1]):
         raise ValueError(f"height {height} outside [{_HEIGHT_RANGE[0]}, {_HEIGHT_RANGE[1]}]")
 
@@ -203,10 +208,10 @@ class FrameSchedule(_Checked, _FrameSchedule):
     __slots__ = ()
 
     def __new__(cls, message_duration, guard_time):
-        if message_duration <= 0.0:
-            raise ValueError("message_duration must be > 0")
-        if guard_time < 0.0:
-            raise ValueError("guard_time must be >= 0")
+        if not (math.isfinite(message_duration) and message_duration > 0.0):
+            raise ValueError(f"message_duration {message_duration} must be finite and > 0")
+        if not (math.isfinite(guard_time) and guard_time >= 0.0):
+            raise ValueError(f"guard_time {guard_time} must be finite and >= 0")
         return tuple.__new__(cls, (message_duration, guard_time))
 
     @property
@@ -221,18 +226,13 @@ class FrameSchedule(_Checked, _FrameSchedule):
         return (0.0, slot, 2.0 * slot, 3.0 * slot)
 
 
-def compute_schedule(
-    message_bytes: int,
-    bit_rate: float,
-    guard: float,
-    max_message_duration: float = 1.0,
-) -> FrameSchedule:
+def compute_schedule(message_bytes: int, bit_rate: float, guard: float) -> FrameSchedule:
     """Build the four-slot schedule for a message size and modem rate.
 
     The reference budget (80 bytes at 640 bps with a 1 s guard) gives
-    t_m = 1 s and an 8 s frame. A cap on the transmission time (1 s by
-    default) turns an over-budget message into an error. bit_rate and
-    guard must be finite, and the cap finite and > 0.
+    t_m = 1 s and an 8 s frame. A message longer than the fixed 1 s cap,
+    MAX_MESSAGE_DURATION, is BudgetExceeded. bit_rate and guard must be
+    finite, and are checked before the cap.
     """
     if message_bytes <= 0:
         raise ValueError("message_bytes must be > 0")
@@ -240,14 +240,10 @@ def compute_schedule(
         raise ValueError(f"bit_rate {bit_rate} must be finite and > 0")
     if not (math.isfinite(guard) and guard >= 0):
         raise ValueError(f"guard {guard} must be finite and >= 0")
-    if not (math.isfinite(max_message_duration) and max_message_duration > 0):
-        raise ValueError(
-            f"message duration cap {max_message_duration} must be finite and > 0")
     t_m = 8.0 * message_bytes / bit_rate
-    if t_m > max_message_duration:
+    if t_m > MAX_MESSAGE_DURATION:
         raise BudgetExceeded(
-            f"message duration {t_m:.3f} s exceeds the "
-            f"{max_message_duration:.3f} s cap")
+            f"message duration {t_m:.3f} s exceeds the {MAX_MESSAGE_DURATION:.3f} s cap")
     return FrameSchedule(message_duration=t_m, guard_time=guard)
 
 

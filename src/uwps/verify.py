@@ -232,15 +232,13 @@ def check_enu_up_axis(seed: int) -> tuple[bool, str]:
 
 def check_clock_offset_invariance(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
-    tick = 2.0 ** -40
     for _ in range(50):
         buoys, truth, _, _ = sample_scenario(rng)
         base_obs = []
         for i, b in enumerate(buoys):
-            t_tx = float(f"{10.0 + 2.0 * i:.3f}")
+            t_tx = protocol._q(10.0 + 2.0 * i, 3)
             t_arr = t_tx + math.dist(truth, b) / 1500.0
-            base_obs.append(multilateration.Observation(
-                i, t_tx, round(t_arr / tick) * tick, b))
+            base_obs.append(multilateration.Observation(i, t_tx, channel._quantize_tick(t_arr), b))
         base = multilateration.pseudorange_diffs(
             multilateration.ObservationSet(tuple(base_obs), 1500.0))
         for offset in (-100.0, -1.0, 0.0, 0.5, 1.0, 100.0):
@@ -442,7 +440,7 @@ def check_corruption_detection(seed: int) -> tuple[bool, str]:
 def check_schedule_budget(seed: int) -> tuple[bool, str]:
     s = protocol.compute_schedule(80, 640.0, 1.0)
     ok = (abs(s.message_duration - 1.0) < 1e-12 and abs(s.frame_period - 8.0) < 1e-12
-          and s.frame_period < 10.0)
+          and s.frame_period < protocol.FRAME_BUDGET)
     for i in range(3):
         gap = s.start_times[i + 1] - (s.start_times[i] + s.message_duration)
         ok = ok and gap >= s.guard_time - 1e-12

@@ -280,3 +280,5 @@ def test_scenario_validation():
     with pytest.raises(ValueError, match="buoy drifts must be at most 1e"):
         make_scenario()._replace(buoys=drifting)
     assert make_scenario()._replace(sound_speed=1e9).sound_speed == 1e9
+    # checked as an ObservationSet checks it, and stored as a float
+    assert type(make_scenario()._replace(sound_speed=1500).sound_speed) is float

@@ -733,16 +733,11 @@ FLAG_CASES = [
     ("schedule", "80", "nan", "1"),
     ("schedule", "80", "640", "nan"),
     ("schedule", "80", "640", "inf"),
-    ("schedule", "80", "640", "1", "--cap", "nan"),
-    ("schedule", "80", "640", "1", "--cap", "inf"),
-    ("schedule", "80", "640", "1", "--cap", "0"),
-    ("schedule", "80", "640", "1", "--cap", "-1"),
     ("verify", "--seed", "-1"),
     # exponent form: argparse takes a bare -1e0 for an option, so it is
     # given with `=` or after `--`, and is then range-checked
     ("verify", "--seed=-1e0"),
     ("schedule", "80", "640", "--", "-1e0"),
-    ("schedule", "80", "640", "1", "--cap=-1e0"),
 ]
 
 
@@ -761,7 +756,6 @@ SPELLING_CASES = [
     ("schedule", "8_0", "640", "1"),
     ("schedule", "80", "6_40", "1"),
     ("schedule", "80", "640", "\uff11"),
-    ("schedule", "80", "640", "1", "--cap", "1_0"),
     ("verify", "--seed", "1_0"),
     ("verify", "--seed", "\u0661"),
 ]
@@ -944,10 +938,9 @@ def test_solve_reports_solver_taxonomy_name(tmp_path, capsys):
 
 
 def test_schedule_reference_budget(capsys):
-    code, out, _ = run_cli("schedule", "80", "640", "1.0", capsys=capsys)
-    assert code == EXIT_OK
-    assert "T_f = 8 s" in out
-    assert "within the 10 s budget" in out
+    """The reference schedule's report, byte for byte."""
+    code, out, err = run_cli("schedule", "80", "640", "1.0", capsys=capsys)
+    assert (code, out, err) == (EXIT_OK, (DATA / "schedule_80_640_1.stdout").read_text(), "")
 
 
 def test_schedule_higher_rate(capsys):
@@ -960,6 +953,32 @@ def test_schedule_budget_exceeded(capsys):
     code, _, err = run_cli("schedule", "200", "640", "1.0", capsys=capsys)
     assert code == EXIT_SOLVER
     assert "BudgetExceeded" in err
+
+
+SCHEDULE_ERRORS = [
+    (("0", "nan", "-1"), EXIT_USAGE, "message_bytes must be > 0"),
+    (("1e308", "nan", "-1"), EXIT_USAGE, "bit_rate nan must be finite and > 0"),
+    (("200", "640", "-1"), EXIT_USAGE, "guard -1.0 must be finite and >= 0"),
+    (("1e308", "640", "1"), EXIT_SOLVER,
+     "BudgetExceeded: message duration inf s exceeds the 1.000 s cap"),
+]
+
+
+@pytest.mark.parametrize("argv, want_code, want_err", SCHEDULE_ERRORS,
+                         ids=[" ".join(argv) for argv, _, _ in SCHEDULE_ERRORS])
+def test_schedule_checks_in_order(argv, want_code, want_err, capsys):
+    """compute_schedule checks the message size, the bit rate, the guard
+    and then the 1 s cap: the first that fails is the one error line."""
+    code, out, err = run_cli("schedule", *argv, capsys=capsys)
+    assert (code, out, err) == (want_code, "", f"error: {want_err}\n")
+
+
+def test_schedule_takes_no_cap_option(capsys):
+    """The message cap is the fixed 1 s: --cap is an unrecognized
+    argument, exit 1, nothing on stdout."""
+    code, out, err = run_cli("schedule", "80", "640", "1", "--cap", "2", capsys=capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "unrecognized arguments: --cap 2" in err
 
 
 def test_verify_reports_and_exit_code(capsys):

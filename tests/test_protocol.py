@@ -531,9 +531,6 @@ def test_budget_exceeded_under_cap():
         compute_schedule(80, 320.0, 1.0)
     with pytest.raises(BudgetExceeded):
         compute_schedule(200, 640.0, 1.0)
-    # a cap at the message's own duration allows it
-    s = compute_schedule(80, 320.0, 1.0, max_message_duration=2.0)
-    assert s.message_duration == pytest.approx(2.0)
 
 
 def test_schedule_non_overlap():

@@ -50,6 +50,12 @@ BAD_FIELDS = [
                  id="BuoyMessage.position-6"),
     pytest.param("FrameSchedule", "message_duration", 0.0, id="FrameSchedule.message_duration-7"),
     pytest.param("FrameSchedule", "guard_time", -1.0, id="FrameSchedule.guard_time-8"),
+    pytest.param("FrameSchedule", "message_duration", math.nan,
+                 id="FrameSchedule.message_duration-nan"),
+    pytest.param("FrameSchedule", "message_duration", math.inf,
+                 id="FrameSchedule.message_duration-inf"),
+    pytest.param("FrameSchedule", "guard_time", math.nan, id="FrameSchedule.guard_time-nan"),
+    pytest.param("FrameSchedule", "guard_time", math.inf, id="FrameSchedule.guard_time-inf"),
     pytest.param("Observation", "buoy_id", 4, id="Observation.buoy_id-9"),
     pytest.param("Observation", "transmit_time", math.inf, id="Observation.transmit_time-10"),
     pytest.param("Observation", "receive_time", math.nan, id="Observation.receive_time-11"),
