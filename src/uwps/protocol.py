@@ -203,7 +203,11 @@ class _FrameSchedule(NamedTuple):
 
 
 class FrameSchedule(_Checked, _FrameSchedule):
-    """Slot layout of one TDMA frame: four transmissions plus guards."""
+    """Slot layout of one TDMA frame: four transmissions plus guards.
+
+    t_m finite and > 0, g finite and >= 0, and the frame period 4 (t_m + g)
+    finite, so every slot instant is a number.
+    """
 
     __slots__ = ()
 
@@ -212,6 +216,9 @@ class FrameSchedule(_Checked, _FrameSchedule):
             raise ValueError(f"message_duration {message_duration} must be finite and > 0")
         if not (math.isfinite(guard_time) and guard_time >= 0.0):
             raise ValueError(f"guard_time {guard_time} must be finite and >= 0")
+        if not math.isfinite(4.0 * (message_duration + guard_time)):
+            raise ValueError(
+                f"frame period 4 * ({message_duration} + {guard_time}) s must be finite")
         return tuple.__new__(cls, (message_duration, guard_time))
 
     @property
@@ -232,7 +239,8 @@ def compute_schedule(message_bytes: int, bit_rate: float, guard: float) -> Frame
     The reference budget (80 bytes at 640 bps with a 1 s guard) gives
     t_m = 1 s and an 8 s frame. A message longer than the fixed 1 s cap,
     MAX_MESSAGE_DURATION, is BudgetExceeded. bit_rate and guard must be
-    finite, and are checked before the cap.
+    finite, and are checked before the cap; FrameSchedule then refuses a
+    frame period 4 (t_m + g) that is not finite.
     """
     if message_bytes <= 0:
         raise ValueError("message_bytes must be > 0")
@@ -243,7 +251,7 @@ def compute_schedule(message_bytes: int, bit_rate: float, guard: float) -> Frame
     t_m = 8.0 * message_bytes / bit_rate
     if t_m > MAX_MESSAGE_DURATION:
         raise BudgetExceeded(
-            f"message duration {t_m:.3f} s exceeds the {MAX_MESSAGE_DURATION:.3f} s cap")
+            f"message duration {t_m:.9g} s exceeds the {MAX_MESSAGE_DURATION:.3f} s cap")
     return FrameSchedule(message_duration=t_m, guard_time=guard)
 
 

@@ -5,12 +5,17 @@ verify` runs them all at one seed; the acceptance tests call each of them,
 the criterion checks as criteria (criterion 5's at its own case count) and
 every other check as a test of its own. The scenario sampler solves each
 case's closed form once, to test the case, and hands the pair it solved to
-the checks. The motion-bound check asserts the v*S displacement bound
-against the solved position error. The solver treats each frame as if the
-receiver stood still, so the motion during the frame, amplified by
-the geometry's vertical dilution, puts the error far beyond the bound;
-that check reports FAIL with the measured exceedance until receiver motion
-is modelled. All other checks pass.
+the checks. Five checks read nothing but the sampler's cases from their
+seed's stream (clock-offset invariance, unit norm, reconstruction,
+residual and range consistency), so within one run_all they share one
+draw of it: the stream's first _SHARED_CASES cases are drawn once and held
+for the run, and reconstruction draws its later cases past them. A check
+called on its own draws its own cases. The motion-bound check asserts the
+v*S displacement bound against the solved position error. The solver
+treats each frame as if the receiver stood still, so the motion during the
+frame, amplified by the geometry's vertical dilution, puts the error far
+beyond the bound; that check reports FAIL with the measured exceedance
+until receiver motion is modelled. All other checks pass.
 
 The fixtures the checks draw on (the Malaga anchor, the distance oracle,
 the scenario sampler and the scenario builder) are shared with the test
@@ -31,8 +36,10 @@ every trajectory against it.
 """
 from __future__ import annotations
 
+import copy
 import math
 import struct
+from contextvars import ContextVar
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -137,6 +144,53 @@ def sample_scenario(rng: np.random.Generator):
     raise RuntimeError(f"no usable scenario in {SAMPLE_DRAWS} draws")
 
 
+# cases of a seed's sample_scenario stream that one run_all holds: what
+# every sharing check reads but reconstruction, whose other 800 are drawn
+# past them and not held, so the run holds a few hundred cases at most
+_SHARED_CASES = 200
+
+
+class _SharedCases:
+    """One run_all's draw of its seed's sample_scenario stream.
+
+    The first reader draws the first _SHARED_CASES cases, inside its own
+    call, and they are held with the generator as it stands after them. A
+    reader of more cases draws on from a copy of that generator. So every
+    reader gets the stream's cases bit for bit, and a held case is drawn
+    once per run.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._held = None   # (cases, generator after them)
+
+    def read(self, n: int):
+        """The stream's first n cases, one at a time."""
+        if self._held is None:
+            rng = np.random.default_rng(self.seed)
+            self._held = [sample_scenario(rng) for _ in range(_SHARED_CASES)], rng
+        cases, rng = self._held
+        yield from cases[:n]
+        if n > _SHARED_CASES:
+            rng = copy.deepcopy(rng)
+            for _ in range(n - _SHARED_CASES):
+                yield sample_scenario(rng)
+
+
+# the shared cases of the run_all in progress in this context, if any
+_RUN_CASES: ContextVar[_SharedCases | None] = ContextVar("_RUN_CASES", default=None)
+
+
+def _sampled(seed: int, n: int):
+    """The first n cases of seed's sample_scenario stream: the run's shared
+    draw inside run_all, else drawn here from default_rng(seed)."""
+    shared = _RUN_CASES.get()
+    if shared is not None and shared.seed == seed:
+        return shared.read(n)
+    rng = np.random.default_rng(seed)
+    return (sample_scenario(rng) for _ in range(n))
+
+
 def make_scenario(buoy_enu, drifts=None, receiver=(300.0, 400.0, -150.0),
                   velocity=(0.0, 0.0, 0.0), clock_offset=0.0, frames=3,
                   range_limit=math.inf) -> channel.Scenario:
@@ -231,9 +285,7 @@ def check_enu_up_axis(seed: int) -> tuple[bool, str]:
 # -- multilateration properties ----------------------------------------
 
 def check_clock_offset_invariance(seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
-    for _ in range(50):
-        buoys, truth, _, _ = sample_scenario(rng)
+    for buoys, truth, _, _ in _sampled(seed, 50):
         base_obs = []
         for i, b in enumerate(buoys):
             t_tx = protocol._q(10.0 + 2.0 * i, 3)
@@ -254,10 +306,8 @@ def check_clock_offset_invariance(seed: int) -> tuple[bool, str]:
 
 def check_unit_norm(seed: int, solve: Callable = multilateration.kleusberg_solve
                     ) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(200):
-        diffs = sample_scenario(rng)[2]
+    for _, _, diffs, _ in _sampled(seed, 200):
         pair = solve(diffs)   # the solve under test, not the sampler's
         for branch in pair.branches:
             worst = max(worst, abs(multilateration._norm(branch.direction) - 1.0))
@@ -265,10 +315,8 @@ def check_unit_norm(seed: int, solve: Callable = multilateration.kleusberg_solve
 
 
 def check_reconstruction_exactness(seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(1000):
-        _, truth, diffs, pair = sample_scenario(rng)
+    for _, truth, diffs, pair in _sampled(seed, 1000):
         pick = multilateration.select_underwater(pair, diffs).position
         worst = max(worst, math.dist(pick, truth))
     return worst < 1e-6, f"worst error {worst:.3e} m over 1000 cases (< 1e-6 m)"
@@ -288,10 +336,8 @@ def check_mirror_symmetry(seed: int) -> tuple[bool, str]:
 
 
 def check_residual_consistency(seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(200):
-        _, _, diffs, pair = sample_scenario(rng)
+    for _, _, diffs, pair in _sampled(seed, 200):
         for _, s, p, _ in pair.branches:
             if s >= 0.0:  # negative-range branches are unphysical by design
                 worst = max(worst, multilateration._norm(multilateration.residuals(p, diffs)))
@@ -339,10 +385,8 @@ def check_rigid_motion_equivariance(seed: int) -> tuple[bool, str]:
 
 
 def check_range_consistency(seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(200):
-        _, _, diffs, pair = sample_scenario(rng)
+    for _, _, diffs, pair in _sampled(seed, 200):
         den_tol = 1e-9 * max(diffs.b)
         for (vx, vy, vz), _, _, _ in pair.branches:
             ranges = []   # from each baseline whose denominator is usable
@@ -593,11 +637,17 @@ _CHECKS: list[tuple[str, Callable[[int], tuple[bool, str]]]] = [
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[PropertyResult]:
+    """Every check at seed, in _CHECKS order. The checks that read only
+    sample_scenario share one draw of the seed's stream, for this run only."""
     results = []
-    for name, fn in _CHECKS:
-        try:
-            ok, detail = fn(seed)
-        except Exception as exc:  # a crashing property is a failing property
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(PropertyResult(name=name, ok=ok, detail=detail))
+    token = _RUN_CASES.set(_SharedCases(seed))
+    try:
+        for name, fn in _CHECKS:
+            try:
+                ok, detail = fn(seed)
+            except Exception as exc:  # a crashing property is a failing property
+                ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+            results.append(PropertyResult(name=name, ok=ok, detail=detail))
+    finally:
+        _RUN_CASES.reset(token)
     return results

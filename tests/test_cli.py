@@ -445,6 +445,16 @@ def test_simulate_rejects_magnitudes_that_overflow(old, new, tmp_path, capsys):
     assert err.startswith(f"error: {path}: ") and "must be at most 1e+09" in err
 
 
+def test_simulate_rejects_a_guard_whose_frame_is_not_finite(tmp_path, capsys):
+    """A [schedule] guard whose frame period 4 (t_m + g) overflows is a file
+    error naming it, exit 1, nothing on stdout, as in uwps schedule."""
+    path = tmp_path / "guard.scn"
+    path.write_text(scenario_text(extra="\n[schedule]\nguard = 1e308\n"))
+    code, out, err = run_cli("simulate", str(path), capsys=capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {path}: frame period 4 * (1.0 + 1e+308) s must be finite\n"
+
+
 def test_simulate_rejects_a_negative_noise_sigma(tmp_path, capsys):
     """A negative noise_sigma is a file error, exit 1, not a noiseless run;
     -0.0 is no noise, as 0.0 is."""
@@ -961,14 +971,19 @@ SCHEDULE_ERRORS = [
     (("200", "640", "-1"), EXIT_USAGE, "guard -1.0 must be finite and >= 0"),
     (("1e308", "640", "1"), EXIT_SOLVER,
      "BudgetExceeded: message duration inf s exceeds the 1.000 s cap"),
+    # t_m is spelled with %.9g, not in all its 301 digits
+    (("1", "1e-300", "1"), EXIT_SOLVER,
+     "BudgetExceeded: message duration 8e+300 s exceeds the 1.000 s cap"),
+    (("80", "640", "1e308"), EXIT_USAGE, "frame period 4 * (1.0 + 1e+308) s must be finite"),
 ]
 
 
 @pytest.mark.parametrize("argv, want_code, want_err", SCHEDULE_ERRORS,
                          ids=[" ".join(argv) for argv, _, _ in SCHEDULE_ERRORS])
 def test_schedule_checks_in_order(argv, want_code, want_err, capsys):
-    """compute_schedule checks the message size, the bit rate, the guard
-    and then the 1 s cap: the first that fails is the one error line."""
+    """compute_schedule checks the message size, the bit rate, the guard,
+    the 1 s cap and then the frame period: the first that fails is the one
+    error line."""
     code, out, err = run_cli("schedule", *argv, capsys=capsys)
     assert (code, out, err) == (want_code, "", f"error: {want_err}\n")
 

@@ -56,6 +56,7 @@ BAD_FIELDS = [
                  id="FrameSchedule.message_duration-inf"),
     pytest.param("FrameSchedule", "guard_time", math.nan, id="FrameSchedule.guard_time-nan"),
     pytest.param("FrameSchedule", "guard_time", math.inf, id="FrameSchedule.guard_time-inf"),
+    pytest.param("FrameSchedule", "guard_time", 1e308, id="FrameSchedule.guard_time-1e308"),
     pytest.param("Observation", "buoy_id", 4, id="Observation.buoy_id-9"),
     pytest.param("Observation", "transmit_time", math.inf, id="Observation.transmit_time-10"),
     pytest.param("Observation", "receive_time", math.nan, id="Observation.receive_time-11"),

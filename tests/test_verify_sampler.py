@@ -6,7 +6,8 @@ the reference: for every case the two give the same bits, and leave the
 generator in the same state, so the criterion families and the suite's
 report stay the cases they were. The sampler hands each case's closed
 form to the checks, bit for bit the one a fresh solve gives, so the checks
-solve no case again.
+solve no case again. Within one run_all the checks that read only the
+sampler share one draw of its stream, and each reads the stream's cases.
 """
 import struct
 
@@ -143,3 +144,66 @@ def test_reconstruction_check_solves_each_case_once(monkeypatch):
     ok, _ = verify.check_reconstruction_exactness(verify.DEFAULT_SEED)
     assert ok and calls[0] == sampled
     assert sampled >= 1000
+
+
+def count_draws(monkeypatch):
+    """A one-item list that counts verify's sample_scenario calls."""
+    draw, calls = verify.sample_scenario, [0]
+
+    def counting(rng):
+        calls[0] += 1
+        return draw(rng)
+
+    monkeypatch.setattr(verify, "sample_scenario", counting)
+    return calls
+
+
+# the checks that read nothing but sample_scenario's cases, and how many
+SHARING_CHECKS = [(verify.check_clock_offset_invariance, 50), (verify.check_unit_norm, 200),
+                  (verify.check_reconstruction_exactness, 1000),
+                  (verify.check_residual_consistency, 200), (verify.check_range_consistency, 200)]
+
+
+def test_one_run_draws_each_shared_case_once(monkeypatch):
+    """run_all makes 1250 sample_scenario calls where separate streams made
+    1900: 1000 for the five sharing checks, 200 for numerical_agreement and
+    50 for rigid_motion_equivariance. Every run draws them again, and a
+    check called alone, after a run too, draws all of its own."""
+    calls = count_draws(monkeypatch)
+    for _ in range(2):
+        calls[0] = 0
+        verify.run_all(verify.DEFAULT_SEED)
+        assert calls[0] == 1250
+    for check, cases in SHARING_CHECKS:
+        calls[0] = 0
+        ok, _ = check(verify.DEFAULT_SEED)
+        assert ok and calls[0] == cases, check.__name__
+
+
+def case_bits(case):
+    buoys, truth, diffs, pair = case
+    return bits(buoys, truth, diffs) + pair_bits(pair)
+
+
+@pytest.mark.parametrize("seed", [verify.DEFAULT_SEED, 82])
+def test_shared_cases_are_the_stream_bit_for_bit(seed, monkeypatch):
+    """Inside run_all, readers of 199, 201, 200 and then 1000 cases each
+    get the first cases of a fresh sample_scenario stream, case and pair,
+    to the last bit: short of the 200 held cases, at them, and past them
+    for two readers in turn."""
+    ref = np.random.default_rng(seed)
+    want = [case_bits(verify.sample_scenario(ref)) for _ in range(1000)]
+    got = {}
+
+    def reader(n):
+        def check(s):
+            got[n] = [case_bits(case) for case in verify._sampled(s, n)]
+            return True, ""
+        return f"reads {n}", check
+
+    monkeypatch.setattr(verify, "_CHECKS", [reader(n) for n in (199, 201, 200, 1000)])
+    assert all(result.ok for result in verify.run_all(seed))
+    assert sorted(got) == [199, 200, 201, 1000]
+    for n, cases in got.items():
+        assert cases == want[:n], f"{n} cases"
+
