@@ -10,7 +10,6 @@ import argparse
 import math
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -204,11 +203,24 @@ def _numbers(value: str, count: int, integer: bool, path: Path, lineno: int,
     return numbers[0] if count == 1 else tuple(numbers)
 
 
-def _read_text(path: Path) -> str:
-    """The file's UTF-8 text; an unreadable or undecodable file is a FileFormatError."""
+def _read_text(path) -> str:
+    """The UTF-8 text of the file path names as given, else of a bare name's
+    bundled file; an unreadable or undecodable file is a FileFormatError."""
     try:
-        with open(path, "rb", buffering=0) as file:
-            data = file.read()
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except FileNotFoundError:
+            bundled = _bundled_file(path)
+            if bundled is None:
+                raise
+            fd = os.open(bundled, os.O_RDONLY)
+        chunks = []
+        try:
+            while chunk := os.read(fd, 65536):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        data = b"".join(chunks)
         return data.decode("utf-8")
     except OSError as exc:
         raise FileFormatError(f"{path}: {exc.strerror or exc}") from None
@@ -216,6 +228,8 @@ def _read_text(path: Path) -> str:
         # the bad byte's line, counted as the parsers count lines
         lineno = len((data[:exc.start].decode("utf-8") + "?").splitlines())
         raise FileFormatError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+    except ValueError as exc:   # a name no file can have, such as one with a NUL byte
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 def parse_scenario_file(path: Path) -> ScenarioFile:
@@ -350,21 +364,34 @@ def _decode_observation_events(obs_file: ObservationFile, path: Path):
 
 # -- bundled data --------------------------------------------------------
 
-def resolve_input(name: str) -> Path:
-    """An existing path as-is, else a bundled data file of that name."""
-    if not os.path.exists(name):
+def _bundled_file(name):
+    """uwps/data/<name>, <name>.scn or <name>.obs, the first that exists, for
+    a bare name: one path component, not empty, . or ..; else None."""
+    name = os.fspath(name)
+    if os.path.basename(name) != name or name in ("", ".", ".."):
+        return None
+    from importlib import resources   # only a bundled name needs it
+    try:
         for candidate in (name, f"{name}.scn", f"{name}.obs"):
             bundle = resources.files("uwps.data").joinpath(candidate)
             if bundle.is_file():
                 with resources.as_file(bundle) as concrete:
                     return Path(concrete)
-    return Path(name)
+    except OSError:   # a name the OS refuses names no bundled file
+        pass
+    return None
+
+
+def resolve_input(name: str) -> Path:
+    """The file that `uwps simulate` and `uwps solve` read for name: the
+    bundled file of a bare name that names no file, else name itself."""
+    return (None if os.path.exists(name) else _bundled_file(name)) or Path(name)
 
 
 # -- commands ------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    path = resolve_input(args.scenario)
+    path = args.scenario
     try:
         parsed = parse_scenario_file(path)
         records = simulate(parsed.scenario)
@@ -473,7 +500,7 @@ def write_observation_file(path: Path, record, sound_speed: float) -> None:
 
 
 def cmd_solve(args) -> int:
-    path = resolve_input(args.observations)
+    path = args.observations
     try:
         obs_file = parse_observation_file(path)
         events = _decode_observation_events(obs_file, path)

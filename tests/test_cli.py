@@ -288,6 +288,83 @@ def test_simulate_missing_file(tmp_path, capsys):
     assert "error" in err
 
 
+# a name the commands cannot read, and the system's reason, printed after
+# the name as given; "dir" is a directory in the working directory
+UNREADABLE_NAMES = [
+    ("y" * 253, "No such file or directory"),   # y*253.scn is too long a name
+    ("y" * 300, "File name too long"),
+    ("a\x00b", "embedded null byte"),
+    ("dir", "Is a directory"),
+    ("missing", "No such file or directory"),
+    ("", "No such file or directory"),
+    ("../__init__.py", "No such file or directory"),   # not bundled: not bare
+    ("../../uwps/data/squaretest.scn", "No such file or directory"),
+    ("./squaretest", "No such file or directory"),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "solve"])
+@pytest.mark.parametrize("name, reason", UNREADABLE_NAMES,
+                         ids=["253", "300", "nul", "directory", "missing", "empty",
+                              "up-one", "up-two", "dot-slash"])
+def test_an_unreadable_name_is_one_error_line(command, name, reason, monkeypatch, tmp_path,
+                                              capsys):
+    """Every name the OS refuses is `error: <name>: <reason>`, exit 1, with
+    nothing on stdout; only a bare name may name a bundled file, and a
+    bundled lookup the OS refuses finds none."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    assert run_cli(command, name, capsys=capsys) == (EXIT_USAGE, "", f"error: {name}: {reason}\n")
+    assert resolve_input(name) == Path(name)
+
+
+@pytest.mark.parametrize("command, name", [("simulate", "squaretest"),
+                                           ("solve", "squaretest_frame0.obs")])
+def test_a_file_shadows_the_bundled_file_of_its_name(command, name, monkeypatch, tmp_path,
+                                                     capsys):
+    """A name is opened as given, so a file of a bundled file's name is read."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text("no grammar\n")
+    assert run_cli(command, name, capsys=capsys) == (
+        EXIT_USAGE, "", f"error: {name}:1: " + ("key outside any section\n"
+                                                if command == "simulate" else
+                                                "expected 'key = value'\n"))
+    assert resolve_input(name) == Path(name)
+
+
+def test_solve_and_simulate_read_their_file_without_a_stat_or_a_path(monkeypatch, tmp_path,
+                                                                    capsys):
+    """The commands open the name they were given: no existence check, no
+    stat and no pathlib object comes between the argument and its bytes."""
+    assert run_cli("simulate", "squaretest", "--export-obs", str(tmp_path),
+                   capsys=capsys)[0] == EXIT_OK
+    scn = tmp_path / "three.scn"
+    scn.write_text(scenario_text())
+    argvs = [["solve", str(tmp_path / "frame_0000.obs")], ["simulate", str(scn)]]
+    want = [run_cli(*argv, capsys=capsys) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the read path stats its file or builds a Path")
+
+    with monkeypatch.context() as patch:
+        for target, attribute in [(os.path, "exists"), (os, "stat"), (cli, "Path")]:
+            patch.setattr(target, attribute, refuse)
+        got = [run_cli(*argv, capsys=capsys) for argv in argvs]
+    assert got == want
+    assert [code for code, _, _ in want] == [EXIT_OK, EXIT_OK]
+
+
+def test_importing_the_cli_leaves_importlib_resources_unloaded():
+    """Only a bundled name imports importlib.resources, so `import uwps.cli`
+    on a bare interpreter does not."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, uwps.cli; print('importlib.resources' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 def test_simulate_rejects_unknown_key(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
     bad.write_text(scenario_text(extra="\n[channel2]\nx = 1\n"))
