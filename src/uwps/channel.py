@@ -19,9 +19,11 @@ Scenario, each report (rounded once) and assemble_observations' receive
 times and sound speed; a record of checked values is built unchecked.
 
 The receiver timestamps arrivals on a dyadic 2^-40 s grid before its clock
-offset is applied. With the offset any multiple of that tick (integers in
-particular) and session times under 2^13 s, receive times are exact floats
-and the offset cancels bit-for-bit in the downstream differencing.
+offset is applied: each arrival goes to the nearest tick, ties to even,
+rounded in float arithmetic as protocol._q rounds (_quantize_tick). With
+the offset any multiple of that tick (integers in particular) and session
+times under 2^13 s, receive times are exact floats and the offset cancels
+bit-for-bit in the downstream differencing.
 
 Timing noise is part of the channel: a scenario with noise_sigma > 0 adds
 sigma * z_k to the k-th heard message's receive time as simulate builds its
@@ -39,7 +41,8 @@ from typing import NamedTuple
 from .errors import IncompleteFrame
 from .geo import GeodeticCoord, LocalFrame, _Checked, enu_to_geodetic, geodetic_to_enu
 from .multilateration import SURFACE_UP, Observation, ObservationSet, _finite, _norm, _sound_speed
-from .protocol import SECONDS_PER_DAY, BuoyMessage, FrameSchedule, _quantized, transmit_times
+from .protocol import (SECONDS_PER_DAY, _RINT, BuoyMessage, FrameSchedule, _quantized,
+                       transmit_times)
 
 RX_CLOCK_TICK = 2.0 ** -40          # receiver timestamp resolution [s]
 SPEED_CAP = 10.0                    # receiver speed sanity cap [m/s]
@@ -47,10 +50,17 @@ SPEED_CAP = 10.0                    # receiver speed sanity cap [m/s]
 # drifts, the sound speed [m/s] and noise_sigma [s]: every range, squared
 # range and arrival time simulate computes then stays well within float range
 MAGNITUDE_CAP = 1e9
+_TICK_FAST = 2.0 ** 51              # bound on |t| / RX_CLOCK_TICK for _quantize_tick's float path
 
 
 def _quantize_tick(t: float) -> float:
-    return round(t / RX_CLOCK_TICK) * RX_CLOCK_TICK
+    """t on the 2^-40 s grid: round(t / RX_CLOCK_TICK) * RX_CLOCK_TICK, with
+    the integer rounding (ties to even) done in floats where |t| is under
+    2^51 ticks, as _q does it."""
+    y = t / RX_CLOCK_TICK
+    if -_TICK_FAST < y < _TICK_FAST:
+        return ((y + _RINT) - _RINT) * RX_CLOCK_TICK
+    return round(y) * RX_CLOCK_TICK
 
 
 class BuoyTrack(NamedTuple):

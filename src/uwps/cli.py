@@ -390,17 +390,27 @@ def resolve_input(name: str) -> Path:
 
 # -- commands ------------------------------------------------------------
 
+def _error(message: str) -> None:
+    """Write `error: <message>` to stderr as one line. A character that is
+    not printable there, such as a newline or an escape in a file name, is
+    written as its backslash escape (\\n, \\x1b); a printable message as it is."""
+    if not message.isprintable():
+        message = "".join(c if c.isprintable() else c.encode("unicode_escape").decode("ascii")
+                          for c in message)
+    print(f"error: {message}", file=sys.stderr)
+
+
 def cmd_simulate(args) -> int:
     path = args.scenario
     try:
         parsed = parse_scenario_file(path)
         records = simulate(parsed.scenario)
     except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_USAGE
     except ValueError as exc:
         # a buoy report the wire cannot carry: BuoyMessage rejects it
-        print(f"error: {path}: {exc}", file=sys.stderr)
+        _error(f"{path}: {exc}")
         return EXIT_USAGE
     except ModuleNotFoundError as exc:
         # simulate draws the timing noise of a noisy scenario
@@ -450,7 +460,7 @@ def cmd_simulate(args) -> int:
             target = Path(args.output)
             target.write_text(csv_text, encoding="utf-8")
     except OSError as exc:
-        print(f"error: {target}: {exc.strerror or exc}", file=sys.stderr)
+        _error(f"{target}: {exc.strerror or exc}")
         return EXIT_USAGE
 
     # the summary after the CSV (on stdout without -o), in one write
@@ -478,11 +488,11 @@ def cmd_simulate(args) -> int:
     sys.stdout.write("".join(report))
 
     if complete_frames == 0:
-        print("error: NoFix in every frame", file=sys.stderr)
+        _error("NoFix in every frame")
         return EXIT_SOLVER
     if failures:
         index, name = failures[0]
-        print(f"error: frame {index} produced no fix ({name})", file=sys.stderr)
+        _error(f"frame {index} produced no fix ({name})")
         return EXIT_SOLVER
     return EXIT_OK
 
@@ -505,7 +515,7 @@ def cmd_solve(args) -> int:
         obs_file = parse_observation_file(path)
         events = _decode_observation_events(obs_file, path)
     except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_USAGE
 
     # the report's lines, written at once; the lines a solver error cuts
@@ -529,7 +539,7 @@ def cmd_solve(args) -> int:
         pick = select_underwater(pair, diffs)
     except PositioningError as exc:
         sys.stdout.write("".join(lines))
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _error(f"{type(exc).__name__}: {exc}")
         return EXIT_SOLVER
     res = vectors[pair.branches.index(pick)]
     lines.append("underwater solution: (%.9g, %.9g, %.9g) m\nresiduals: (%.9g, %.9g, %.9g) m\n"
@@ -542,10 +552,10 @@ def cmd_schedule(args) -> int:
     try:
         schedule = compute_schedule(args.message_bytes, args.bit_rate, args.guard)
     except PositioningError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _error(f"{type(exc).__name__}: {exc}")
         return EXIT_SOLVER
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_USAGE
     print(f"message duration t_m = {schedule.message_duration:.9g} s")
     print(f"guard time g = {schedule.guard_time:.9g} s")
@@ -563,13 +573,13 @@ def _needs_numpy(exc: ModuleNotFoundError, what: str) -> int:
     return the usage exit code; any other missing module is re-raised."""
     if exc.name != "numpy":
         raise exc
-    print(f"error: {what} needs numpy", file=sys.stderr)
+    _error(f"{what} needs numpy")
     return EXIT_USAGE
 
 
 def cmd_verify(args) -> int:
     if args.seed is not None and args.seed < 0:
-        print(f"error: --seed {args.seed} must be an integer >= 0", file=sys.stderr)
+        _error(f"--seed {args.seed} must be an integer >= 0")
         return EXIT_USAGE
     try:
         from . import verify   # loaded here: no other command needs the property suite

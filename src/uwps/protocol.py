@@ -33,16 +33,41 @@ SECONDS_PER_DAY = 86400.0        # gnss_time is seconds of day, in [0, SECONDS_P
 _HEIGHT_RANGE = (-99999.99, 999999.99)   # the heights that fit the 9-character field
 
 
+# y + _RINT - _RINT is the float y rounded to an integer, ties to even, for
+# |y| < 2**51: the sum lies in [2**52, 2**53), where the floats are the integers
+_RINT = 1.5 * 2.0 ** 52
+_FAST = 2.0 ** 40                            # bound on |y| for _q's float path
+_POW10 = tuple(10.0 ** d for d in range(23))  # the powers of ten that are exact floats
+
+
 def _q(value: float, decimals: int) -> float:
     """Snap a number to the wire's decimal resolution, as a float.
 
-    Equal bit for bit to float(f"{value:.{decimals}f}"), the text the wire
-    carries: float.__round__ takes the same correctly rounded decimal digits
-    (ties to even on the exact binary value) and parses them back, -0.0
-    included, at 0.6 of the f-string's cost. float() comes first because
-    round() keeps an int an int and an np.float64 an np.float64.
+    The rule: the correctly rounded decimal at `decimals` places, ties to
+    even on the float's exact binary value, read back as the nearest float.
+    That is round(float(value), decimals), and bit for bit the value of
+    the wire's text float(f"{value:.{decimals}f}"), -0.0 included. float()
+    comes first because round() keeps an int an int and an np.float64 an
+    np.float64.
+
+    Plain float arithmetic gives the same float without round()'s decimal
+    round trip: with s = 10**decimals, an exact float for 0 <= decimals <=
+    22, y = x * s is within 2**-14 of the exact x * 10**decimals when |y| <
+    2**40, and k is y rounded to an integer. So where |y - k| < 0.499 the
+    exact value rounds to k too, and k / s, one correctly rounded division
+    of exact floats, is the float nearest the decimal k / 10**decimals:
+    round()'s result. A zero k (whose sign round() takes from x), a
+    possible tie, a larger |y|, NaN, an infinity and other `decimals` fall
+    back to round().
     """
-    return round(float(value), decimals)
+    x = float(value)
+    if 0 <= decimals <= 22:
+        s = _POW10[decimals]
+        y = x * s
+        k = (y + _RINT) - _RINT
+        if k and -_FAST < y < _FAST and -0.499 < y - k < 0.499:
+            return k / s
+    return round(x, decimals)
 
 
 class _BuoyMessage(NamedTuple):
@@ -84,9 +109,18 @@ def _quantized(buoy_id, gnss_time, position: GeodeticCoord) -> BuoyMessage:
     """BuoyMessage(buoy_id, gnss_time, position) for a time on the 1 ms grid."""
     p = position
     # _q written out: the three roundings of every report
-    latitude = round(float(p.latitude), 7)
-    longitude = round(float(p.longitude), 7)
-    height = round(float(p.height), 2)
+    x = float(p.latitude)
+    y = x * 1e7
+    k = (y + _RINT) - _RINT
+    latitude = k / 1e7 if k and -_FAST < y < _FAST and -0.499 < y - k < 0.499 else round(x, 7)
+    x = float(p.longitude)
+    y = x * 1e7
+    k = (y + _RINT) - _RINT
+    longitude = k / 1e7 if k and -_FAST < y < _FAST and -0.499 < y - k < 0.499 else round(x, 7)
+    x = float(p.height)
+    y = x * 100.0
+    k = (y + _RINT) - _RINT
+    height = k / 100.0 if k and -_FAST < y < _FAST and -0.499 < y - k < 0.499 else round(x, 2)
     _check(buoy_id, gnss_time, height)
     # rounding keeps a float's value only where it is on the grid; the given
     # longitude is never -180, so one that rounds there is replaced: the
@@ -264,5 +298,4 @@ def transmit_times(s: FrameSchedule, frame_index: int) -> tuple[float, float, fl
         raise ValueError("frame_index must be >= 0")
     slot = float(s.message_duration + s.guard_time)
     base = float(frame_index) * (4.0 * slot)
-    return (round(base, 3), round(base + slot, 3), round(base + 2.0 * slot, 3),
-            round(base + 3.0 * slot, 3))
+    return _q(base, 3), _q(base + slot, 3), _q(base + 2.0 * slot, 3), _q(base + 3.0 * slot, 3)

@@ -1,13 +1,18 @@
 """Simulator contracts: kinematics, clock offsets, noise, assembly."""
 import math
+import struct
 
 import numpy as np
 import pytest
-from conftest import make_scenario
+from conftest import make_scenario, ulps_around
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwps.channel import (
+    RX_CLOCK_TICK,
     BuoyTrack,
     ReceiverTrack,
+    _quantize_tick,
     assemble_observations,
     broadcast,
     simulate,
@@ -80,6 +85,42 @@ def test_simulate_rejects_a_broadcast_of_another_array():
             simulate(scenario, broadcast(other))
         with pytest.raises(ValueError, match="^broadcast was built for other buoys"):
             simulate(other, broadcast(scenario))
+
+
+def tick_reference(t):
+    """The receiver clock's rounding as integer arithmetic: the reference
+    for _quantize_tick."""
+    return round(t / RX_CLOCK_TICK) * RX_CLOCK_TICK
+
+
+def assert_same_bits(got, want):
+    assert type(got) is float
+    assert struct.pack("d", got) == struct.pack("d", want)
+
+
+# the fast path ends at 2^51 ticks, 2048 s; ties are odd multiples of half a tick
+TICK_EDGES = [
+    *ulps_around(2.0 ** 11, 4), *ulps_around(-2.0 ** 11, 4),
+    *[k * RX_CLOCK_TICK for k in (0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 2.0 ** 50 + 0.5,
+                                  2.0 ** 50 + 1.5, -(2.0 ** 50 + 0.5), 2.0 ** 51 + 1.0)],
+    *ulps_around(0.5 * RX_CLOCK_TICK, 2), *ulps_around(-0.5 * RX_CLOCK_TICK, 2),
+    0.0, -0.0, 5e-324, -5e-324, -1e-13, -1234.5678, 4095.9999999, 86399.999, 1e250, -1e250,
+]
+
+
+@pytest.mark.parametrize("t", TICK_EDGES)
+def test_quantize_tick_is_the_integer_rounding_at_its_edges(t):
+    """Half-tick ties go to the even tick, the sign of zero comes out as
+    round(t / tick) * tick gives it, and 2^51 ticks either side of the
+    float path's bound round as the integer rule rounds them."""
+    assert_same_bits(_quantize_tick(t), tick_reference(t))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(t=st.one_of(st.floats(0.0, 86400.0, exclude_max=True), st.floats(-3000.0, 3000.0),
+                   st.integers(-2 ** 53, 2 ** 53).map(lambda k: (k + 0.5) * RX_CLOCK_TICK)))
+def test_quantize_tick_rounds_like_the_integer_rule(t):
+    assert_same_bits(_quantize_tick(t), tick_reference(t))
 
 
 def test_clock_offset_shifts_receiver_times_only():

@@ -314,8 +314,27 @@ def test_an_unreadable_name_is_one_error_line(command, name, reason, monkeypatch
     bundled lookup the OS refuses finds none."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "dir").mkdir()
-    assert run_cli(command, name, capsys=capsys) == (EXIT_USAGE, "", f"error: {name}: {reason}\n")
+    shown = name.replace("\x00", "\\x00")   # a control character is printed escaped
+    assert run_cli(command, name, capsys=capsys) == (EXIT_USAGE, "", f"error: {shown}: {reason}\n")
     assert resolve_input(name) == Path(name)
+
+
+@pytest.mark.parametrize("command", ["simulate", "solve"])
+def test_a_name_with_control_characters_is_one_escaped_error_line(command, monkeypatch,
+                                                                  tmp_path, capsys):
+    """A newline, an escape or a DEL in the name reaches stderr as its
+    backslash escape, so the error stays one line and sends nothing to the
+    terminal; a printable name, non-ASCII included, is printed as given."""
+    monkeypatch.chdir(tmp_path)
+    name = "a\nb\x1b[31mred\x7f.obs"
+    assert run_cli(command, name, capsys=capsys) == (
+        EXIT_USAGE, "", "error: a\\nb\\x1b[31mred\\x7f.obs: No such file or directory\n")
+    (tmp_path / name).write_text("no grammar\n")
+    assert run_cli(command, name, capsys=capsys) == (
+        EXIT_USAGE, "", "error: a\\nb\\x1b[31mred\\x7f.obs:1: " + (
+            "key outside any section\n" if command == "simulate" else "expected 'key = value'\n"))
+    assert run_cli(command, "café \\ ☃.obs", capsys=capsys) == (
+        EXIT_USAGE, "", "error: café \\ ☃.obs: No such file or directory\n")
 
 
 @pytest.mark.parametrize("command, name", [("simulate", "squaretest"),

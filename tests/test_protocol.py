@@ -4,7 +4,8 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import ulps_around
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uwps.errors import (
@@ -336,20 +337,54 @@ def test_q_rounds_like_the_wire_text(value, decimals):
     assert_same_float(_q(value, decimals), f_string_q(value, decimals))
 
 
+# _q's float path takes |x * 10**d| below 2**40: the floats on both sides of
+# that bound, for both signs
+FAST_PATH_BOUNDS = [(x, d) for d in (2, 3, 7) for bound in (2.0 ** 40, -2.0 ** 40)
+                    for x in ulps_around(bound / 10.0 ** d, 4)]
+
+
 @pytest.mark.parametrize("value, decimals", [
     (2.675, 2), (0.125, 2), (0.375, 2), (-2.675, 2), (0.0005, 3), (86399.9995, 3),
     (-179.99999995, 7), (-0.0, 2), (0.0, 3), (-0.001, 2), (-1e-9, 7), (1e300, 2),
     (-1e300, 7), (5e-324, 7), (math.inf, 3), (-math.inf, 2), (math.nan, 3),
-    (7, 3), (-0, 2), (True, 2), (np.float64(2.675), 2), (np.float64(-0.0), 7)])
+    (7, 3), (-0, 2), (True, 2), (np.float64(2.675), 2), (np.float64(-0.0), 7),
+    (-0.004, 2), (-0.0004999, 3), (-4.9e-8, 7), (-5e-324, 2),      # tiny negatives: -0.0
+    *FAST_PATH_BOUNDS])
 def test_q_rounds_ties_zeros_and_extremes_like_the_wire_text(value, decimals):
     assert_same_float(_q(value, decimals), f_string_q(value, decimals))
 
 
+@settings(max_examples=2000, deadline=None)
+@given(k=st.one_of(st.integers(-10**9, 10**9), st.integers(-2**41, 2**41)),
+       ulps=st.integers(-4, 4), decimals=st.sampled_from([2, 3, 7]))
+def test_q_rounds_near_a_tie_like_the_wire_text(k, ulps, decimals):
+    """Within 4 ulps of a decimal tie (k + 1/2) / 10**d the exact binary
+    value decides, as the wire text's digits do."""
+    value = (k + 0.5) / 10.0 ** decimals
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    assert_same_float(_q(value, decimals), f_string_q(value, decimals))
+
+
+def test_message_keeps_the_sign_of_a_zero_it_rounds_to():
+    """A tiny negative field rounds to -0.0, through _q and through
+    _quantized's written-out copy of it, as the wire text spells it."""
+    m = BuoyMessage(1, -0.0004, GeodeticCoord(-4e-8, -4.9e-8, -0.004))
+    assert [struct.pack("d", v) for v in (m.gnss_time, *m.position)] == [
+        struct.pack("d", -0.0)] * 4
+    assert encode_message(m) == frame_sentence(b"UWPS,1,-0.000,-0.0000000,-0.0000000,-0.00")
+
+
 @settings(max_examples=300, deadline=None)
 @given(message_bytes=st.integers(1, 80), bit_rate=st.floats(640.0, 1e5),
-       guard=st.floats(0.0, 100.0), frame_index=st.integers(0, 10**6))
+       guard=st.floats(0.0, 100.0),
+       frame_index=st.one_of(st.integers(0, 10**6), st.integers(10**6, 10**10)))
+@example(message_bytes=80, bit_rate=640.0, guard=1.0, frame_index=2**40 // 8000)
+@example(message_bytes=80, bit_rate=640.0, guard=1.0, frame_index=2**40 // 8000 + 1)
 def test_transmit_times_round_like_the_wire_text(message_bytes, bit_rate, guard,
                                                  frame_index):
+    """Frame indices up to 1e10 take the instants past 2**40 / 10**3 s,
+    where _q leaves its float path."""
     s = compute_schedule(message_bytes, bit_rate, guard)
     base = frame_index * s.frame_period
     for got, start in zip(transmit_times(s, frame_index), s.start_times):
